@@ -114,20 +114,25 @@ class Trajectory:
         return Trajectory(self.times[idx], self.states[idx], self.diagnostics, self.truncated)
 
 
-_DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2).  Row s of A holds the weights of stage s.  Its last row
+# equals the 5th-order weights B5, so the seventh stage is evaluated at
+# the new state y5 and serves as the first stage of the next step (FSAL).
+_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0],
+        [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0, 0.0],
+        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0, 0.0],
+        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0],
+    ]
 )
-_DP_B5 = np.array(
-    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0]
-)
-_DP_B4 = np.array(
+# The 5th-order weights (last row of A) minus the embedded 4th-order
+# ones: dt * (E @ K) is the local error estimate y5 - y4, without y4.
+_DP_E = _DP_A[6] - np.array(
     [
         5179.0 / 57600.0,
         0.0,
@@ -175,72 +180,79 @@ def _integrate_fixed(rhs, y0, t0, t1, dt, stepper, diag):
     return Trajectory(np.array(times), np.array(states), diag, truncated)
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> float:
-    scale = tol + tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
 def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
     t = t0
-    y = y0.copy()
-    times = [t0]
-    states = [y0.copy()]
+    y = y0
+    times = np.empty(64)
+    states = np.empty((64, y0.size))
+    times[0] = t0
+    states[0] = y0
+    n = 1
+    K = np.empty((7, y0.size))
+    have_k1 = False
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
     err_prev = 1.0
-    k1 = None
     n_steps = n_rejected = n_evals = 0
-    truncated = False
+    reason = None
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if n_steps + n_rejected >= max_steps:
-            diag["reason"] = "max_steps exceeded"
-            truncated = True
+            reason = "max_steps exceeded"
             break
         dt = min(dt, t1 - t)
         try:
-            if k1 is None:
-                k1 = rhs(t, y)
+            if not have_k1:
+                K[0] = rhs(t, y)
                 n_evals += 1
-            ks = [k1]
-            for stage in range(1, 7):
-                ya = y + dt * sum(
-                    a * k for a, k in zip(_DP_A[stage], ks)
-                )
-                ks.append(rhs(t + _DP_C[stage] * dt, ya))
+            # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
+            # costs about three times the product itself.
+            for s in range(1, 7):
+                ys = y + dt * _DP_A[s, :s].dot(K[:s])
+                K[s] = rhs(t + _DP_C[s] * dt, ys)
                 n_evals += 1
         except DomainSingularity as exc:
-            k1 = None
+            have_k1 = False
             if dt <= dt_min:
-                diag["reason"] = f"domain singularity: {exc}"
-                truncated = True
+                reason = f"domain singularity: {exc}"
                 break
             dt = max(0.25 * dt, dt_min)
             n_rejected += 1
             continue
-        karr = np.array(ks)
-        y5 = y + dt * (_DP_B5 @ karr)
-        y4 = y + dt * (_DP_B4 @ karr)
-        err = _error_norm(y5 - y4, y, y5, tol)
+        y5 = ys  # the last row of A is B5
+        # RMS of the error estimate relative to tol * (1 + max(|y|, |y5|)).
+        scale = np.maximum(np.abs(y), np.abs(y5))
+        scale += 1.0
+        w = _DP_E.dot(K) / scale
+        err = dt / tol * math.sqrt(w.dot(w) / w.size)
+        if not (math.isfinite(err) and np.isfinite(y5).all()):
+            reason = "non-finite state"
+            break
         if err <= 1.0:
             t = t + dt
             y = y5
-            times.append(t)
-            states.append(y.copy())
-            k1 = ks[6]  # first-same-as-last
+            if n == len(times):
+                times = np.concatenate((times, np.empty_like(times)))
+                states = np.concatenate((states, np.empty_like(states)))
+            times[n] = t
+            states[n] = y
+            n += 1
+            K[0] = K[6]  # first same as last
+            have_k1 = True
             n_steps += 1
             fac = 0.9 * (err + 1e-300) ** -0.14 * err_prev**0.08
             dt = dt * min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-4)
         else:
-            k1 = None
+            have_k1 = False
             n_rejected += 1
             if dt <= dt_min:
-                diag["reason"] = "step size underflow"
-                truncated = True
+                reason = "step size underflow"
                 break
             fac = 0.9 * err**-0.2
             dt = max(dt * max(0.2, min(1.0, fac)), dt_min)
     diag.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs_evals=n_evals)
-    return Trajectory(np.array(times), np.array(states), diag, truncated)
+    if reason is not None:
+        diag["reason"] = reason
+    return Trajectory(times[:n].copy(), states[:n].copy(), diag, reason is not None)
 
 
 def _implicit_midpoint_step(rhs, t, y, dt, fp_tol, max_iter=100):
@@ -271,15 +283,26 @@ def integrate(
 ) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) over t_span, storing every step.
 
-    A domain singularity encountered mid-run truncates the trajectory at
-    the last good state (the adaptive method first retries with smaller
-    steps down to dt_min) and sets the truncated flag with a reason in
-    the diagnostics.
+    Bad input raises ValueError at once: a y0 that is not a finite 1-D
+    vector, a t_span whose ends are not finite with t1 > t0, an unknown
+    method, or a missing or non-positive dt.  A domain singularity
+    encountered mid-run truncates the trajectory at the last good state
+    (the adaptive method first retries with smaller steps down to
+    dt_min) and sets the truncated flag with a reason in the
+    diagnostics.  The adaptive method likewise truncates with reason
+    "non-finite state" as soon as a stage, its error estimate or the new
+    state is not finite, rather than rejecting steps until max_steps.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     y0 = _as_array(y0).copy()
+    if y0.ndim != 1 or not np.isfinite(y0).all():
+        raise ValueError(f"y0 must be a finite 1-D state vector, got {y0!r}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     diag = {"method": method, "tol": tol, "dt": dt}

@@ -329,8 +329,7 @@ def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     force = _potential_force(spec)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        r, th = y[0], y[1]
-        pr, pth, pph = y[3], y[4], y[5]
+        r, th, ph, pr, pth, pph = y.tolist()
         sk = sin_k(kap, r)
         if abs(sk) < 1e-12:
             raise DomainSingularity("sin_k(r) vanishes along trajectory")
@@ -342,19 +341,15 @@ def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
         sk2 = sk * sk
         sth2 = sth * sth
         ang = pth * pth + pph * pph / sth2
-        out = np.empty(6)
-        out[0] = pr
-        out[1] = pth / sk2
-        out[2] = pph / (sk2 * sth2)
-        out[3] = ck * ang / (sk2 * sk)
-        out[4] = cth * pph * pph / (sk2 * sth2 * sth)
-        out[5] = 0.0
+        dpr = ck * ang / (sk2 * sk)
+        dpth = cth * pph * pph / (sk2 * sth2 * sth)
+        dpph = 0.0
         if force is not None:
-            vr, vth, vph = force(sk, ck, sth, cth, math.sin(y[2]), math.cos(y[2]))
-            out[3] -= vr
-            out[4] -= vth
-            out[5] -= vph
-        return out
+            vr, vth, vph = force(sk, ck, sth, cth, math.sin(ph), math.cos(ph))
+            dpr -= vr
+            dpth -= vth
+            dpph -= vph
+        return np.array((pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph))
 
     return rhs
 
@@ -613,8 +608,7 @@ def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]
     dv = _chart_potential_derivative(spec)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho, th = y[0], y[1]
-        prho, pth, pph = y[3], y[4], y[5]
+        rho, th, _, prho, pth, pph = y.tolist()
         if abs(rho) < 1e-12:
             raise DomainSingularity("rho vanishes along trajectory")
         sth = math.sin(th)
@@ -625,13 +619,13 @@ def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]
             raise DomainSingularity("rho chart boundary reached")
         sth2 = sth * sth
         ang = pth * pth + pph * pph / sth2
-        out = np.empty(6)
-        out[0] = (1.0 - kap * rho2) * prho
-        out[1] = pth / rho2
-        out[2] = pph / (rho2 * sth2)
-        out[3] = kap * rho * prho * prho + ang / (rho2 * rho) - dv(rho)
-        out[4] = math.cos(th) * pph * pph / (rho2 * sth2 * sth)
-        out[5] = 0.0
-        return out
+        return np.array((
+            (1.0 - kap * rho2) * prho,
+            pth / rho2,
+            pph / (rho2 * sth2),
+            kap * rho * prho * prho + ang / (rho2 * rho) - dv(rho),
+            math.cos(th) * pph * pph / (rho2 * sth2 * sth),
+            0.0,
+        ))
 
     return rhs

@@ -1,5 +1,6 @@
 """Bracket engine, integrators, sampling, audits, and orbit detection."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +177,7 @@ def test_fd_bracket_coordinate_momentum():
 # Integrators.
 
 def test_integrate_validation():
+    """Bad input raises at once instead of spinning or returning one sample."""
     rhs = circ_rhs()
     with pytest.raises(ValueError):
         integrate(rhs, CIRC_Y0, (0.0, 1.0), method="euler")
@@ -183,6 +185,60 @@ def test_integrate_validation():
         integrate(rhs, CIRC_Y0, (1.0, 0.0))
     with pytest.raises(ValueError):
         integrate(rhs, CIRC_Y0, (0.0, 1.0), method="rk4_fixed")
+    bad = [
+        (np.where(np.arange(6) == 3, math.nan, CIRC_Y0), (0.0, 1.0), {}),
+        (np.where(np.arange(6) == 5, math.inf, CIRC_Y0), (0.0, 1.0), {}),
+        (np.tile(CIRC_Y0, (2, 1)), (0.0, 1.0), {}),
+        (CIRC_Y0, (0.0, math.inf), {}),
+        (CIRC_Y0, (0.0, math.nan), {}),
+        (CIRC_Y0, (-math.inf, 1.0), {}),
+        (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": 0.0}),
+        (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": -0.1}),
+        (CIRC_Y0, (0.0, 1.0), {"dt": math.nan}),
+    ]
+    for y0, t_span, kwargs in bad:
+        with pytest.raises(ValueError, match="^(y0|t_span|dt) must"):
+            integrate(rhs, y0, t_span, **kwargs)
+
+
+def test_adaptive_truncates_on_nonfinite_state():
+    """A NaN stage ends the run at once, even at the default max_steps."""
+
+    def rhs(t, y):
+        out = np.zeros(6)
+        out[0] = 1.0 if y[0] < 1.5 else math.nan
+        return out
+
+    y0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    start = time.perf_counter()
+    traj = integrate(rhs, y0, (0.0, 2.0), method="rk45_adaptive")
+    assert time.perf_counter() - start < 1.0
+    assert traj.truncated
+    assert traj.diagnostics["reason"] == "non-finite state"
+    assert np.isfinite(traj.states).all()
+    assert traj.times[-1] <= 0.5 + 1e-12
+
+
+def test_adaptive_counts_pinned_on_readme_orbit():
+    """Step, rejection and evaluation counts of the README oscillator orbit.
+
+    On a run with no domain-singularity retries every attempt costs six
+    evaluations, the first step one more, and each rejection one more to
+    restart the first stage.  At tol=1e-12 the run also outgrows the
+    initial output buffer several times.
+    """
+    rhs = hamilton_rhs(make_system("oscillator", kappa=1.0))
+    y0 = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
+    for tol, steps, rejected, evals in ((1e-10, 1740, 2, 10455), (1e-12, 4381, 2, 26301)):
+        traj = integrate(rhs, y0, (0.0, 20.0), method="rk45_adaptive", tol=tol)
+        d = traj.diagnostics
+        assert not traj.truncated
+        assert (d["n_steps"], d["n_rejected"], d["n_rhs_evals"]) == (steps, rejected, evals)
+        assert d["n_rhs_evals"] == 6 * (d["n_steps"] + d["n_rejected"]) + 1 + d["n_rejected"]
+        assert len(traj.times) == len(traj.states) == d["n_steps"] + 1
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 20.0
+        assert np.array_equal(traj.states[0], y0)
 
 
 def test_rk4_fourth_order_convergence():
