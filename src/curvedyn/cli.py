@@ -14,7 +14,9 @@ deterministic for a fixed seed; the seed comes from --seed, falling
 back to the CURVEDYN_SEED environment variable, then a built-in
 default.  A JSON config file can supply any of the options; explicit
 command line flags win over the file.  Audit subcommands exit nonzero
-when any check exceeds its tolerance.
+when any check exceeds its tolerance.  Invalid input rejected by the
+library (a ValueError, which includes DomainSingularity) and a failed
+implicit solve print "error: <message>" on stderr and exit with status 2.
 """
 
 from __future__ import annotations
@@ -479,7 +481,11 @@ def main(argv=None) -> int:
         "audit": _cmd_audit,
         "closed-orbit": _cmd_closed_orbit,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, dynamics.NonConvergence) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

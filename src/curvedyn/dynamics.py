@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import PhaseState
 from .kappa_core import DomainSingularity, cos_k, sin_k
-from .observables import Observable, analytic_gradient
+from .observables import Observable
 from .systems import SystemSpec, catalog, hamilton_rhs, hamiltonian
 
 __all__ = [
@@ -57,8 +57,8 @@ def _as_array(s) -> np.ndarray:
 
 def poisson_bracket(f: Observable, g: Observable, s) -> float:
     """Canonical bracket {f, g} contracted from analytic gradients."""
-    gf = analytic_gradient(f, s)
-    gg = analytic_gradient(g, s)
+    gf = f.gradient(s)
+    gg = g.gradient(s)
     return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
 
 
@@ -171,6 +171,10 @@ def _integrate_fixed(rhs, y0, t0, t1, dt, stepper, diag):
             y = stepper(rhs, t, y, step)
         except DomainSingularity as exc:
             diag["reason"] = f"domain singularity: {exc}"
+            truncated = True
+            break
+        if not np.isfinite(y).all():
+            diag["reason"] = "non-finite state"
             truncated = True
             break
         t = t + step
@@ -289,9 +293,12 @@ def integrate(
     encountered mid-run truncates the trajectory at the last good state
     (the adaptive method first retries with smaller steps down to
     dt_min) and sets the truncated flag with a reason in the
-    diagnostics.  The adaptive method likewise truncates with reason
-    "non-finite state" as soon as a stage, its error estimate or the new
-    state is not finite, rather than rejecting steps until max_steps.
+    diagnostics.  A run likewise truncates with reason "non-finite state"
+    at the last finite state: the adaptive method as soon as a stage, its
+    error estimate or the new state is not finite (rather than rejecting
+    steps until max_steps), rk4_fixed as soon as a step yields a
+    non-finite state.  An implicit midpoint step whose fixed point does
+    not converge raises NonConvergence.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -380,8 +387,9 @@ def conservation_report(observables: dict, traj: Trajectory) -> dict:
     divided by max(1, |initial value|).
     """
     report = {}
+    states = traj.states.tolist()
     for name, obs in observables.items():
-        values = np.array([obs.value(y) for y in traj.states])
+        values = np.array([obs.value(y) for y in states])
         v0 = values[0]
         drift = float(np.max(np.abs(values - v0)))
         report[name] = {
@@ -404,7 +412,7 @@ def independence_rank(
     genuine dependencies still manifest many orders below the
     threshold.
     """
-    g = np.array([analytic_gradient(o, s) for o in observables])
+    g = np.array([o.gradient(s) for o in observables])
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         g = np.where(norms > 0.0, g / np.maximum(norms, 1e-300), g)
@@ -490,8 +498,8 @@ def _max_residual(states, fn) -> float:
 
 def _pb_rel(f: Observable, g: Observable, y, expect: float = 0.0) -> float:
     """Bracket minus its expected value, relative to the gradient scale."""
-    gf = analytic_gradient(f, y)
-    gg = analytic_gradient(g, y)
+    gf = f.gradient(y)
+    gg = g.gradient(y)
     raw = float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3]) - expect
     scale = max(1.0, float(np.linalg.norm(gf) * np.linalg.norm(gg)), abs(expect))
     return raw / scale

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "k123_S",
     "k123_N",
     "k123_KR",
-    "analytic_gradient",
     "scaled_sum",
     "square",
 ]
@@ -69,14 +69,19 @@ def _as6(s) -> tuple[float, float, float, float, float, float]:
 
 @dataclass(frozen=True)
 class Observable:
-    """Real phase-space function with value and analytic gradient."""
+    """Real phase-space function with value and analytic gradient.
+
+    ``_vg(y, grad=True)`` maps a 6-tuple to ``(value, gradient)``.  With
+    ``grad`` false it computes the same value and runs the same domain
+    guards, but returns ``(value, None)`` without assembling the gradient.
+    """
 
     name: str
     params: dict = field(compare=False)
     _vg: Callable = field(repr=False, compare=False)
 
     def value(self, s) -> float:
-        return self._vg(_as6(s))[0]
+        return self._vg(_as6(s), False)[0]
 
     def gradient(self, s) -> np.ndarray:
         return self._vg(_as6(s))[1]
@@ -97,20 +102,19 @@ class ComplexObservable:
         return complex(self.re.value(s), self.im.value(s))
 
 
-def analytic_gradient(obs: Observable, s) -> np.ndarray:
-    """Closed-form 6-gradient of an observable at a state."""
-    return obs.gradient(s)
-
-
 # ---------------------------------------------------------------------------
-# Primitive value-and-gradient pieces.  Each returns (value, 6-gradient).
+# Primitive value-and-gradient pieces.  Each returns (value, 6-gradient),
+# or (value, None) when called with grad false.
+
+_VG = tuple[float, np.ndarray | None]
+
 
 def _sin_guard(x: float, what: str) -> None:
     if abs(x) < _EPS:
         raise DomainSingularity(f"{what} vanishes")
 
 
-def _p_vg(i: int, kap: float, y) -> tuple[float, np.ndarray]:
+def _p_vg(i: int, kap: float, y, grad: bool = True) -> _VG:
     r, th, ph, pr, pth, pph = y
     sk = sin_k(kap, r)
     _sin_guard(sk, "sin_k(r)")
@@ -118,19 +122,24 @@ def _p_vg(i: int, kap: float, y) -> tuple[float, np.ndarray]:
     ct = ck / sk
     dct = -1.0 / (sk * sk)
     sth, cth = math.sin(th), math.cos(th)
-    sph, cph = math.sin(ph), math.cos(ph)
-    g = np.zeros(6)
     if i == 3:
         val = cth * pr - ct * sth * pth
+        if not grad:
+            return val, None
+        g = np.zeros(6)
         g[0] = -dct * sth * pth
         g[1] = -sth * pr - ct * cth * pth
         g[3] = cth
         g[4] = -ct * sth
         return val, g
     _sin_guard(sth, "sin(theta)")
+    sph, cph = math.sin(ph), math.cos(ph)
     if i == 1:
         ang = cth * cph * pth - (sph / sth) * pph
         val = sth * cph * pr + ct * ang
+        if not grad:
+            return val, None
+        g = np.zeros(6)
         g[0] = dct * ang
         g[1] = cth * cph * pr + ct * (-sth * cph * pth + (cth / (sth * sth)) * sph * pph)
         g[2] = -sth * sph * pr + ct * (-cth * sph * pth - (cph / sth) * pph)
@@ -141,6 +150,9 @@ def _p_vg(i: int, kap: float, y) -> tuple[float, np.ndarray]:
     if i == 2:
         ang = cth * sph * pth + (cph / sth) * pph
         val = sth * sph * pr + ct * ang
+        if not grad:
+            return val, None
+        g = np.zeros(6)
         g[0] = dct * ang
         g[1] = cth * sph * pr + ct * (-sth * sph * pth - (cth / (sth * sth)) * cph * pph)
         g[2] = sth * cph * pr + ct * (cth * cph * pth - (sph / sth) * pph)
@@ -151,10 +163,12 @@ def _p_vg(i: int, kap: float, y) -> tuple[float, np.ndarray]:
     raise ValueError(f"momentum index must be 1..3, got {i}")
 
 
-def _j_vg(i: int, y) -> tuple[float, np.ndarray]:
+def _j_vg(i: int, y, grad: bool = True) -> _VG:
     _, th, ph, _, pth, pph = y
-    g = np.zeros(6)
     if i == 3:
+        if not grad:
+            return pph, None
+        g = np.zeros(6)
         g[5] = 1.0
         return pph, g
     sth, cth = math.sin(th), math.cos(th)
@@ -163,6 +177,9 @@ def _j_vg(i: int, y) -> tuple[float, np.ndarray]:
     cot = cth / sth
     if i == 1:
         val = -(sph * pth + cot * cph * pph)
+        if not grad:
+            return val, None
+        g = np.zeros(6)
         g[1] = cph * pph / (sth * sth)
         g[2] = -cph * pth + cot * sph * pph
         g[4] = -sph
@@ -170,6 +187,9 @@ def _j_vg(i: int, y) -> tuple[float, np.ndarray]:
         return val, g
     if i == 2:
         val = cph * pth - cot * sph * pph
+        if not grad:
+            return val, None
+        g = np.zeros(6)
         g[1] = sph * pph / (sth * sth)
         g[2] = -sph * pth - cot * cph * pph
         g[4] = cph
@@ -178,92 +198,110 @@ def _j_vg(i: int, y) -> tuple[float, np.ndarray]:
     raise ValueError(f"angular index must be 1..3, got {i}")
 
 
-def _jsq_vg(y) -> tuple[float, np.ndarray]:
+def _jsq_vg(y, grad: bool = True) -> _VG:
     _, th, _, _, pth, pph = y
     sth, cth = math.sin(th), math.cos(th)
     _sin_guard(sth, "sin(theta)")
-    g = np.zeros(6)
     val = pth * pth + (pph / sth) ** 2
+    if not grad:
+        return val, None
+    g = np.zeros(6)
     g[1] = -2.0 * pph * pph * cth / sth**3
     g[4] = 2.0 * pth
     g[5] = 2.0 * pph / (sth * sth)
     return val, g
 
 
-def _dir_vg(axis: int, y) -> tuple[float, np.ndarray]:
+def _dir_vg(axis: int, y, grad: bool = True) -> _VG:
     _, th, ph = y[0], y[1], y[2]
     sth, cth = math.sin(th), math.cos(th)
+    if axis == 2:
+        if not grad:
+            return cth, None
+        g = np.zeros(6)
+        g[1] = -sth
+        return cth, g
     sph, cph = math.sin(ph), math.cos(ph)
-    g = np.zeros(6)
     if axis == 0:
+        if not grad:
+            return sth * cph, None
+        g = np.zeros(6)
         g[1] = cth * cph
         g[2] = -sth * sph
         return sth * cph, g
     if axis == 1:
+        if not grad:
+            return sth * sph, None
+        g = np.zeros(6)
         g[1] = cth * sph
         g[2] = sth * cph
         return sth * sph, g
-    if axis == 2:
-        g[1] = -sth
-        return cth, g
     raise ValueError(f"axis must be 0..2, got {axis}")
 
 
-def _coord_vg(axis: int, kap: float, y) -> tuple[float, np.ndarray]:
+def _coord_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
     r = y[0]
     sk = sin_k(kap, r)
-    ck = cos_k(kap, r)
-    d, gd = _dir_vg(axis, y)
+    d, gd = _dir_vg(axis, y, grad)
+    if not grad:
+        return sk * d, None
     g = sk * gd
-    g[0] = ck * d
+    g[0] = cos_k(kap, r) * d
     return sk * d, g
 
 
-def _kinetic_vg(kap: float, y) -> tuple[float, np.ndarray]:
+def _kinetic_vg(kap: float, y, grad: bool = True) -> _VG:
     r, th, _, pr, pth, pph = y
     sk = sin_k(kap, r)
     _sin_guard(sk, "sin_k(r)")
     sth, cth = math.sin(th), math.cos(th)
     _sin_guard(sth, "sin(theta)")
-    ck = cos_k(kap, r)
     sk2 = sk * sk
     ang = pth * pth + (pph / sth) ** 2
+    val = 0.5 * (pr * pr + ang / sk2)
+    if not grad:
+        return val, None
+    ck = cos_k(kap, r)
     g = np.zeros(6)
     g[0] = -ck * ang / (sk2 * sk)
     g[1] = -pph * pph * cth / (sk2 * sth**3)
     g[3] = pr
     g[4] = pth / sk2
     g[5] = pph / (sk2 * sth * sth)
-    return 0.5 * (pr * pr + ang / sk2), g
+    return val, g
 
 
-def _az_vg(kap: float, y) -> tuple[float, np.ndarray]:
+def _az_vg(kap: float, y, grad: bool = True) -> _VG:
     r, th = y[0], y[1]
     ck = cos_k(kap, r)
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("axial anisotropy factor singular at cos_k(r) = 0")
     sk = sin_k(kap, r)
     tk = sk / ck
-    sth, cth = math.sin(th), math.cos(th)
+    cth = math.cos(th)
     u = tk * cth
     den = 1.0 - kap * u * u
     if abs(den) < _EPS:
         raise DomainSingularity("axial anisotropy factor denominator vanishes")
+    if not grad:
+        return u / den, None
     dadu = (1.0 + kap * u * u) / (den * den)
     g = np.zeros(6)
     g[0] = dadu * cth / (ck * ck)
-    g[1] = -dadu * tk * sth
+    g[1] = -dadu * tk * math.sin(th)
     return u / den, g
 
 
-def _tan_dir_vg(axis: int, kap: float, y) -> tuple[float, np.ndarray]:
+def _tan_dir_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
     """tan_k(r) times a direction cosine, with gradient."""
     r = y[0]
     ck = cos_k(kap, r)
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("tan_k(r) singular at cos_k(r) = 0")
     tk = sin_k(kap, r) / ck
-    d, gd = _dir_vg(axis, y)
+    d, gd = _dir_vg(axis, y, grad)
+    if not grad:
+        return tk * d, None
     g = tk * gd
     g[0] = d / (ck * ck)
     return tk * d, g
@@ -275,12 +313,12 @@ def _tan_dir_vg(axis: int, kap: float, y) -> tuple[float, np.ndarray]:
 def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
     kap = float(kappa)
-    return Observable(f"P{i}", {"kappa": kap}, lambda y: _p_vg(i, kap, y))
+    return Observable(f"P{i}", {"kappa": kap}, partial(_p_vg, i, kap))
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
-    return Observable(f"J{i}", {}, lambda y: _j_vg(i, y))
+    return Observable(f"J{i}", {}, partial(_j_vg, i))
 
 
 def angular_J_squared() -> Observable:
@@ -294,7 +332,7 @@ def coordinate(axis: int, kappa) -> Observable:
         raise ValueError(f"axis must be 1..3, got {axis}")
     kap = float(kappa)
     name = ("xk", "yk", "zk")[axis - 1]
-    return Observable(name, {"kappa": kap}, lambda y: _coord_vg(axis - 1, kap, y))
+    return Observable(name, {"kappa": kap}, partial(_coord_vg, axis - 1, kap))
 
 
 def direction_cosine(axis: int) -> Observable:
@@ -302,7 +340,7 @@ def direction_cosine(axis: int) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("dx", "dy", "dz")[axis - 1]
-    return Observable(name, {}, lambda y: _dir_vg(axis - 1, y))
+    return Observable(name, {}, partial(_dir_vg, axis - 1))
 
 
 def kappa_cartesian(kappa, q: ConfigPoint) -> tuple[float, float, float]:
@@ -317,7 +355,7 @@ def kappa_cartesian(kappa, q: ConfigPoint) -> tuple[float, float, float]:
 def kinetic(kappa) -> Observable:
     """Kinetic energy of the canonical momenta under the metric."""
     kap = float(kappa)
-    return Observable("T", {"kappa": kap}, lambda y: _kinetic_vg(kap, y))
+    return Observable("T", {"kappa": kap}, partial(_kinetic_vg, kap))
 
 
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -335,28 +373,33 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
     ia, ja = i - 1, j - 1
     ki = ks[ia]
 
-    def vg(y):
-        pi, gpi = _p_vg(i, kap, y)
+    def vg(y, grad=True):
+        pi, gpi = _p_vg(i, kap, y, grad)
         ck = cos_k(kap, y[0])
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("tan_k(r) singular at cos_k(r) = 0")
         tk = sin_k(kap, y[0]) / ck
-        di, gdi = _dir_vg(ia, y)
+        di, gdi = _dir_vg(ia, y, grad)
         if i == j:
             val = pi * pi + (al * tk * di) ** 2
+            w = tk * di
+            if ki != 0.0:
+                _sin_guard(w, "tan_k(r) dir_i")
+                val += 2.0 * ki / (w * w)
+            if not grad:
+                return val, None
             g = 2.0 * pi * gpi + al * al * tk * (2.0 * tk * di * gdi)
             g[0] += 2.0 * al * al * tk * di * di / (ck * ck)
             if ki != 0.0:
-                w = tk * di
-                _sin_guard(w, "tan_k(r) dir_i")
-                val += 2.0 * ki / (w * w)
                 gw = tk * gdi
                 gw[0] += di / (ck * ck)
                 g += (-4.0 * ki / w**3) * gw
             return val, g
-        pj, gpj = _p_vg(j, kap, y)
-        dj, gdj = _dir_vg(ja, y)
+        pj, gpj = _p_vg(j, kap, y, grad)
+        dj, gdj = _dir_vg(ja, y, grad)
         val = pi * pj + al * al * tk * tk * di * dj
+        if not grad:
+            return val, None
         g = pi * gpj + pj * gpi + al * al * tk * tk * (di * gdj + dj * gdi)
         g[0] += 2.0 * al * al * tk * di * dj / (ck * ck)
         return val, g
@@ -398,9 +441,9 @@ def complex_M(j: int, kappa, alpha) -> ComplexObservable:
     al = float(alpha)
     re = noether_P(j, kap)
 
-    def im_vg(y):
-        v, g = _tan_dir_vg(j - 1, kap, y)
-        return al * v, al * g
+    def im_vg(y, grad=True):
+        v, g = _tan_dir_vg(j - 1, kap, y, grad)
+        return al * v, (al * g if grad else None)
 
     im = Observable(f"ImM{j}", {"kappa": kap, "alpha": al}, im_vg)
     return ComplexObservable(f"M{j}", re, im)
@@ -418,22 +461,23 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Angular-momentum related integral J_i^2 plus two coupling ratios."""
     kap = float(kappa)
     ks = (float(k1), float(k2), float(k3))
+    ratios = [
+        (ks[kidx - 1], num, den) for kidx, num, den in _KJ_TERMS[i] if ks[kidx - 1] != 0.0
+    ]
 
-    def vg(y):
-        ji, gji = _j_vg(i, y)
+    def vg(y, grad=True):
+        ji, gji = _j_vg(i, y, grad)
         val = ji * ji
-        g = 2.0 * ji * gji
-        for kidx, num_ax, den_ax in _KJ_TERMS[i]:
-            kc = ks[kidx - 1]
-            if kc == 0.0:
-                continue
-            a, ga = _coord_vg(num_ax, kap, y)
-            b, gb = _coord_vg(den_ax, kap, y)
+        g = 2.0 * ji * gji if grad else None
+        for kc, num_ax, den_ax in ratios:
+            a, ga = _coord_vg(num_ax, kap, y, grad)
+            b, gb = _coord_vg(den_ax, kap, y, grad)
             _sin_guard(b, "coordinate in coupling ratio")
             q = a / b
-            gq = (ga * b - a * gb) / (b * b)
             val += 2.0 * kc * q * q
-            g = g + 4.0 * kc * q * gq
+            if grad:
+                gq = (ga * b - a * gb) / (b * b)
+                g = g + 4.0 * kc * q * gq
         return val, g
 
     return Observable(
@@ -443,31 +487,35 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
 
 def _osc112_az(kappa) -> Observable:
     kap = float(kappa)
-    return Observable("Az", {"kappa": kap}, lambda y: _az_vg(kap, y))
+    return Observable("Az", {"kappa": kap}, partial(_az_vg, kap))
 
 
 def _osc112_v(kappa, alpha, k1, k2) -> Observable:
     kap, al = float(kappa), float(alpha)
 
-    def vg(y):
-        x, gx = _coord_vg(0, kap, y)
-        yy, gy = _coord_vg(1, kap, y)
-        a, ga = _az_vg(kap, y)
+    def vg(y, grad=True):
+        x, gx = _coord_vg(0, kap, y, grad)
+        yy, gy = _coord_vg(1, kap, y, grad)
+        a, ga = _az_vg(kap, y, grad)
         w = x * x + yy * yy
-        gw = 2.0 * x * gx + 2.0 * yy * gy
         den = 1.0 - kap * w
         _sin_guard(den, "planar anisotropy denominator")
         num = w + 4.0 * a * a
-        gnum = gw + 8.0 * a * ga
         val = 0.5 * al * al * num / den
-        g = 0.5 * al * al * (gnum * den + kap * num * gw) / (den * den)
         if k1 != 0.0:
             _sin_guard(x, "x_k")
             val += k1 / (x * x)
-            g = g - 2.0 * k1 * gx / x**3
         if k2 != 0.0:
             _sin_guard(yy, "y_k")
             val += k2 / (yy * yy)
+        if not grad:
+            return val, None
+        gw = 2.0 * x * gx + 2.0 * yy * gy
+        gnum = gw + 8.0 * a * ga
+        g = 0.5 * al * al * (gnum * den + kap * num * gw) / (den * den)
+        if k1 != 0.0:
+            g = g - 2.0 * k1 * gx / x**3
+        if k2 != 0.0:
             g = g - 2.0 * k2 * gy / yy**3
         return val, g
 
@@ -477,10 +525,13 @@ def _osc112_v(kappa, alpha, k1, k2) -> Observable:
 def _osc112_k3(kappa, alpha) -> Observable:
     kap, al = float(kappa), float(alpha)
 
-    def vg(y):
-        p3, gp3 = _p_vg(3, kap, y)
-        a, ga = _az_vg(kap, y)
-        return p3 * p3 + 4.0 * al * al * a * a, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
+    def vg(y, grad=True):
+        p3, gp3 = _p_vg(3, kap, y, grad)
+        a, ga = _az_vg(kap, y, grad)
+        val = p3 * p3 + 4.0 * al * al * a * a
+        if not grad:
+            return val, None
+        return val, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
 
     return Observable("K3", {"kappa": kap, "alpha": al}, vg)
 
@@ -488,22 +539,30 @@ def _osc112_k3(kappa, alpha) -> Observable:
 def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
     kap, al = float(kappa), float(alpha)
 
-    def vg(y):
-        p1, gp1 = _p_vg(1, kap, y)
-        p2, gp2 = _p_vg(2, kap, y)
-        j1, gj1 = _j_vg(1, y)
-        j2, gj2 = _j_vg(2, y)
-        x, gx = _coord_vg(0, kap, y)
-        yy, gy = _coord_vg(1, kap, y)
-        a, ga = _az_vg(kap, y)
+    def vg(y, grad=True):
+        p1, gp1 = _p_vg(1, kap, y, grad)
+        p2, gp2 = _p_vg(2, kap, y, grad)
+        j1, gj1 = _j_vg(1, y, grad)
+        j2, gj2 = _j_vg(2, y, grad)
+        x, gx = _coord_vg(0, kap, y, grad)
+        yy, gy = _coord_vg(1, kap, y, grad)
+        a, ga = _az_vg(kap, y, grad)
         w = x * x + yy * yy
-        gw = 2.0 * x * gx + 2.0 * yy * gy
         den = 1.0 - kap * w
         _sin_guard(den, "planar anisotropy denominator")
         t = w / den
-        gt = gw / (den * den)
         coef = 1.0 + 4.0 * kap * a * a
         val = (p1 * p1 + kap * j1 * j1) + (p2 * p2 + kap * j2 * j2) + al * al * coef * t
+        if k2 != 0.0:
+            _sin_guard(yy, "y_k")
+            val += 2.0 * k2 * (1.0 - kap * x * x) / (yy * yy)
+        if k1 != 0.0:
+            _sin_guard(x, "x_k")
+            val += 2.0 * k1 * (1.0 - kap * yy * yy) / (x * x)
+        if not grad:
+            return val, None
+        gw = 2.0 * x * gx + 2.0 * yy * gy
+        gt = gw / (den * den)
         g = (
             2.0 * p1 * gp1
             + 2.0 * p2 * gp2
@@ -511,14 +570,10 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
             + al * al * (8.0 * kap * a * t * ga + coef * gt)
         )
         if k2 != 0.0:
-            _sin_guard(yy, "y_k")
-            val += 2.0 * k2 * (1.0 - kap * x * x) / (yy * yy)
             g = g + 2.0 * k2 * (
                 -2.0 * kap * x * gx / (yy * yy) - 2.0 * (1.0 - kap * x * x) * gy / yy**3
             )
         if k1 != 0.0:
-            _sin_guard(x, "x_k")
-            val += 2.0 * k1 * (1.0 - kap * yy * yy) / (x * x)
             g = g + 2.0 * k1 * (
                 -2.0 * kap * yy * gy / (x * x) - 2.0 * (1.0 - kap * yy * yy) * gx / x**3
             )
@@ -537,7 +592,7 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
     """
     kap, al = float(kappa), float(alpha)
 
-    def vg(y):
+    def vg(y, grad=True):
         r, th, ph = y[0], y[1], y[2]
         sth, cth = math.sin(th), math.cos(th)
         sph, cph = math.sin(ph), math.cos(ph)
@@ -549,21 +604,28 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
         u = tk * cth
         den = 1.0 - kap * u * u
         _sin_guard(den, "axial anisotropy denominator")
-        a, ga = _az_vg(kap, y)
-        z, gz = _coord_vg(2, kap, y)
+        a, ga = _az_vg(kap, y, grad)
+        z, gz = _coord_vg(2, kap, y, grad)
         if which == 1:
-            p, gp = _p_vg(1, kap, y)
-            j, gj = _j_vg(2, y)
-            c, gc = _coord_vg(0, kap, y)
+            p, gp = _p_vg(1, kap, y, grad)
+            j, gj = _j_vg(2, y, grad)
+            c, gc = _coord_vg(0, kap, y, grad)
             trig, dtrig_ph = cph, -sph
             sign = -1.0
         else:
-            p, gp = _p_vg(2, kap, y)
-            j, gj = _j_vg(1, y)
-            c, gc = _coord_vg(1, kap, y)
+            p, gp = _p_vg(2, kap, y, grad)
+            j, gj = _j_vg(1, y, grad)
+            c, gc = _coord_vg(1, kap, y, grad)
             trig, dtrig_ph = sph, cph
             sign = 1.0
         q = tk / ck
+        fac = q * sth * trig / den
+        val = sign * p * j + al * al * a * fac * c
+        if kc != 0.0:
+            _sin_guard(c, "coordinate under coupling")
+            val -= 2.0 * kc * ck * z / (c * c)
+        if not grad:
+            return val, None
         dqdr = (ck * ck + 2.0 * kap * sk * sk) / ck**3
         gfac = np.zeros(6)
         gfac[0] = sth * trig * (
@@ -571,13 +633,9 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
         )
         gfac[1] = q * trig * (cth / den - 2.0 * kap * u * tk * sth * sth / (den * den))
         gfac[2] = q * sth * dtrig_ph / den
-        fac = q * sth * trig / den
-        val = sign * p * j + al * al * a * fac * c
         g = sign * (j * gp + p * gj)
         g = g + al * al * (fac * c * ga + a * c * gfac + a * fac * gc)
         if kc != 0.0:
-            _sin_guard(c, "coordinate under coupling")
-            val -= 2.0 * kc * ck * z / (c * c)
             coup = ck * (gz / (c * c) - 2.0 * z * gc / c**3)
             coup[0] += -kap * sk * z / (c * c)
             g = g - 2.0 * kc * coup
@@ -608,30 +666,34 @@ def kepler_RL(i: int, kappa, k) -> Observable:
     kap, kc = float(kappa), float(k)
     j, l = _CYCLE[i]
 
-    def vg(y):
-        pj, gpj = _p_vg(j, kap, y)
-        pl, gpl = _p_vg(l, kap, y)
-        jj, gjj = _j_vg(j, y)
-        jl, gjl = _j_vg(l, y)
-        d, gd = _dir_vg(i - 1, y)
+    def vg(y, grad=True):
+        pj, gpj = _p_vg(j, kap, y, grad)
+        pl, gpl = _p_vg(l, kap, y, grad)
+        jj, gjj = _j_vg(j, y, grad)
+        jl, gjl = _j_vg(l, y, grad)
+        d, gd = _dir_vg(i - 1, y, grad)
         val = pj * jl - pl * jj + kc * d
+        if not grad:
+            return val, None
         g = jl * gpj + pj * gjl - jj * gpl - pl * gjj + kc * gd
         return val, g
 
     return Observable(f"KRL{i}", {"kappa": kap, "k": kc}, vg)
 
 
-def _coupling_sum_vg(kap: float, ks, y) -> tuple[float, np.ndarray]:
+def _coupling_sum_vg(kap: float, ks, y, grad: bool = True) -> _VG:
+    """Sum of k_i / coord_i^2 over the nonzero couplings, with gradient."""
     val = 0.0
-    g = np.zeros(6)
+    g = np.zeros(6) if grad else None
     for ax in range(3):
         kc = ks[ax]
         if kc == 0.0:
             continue
-        c, gc = _coord_vg(ax, kap, y)
+        c, gc = _coord_vg(ax, kap, y, grad)
         _sin_guard(c, "coordinate under coupling")
         val += kc / (c * c)
-        g = g - 2.0 * kc * gc / c**3
+        if grad:
+            g = g - 2.0 * kc * gc / c**3
     return val, g
 
 
@@ -641,17 +703,18 @@ def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     ks = (float(k1), float(k2), float(k3))
     base = kepler_RL(i, kappa, k)
 
-    def vg(y):
-        val, g = base._vg(y)
-        u, gu = _coupling_sum_vg(kap, ks, y)
+    def vg(y, grad=True):
+        val, g = base._vg(y, grad)
+        u, gu = _coupling_sum_vg(kap, ks, y, grad)
         if u != 0.0 or any(ks):
             sk = sin_k(kap, y[0])
             ck = cos_k(kap, y[0])
             cs = ck * sk
-            d, gd = _dir_vg(i - 1, y)
+            d, gd = _dir_vg(i - 1, y, grad)
             val += 2.0 * cs * d * u
-            g = g + 2.0 * (cs * u * gd + cs * d * gu)
-            g[0] += 2.0 * (ck * ck - kap * sk * sk) * d * u
+            if grad:
+                g = g + 2.0 * (cs * u * gd + cs * d * gu)
+                g[0] += 2.0 * (ck * ck - kap * sk * sk) * d * u
         return val, g
 
     return Observable(
@@ -663,11 +726,13 @@ def k123_S(i: int, kappa) -> Observable:
     """Scaled radial momentum p_r sin_k(r) divided by the i-th coordinate."""
     kap = float(kappa)
 
-    def vg(y):
+    def vg(y, grad=True):
         pr = y[3]
-        d, gd = _dir_vg(i - 1, y)
+        d, gd = _dir_vg(i - 1, y, grad)
         _sin_guard(d, "direction cosine")
         val = pr / d
+        if not grad:
+            return val, None
         g = -pr * gd / (d * d)
         g[3] += 1.0 / d
         return val, g
@@ -685,9 +750,9 @@ def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
     root = math.sqrt(2.0 * ki)
     s_obs = k123_S(i, kappa)
 
-    def im_vg(y):
-        v, g = s_obs._vg(y)
-        return root * v, root * g
+    def im_vg(y, grad=True):
+        v, g = s_obs._vg(y, grad)
+        return root * v, (root * g if grad else None)
 
     im = Observable(f"ImN{i}", dict(re.params), im_vg)
     return ComplexObservable(f"N{i}", re, im)
@@ -702,10 +767,13 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     r_obs = k123_R(i, kappa, k, *ks)
     s_obs = k123_S(i, kappa)
 
-    def vg(y):
-        rv, rg = r_obs._vg(y)
-        sv, sg = s_obs._vg(y)
-        return rv * rv + 2.0 * ki * sv * sv, 2.0 * rv * rg + 4.0 * ki * sv * sg
+    def vg(y, grad=True):
+        rv, rg = r_obs._vg(y, grad)
+        sv, sg = s_obs._vg(y, grad)
+        val = rv * rv + 2.0 * ki * sv * sv
+        if not grad:
+            return val, None
+        return val, 2.0 * rv * rg + 4.0 * ki * sv * sg
 
     return Observable(f"KR{i}", dict(r_obs.params), vg)
 
@@ -716,13 +784,14 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
 def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
     """Linear combination sum_j c_j f_j with the matching gradient."""
 
-    def vg(y):
+    def vg(y, grad=True):
         val = 0.0
-        g = np.zeros(6)
+        g = np.zeros(6) if grad else None
         for c, obs in terms:
-            v, gv = obs._vg(y)
+            v, gv = obs._vg(y, grad)
             val += c * v
-            g = g + c * gv
+            if grad:
+                g = g + c * gv
         return val, g
 
     return Observable(name, {}, vg)
@@ -731,8 +800,8 @@ def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
 def square(obs: Observable, name: str | None = None) -> Observable:
     """Pointwise square f^2 with gradient 2 f grad f."""
 
-    def vg(y):
-        v, g = obs._vg(y)
-        return v * v, 2.0 * v * g
+    def vg(y, grad=True):
+        v, g = obs._vg(y, grad)
+        return v * v, (2.0 * v * g if grad else None)
 
     return Observable(name or f"{obs.name}^2", dict(obs.params), vg)

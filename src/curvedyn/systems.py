@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,10 +31,10 @@ from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
 from .observables import (
     ComplexObservable,
     Observable,
+    _coupling_sum_vg,
     angular_J,
     angular_J_squared,
     complex_M,
-    coordinate,
     fradkin_K,
     k123_KR,
     k123_N,
@@ -131,50 +132,40 @@ def system_summaries() -> dict:
 # Potentials.
 
 def _v_oscillator(kappa: float, alpha: float) -> Observable:
-    def vg(y):
+    def vg(y, grad=True):
         ck = cos_k(kappa, y[0])
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("oscillator potential singular at cos_k(r) = 0")
         sk = sin_k(kappa, y[0])
         tk = sk / ck
+        val = 0.5 * alpha * alpha * tk * tk
+        if not grad:
+            return val, None
         g = np.zeros(6)
         g[0] = alpha * alpha * sk / ck**3
-        return 0.5 * alpha * alpha * tk * tk, g
+        return val, g
 
     return Observable("V", {"kappa": kappa, "alpha": alpha}, vg)
 
 
 def _v_kepler(kappa: float, k: float) -> Observable:
-    def vg(y):
+    def vg(y, grad=True):
         sk = sin_k(kappa, y[0])
         if abs(sk) < 1e-12:
             raise DomainSingularity("Kepler potential singular at sin_k(r) = 0")
-        ck = cos_k(kappa, y[0])
+        val = k * cos_k(kappa, y[0]) / sk
+        if not grad:
+            return val, None
         g = np.zeros(6)
         g[0] = -k / (sk * sk)
-        return k * ck / sk, g
+        return val, g
 
     return Observable("V", {"kappa": kappa, "k": k}, vg)
 
 
 def _v_couplings(kappa: float, ks: tuple) -> Observable:
-    obs = [coordinate(ax, kappa) for ax in (1, 2, 3)]
-
-    def vg(y):
-        val = 0.0
-        g = np.zeros(6)
-        for ax in range(3):
-            kc = ks[ax]
-            if kc == 0.0:
-                continue
-            c, gc = obs[ax]._vg(y)
-            if abs(c) < 1e-12:
-                raise DomainSingularity("coupling potential singular on axis plane")
-            val += kc / (c * c)
-            g = g - 2.0 * kc * gc / c**3
-        return val, g
-
-    return Observable("Vc", {"kappa": kappa, "k1": ks[0], "k2": ks[1], "k3": ks[2]}, vg)
+    params = {"kappa": kappa, "k1": ks[0], "k2": ks[1], "k3": ks[2]}
+    return Observable("Vc", params, partial(_coupling_sum_vg, kappa, ks))
 
 
 def potential_observable(spec: SystemSpec) -> Optional[Observable]:

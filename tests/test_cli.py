@@ -82,6 +82,22 @@ def test_trajectory_truncated_exit_code(capsys):
     assert out.startswith("t,r")
 
 
+def test_library_errors_print_error_line(capsys):
+    """Library ValueErrors and NonConvergence exit 2 with one stderr line."""
+    base = ("trajectory", "--system", "oscillator", "--kappa", "1", "--t-max", "1")
+    cases = (
+        ("--y0", "nan,1.2,0.4,0.15,0.3,0.35"),
+        ("--y0", OSC_BOUND_Y0, "--method", "rk4_fixed"),
+        ("--y0", "0.3,1.2,0.4,0.9,0.3,0.35", "--method", "implicit_midpoint",
+         "--dt", "1.0", "--system", "kepler", "--kappa", "0"),
+    )
+    for extra in cases:
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_trajectory_deterministic_rerun(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

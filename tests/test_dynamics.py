@@ -201,22 +201,36 @@ def test_integrate_validation():
             integrate(rhs, y0, t_span, **kwargs)
 
 
+def nan_past_rhs(t, y):
+    """Unit drift in r that turns NaN once r reaches 1.5."""
+    out = np.zeros(6)
+    out[0] = 1.0 if y[0] < 1.5 else math.nan
+    return out
+
+
+NAN_PAST_Y0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+
 def test_adaptive_truncates_on_nonfinite_state():
     """A NaN stage ends the run at once, even at the default max_steps."""
-
-    def rhs(t, y):
-        out = np.zeros(6)
-        out[0] = 1.0 if y[0] < 1.5 else math.nan
-        return out
-
-    y0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     start = time.perf_counter()
-    traj = integrate(rhs, y0, (0.0, 2.0), method="rk45_adaptive")
+    traj = integrate(nan_past_rhs, NAN_PAST_Y0, (0.0, 2.0), method="rk45_adaptive")
     assert time.perf_counter() - start < 1.0
     assert traj.truncated
     assert traj.diagnostics["reason"] == "non-finite state"
     assert np.isfinite(traj.states).all()
     assert traj.times[-1] <= 0.5 + 1e-12
+
+
+def test_fixed_step_truncates_on_nonfinite_state():
+    """rk4_fixed stops at the last finite state instead of storing NaN rows."""
+    traj = integrate(nan_past_rhs, NAN_PAST_Y0, (0.0, 2.0), method="rk4_fixed", dt=0.01)
+    assert traj.truncated
+    assert traj.diagnostics["reason"] == "non-finite state"
+    assert np.isfinite(traj.states).all()
+    assert len(traj.times) == len(traj.states) == traj.diagnostics["n_steps"] + 1
+    # The step from r = 1.49 probes r > 1.5 and is the first to go NaN.
+    assert traj.times[-1] == pytest.approx(0.49)
 
 
 def test_adaptive_counts_pinned_on_readme_orbit():

@@ -30,7 +30,9 @@ from curvedyn.observables import (
     square,
     sw_KJ,
 )
+from curvedyn.dynamics import sample_state
 from curvedyn.geometry import ConfigPoint
+from curvedyn.systems import catalog, make_system
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3, 0.0)
 ALPHA, KC = 1.3, -1.0
@@ -159,6 +161,75 @@ def test_analytic_gradients_match_finite_differences():
                 # so the bar scales with the gradient magnitude.
                 tol = max(1e-6, 2e-8 * float(np.max(np.abs(g))))
                 assert np.max(np.abs(g - fd)) < tol, (name, kap)
+
+
+CATALOG_PARAMS = {
+    "free": {},
+    "oscillator": {"alpha": ALPHA},
+    "sw": {"alpha": ALPHA, "k1": KS[0], "k2": KS[1], "k3": KS[2]},
+    "osc112": {"alpha": ALPHA, "k1": KS[0], "k2": KS[1]},
+    "kepler": {"k": KC},
+    "kepler123": {"k": KC, "k1": KS[0], "k2": KS[1], "k3": KS[2]},
+}
+
+
+def catalog_table(spec):
+    """Every real observable of a catalog, complex ones split into parts."""
+    cat = catalog(spec)
+    table = dict(cat.observables)
+    for name, c in cat.complexes.items():
+        table[f"{name}.re"] = c.re
+        table[f"{name}.im"] = c.im
+    return table
+
+
+def guarded_states(spec, y):
+    """Copies of y placed on theta = 0, sin_k(r) = 0, cos_k(r) = 0 (kappa > 0)
+    and, for systems with couplings, the coordinate plane phi = 0."""
+    moves = [(1, 0.0), (0, 0.0)]
+    if spec.kappa > 0.0:
+        moves.append((0, 0.5 * math.pi / math.sqrt(spec.kappa)))
+    if spec.system_id in ("sw", "osc112", "kepler123"):
+        moves.append((2, 0.0))
+    out = []
+    for idx, val in moves:
+        g = y.copy()
+        g[idx] = val
+        out.append(g)
+    return out
+
+
+def outcome(call):
+    """The value a call returns, or the class of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_value_path_matches_value_and_gradient():
+    """value() equals value_and_gradient()[0] on every catalog entry, and
+    both paths raise the same exception class on every guarded set."""
+    rng = np.random.default_rng(107)
+    for kap in KAPPAS:
+        for sid, params in CATALOG_PARAMS.items():
+            spec = make_system(sid, kap, **params)
+            table = catalog_table(spec)
+            states = [sample_state(spec, rng) for _ in range(5)]
+            for y in states:
+                for name, obs in table.items():
+                    assert obs.value(y) == obs.value_and_gradient(y)[0], (sid, kap, name)
+            raised = 0
+            for y in guarded_states(spec, states[0]):
+                for name, obs in table.items():
+                    got = outcome(lambda: obs.value(y))
+                    want = outcome(lambda: obs.value_and_gradient(y)[0])
+                    if isinstance(want, type):
+                        raised += 1
+                        assert got is want, (sid, kap, name, y)
+                    else:
+                        assert got == want, (sid, kap, name, y)
+            assert raised > 0, (sid, kap)
 
 
 def test_momentum_sum_closed_forms():
