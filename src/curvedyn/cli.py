@@ -15,8 +15,10 @@ back to the CURVEDYN_SEED environment variable, then a built-in
 default.  A JSON config file can supply any of the options; explicit
 command line flags win over the file.  Audit subcommands exit nonzero
 when any check exceeds its tolerance.  Invalid input rejected by the
-library (a ValueError, which includes DomainSingularity) and a failed
-implicit solve print "error: <message>" on stderr and exit with status 2.
+library (a ValueError, which includes DomainSingularity), a missing,
+unreadable or malformed config file, a count option below 1, and a
+failed implicit solve print "error: <message>" on stderr and exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -126,8 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path!r} must hold a JSON object")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SystemExit(
@@ -146,6 +155,14 @@ def _merged_option(args, cfg: dict, section: str, name: str, fallback):
     if name in cfg:
         return cfg[name]
     return fallback
+
+
+def _positive_count(name: str, value) -> int:
+    """A count option as an int, rejecting zero and negative values."""
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"--{name} must be a positive integer, got {value!r}")
+    return count
 
 
 def _build_spec(args, cfg: dict) -> SystemSpec:
@@ -243,7 +260,7 @@ def _cmd_trajectory(args) -> int:
     method = _merged_option(args, cfg, "trajectory", "method", "rk45_adaptive")
     tol = _merged_option(args, cfg, "trajectory", "tol", 1e-10)
     dt = _merged_option(args, cfg, "trajectory", "dt", None)
-    every = int(_merged_option(args, cfg, "trajectory", "every", 1))
+    every = _positive_count("every", _merged_option(args, cfg, "trajectory", "every", 1))
     chart = _merged_option(args, cfg, "trajectory", "chart", "base")
     y0_text = _merged_option(args, cfg, "trajectory", "y0", "random")
     if isinstance(y0_text, (list, tuple)):
@@ -308,7 +325,7 @@ def _cmd_potential(args) -> int:
         top = 2.5
     r_min = float(_merged_option(args, cfg, "potential", "r_min", 0.15))
     r_max = float(_merged_option(args, cfg, "potential", "r_max", top))
-    n = int(_merged_option(args, cfg, "potential", "n", 100))
+    n = _positive_count("n", _merged_option(args, cfg, "potential", "n", 100))
     theta = float(_merged_option(args, cfg, "potential", "theta", math.pi / 2.0))
     phi = float(_merged_option(args, cfg, "potential", "phi", math.pi / 4.0))
     if args.emit_config:
@@ -410,8 +427,8 @@ def _cmd_audit(args) -> int:
     cfg = _load_config(args.config)
     spec = _build_spec(args, cfg)
     rng, seed = _get_rng(args, cfg)
-    n_states = int(_merged_option(args, cfg, "audit", "states", 50))
-    ics = int(_merged_option(args, cfg, "audit", "ics", 3))
+    n_states = _positive_count("states", _merged_option(args, cfg, "audit", "states", 50))
+    ics = _positive_count("ics", _merged_option(args, cfg, "audit", "ics", 3))
     t_max = float(_merged_option(args, cfg, "audit", "t_max", 20.0))
     if args.emit_config:
         out = _spec_config(spec)

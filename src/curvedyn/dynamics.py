@@ -158,14 +158,28 @@ def _fixed_grid(t0: float, t1: float, dt: float):
     return n
 
 
+def _sample_buffers(t0: float, y0: np.ndarray):
+    """Output arrays holding (t0, y0) in row 0, to be grown by _grown."""
+    times = np.empty(64)
+    states = np.empty((64, y0.size))
+    times[0] = t0
+    states[0] = y0
+    return times, states
+
+
+def _grown(times: np.ndarray, states: np.ndarray):
+    """The output arrays with their capacity doubled."""
+    return (np.concatenate((times, np.empty_like(times))),
+            np.concatenate((states, np.empty_like(states))))
+
+
 def _integrate_fixed(rhs, y0, t0, t1, dt, stepper, diag):
-    n = _fixed_grid(t0, t1, dt)
-    times = [t0]
-    states = [y0.copy()]
-    y = y0.copy()
+    times, states = _sample_buffers(t0, y0)
+    n = 1
+    y = y0
     t = t0
     truncated = False
-    for i in range(n):
+    for _ in range(_fixed_grid(t0, t1, dt)):
         step = min(dt, t1 - t)
         try:
             y = stepper(rhs, t, y, step)
@@ -178,25 +192,62 @@ def _integrate_fixed(rhs, y0, t0, t1, dt, stepper, diag):
             truncated = True
             break
         t = t + step
-        times.append(t)
-        states.append(y.copy())
-        diag["n_steps"] = diag.get("n_steps", 0) + 1
-    return Trajectory(np.array(times), np.array(states), diag, truncated)
+        if n == len(times):
+            times, states = _grown(times, states)
+        times[n] = t
+        states[n] = y
+        n += 1
+    diag["n_steps"] = n - 1
+    return Trajectory(times[:n].copy(), states[:n].copy(), diag, truncated)
+
+
+class _DPStages:
+    """Stage buffer and stage loop of Dormand-Prince 5(4) attempts.
+
+    K holds the seven stage derivatives; the caller sets K[0] = rhs(t, y)
+    before an attempt.  The scaled tableau dtA = dt * A is filled once
+    per attempt, and each stage reads its fixed views (dtA[s, :s],
+    K[:s]), so a stage costs one dot product, one addition and its rhs
+    call.  evals counts the rhs calls of the stage loop that returned.
+    """
+
+    def __init__(self, size: int):
+        self.K = np.empty((7, size))
+        self.dtA = np.empty((7, 7))
+        self.rows = tuple(
+            (s, _DP_C[s], self.dtA[s, :s], self.K[:s]) for s in range(1, 7)
+        )
+        self.evals = 0
+
+    def attempt(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+        """Fill stages 1-6 of a step of size dt from (t, y); return y5.
+
+        The last row of A is the 5th-order weights B5, so the argument of
+        the seventh stage is the new state y5 (and K[6] its derivative).
+        """
+        np.multiply(_DP_A, dt, out=self.dtA)
+        K = self.K
+        # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
+        # costs about three times the product itself.
+        for s, c, row, Ks in self.rows:
+            ys = y + row.dot(Ks)
+            K[s] = rhs(t + c * dt, ys)
+            self.evals += 1
+        return ys
 
 
 def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
     t = t0
     y = y0
-    times = np.empty(64)
-    states = np.empty((64, y0.size))
-    times[0] = t0
-    states[0] = y0
+    y_list = y0.tolist()
+    times, states = _sample_buffers(t0, y0)
     n = 1
-    K = np.empty((7, y0.size))
+    stages = _DPStages(y0.size)
+    K = stages.K
     have_k1 = False
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
     err_prev = 1.0
-    n_steps = n_rejected = n_evals = 0
+    n_steps = n_rejected = n_k1 = 0
     reason = None
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if n_steps + n_rejected >= max_steps:
@@ -204,56 +255,53 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
             break
         dt = min(dt, t1 - t)
         try:
+            # K[0] depends on (t, y) alone, so it survives a rejected
+            # attempt; only a failure of K[0] itself forces a recompute.
             if not have_k1:
                 K[0] = rhs(t, y)
-                n_evals += 1
-            # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
-            # costs about three times the product itself.
-            for s in range(1, 7):
-                ys = y + dt * _DP_A[s, :s].dot(K[:s])
-                K[s] = rhs(t + _DP_C[s] * dt, ys)
-                n_evals += 1
+                n_k1 += 1
+                have_k1 = True
+            y5 = stages.attempt(rhs, t, y, dt)
         except DomainSingularity as exc:
-            have_k1 = False
             if dt <= dt_min:
                 reason = f"domain singularity: {exc}"
                 break
             dt = max(0.25 * dt, dt_min)
             n_rejected += 1
             continue
-        y5 = ys  # the last row of A is B5
-        # RMS of the error estimate relative to tol * (1 + max(|y|, |y5|)).
-        scale = np.maximum(np.abs(y), np.abs(y5))
-        scale += 1.0
-        w = _DP_E.dot(K) / scale
-        err = dt / tol * math.sqrt(w.dot(w) / w.size)
-        if not (math.isfinite(err) and np.isfinite(y5).all()):
+        # RMS of the error estimate dt * (E @ K) relative to
+        # tol * (1 + max(|y|, |y5|)), on floats rather than temporaries.
+        y5_list = y5.tolist()
+        acc = 0.0
+        for e, a, b in zip(_DP_E.dot(K).tolist(), y_list, y5_list):
+            w = e / (1.0 + max(abs(a), abs(b)))
+            acc += w * w
+        err = dt / tol * math.sqrt(acc / len(y5_list))
+        if not (math.isfinite(err) and all(map(math.isfinite, y5_list))):
             reason = "non-finite state"
             break
         if err <= 1.0:
             t = t + dt
             y = y5
+            y_list = y5_list
             if n == len(times):
-                times = np.concatenate((times, np.empty_like(times)))
-                states = np.concatenate((states, np.empty_like(states)))
+                times, states = _grown(times, states)
             times[n] = t
             states[n] = y
             n += 1
             K[0] = K[6]  # first same as last
-            have_k1 = True
             n_steps += 1
             fac = 0.9 * (err + 1e-300) ** -0.14 * err_prev**0.08
             dt = dt * min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-4)
         else:
-            have_k1 = False
             n_rejected += 1
             if dt <= dt_min:
                 reason = "step size underflow"
                 break
             fac = 0.9 * err**-0.2
             dt = max(dt * max(0.2, min(1.0, fac)), dt_min)
-    diag.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs_evals=n_evals)
+    diag.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs_evals=n_k1 + stages.evals)
     if reason is not None:
         diag["reason"] = reason
     return Trajectory(times[:n].copy(), states[:n].copy(), diag, reason is not None)
@@ -298,7 +346,9 @@ def integrate(
     error estimate or the new state is not finite (rather than rejecting
     steps until max_steps), rk4_fixed as soon as a step yields a
     non-finite state.  An implicit midpoint step whose fixed point does
-    not converge raises NonConvergence.
+    not converge raises NonConvergence.  The diagnostics hold n_steps
+    (accepted steps, len(times) - 1) for every method, and n_rejected and
+    n_rhs_evals (rhs calls that returned) for rk45_adaptive.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -338,11 +388,17 @@ def sample_state(
     zero, keep the Cartesian coordinates away from the axis planes for
     systems with couplings on them, and optionally enforce a floor on
     the angular momentum so that sampled trajectories stay clear of the
-    polar axis.
+    polar axis.  Radii are drawn from [0.15, pi/sqrt(kappa) - 0.15] on
+    the sphere, so a kappa too large for that range raises ValueError.
     """
     kap = spec.kappa
     if kap > 0.0:
         lo, hi = 0.15, math.pi / math.sqrt(kap) - 0.15
+        if hi <= lo:
+            raise ValueError(
+                "sample_state needs pi/sqrt(kappa) - 0.15 > 0.15, that is "
+                f"kappa < {(math.pi / 0.3) ** 2:.6g}, got kappa = {kap!r}"
+            )
     else:
         lo, hi = 0.15, 2.5
     needs_axis = {
@@ -751,20 +807,22 @@ class ClosedOrbitResult:
     diagnostics: dict
 
 
-def _wrap_angle(x: float) -> float:
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _orbit_scales(states: np.ndarray) -> np.ndarray:
     ranges = states.max(axis=0) - states.min(axis=0)
     ranges[2] = min(ranges[2], 2.0 * math.pi)
     return np.maximum(ranges, 1e-8)
 
 
-def _normalized_distance(y: np.ndarray, y0: np.ndarray, scales: np.ndarray) -> float:
+def _normalized_distance(y: np.ndarray, y0: np.ndarray, scales: np.ndarray):
+    """RMS of (y - y0) / scales with the azimuth difference wrapped.
+
+    y is one state (6,), giving a scalar, or a stack (n, 6), giving an
+    array of n distances.
+    """
     d = y - y0
-    d[2] = _wrap_angle(d[2])
-    return float(np.linalg.norm(d / scales) / math.sqrt(6.0))
+    d[..., 2] = (d[..., 2] + math.pi) % (2.0 * math.pi) - math.pi
+    d /= scales
+    return np.sqrt((d * d).sum(axis=-1)) / math.sqrt(6.0)
 
 
 def closed_orbit_check(
@@ -779,16 +837,19 @@ def closed_orbit_check(
     Integrates over [0, t_max], locates the best candidate return after
     a guard time (the second sign change of p_r, or a tenth of t_max if
     radial motion never turns), and refines the return time by golden
-    section on the normalized phase-space distance.  Distances are
-    normalized per component by the coordinate ranges explored by the
-    orbit, with the azimuth compared modulo a full turn.
+    section on the normalized phase-space distance between the two
+    samples around it; each probe takes one Dormand-Prince 5 step from
+    the earlier sample.  Distances are normalized per component by the
+    coordinate ranges explored by the orbit, with the azimuth compared
+    modulo a full turn.  The diagnostics hold the state at the refined
+    return time ("return_state") whether or not a return is found.
     """
     y0 = _as_array(y0).copy()
     rhs = hamilton_rhs(spec)
     traj = integrate(rhs, y0, (0.0, t_max), method="rk45_adaptive", tol=integrate_tol)
     diag = {"truncated": traj.truncated, "n_samples": len(traj.times)}
     scales = _orbit_scales(traj.states)
-    dist = np.array([_normalized_distance(y, y0, scales) for y in traj.states])
+    dist = _normalized_distance(traj.states, y0, scales)
     pr = traj.states[:, 3]
     signs = np.sign(pr)
     nz = signs != 0
@@ -805,21 +866,21 @@ def closed_orbit_check(
     lo = max(best - 1, 0)
     hi = min(best + 1, len(traj.times) - 1)
     t_lo, t_hi = traj.times[lo], traj.times[hi]
-    base_t = traj.times[lo]
-    base_y = traj.states[lo].copy()
+    base_t = float(traj.times[lo])
+    base_y = traj.states[lo]
+    # The bracket spans at most two accepted steps, so one DP5 step from
+    # the stored sample lo reaches any t in it with an error at the level
+    # of integrate_tol.  K[0] at lo is shared by every probe.
+    stages = _DPStages(y0.size)
+    stages.K[0] = rhs(base_t, base_y)
+
+    def state_at(t: float) -> np.ndarray:
+        if t <= base_t + 1e-15:
+            return base_y
+        return stages.attempt(rhs, base_t, base_y, t - base_t)
 
     def d_at(t: float) -> float:
-        if t <= base_t + 1e-15:
-            return _normalized_distance(base_y.copy(), y0, scales)
-        span = t - base_t
-        n = max(8, int(math.ceil(span / 1e-3)))
-        step = span / n
-        y = base_y.copy()
-        tt = base_t
-        for _ in range(n):
-            y = _rk4_step(rhs, tt, y, step)
-            tt += step
-        return _normalized_distance(y, y0, scales)
+        return _normalized_distance(state_at(t), y0, scales)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = t_lo, t_hi
@@ -838,7 +899,9 @@ def closed_orbit_check(
             d = a + inv_phi * (b - a)
             fd = d_at(d)
     t_best = 0.5 * (a + b)
-    d_best = d_at(t_best)
+    y_best = state_at(t_best)
+    d_best = float(_normalized_distance(y_best, y0, scales))
     diag["coarse_distance"] = float(dist[best])
+    diag["return_state"] = y_best.copy()
     found = d_best < return_tol
     return ClosedOrbitResult(found, t_best if found else None, d_best, float(t_guard), diag)

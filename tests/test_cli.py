@@ -274,3 +274,54 @@ def test_closed_orbit_not_found(capsys):
     )
     assert code == 1
     assert out.startswith("NOT FOUND best_distance=")
+
+
+def assert_cli_error(capsys, argv, fragment):
+    """The command prints one "error: ..." line naming fragment and exits 2."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err, err
+
+
+def test_config_file_missing_or_unreadable(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert_cli_error(capsys, ["trajectory", "--config", missing],
+                     f"cannot read config file {missing!r}")
+    assert_cli_error(capsys, ["audit", "--config", str(tmp_path)], "cannot read config file")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert_cli_error(capsys, ["potential", "--config", str(bad)], "is not valid JSON")
+
+
+def test_trajectory_every_must_be_positive(tmp_path, capsys):
+    base = ["trajectory", "--system", "oscillator", "--kappa", "1", "--y0", OSC_BOUND_Y0]
+    for every in ("0", "-3"):
+        assert_cli_error(capsys, base + ["--every", every], "--every must be a positive integer")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "system": "oscillator",
+                               "trajectory": {"every": 0}}))
+    assert_cli_error(capsys, ["trajectory", "--config", str(cfg)], "--every must be")
+
+
+def test_audit_states_must_be_positive(capsys):
+    assert_cli_error(
+        capsys, ["audit", "--system", "free", "--kappa", "0.7", "--kind", "rank", "--states", "0"],
+        "--states must be a positive integer, got 0",
+    )
+
+
+def test_potential_n_must_be_positive(capsys):
+    assert_cli_error(
+        capsys, ["potential", "--system", "kepler", "--kappa", "1", "--n", "0"],
+        "--n must be a positive integer, got 0",
+    )
+
+
+def test_random_state_beyond_kappa_limit(capsys):
+    """Random states need pi/sqrt(kappa) - 0.15 > 0.15, i.e. kappa < 109.66."""
+    assert_cli_error(
+        capsys, ["trajectory", "--system", "oscillator", "--kappa", "200", "--t-max", "1"],
+        "kappa < 109.662, got kappa = 200.0",
+    )

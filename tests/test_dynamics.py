@@ -1,6 +1,7 @@
 """Bracket engine, integrators, sampling, audits, and orbit detection."""
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ def nan_past_rhs(t, y):
     return out
 
 
+def wall_rhs(t, y):
+    """Unit drift in r behind a domain wall at r = 1.5."""
+    if y[0] > 1.5:
+        raise DomainSingularity("test wall")
+    out = np.zeros(6)
+    out[0] = 1.0
+    return out
+
+
 NAN_PAST_Y0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
@@ -237,22 +247,90 @@ def test_adaptive_counts_pinned_on_readme_orbit():
     """Step, rejection and evaluation counts of the README oscillator orbit.
 
     On a run with no domain-singularity retries every attempt costs six
-    evaluations, the first step one more, and each rejection one more to
-    restart the first stage.  At tol=1e-12 the run also outgrows the
-    initial output buffer several times.
+    evaluations and the first step one more: the first stage depends on
+    the state alone, so a rejected attempt keeps it.  At tol=1e-12 the
+    run also outgrows the initial output buffer several times.
     """
     rhs = hamilton_rhs(make_system("oscillator", kappa=1.0))
     y0 = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
-    for tol, steps, rejected, evals in ((1e-10, 1740, 2, 10455), (1e-12, 4381, 2, 26301)):
+    for tol, steps, rejected, evals in ((1e-10, 1740, 2, 10453), (1e-12, 4381, 2, 26299)):
         traj = integrate(rhs, y0, (0.0, 20.0), method="rk45_adaptive", tol=tol)
         d = traj.diagnostics
         assert not traj.truncated
         assert (d["n_steps"], d["n_rejected"], d["n_rhs_evals"]) == (steps, rejected, evals)
-        assert d["n_rhs_evals"] == 6 * (d["n_steps"] + d["n_rejected"]) + 1 + d["n_rejected"]
+        assert d["n_rhs_evals"] == 6 * (d["n_steps"] + d["n_rejected"]) + 1
         assert len(traj.times) == len(traj.states) == d["n_steps"] + 1
         assert np.all(np.diff(traj.times) > 0.0)
         assert traj.times[0] == 0.0 and traj.times[-1] == 20.0
         assert np.array_equal(traj.states[0], y0)
+
+
+class CountingRhs:
+    """Wraps an rhs and records (t, state) of every call that returned."""
+
+    def __init__(self, rhs):
+        self.rhs = rhs
+        self.calls = []
+
+    def __call__(self, t, y):
+        out = self.rhs(t, y)
+        self.calls.append((t, tuple(y.tolist())))
+        return out
+
+
+def test_rhs_eval_counts_match_a_call_counter():
+    """Each method's reported counts account for the rhs calls it made."""
+    osc = hamilton_rhs(make_system("oscillator", kappa=1.0))
+    readme_y0 = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
+
+    def walled(t, y):
+        if y[0] > 0.805:
+            raise DomainSingularity("test wall")
+        return osc(t, y)
+
+    # The first stage at a stored state is evaluated once, also when an
+    # attempt from it is rejected (README orbit) or raises (wall run).  A
+    # state may still see two calls where stages 6 and 7 share a point:
+    # always under the constant drift of nan_past_rhs, and in the wall run
+    # once dt drops below the resolution of the state.
+    adaptive = (
+        (osc, readme_y0, False, 1),
+        (nan_past_rhs, NAN_PAST_Y0, True, None),
+        # Stages past the wall raise, and the step is retried down to dt_min.
+        (walled, readme_y0, True, 2),
+    )
+    for rhs, y0, truncated, calls_per_state in adaptive:
+        counted = CountingRhs(rhs)
+        traj = integrate(counted, y0, (0.0, 20.0), method="rk45_adaptive", tol=1e-10)
+        d = traj.diagnostics
+        assert traj.truncated == truncated
+        assert d["n_rhs_evals"] == len(counted.calls)
+        assert d["n_steps"] == len(traj.times) - 1
+        if calls_per_state is None:
+            continue
+        assert d["n_rejected"] > 0
+        calls = Counter(counted.calls)
+        for t, y in zip(traj.times.tolist(), traj.states.tolist()):
+            assert 1 <= calls[t, tuple(y)] <= calls_per_state
+
+    counted = CountingRhs(osc)
+    traj = integrate(counted, readme_y0, (0.0, 1.0), method="rk4_fixed", dt=0.01)
+    assert not traj.truncated
+    assert len(counted.calls) == 4 * traj.diagnostics["n_steps"]
+    assert traj.diagnostics["n_steps"] == len(traj.times) - 1 == 100
+
+    runs = (
+        ("rk4_fixed", osc, readme_y0, 0.01),
+        ("rk4_fixed", nan_past_rhs, NAN_PAST_Y0, 0.01),
+        ("rk4_fixed", wall_rhs, NAN_PAST_Y0, 0.01),
+        ("rk4_fixed", wall_rhs, np.array([1.6, 1.0, 1.0, 0.0, 0.0, 0.0]), 0.01),
+        ("implicit_midpoint", osc, readme_y0, 0.01),
+        ("implicit_midpoint", wall_rhs, NAN_PAST_Y0, 0.01),
+    )
+    for method, rhs, y0, dt in runs:
+        traj = integrate(rhs, y0, (0.0, 2.0), method=method, dt=dt)
+        assert traj.diagnostics["n_steps"] == len(traj.times) - 1, (method, rhs)
+        assert len(traj.states) == len(traj.times)
 
 
 def test_rk4_fourth_order_convergence():
@@ -357,16 +435,7 @@ def test_truncation_on_domain_singularity():
 
 def test_truncation_fixed_grid():
     """The fixed-step integrators also truncate on a domain violation."""
-
-    def rhs(t, y):
-        if y[0] > 1.5:
-            raise DomainSingularity("test wall")
-        out = np.zeros(6)
-        out[0] = 1.0
-        return out
-
-    y0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    traj = integrate(rhs, y0, (0.0, 2.0), method="rk4_fixed", dt=0.01)
+    traj = integrate(wall_rhs, NAN_PAST_Y0, (0.0, 2.0), method="rk4_fixed", dt=0.01)
     assert traj.truncated
     assert "test wall" in traj.diagnostics["reason"]
     assert abs(traj.times[-1] - 0.5) < 0.02
@@ -402,6 +471,15 @@ def test_sample_state_rejection_rules():
         for d in (sth * math.cos(ph), sth * math.sin(ph), math.cos(th)):
             assert abs(sk * d) >= margin
         assert abs(y[5]) >= 0.25
+
+
+def test_sample_state_rejects_kappa_beyond_radius_range():
+    """The radius range [0.15, pi/sqrt(kappa) - 0.15] must not be empty."""
+    rng = np.random.default_rng(19)
+    with pytest.raises(ValueError, match=r"kappa < 109\.662, got kappa = 200\.0"):
+        sample_state(make_system("free", kappa=200.0), rng)
+    r = sample_state(make_system("free", kappa=100.0), rng)[0]
+    assert 0.15 <= r <= math.pi / 10.0 - 0.15
 
 
 def test_conservation_report_examples():
@@ -535,3 +613,75 @@ def test_closed_orbit_great_circle_period():
     result = closed_orbit_check(spec, y0, 15.0)
     assert result.found
     assert abs(result.period - 2.0 * math.pi) < 1e-6
+
+
+def rk4_reference(rhs, y0, t_end, dt=1e-4):
+    """Classical RK4 from t = 0 to t_end in equal steps of at most dt."""
+    n = math.ceil(t_end / dt)
+    h = t_end / n
+    y = np.array(y0, dtype=float)
+    for i in range(n):
+        t = i * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def test_closed_orbit_refined_return_state():
+    """The refined return state is the trajectory's state at t_best.
+
+    Checked against a fine RK4 run from y0 written here, and against the
+    library's own adaptive run stopped at t_best, which isolates the
+    refinement from the global error of the run.  Periods are pinned to
+    the values of the earlier RK4 re-integration refinement.
+    """
+    gc = np.array([0.9, 1.2, 0.7, 0.3, 0.25, 0.3])
+    gc[3:] /= math.sqrt(2.0 * kinetic(1.0).value(gc))
+    cases = (
+        # README oscillator orbit.  Its tol=1e-12 run to t = 31.6 carries a
+        # global error of 1.4e-10 in p_r, so the RK4 bound is 1e-9 there.
+        (make_system("oscillator", kappa=1.0, alpha=1.0),
+         np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35]), 40.0, 31.59178213499375, 1e-9),
+        (make_system("free", kappa=1.0), gc, 15.0, 6.283185307176108, 1e-10),
+    )
+    for spec, y0, t_max, old_period, rk4_bound in cases:
+        result = closed_orbit_check(spec, y0, t_max)
+        assert result.found
+        assert abs(result.period - old_period) < 1e-9
+        t_best = result.period
+        y_best = result.diagnostics["return_state"]
+        rhs = hamilton_rhs(spec)
+        adaptive = integrate(rhs, y0, (0.0, t_best), tol=1e-12).final_state
+        assert float(np.max(np.abs(y_best - adaptive))) < 1e-12
+        assert float(np.max(np.abs(y_best - rk4_reference(rhs, y0, t_best)))) < rk4_bound
+
+
+def test_normalized_distance_vectorized():
+    """Stacked distances equal the one-state formula, across the phi wrap."""
+    from curvedyn.dynamics import _normalized_distance
+
+    def scalar(y, y0, scales):
+        d = y - y0
+        d[2] = (d[2] + math.pi) % (2.0 * math.pi) - math.pi
+        return float(np.linalg.norm(d / scales) / math.sqrt(6.0))
+
+    rng = np.random.default_rng(18)
+    y0 = np.array([0.8, 1.2, math.pi - 0.01, 0.15, 0.3, 0.35])
+    scales = rng.uniform(0.1, 2.0, 6)
+    ys = y0 + rng.uniform(-0.5, 0.5, (200, 6))
+    ys[:50, 2] = rng.uniform(-math.pi, -math.pi + 0.05, 50)  # across the wrap
+    before = ys.copy()
+    stacked = _normalized_distance(ys, y0, scales)
+    assert np.array_equal(ys, before)
+    assert stacked.shape == (200,)
+    for y, d in zip(ys, stacked):
+        assert d == pytest.approx(scalar(y.copy(), y0, scales), rel=1e-14, abs=0.0)
+        assert _normalized_distance(y, y0, scales) == d
+    # A state one full turn in phi plus 0.02 away is 0.02 away.
+    y = y0.copy()
+    y[2] = -math.pi + 0.01
+    expect = 0.02 / scales[2] / math.sqrt(6.0)
+    assert _normalized_distance(y, y0, scales) == pytest.approx(expect, rel=1e-12)
