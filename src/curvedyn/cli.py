@@ -16,9 +16,10 @@ default.  A JSON config file can supply any of the options; explicit
 command line flags win over the file.  Audit subcommands exit nonzero
 when any check exceeds its tolerance.  Invalid input rejected by the
 library (a ValueError, which includes DomainSingularity), a missing,
-unreadable or malformed config file, a count option below 1, and a
-failed implicit solve print "error: <message>" on stderr and exit with
-status 2.
+unreadable or malformed config file or one with a wrong schema_version,
+a missing --system, a --y0 that is not six values, a count option
+below 1, and a failed implicit solve print "error: <message>" on stderr
+and exit with status 2.
 """
 
 from __future__ import annotations
@@ -139,9 +140,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise ValueError(f"config file {path!r} must hold a JSON object")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise SystemExit(
-            f"error: config schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
+        raise ValueError(f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
     return cfg
 
 
@@ -168,7 +167,7 @@ def _positive_count(name: str, value) -> int:
 def _build_spec(args, cfg: dict) -> SystemSpec:
     system = _merged_option(args, cfg, "", "system", None)
     if system is None:
-        raise SystemExit("error: --system is required (or supply it in --config)")
+        raise ValueError("--system is required (or supply it in --config)")
     kappa = _merged_option(args, cfg, "", "kappa", 1.0)
     params = dict(cfg.get("params", {}))
     for name in _PARAM_NAMES:
@@ -248,7 +247,7 @@ def _parse_y0(text: str, spec: SystemSpec, rng) -> np.ndarray:
         return dynamics.sample_state(spec, rng, min_angular=0.3)
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 6:
-        raise SystemExit("error: --y0 needs six comma-separated values or 'random'")
+        raise ValueError("--y0 needs six comma-separated values or 'random'")
     return np.array(parts)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from .geometry import PhaseState
 from .kappa_core import DomainSingularity, cos_k, sin_k
 from .observables import Observable
-from .systems import SystemSpec, catalog, hamilton_rhs, hamiltonian
+from .systems import Identity, SystemSpec, catalog, hamilton_rhs
 
 __all__ = [
     "NonConvergence",
@@ -244,23 +246,24 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
     n = 1
     stages = _DPStages(y0.size)
     K = stages.K
-    have_k1 = False
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
     err_prev = 1.0
     n_steps = n_rejected = n_k1 = 0
     reason = None
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+    # K[0] depends on (t, y) alone: it survives a rejected attempt, is
+    # handed on by FSAL, and a failure of it cannot be mended by a
+    # smaller step, so the run truncates at once.
+    try:
+        K[0] = rhs(t, y)
+        n_k1 = 1
+    except DomainSingularity as exc:
+        reason = f"domain singularity: {exc}"
+    while reason is None and t < t1 - 1e-14 * max(1.0, abs(t1)):
         if n_steps + n_rejected >= max_steps:
             reason = "max_steps exceeded"
             break
         dt = min(dt, t1 - t)
         try:
-            # K[0] depends on (t, y) alone, so it survives a rejected
-            # attempt; only a failure of K[0] itself forces a recompute.
-            if not have_k1:
-                K[0] = rhs(t, y)
-                n_k1 += 1
-                have_k1 = True
             y5 = stages.attempt(rhs, t, y, dt)
         except DomainSingularity as exc:
             if dt <= dt_min:
@@ -340,15 +343,16 @@ def integrate(
     method, or a missing or non-positive dt.  A domain singularity
     encountered mid-run truncates the trajectory at the last good state
     (the adaptive method first retries with smaller steps down to
-    dt_min) and sets the truncated flag with a reason in the
-    diagnostics.  A run likewise truncates with reason "non-finite state"
-    at the last finite state: the adaptive method as soon as a stage, its
-    error estimate or the new state is not finite (rather than rejecting
-    steps until max_steps), rk4_fixed as soon as a step yields a
-    non-finite state.  An implicit midpoint step whose fixed point does
-    not converge raises NonConvergence.  The diagnostics hold n_steps
-    (accepted steps, len(times) - 1) for every method, and n_rejected and
-    n_rhs_evals (rhs calls that returned) for rk45_adaptive.
+    dt_min, unless the rhs fails at the initial state itself) and sets
+    the truncated flag with a reason in the diagnostics.  A run likewise
+    truncates with reason "non-finite state" at the last finite state:
+    the adaptive method as soon as a stage, its error estimate or the new
+    state is not finite (rather than rejecting steps until max_steps),
+    rk4_fixed as soon as a step yields a non-finite state.  An implicit
+    midpoint step whose fixed point does not converge raises
+    NonConvergence.  The diagnostics hold n_steps (accepted steps,
+    len(times) - 1) for every method, and n_rejected and n_rhs_evals (rhs
+    calls that returned) for rk45_adaptive.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -488,15 +492,13 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     and the three full contractions with coordinates and momenta.
     """
     from .observables import angular_J, fradkin_matrix, kappa_cartesian, noether_P
-    from .geometry import PhaseState
 
     kap = float(kappa)
     y = _as_array(s)
-    ps = PhaseState.from_array(y)
     m = fradkin_matrix(kap, alpha, y).entries
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
     p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
-    x = np.array(kappa_cartesian(kap, ps.q))
+    x = np.array(kappa_cartesian(kap, y))
     ck = cos_k(kap, y[0])
     sk = sin_k(kap, y[0])
     tk = sk / ck
@@ -561,6 +563,11 @@ def _pb_rel(f: Observable, g: Observable, y, expect: float = 0.0) -> float:
     return raw / scale
 
 
+def _brackets_residual(brackets, y) -> float:
+    """hypot of the residuals of {f, g} = expect(y) over (f, g, expect) triples."""
+    return math.hypot(*[_pb_rel(f, g, y, 0.0 if e is None else e(y)) for f, g, e in brackets])
+
+
 def bracket_table_audit(
     spec: SystemSpec,
     states: Iterable[np.ndarray],
@@ -568,229 +575,40 @@ def bracket_table_audit(
 ) -> list:
     """Audit every displayed bracket identity of a system.
 
-    Returns one residual per identity, maximized over the given states
-    and normalized as described on BracketResidual.  Identities
-    involving free coefficients draw a fresh random vector per state
-    from rng (defaulting to a fixed seed).
+    The table holds {f, g} = 0 for each pair of every involution set,
+    {I, H} = 0 for each integral, then the identities the catalog
+    displays (systems.Catalog.identities), in that order.  Returns one
+    residual per identity, maximized over the given states and
+    normalized as described on BracketResidual.  An identity with free
+    coefficients draws one random vector from rng (defaulting to a fixed
+    seed), in table order, and uses it at every state.  A state that is
+    not a finite 6-vector raises ValueError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     states = [np.asarray(y, dtype=float) for y in states]
+    for y in states:
+        if y.shape != (6,) or not np.isfinite(y).all():
+            raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
     cat = catalog(spec)
     obs = cat.observables
-    h = obs["H"]
-    kap = spec.kappa
+    table = [
+        Identity(f"invol:{name}:{{{a},{b}}}", ((obs[a], obs[b], None),))
+        for name, group in cat.involution_sets.items()
+        for a, b in combinations(group, 2)
+    ]
+    table += [
+        Identity(f"conserve:{{{name},H}}", ((o, obs["H"], None),))
+        for name, o in cat.integrals.items()
+    ]
     out = []
-
-    def add(name, fn):
-        out.append(BracketResidual(name, _max_residual(states, fn)))
-
-    def pb(f, g, y):
-        return poisson_bracket(f, g, y)
-
-    for name, group in cat.involution_sets.items():
-        members = [obs[n] for n in group]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                f, g = members[i], members[j]
-                add(
-                    f"invol:{name}:{{{group[i]},{group[j]}}}",
-                    lambda y, f=f, g=g: _pb_rel(f, g, y),
-                )
-    for name, o in cat.integrals.items():
-        add(f"conserve:{{{name},H}}", lambda y, o=o: _pb_rel(o, h, y))
-
-    sid = spec.system_id
-    if sid == "free":
-        from .observables import coordinate, scaled_sum
-
-        p = {i: obs[f"P{i}"] for i in (1, 2, 3)}
-        j = {i: obs[f"J{i}"] for i in (1, 2, 3)}
-
-        def radial_residual(y):
-            coords = [coordinate(ax, kap).value(y) for ax in (1, 2, 3)]
-            total = sum(c * p[m].value(y) for c, m in zip(coords, (1, 2, 3)))
-            expect = y[3] * sin_k(kap, y[0])
-            return (total - expect) / max(1.0, abs(expect))
-
-        add("alg:x.P-p_r*sin_k", radial_residual)
-        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            add(
-                f"{{P{a},P{b}}}-kappa*J{c}",
-                lambda y, a=a, b=b, c=c: _pb_rel(p[a], p[b], y, kap * j[c].value(y)),
-            )
-            add(
-                f"{{J{a},J{b}}}-J{c}",
-                lambda y, a=a, b=b, c=c: _pb_rel(j[a], j[b], y, j[c].value(y)),
-            )
-        for i in (1, 2, 3):
-            cvec = rng.uniform(-1.0, 1.0, 3)
-            a, b = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[i]
-            combo = scaled_sum("c.P", [(cvec[m - 1], p[m]) for m in (1, 2, 3)])
-
-            def rot_residual(y, i=i, a=a, b=b, cvec=cvec, combo=combo):
-                expect = cvec[a - 1] * p[b].value(y) - cvec[b - 1] * p[a].value(y)
-                return _pb_rel(j[i], combo, y, expect)
-
-            add(f"{{J{i},c.P}}-rotation", rot_residual)
-        for ax in (1, 2, 3):
-            co = coordinate(ax, kap)
-            pn = ax
-            add(
-                f"{{{co.name},P{pn}}}-cos_k",
-                lambda y, co=co, pn=pn: _pb_rel(co, p[pn], y, cos_k(kap, y[0])),
-            )
-    elif sid == "oscillator":
-        al = spec.alpha
-
-        def trace_residual(y):
-            tr = sum(obs[f"K{i}{i}"].value(y) for i in (1, 2, 3))
-            jsq = cat.aux["Jsq"].value(y)
-            expect = 2.0 * h.value(y)
-            return (tr + kap * jsq - expect) / max(1.0, abs(tr), abs(expect))
-
-        add("alg:trace(K)+kappa*Jsq-2H", trace_residual)
-        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            ma, mb = cat.complexes[f"M{a}"], cat.complexes[f"M{b}"]
-            kab = obs[f"K{a}{b}"] if f"K{a}{b}" in obs else obs[f"K{b}{a}"]
-
-            def prod_residual(y, ma=ma, mb=mb, kab=kab, c=c):
-                lhs = ma.value(y) * mb.value(y).conjugate()
-                rhs = kab.value(y) + 1j * al * obs[f"J{c}"].value(y)
-                return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-            add(f"alg:M{a}*conj(M{b})-(K{a}{b}+i*alpha*J{c})", prod_residual)
-        for jx in (1, 2, 3):
-            m = cat.complexes[f"M{jx}"]
-
-            def msq_residual(y, m=m, jx=jx):
-                lhs = abs(m.value(y)) ** 2
-                rhs = obs[f"K{jx}{jx}"].value(y)
-                return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-            add(f"alg:|M{jx}|^2-K{jx}{jx}", msq_residual)
-        for jx in (1, 2, 3):
-            m = cat.complexes[f"M{jx}"]
-
-            def m_residual(y, m=m):
-                lam = 1.0 / cos_k(kap, y[0]) ** 2
-                return math.hypot(
-                    _pb_rel(m.re, h, y, -lam * al * m.im.value(y)),
-                    _pb_rel(m.im, h, y, lam * al * m.re.value(y)),
-                )
-
-            add(f"{{M{jx},H}}-i*lambda*alpha*M{jx}", m_residual)
-        for i in (1, 2, 3):
-            c1, c2 = rng.uniform(-1.0, 1.0, 2)
-            from .observables import scaled_sum
-
-            combo = scaled_sum(
-                "combo", [(c1, obs[f"K{i}{i}"]), (c2, obs[f"J{i}"])]
-            )
-            add(
-                f"{{c1*K{i}{i}+c2*J{i},W{i}}}",
-                lambda y, combo=combo, i=i: _pb_rel(combo, obs[f"W{i}"], y),
-            )
-    elif sid == "sw":
-        from .observables import scaled_sum
-
-        ksum = spec.k1 + spec.k2 + spec.k3
-
-        def trace_residual(y):
-            tr = sum(obs[f"K{i}{i}"].value(y) for i in (1, 2, 3))
-            kj = sum(obs[f"KJ{i}"].value(y) for i in (1, 2, 3))
-            hv = h.value(y)
-            lhs = 0.5 * (tr + kap * kj) + kap * ksum
-            return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
-
-        add("alg:H-(trace(K)+kappa*trace(KJ))/2-kappa*(k1+k2+k3)", trace_residual)
-        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            add(
-                f"{{KJ{a},KJ{b}+KJ{c}}}",
-                lambda y, a=a, b=b, c=c: _pb_rel(obs[f"KJ{a}"], obs[_kj_sum_name(b, c)], y),
-            )
-        for i in (1, 2, 3):
-            c1, c2 = rng.uniform(-1.0, 1.0, 2)
-            combo = scaled_sum(
-                "combo", [(c1, obs[f"K{i}{i}"]), (c2, obs[f"KJ{i}"])]
-            )
-            add(
-                f"{{c1*K{i}{i}+c2*KJ{i},W{i}}}",
-                lambda y, combo=combo, i=i: _pb_rel(combo, obs[f"W{i}"], y),
-            )
-    elif sid == "osc112":
-        def recompose_residual(y):
-            hv = h.value(y)
-            lhs = 0.5 * (
-                obs["K3"].value(y)
-                + obs["K12"].value(y)
-                + kap * obs["KJ3"].value(y)
-            )
-            return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
-
-        add("alg:H-(K3+K12+kappa*KJ3)/2", recompose_residual)
-    elif sid == "kepler":
-        from .observables import scaled_sum
-
-        j = {i: obs[f"J{i}"] for i in (1, 2, 3)}
-        krl = {i: obs[f"KRL{i}"] for i in (1, 2, 3)}
-        jsq = cat.aux["Jsq"]
-        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            def rl_residual(y, a=a, b=b, c=c):
-                rhs = -2.0 * j[c].value(y) * (h.value(y) - kap * jsq.value(y))
-                return _pb_rel(krl[a], krl[b], y, rhs)
-
-            add(f"{{KRL{a},KRL{b}}}+2J{c}(H-kappa*Jsq)", rl_residual)
-        for i in (1, 2, 3):
-            cvec = rng.uniform(-1.0, 1.0, 3)
-            a, b = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[i]
-            combo = scaled_sum("c.KRL", [(cvec[m - 1], krl[m]) for m in (1, 2, 3)])
-
-            def rot_residual(y, i=i, a=a, b=b, cvec=cvec, combo=combo):
-                expect = cvec[a - 1] * krl[b].value(y) - cvec[b - 1] * krl[a].value(y)
-                return _pb_rel(j[i], combo, y, expect)
-
-            add(f"{{J{i},c.KRL}}-rotation", rot_residual)
-    elif sid == "kepler123":
-        ks = (spec.k1, spec.k2, spec.k3)
-        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            add(
-                f"{{KJ{a},KJ{b}+KJ{c}}}",
-                lambda y, a=a, b=b, c=c: _pb_rel(obs[f"KJ{a}"], obs[_kj_sum_name(b, c)], y),
-            )
-        for i in (1, 2, 3):
-            r_obs = obs[f"R{i}"]
-            s_obs = cat.aux[f"S{i}"]
-            ki = ks[i - 1]
-
-            def r_residual(y, r_obs=r_obs, s_obs=s_obs, i=i, ki=ki):
-                lam = _lambda_coord(kap, i, y)
-                return _pb_rel(r_obs, h, y, -2.0 * ki * lam * s_obs.value(y))
-
-            def s_residual(y, r_obs=r_obs, s_obs=s_obs, i=i):
-                lam = _lambda_coord(kap, i, y)
-                return _pb_rel(s_obs, h, y, lam * r_obs.value(y))
-
-            add(f"{{R{i},H}}+2k{i}*lambda{i}*S{i}", r_residual)
-            add(f"{{S{i},H}}-lambda{i}*R{i}", s_residual)
+    for row in table + list(cat.identities):
+        brackets = row.brackets
+        if row.n_coeffs:
+            brackets = brackets(rng.uniform(-1.0, 1.0, row.n_coeffs))
+        fn = row.residual or partial(_brackets_residual, brackets)
+        out.append(BracketResidual(row.name, _max_residual(states, fn)))
     return out
-
-
-def _kj_sum_name(b: int, c: int) -> str:
-    pair = {frozenset((2, 3)): "KJ23", frozenset((3, 1)): "KJ31", frozenset((1, 2)): "KJ12"}
-    return pair[frozenset((b, c))]
-
-
-def _lambda_coord(kap: float, i: int, y) -> float:
-    from .observables import kappa_cartesian
-    from .geometry import PhaseState
-
-    ps = PhaseState.from_array(np.asarray(y, dtype=float))
-    coords = kappa_cartesian(kap, ps.q)
-    c = coords[i - 1]
-    if abs(c) < 1e-12:
-        raise DomainSingularity("coordinate vanishes in coupling factor")
-    return 1.0 / (c * c)
 
 
 # ---------------------------------------------------------------------------

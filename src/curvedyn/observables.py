@@ -343,12 +343,16 @@ def direction_cosine(axis: int) -> Observable:
     return Observable(name, {}, partial(_dir_vg, axis - 1))
 
 
-def kappa_cartesian(kappa, q: ConfigPoint) -> tuple[float, float, float]:
-    """Values (x_k, y_k, z_k) of the curvature-scaled Cartesian coordinates."""
+def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
+    """Values (x_k, y_k, z_k) of the curvature-scaled Cartesian coordinates.
+
+    q is a ConfigPoint or a phase-space state (PhaseState or 6-vector).
+    """
     kap = float(kappa)
-    sk = sin_k(kap, q.r)
-    sth, cth = math.sin(q.theta), math.cos(q.theta)
-    sph, cph = math.sin(q.phi), math.cos(q.phi)
+    r, th, ph = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)[:3]
+    sk = sin_k(kap, r)
+    sth, cth = math.sin(th), math.cos(th)
+    sph, cph = math.sin(ph), math.cos(ph)
     return sk * sth * cph, sk * sth * sph, sk * cth
 
 

@@ -29,17 +29,20 @@ import numpy as np
 from .geometry import ConfigPoint, PhaseState
 from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
 from .observables import (
-    ComplexObservable,
+    _CYCLE,
     Observable,
     _coupling_sum_vg,
+    _sin_guard,
     angular_J,
     angular_J_squared,
     complex_M,
+    coordinate,
     fradkin_K,
     k123_KR,
     k123_N,
     k123_R,
     k123_S,
+    kappa_cartesian,
     kepler_RL,
     kinetic,
     noether_P,
@@ -54,6 +57,7 @@ __all__ = [
     "RADIAL_SYSTEMS",
     "SystemSpec",
     "Catalog",
+    "Identity",
     "make_system",
     "system_summaries",
     "potential_observable",
@@ -371,14 +375,35 @@ def potential_profile(
 # Integral catalogs.
 
 @dataclass(frozen=True)
+class Identity:
+    """One bracket or algebraic identity that a system displays.
+
+    A bracket identity lists (f, g, expect) triples, each stating
+    {f, g} = expect(y), with expect None for zero; the audit measures
+    each triple relative to its gradient scale and joins several, such
+    as the real and imaginary parts of {M_j, H}, with hypot.  An
+    algebraic identity gives residual(y) instead, normalized by its own
+    terms.  An identity that holds for every coefficient vector c
+    declares n_coeffs, and its brackets is then a function of c that
+    returns the triples.
+    """
+
+    name: str
+    brackets: object = ()
+    residual: Optional[Callable] = None
+    n_coeffs: int = 0
+
+
+@dataclass(frozen=True)
 class Catalog:
-    """First integrals and companion observables of one system."""
+    """First integrals, companion observables and displayed identities."""
 
     integrals: dict
     aux: dict
     complexes: dict
     involution_sets: dict
     independence_sets: dict
+    identities: tuple = ()
 
     @property
     def observables(self) -> dict:
@@ -396,12 +421,14 @@ class Catalog:
             ) from None
 
 
+def _bracket(name: str, f: Observable, g: Observable, expect=None) -> Identity:
+    return Identity(name, ((f, g, expect),))
+
+
 def _axis_blocks(kap, diag, extra):
     """Complementary blocks W_i = diag_j + diag_l + kappa (extra_j + extra_l)."""
     blocks = {}
-    cyc = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-    for i in (1, 2, 3):
-        j, l = cyc[i]
+    for i, (j, l) in _CYCLE.items():
         blocks[f"W{i}"] = scaled_sum(
             f"W{i}",
             [(1.0, diag[j]), (1.0, diag[l]), (kap, extra[j]), (kap, extra[l])],
@@ -409,26 +436,87 @@ def _axis_blocks(kap, diag, extra):
     return blocks
 
 
+def _block_identities(diag, extra, label, blocks) -> list:
+    """{c1 K_ii + c2 X_i, W_i} = 0 for every (c1, c2), X = extra."""
+
+    def row(i):
+        def brackets(c):
+            combo = scaled_sum("combo", [(c[0], diag[i]), (c[1], extra[i])])
+            return ((combo, blocks[f"W{i}"], None),)
+
+        return Identity(f"{{c1*K{i}{i}+c2*{label}{i},W{i}}}", brackets, n_coeffs=2)
+
+    return [row(i) for i in (1, 2, 3)]
+
+
+def _rotation_identities(j, vec, label) -> list:
+    """{J_i, c.V} = c_a V_b - c_b V_a for every c, (a, b) cyclic after i."""
+
+    def row(i):
+        a, b = _CYCLE[i]
+
+        def brackets(c):
+            combo = scaled_sum(f"c.{label}", [(c[m - 1], vec[m]) for m in (1, 2, 3)])
+            expect = lambda y: c[a - 1] * vec[b].value(y) - c[b - 1] * vec[a].value(y)
+            return ((j[i], combo, expect),)
+
+        return Identity(f"{{J{i},c.{label}}}-rotation", brackets, n_coeffs=3)
+
+    return [row(i) for i in (1, 2, 3)]
+
+
+def _pair_sums(kjs) -> tuple:
+    """Sums KJ_bc = KJ_b + KJ_c over cyclic (a, b, c), the involution sets
+    (H, KJ_a, KJ_bc) and the displayed identities {KJ_a, KJ_bc} = 0."""
+    sums, invol, ids = {}, {}, []
+    for a, (b, c) in _CYCLE.items():
+        name = f"KJ{b}{c}"
+        sums[name] = scaled_sum(name, [(1.0, kjs[b]), (1.0, kjs[c])])
+        invol[f"H_KJ{a}"] = ("H", f"KJ{a}", name)
+        ids.append(_bracket(f"{{KJ{a},KJ{b}+KJ{c}}}", kjs[a], sums[name]))
+    return sums, invol, ids
+
+
 def catalog(spec: SystemSpec) -> Catalog:
-    """Build the named integral catalog of a system."""
+    """Build the named integral catalog of a system and its identities."""
     kap = spec.kappa
     sid = spec.system_id
     h = hamiltonian(spec)
     jsq = angular_J_squared()
     if sid == "free":
-        integrals = {f"P{i}": noether_P(i, kap) for i in (1, 2, 3)}
-        integrals.update({f"J{i}": angular_J(i) for i in (1, 2, 3)})
+        p = {i: noether_P(i, kap) for i in (1, 2, 3)}
+        j = {i: angular_J(i) for i in (1, 2, 3)}
+        x = {i: coordinate(i, kap) for i in (1, 2, 3)}
+        integrals = {f"P{i}": p[i] for i in (1, 2, 3)}
+        integrals.update({f"J{i}": j[i] for i in (1, 2, 3)})
         aux = {"H": h, "Jsq": jsq}
         invol = {"H_J2_J3": ("H", "Jsq", "J3")}
         indep = {"primary": ("P1", "P2", "P3", "J1", "J2")}
-        return Catalog(integrals, aux, {}, invol, indep)
+
+        def radial(y):
+            total = sum(x[i].value(y) * p[i].value(y) for i in (1, 2, 3))
+            expect = y[3] * sin_k(kap, y[0])
+            return (total - expect) / max(1.0, abs(expect))
+
+        ids = [Identity("alg:x.P-p_r*sin_k", residual=radial)]
+        for a, (b, c) in _CYCLE.items():
+            ids.append(_bracket(f"{{P{a},P{b}}}-kappa*J{c}", p[a], p[b],
+                                lambda y, c=c: kap * j[c].value(y)))
+            ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], j[c].value))
+        ids += _rotation_identities(j, p, "P")
+        ids += [
+            _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda y: cos_k(kap, y[0]))
+            for i in (1, 2, 3)
+        ]
+        return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
     if sid == "oscillator":
         al = spec.alpha
         integrals = {f"J{i}": angular_J(i) for i in (1, 2, 3)}
         for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)):
             integrals[f"K{i}{j}"] = fradkin_K(i, j, kap, al)
         diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
-        jsqs = {i: square(integrals[f"J{i}"], f"J{i}sq") for i in (1, 2, 3)}
+        js = {i: integrals[f"J{i}"] for i in (1, 2, 3)}
+        jsqs = {i: square(js[i], f"J{i}sq") for i in (1, 2, 3)}
         aux = {"H": h, "Jsq": jsq}
         aux.update(_axis_blocks(kap, diag, jsqs))
         complexes = {f"M{j}": complex_M(j, kap, al) for j in (1, 2, 3)}
@@ -443,7 +531,44 @@ def catalog(spec: SystemSpec) -> Catalog:
         # K_ii K_jj - K_ij^2 = alpha^2 J_l^2, so the designated set mixes
         # the three angular momenta with two diagonal entries instead.
         indep = {"primary": ("J1", "J2", "J3", "K11", "K22")}
-        return Catalog(integrals, aux, complexes, invol, indep)
+
+        def trace(y):
+            tr = sum(diag[i].value(y) for i in (1, 2, 3))
+            expect = 2.0 * h.value(y)
+            return (tr + kap * jsq.value(y) - expect) / max(1.0, abs(tr), abs(expect))
+
+        def product(a, b, c):
+            ma, mb, kab = complexes[f"M{a}"], complexes[f"M{b}"], integrals[f"K{a}{b}"]
+
+            def residual(y):
+                lhs = ma.value(y) * mb.value(y).conjugate()
+                rhs = kab.value(y) + 1j * al * js[c].value(y)
+                return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+            return Identity(f"alg:M{a}*conj(M{b})-(K{a}{b}+i*alpha*J{c})", residual=residual)
+
+        def modulus(i):
+            def residual(y):
+                lhs = abs(complexes[f"M{i}"].value(y)) ** 2
+                rhs = diag[i].value(y)
+                return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+            return Identity(f"alg:|M{i}|^2-K{i}{i}", residual=residual)
+
+        def phase(i):
+            m = complexes[f"M{i}"]
+            lam = lambda y: 1.0 / cos_k(kap, y[0]) ** 2
+            return Identity(f"{{M{i},H}}-i*lambda*alpha*M{i}", (
+                (m.re, h, lambda y: -lam(y) * al * m.im.value(y)),
+                (m.im, h, lambda y: lam(y) * al * m.re.value(y)),
+            ))
+
+        ids = [Identity("alg:trace(K)+kappa*Jsq-2H", residual=trace)]
+        ids += [product(a, b, c) for a, (b, c) in _CYCLE.items()]
+        ids += [modulus(i) for i in (1, 2, 3)]
+        ids += [phase(i) for i in (1, 2, 3)]
+        ids += _block_identities(diag, js, "J", aux)
+        return Catalog(integrals, aux, complexes, invol, indep, tuple(ids))
     if sid == "sw":
         al = spec.alpha
         ks = (spec.k1, spec.k2, spec.k3)
@@ -453,37 +578,54 @@ def catalog(spec: SystemSpec) -> Catalog:
         integrals.update({f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)})
         diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
         kjs = {i: integrals[f"KJ{i}"] for i in (1, 2, 3)}
+        sums, invol, pair_ids = _pair_sums(kjs)
         aux = {"H": h}
         aux.update(_axis_blocks(kap, diag, kjs))
-        aux["KJ23"] = scaled_sum("KJ23", [(1.0, kjs[2]), (1.0, kjs[3])])
-        aux["KJ31"] = scaled_sum("KJ31", [(1.0, kjs[3]), (1.0, kjs[1])])
-        aux["KJ12"] = scaled_sum("KJ12", [(1.0, kjs[1]), (1.0, kjs[2])])
-        invol = {
-            "H_KJ1": ("H", "KJ1", "KJ23"),
-            "H_KJ2": ("H", "KJ2", "KJ31"),
-            "H_KJ3": ("H", "KJ3", "KJ12"),
-            "axis1": ("K11", "KJ1", "W1"),
-            "axis2": ("K22", "KJ2", "W2"),
-            "axis3": ("K33", "KJ3", "W3"),
-        }
+        aux.update(sums)
+        invol.update({f"axis{i}": (f"K{i}{i}", f"KJ{i}", f"W{i}") for i in (1, 2, 3)})
         indep = {"primary": ("KJ1", "KJ2", "KJ3", "K11", "K22")}
-        return Catalog(integrals, aux, {}, invol, indep)
+        ksum = spec.k1 + spec.k2 + spec.k3
+
+        def trace(y):
+            tr = sum(diag[i].value(y) for i in (1, 2, 3))
+            kj = sum(kjs[i].value(y) for i in (1, 2, 3))
+            hv = h.value(y)
+            lhs = 0.5 * (tr + kap * kj) + kap * ksum
+            return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
+
+        ids = [Identity("alg:H-(trace(K)+kappa*trace(KJ))/2-kappa*(k1+k2+k3)", residual=trace)]
+        ids += pair_ids
+        ids += _block_identities(diag, kjs, "KJ", aux)
+        return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
     if sid == "osc112":
         fam = osc112_observables(kap, spec.alpha, spec.k1, spec.k2)
         integrals = {n: fam[n] for n in ("K3", "KJ3", "K12", "KRL1", "KRL2")}
         aux = {"H": h, "Az": fam["Az"], "V112": fam["V112"]}
         invol = {"K3_KJ3_K12": ("K3", "KJ3", "K12")}
         indep = {"primary": ("K3", "KJ3", "K12", "KRL1", "KRL2")}
-        return Catalog(integrals, aux, {}, invol, indep)
+
+        def recompose(y):
+            hv = h.value(y)
+            lhs = 0.5 * (fam["K3"].value(y) + fam["K12"].value(y) + kap * fam["KJ3"].value(y))
+            return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
+
+        ids = (Identity("alg:H-(K3+K12+kappa*KJ3)/2", residual=recompose),)
+        return Catalog(integrals, aux, {}, invol, indep, ids)
     if sid == "kepler":
-        integrals = {f"J{i}": angular_J(i) for i in (1, 2, 3)}
-        integrals.update(
-            {f"KRL{i}": kepler_RL(i, kap, spec.k) for i in (1, 2, 3)}
-        )
+        j = {i: angular_J(i) for i in (1, 2, 3)}
+        krl = {i: kepler_RL(i, kap, spec.k) for i in (1, 2, 3)}
+        integrals = {f"J{i}": j[i] for i in (1, 2, 3)}
+        integrals.update({f"KRL{i}": krl[i] for i in (1, 2, 3)})
         aux = {"H": h, "Jsq": jsq}
         invol = {"H_J2_J3": ("H", "Jsq", "J3")}
         indep = {"primary": ("J1", "J2", "J3", "KRL1", "KRL2")}
-        return Catalog(integrals, aux, {}, invol, indep)
+        ids = [
+            _bracket(f"{{KRL{a},KRL{b}}}+2J{c}(H-kappa*Jsq)", krl[a], krl[b],
+                     lambda y, c=c: -2.0 * j[c].value(y) * (h.value(y) - kap * jsq.value(y)))
+            for a, (b, c) in _CYCLE.items()
+        ]
+        ids += _rotation_identities(j, krl, "KRL")
+        return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
     if sid == "kepler123":
         ks = (spec.k1, spec.k2, spec.k3)
         integrals = {f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)}
@@ -497,22 +639,34 @@ def catalog(spec: SystemSpec) -> Catalog:
             if ks[i - 1] >= 0.0:
                 integrals[f"KR{i}"] = k123_KR(i, kap, spec.k, *ks)
                 complexes[f"N{i}"] = k123_N(i, kap, spec.k, *ks)
-        kjs = {i: integrals[f"KJ{i}"] for i in (1, 2, 3)}
-        aux["KJ23"] = scaled_sum("KJ23", [(1.0, kjs[2]), (1.0, kjs[3])])
-        aux["KJ31"] = scaled_sum("KJ31", [(1.0, kjs[3]), (1.0, kjs[1])])
-        aux["KJ12"] = scaled_sum("KJ12", [(1.0, kjs[1]), (1.0, kjs[2])])
-        invol = {
-            "H_KJ1": ("H", "KJ1", "KJ23"),
-            "H_KJ2": ("H", "KJ2", "KJ31"),
-            "H_KJ3": ("H", "KJ3", "KJ12"),
-        }
+        sums, invol, ids = _pair_sums({i: integrals[f"KJ{i}"] for i in (1, 2, 3)})
+        aux.update(sums)
         primary = tuple(
             ["KJ1", "KJ2", "KJ3"]
             + [n for n in ("KR1", "KR2", "KR3") if n in integrals][:2]
         )
         if len(primary) < 5:
             primary = primary + ("H",)[: 5 - len(primary)]
-        return Catalog(integrals, aux, complexes, invol, {"primary": primary})
+
+        def coupled(i):
+            # {R_i, H} = -2 k_i lambda_i S_i and {S_i, H} = lambda_i R_i
+            # with lambda_i = 1 / coord_i^2.
+            r, s, ki = aux[f"R{i}"], aux[f"S{i}"], ks[i - 1]
+
+            def lam(y):
+                x = kappa_cartesian(kap, y)[i - 1]
+                _sin_guard(x, "coordinate in coupling factor")
+                return 1.0 / (x * x)
+
+            return [
+                _bracket(f"{{R{i},H}}+2k{i}*lambda{i}*S{i}", r, h,
+                         lambda y: -2.0 * ki * lam(y) * s.value(y)),
+                _bracket(f"{{S{i},H}}-lambda{i}*R{i}", s, h, lambda y: lam(y) * r.value(y)),
+            ]
+
+        for i in (1, 2, 3):
+            ids += coupled(i)
+        return Catalog(integrals, aux, complexes, invol, {"primary": primary}, tuple(ids))
     raise ValueError(f"unknown system {sid!r}")
 
 

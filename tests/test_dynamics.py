@@ -433,6 +433,17 @@ def test_truncation_on_domain_singularity():
     assert not np.any(np.isnan(traj.states))
 
 
+def test_adaptive_truncates_when_first_stage_fails():
+    """A domain singularity at the initial state truncates without retries."""
+    counted = CountingRhs(hamilton_rhs(make_system("free", kappa=1.0)))
+    traj = integrate(counted, [1.0, 0.0, 0.3, 0.1, 0.2, 0.3], (0.0, 1.0))
+    d = traj.diagnostics
+    assert traj.truncated
+    assert d["reason"].startswith("domain singularity: sin(theta)")
+    assert (d["n_steps"], d["n_rejected"], d["n_rhs_evals"]) == (0, 0, 0)
+    assert counted.calls == [] and len(traj.times) == 1
+
+
 def test_truncation_fixed_grid():
     """The fixed-step integrators also truncate on a domain violation."""
     traj = integrate(wall_rhs, NAN_PAST_Y0, (0.0, 2.0), method="rk4_fixed", dt=0.01)
@@ -558,29 +569,49 @@ def test_fradkin_audit_special_states():
         assert res["pp"] < 1e-12
 
 
+# Per system at the criterion-03 parameters: parameters, identity count,
+# and a name fragment with the number of rows that carry it.
+AUDIT_TABLES = {
+    "free": ({}, 22, "c.P}-rotation", 3),
+    "oscillator": ({"alpha": 1.0}, 34, "i*lambda*alpha*M", 3),
+    "sw": ({"alpha": 1.0, "k1": 0.1, "k2": 0.2, "k3": 0.3}, 31, "{c1*K", 3),
+    "osc112": ({"alpha": 1.0, "k1": 0.1, "k2": 0.2}, 9, "alg:", 1),
+    "kepler": ({"k": -1.0}, 15, "c.KRL}-rotation", 3),
+    "kepler123": ({"k": -1.0, "k1": 0.1, "k2": 0.2, "k3": 0.3}, 24, "lambda", 6),
+}
+
+
 def test_bracket_table_audit_structure():
+    """Identity counts, unique names and the generic rows at kappa = 0.7."""
     rng = np.random.default_rng(21)
-    spec = make_system("free", kappa=0.7)
-    states = [sample_state(spec, rng, margin=0.12) for _ in range(20)]
-    rows = bracket_table_audit(spec, states)
-    names = [r.name for r in rows]
-    assert len(rows) == 22
-    assert sum(n.startswith("conserve:") for n in names) == 6
-    assert sum("{P" in n and "kappa*J" in n for n in names) == 3
-    assert sum("c.P}-rotation" in n for n in names) == 3
-    assert all(r.residual < 1e-8 for r in rows)
+    for sid, (params, count, fragment, n_fragment) in AUDIT_TABLES.items():
+        spec = make_system(sid, kappa=0.7, **params)
+        states = [sample_state(spec, rng, margin=0.12) for _ in range(20)]
+        rows = bracket_table_audit(spec, states)
+        names = [r.name for r in rows]
+        assert len(rows) == count, sid
+        assert len(set(names)) == count, sid
+        cat = catalog(spec)
+        for set_name, group in cat.involution_sets.items():
+            for i, a in enumerate(group):
+                for b in group[i + 1:]:
+                    assert f"invol:{set_name}:{{{a},{b}}}" in names, sid
+        for name in cat.integrals:
+            assert f"conserve:{{{name},H}}" in names, sid
+        assert sum(fragment in n for n in names) == n_fragment, sid
+        assert all(r.residual < 1e-8 for r in rows), sid
 
-    spec = make_system("kepler", kappa=-0.3, k=-1.0)
-    states = [sample_state(spec, rng, margin=0.12) for _ in range(20)]
-    names = [r.name for r in bracket_table_audit(spec, states)]
-    assert sum("KRL" in n and "J" in n and "{" in n for n in names) >= 3
 
-    spec = make_system("kepler123", kappa=0.7, k=-1.0, k1=0.1, k2=0.2, k3=0.3)
-    states = [sample_state(spec, rng, margin=0.12) for _ in range(20)]
-    rows = bracket_table_audit(spec, states)
-    lam = [r for r in rows if "lambda" in r.name]
-    assert len(lam) == 6
-    assert all(r.residual < 1e-8 for r in lam)
+def test_bracket_table_audit_rejects_nonfinite_states():
+    """A NaN state raises, whatever its place, instead of skewing the max."""
+    rng = np.random.default_rng(22)
+    spec = make_system("oscillator", kappa=0.7, alpha=1.0)
+    good = sample_state(spec, rng, margin=0.12)
+    bad = good.copy()
+    bad[3] = math.nan
+    for states in ([good, bad], [bad, good], [good, good[:5]], [np.full(6, math.inf)]):
+        with pytest.raises(ValueError, match="finite 6-vectors"):
+            bracket_table_audit(spec, states)
 
 
 # ---------------------------------------------------------------------------

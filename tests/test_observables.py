@@ -291,6 +291,7 @@ def test_kappa_cartesian_matches_coordinates():
         assert x == pytest.approx(oracles.coord(1, kap, s), rel=1e-14)
         assert y == pytest.approx(oracles.coord(2, kap, s), rel=1e-14)
         assert z == pytest.approx(oracles.coord(3, kap, s), rel=1e-14)
+        assert kappa_cartesian(kap, np.array(s)) == (x, y, z)
 
 
 def test_unsupported_offdiagonal_couplings():
