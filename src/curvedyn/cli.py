@@ -174,7 +174,7 @@ def _build_spec(args, cfg: dict) -> SystemSpec:
         val = getattr(args, name)
         if val is not None:
             params[name] = val
-    allowed = systems._DEFAULTS[system]
+    allowed = make_system(system, kappa).params
     params = {k: v for k, v in params.items() if k in allowed}
     return make_system(system, kappa, **params)
 
@@ -216,7 +216,7 @@ def _emit(args, text: str) -> None:
 def _cmd_list_systems(args) -> int:
     lines = []
     for sid in systems.SYSTEM_IDS:
-        params = ", ".join(systems._DEFAULTS[sid]) or "none"
+        params = ", ".join(make_system(sid, 0.0).params) or "none"
         lines.append(f"{sid:12s} params: {params:24s} {systems.system_summaries()[sid]}")
     print("\n".join(lines))
     return 0

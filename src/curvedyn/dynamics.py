@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import PhaseState
 from .kappa_core import DomainSingularity, cos_k, sin_k
 from .observables import Observable
-from .systems import Identity, SystemSpec, catalog, hamilton_rhs
+from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
     "NonConvergence",
@@ -405,14 +405,8 @@ def sample_state(
             )
     else:
         lo, hi = 0.15, 2.5
-    needs_axis = {
-        "free": (False, False, False),
-        "oscillator": (False, False, False),
-        "kepler": (False, False, False),
-        "sw": (spec.k1 != 0.0, spec.k2 != 0.0, spec.k3 != 0.0),
-        "kepler123": (spec.k1 != 0.0, spec.k2 != 0.0, spec.k3 != 0.0),
-        "osc112": (spec.k1 != 0.0, spec.k2 != 0.0, True),
-    }[spec.system_id]
+    axial = _system(spec.system_id).axial
+    needs_axis = (spec.k1 != 0.0, spec.k2 != 0.0, spec.k3 != 0.0 or axial)
     for _ in range(100000):
         r = rng.uniform(lo, hi)
         th = rng.uniform(0.0, math.pi)
@@ -425,7 +419,7 @@ def sample_state(
         dirs = (sth * math.cos(ph), sth * math.sin(ph), math.cos(th))
         if any(need and abs(sk * d) < margin for need, d in zip(needs_axis, dirs)):
             continue
-        if spec.system_id == "osc112":
+        if axial:
             u = (sk / ck) * math.cos(th)
             if abs(1.0 - kap * u * u) < margin:
                 continue
@@ -514,16 +508,15 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     res["kernel"] = float(np.linalg.norm(m @ j)) / (scale_m * scale_j)
     quad_pairs = (((0, 1), 2), ((1, 2), 0), ((2, 0), 1))
     for (a, b), c in quad_pairs:
-        lhs = (
-            x[a] * x[a] * m[b, b]
-            - 2.0 * x[a] * x[b] * m[a, b]
-            + x[b] * x[b] * m[a, a]
-        )
+        # Cancelling differences of large products: scale by their terms.
+        terms = (x[a] * x[a] * m[b, b], -2.0 * x[a] * x[b] * m[a, b], x[b] * x[b] * m[a, a])
         rhs = ck * ck * j[c] * j[c]
-        res[f"quad{c + 1}"] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        lhs = m[a, a] * m[b, b] - m[a, b] ** 2
+        scale = max(1.0, abs(rhs), *map(abs, terms))
+        res[f"quad{c + 1}"] = abs(sum(terms) - rhs) / scale
+        terms = (m[a, a] * m[b, b], m[a, b] ** 2)
         rhs = alpha**2 * j[c] * j[c]
-        res[f"minor{c + 1}"] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        scale = max(1.0, abs(rhs), *map(abs, terms))
+        res[f"minor{c + 1}"] = abs(terms[0] - terms[1] - rhs) / scale
     lhs = float(x @ m @ x)
     rhs = 2.0 * float(x @ x) * h - jsq
     res["xx"] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

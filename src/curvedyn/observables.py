@@ -494,38 +494,6 @@ def _osc112_az(kappa) -> Observable:
     return Observable("Az", {"kappa": kap}, partial(_az_vg, kap))
 
 
-def _osc112_v(kappa, alpha, k1, k2) -> Observable:
-    kap, al = float(kappa), float(alpha)
-
-    def vg(y, grad=True):
-        x, gx = _coord_vg(0, kap, y, grad)
-        yy, gy = _coord_vg(1, kap, y, grad)
-        a, ga = _az_vg(kap, y, grad)
-        w = x * x + yy * yy
-        den = 1.0 - kap * w
-        _sin_guard(den, "planar anisotropy denominator")
-        num = w + 4.0 * a * a
-        val = 0.5 * al * al * num / den
-        if k1 != 0.0:
-            _sin_guard(x, "x_k")
-            val += k1 / (x * x)
-        if k2 != 0.0:
-            _sin_guard(yy, "y_k")
-            val += k2 / (yy * yy)
-        if not grad:
-            return val, None
-        gw = 2.0 * x * gx + 2.0 * yy * gy
-        gnum = gw + 8.0 * a * ga
-        g = 0.5 * al * al * (gnum * den + kap * num * gw) / (den * den)
-        if k1 != 0.0:
-            g = g - 2.0 * k1 * gx / x**3
-        if k2 != 0.0:
-            g = g - 2.0 * k2 * gy / yy**3
-        return val, g
-
-    return Observable("V112", {"kappa": kap, "alpha": al, "k1": k1, "k2": k2}, vg)
-
-
 def _osc112_k3(kappa, alpha) -> Observable:
     kap, al = float(kappa), float(alpha)
 
@@ -653,7 +621,6 @@ def osc112_observables(kappa, alpha, k1=0.0, k2=0.0) -> dict:
     k1, k2 = float(k1), float(k2)
     return {
         "Az": _osc112_az(kappa),
-        "V112": _osc112_v(kappa, alpha, k1, k2),
         "K3": _osc112_k3(kappa, alpha),
         "KJ3": sw_KJ(3, kappa, k1=k1, k2=k2),
         "K12": _osc112_k12(kappa, alpha, k1, k2),

@@ -12,25 +12,27 @@ differ in the potential:
   kepler      V = k / tan_k(r)
   kepler123   kepler plus k_i / coord_i^2 couplings on all three axes
 
-Each system exposes its full set of first integrals as observables,
-grouped into involution sets and a designated functional-independence
-set, plus closed-form Hamilton equations of motion.
+Each system is one entry of a private registry, _SYSTEMS, and everything
+that depends on which system it is reads that entry.  The gradient of V
+is the force that hamilton_rhs subtracts, so each potential's derivative
+is written once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import ConfigPoint, PhaseState
+from .geometry import ConfigPoint, PhaseState, R_chart_kinetic, rho_chart_kinetic
 from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
 from .observables import (
     _CYCLE,
     Observable,
+    _az_vg,
+    _coord_vg,
     _coupling_sum_vg,
     _sin_guard,
     angular_J,
@@ -72,29 +74,6 @@ __all__ = [
     "rho_chart_rhs",
 ]
 
-SYSTEM_IDS = ("free", "oscillator", "sw", "osc112", "kepler", "kepler123")
-
-# Systems whose potential depends on r alone admit the two radial charts.
-RADIAL_SYSTEMS = ("free", "oscillator", "kepler")
-
-_DEFAULTS = {
-    "free": {},
-    "oscillator": {"alpha": 1.0},
-    "sw": {"alpha": 1.0, "k1": 0.0, "k2": 0.0, "k3": 0.0},
-    "osc112": {"alpha": 1.0, "k1": 0.0, "k2": 0.0},
-    "kepler": {"k": -1.0},
-    "kepler123": {"k": -1.0, "k1": 0.0, "k2": 0.0, "k3": 0.0},
-}
-
-_SUMMARIES = {
-    "free": "geodesic motion, V = 0",
-    "oscillator": "isotropic oscillator, V = alpha^2 tan_k^2(r)/2",
-    "sw": "oscillator with three inverse-square axis couplings",
-    "osc112": "1:1:2 anisotropic oscillator with two planar couplings",
-    "kepler": "curved Kepler problem, V = k/tan_k(r)",
-    "kepler123": "Kepler with three inverse-square axis couplings",
-}
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -110,14 +89,38 @@ class SystemSpec:
 
     @property
     def params(self) -> dict:
-        return {name: getattr(self, name) for name in _DEFAULTS[self.system_id]}
+        return {name: getattr(self, name) for name in _system(self.system_id).defaults}
+
+
+@dataclass(frozen=True)
+class _System:
+    """Everything that distinguishes one system.
+
+    potential(spec) gives (value, force), None for the free system;
+    catalog(spec, h) builds the Catalog around the Hamiltonian h;
+    chart(spec), for a potential of r alone, gives (V(rho), dV/drho,
+    V(R)).  axial marks the factor u/(1 - kappa u^2), u = tan_k(r)
+    cos(theta): sampled states keep its denominator and z = 0 clear.
+    """
+
+    summary: str
+    defaults: dict
+    catalog: Callable
+    potential: Optional[Callable] = None
+    chart: Optional[Callable] = None
+    axial: bool = False
+
+
+def _system(system_id) -> _System:
+    """Registry entry of a system; ValueError for an unknown identifier."""
+    if system_id in SYSTEM_IDS:
+        return _SYSTEMS[system_id]
+    raise ValueError(f"unknown system {system_id!r}; choose from {SYSTEM_IDS}")
 
 
 def make_system(system_id: str, kappa, **params) -> SystemSpec:
     """Build a validated system specification."""
-    if system_id not in SYSTEM_IDS:
-        raise ValueError(f"unknown system {system_id!r}; choose from {SYSTEM_IDS}")
-    allowed = _DEFAULTS[system_id]
+    allowed = _system(system_id).defaults
     unknown = set(params) - set(allowed)
     if unknown:
         raise ValueError(
@@ -129,91 +132,46 @@ def make_system(system_id: str, kappa, **params) -> SystemSpec:
 
 def system_summaries() -> dict:
     """One-line description of each system, keyed by identifier."""
-    return dict(_SUMMARIES)
+    return {sid: entry.summary for sid, entry in _SYSTEMS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Potentials.
+# Potentials.  Each factory maps a spec to (value, force): value(y) is V on
+# a 6-tuple state with its domain guards, and force gives (V_r, V_theta,
+# V_phi) in plain floats from (sin_k r, cos_k r, sin theta, cos theta,
+# sin phi, cos phi), for the Hamilton equations and the gradient of V.
 
-def _v_oscillator(kappa: float, alpha: float) -> Observable:
-    def vg(y, grad=True):
-        ck = cos_k(kappa, y[0])
+def _oscillator(spec: SystemSpec) -> tuple:
+    kap, al = spec.kappa, spec.alpha
+    al2 = al**2
+
+    def value(y):
+        ck = cos_k(kap, y[0])
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("oscillator potential singular at cos_k(r) = 0")
-        sk = sin_k(kappa, y[0])
-        tk = sk / ck
-        val = 0.5 * alpha * alpha * tk * tk
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[0] = alpha * alpha * sk / ck**3
-        return val, g
+        tk = sin_k(kap, y[0]) / ck
+        return 0.5 * al * al * tk * tk
 
-    return Observable("V", {"kappa": kappa, "alpha": alpha}, vg)
+    def force(sk, ck, sth, cth, sph, cph):
+        return al2 * sk / (ck * ck * ck), 0.0, 0.0
+
+    return value, force
 
 
-def _v_kepler(kappa: float, k: float) -> Observable:
-    def vg(y, grad=True):
-        sk = sin_k(kappa, y[0])
+def _kepler(spec: SystemSpec) -> tuple:
+    kap, kc = spec.kappa, spec.k
+
+    def value(y):
+        sk = sin_k(kap, y[0])
         if abs(sk) < 1e-12:
             raise DomainSingularity("Kepler potential singular at sin_k(r) = 0")
-        val = k * cos_k(kappa, y[0]) / sk
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[0] = -k / (sk * sk)
-        return val, g
+        return kc * cos_k(kap, y[0]) / sk
 
-    return Observable("V", {"kappa": kappa, "k": k}, vg)
+    def force(sk, ck, sth, cth, sph, cph):
+        return -kc / (sk * sk), 0.0, 0.0
 
+    return value, force
 
-def _v_couplings(kappa: float, ks: tuple) -> Observable:
-    params = {"kappa": kappa, "k1": ks[0], "k2": ks[1], "k3": ks[2]}
-    return Observable("Vc", params, partial(_coupling_sum_vg, kappa, ks))
-
-
-def potential_observable(spec: SystemSpec) -> Optional[Observable]:
-    """Potential of a system as an observable; None for the free system."""
-    kap = spec.kappa
-    sid = spec.system_id
-    if sid == "free":
-        return None
-    if sid == "oscillator":
-        return _v_oscillator(kap, spec.alpha)
-    if sid == "sw":
-        vo = _v_oscillator(kap, spec.alpha)
-        vc = _v_couplings(kap, (spec.k1, spec.k2, spec.k3))
-        return scaled_sum("V", [(1.0, vo), (1.0, vc)])
-    if sid == "osc112":
-        return osc112_observables(kap, spec.alpha, spec.k1, spec.k2)["V112"]
-    if sid == "kepler":
-        return _v_kepler(kap, spec.k)
-    if sid == "kepler123":
-        vk = _v_kepler(kap, spec.k)
-        vc = _v_couplings(kap, (spec.k1, spec.k2, spec.k3))
-        return scaled_sum("V", [(1.0, vk), (1.0, vc)])
-    raise ValueError(f"unknown system {sid!r}")
-
-
-def potential_value(spec: SystemSpec, q: ConfigPoint) -> float:
-    """Potential energy at a configuration point."""
-    v = potential_observable(spec)
-    if v is None:
-        return 0.0
-    return v.value(np.array([q.r, q.theta, q.phi, 0.0, 0.0, 0.0]))
-
-
-def hamiltonian(spec: SystemSpec) -> Observable:
-    """Hamiltonian observable H = T + V of a system."""
-    t = kinetic(spec.kappa)
-    v = potential_observable(spec)
-    if v is None:
-        return Observable("H", dict(t.params), t._vg)
-    return scaled_sum("H", [(1.0, t), (1.0, v)])
-
-
-# ---------------------------------------------------------------------------
-# Equations of motion.
 
 def _coupling_force(ks, sk, ck, sth, cth, sph, cph):
     """Configuration-space partials of sum k_i / coord_i^2 in plain floats."""
@@ -245,48 +203,47 @@ def _coupling_force(ks, sk, ck, sth, cth, sph, cph):
     return vr, vth, vph
 
 
-def _potential_force(spec: SystemSpec):
-    """Per-system closure giving (V_r, V_theta, V_phi) in plain floats."""
-    kap = spec.kappa
-    sid = spec.system_id
-    if sid == "free":
-        return None
-    if sid == "oscillator":
-        al2 = spec.alpha**2
+def _with_couplings(radial: Callable) -> Callable:
+    """Factory of a radial potential plus sum k_i / coord_i^2 on all three axes."""
 
-        def force(sk, ck, sth, cth, sph, cph):
-            return al2 * sk / (ck * ck * ck), 0.0, 0.0
+    def potential(spec: SystemSpec) -> tuple:
+        base_value, base_force = radial(spec)
+        kap, ks = spec.kappa, (spec.k1, spec.k2, spec.k3)
 
-        return force
-    if sid == "kepler":
-        kc = spec.k
-
-        def force(sk, ck, sth, cth, sph, cph):
-            return -kc / (sk * sk), 0.0, 0.0
-
-        return force
-    if sid == "sw":
-        al2 = spec.alpha**2
-        ks = (spec.k1, spec.k2, spec.k3)
+        def value(y):
+            return base_value(y) + _coupling_sum_vg(kap, ks, y, False)[0]
 
         def force(sk, ck, sth, cth, sph, cph):
             vr, vth, vph = _coupling_force(ks, sk, ck, sth, cth, sph, cph)
-            return vr + al2 * sk / (ck * ck * ck), vth, vph
+            return vr + base_force(sk, ck, sth, cth, sph, cph)[0], vth, vph
 
-        return force
-    if sid == "kepler123":
-        kc = spec.k
-        ks = (spec.k1, spec.k2, spec.k3)
+        return value, force
 
-        def force(sk, ck, sth, cth, sph, cph):
-            vr, vth, vph = _coupling_force(ks, sk, ck, sth, cth, sph, cph)
-            return vr - kc / (sk * sk), vth, vph
+    return potential
 
-        return force
-    # 1:1:2 oscillator: planar part uses w = sin_k^2 sin^2 theta, axial
-    # part the factor A = u/(1 - kappa u^2) with u = tan_k cos theta
-    al2 = spec.alpha**2
-    ks = (spec.k1, spec.k2, 0.0)
+
+def _osc112(spec: SystemSpec) -> tuple:
+    # The planar part uses w = sin_k^2 sin^2 theta, the axial part the
+    # factor A = u/(1 - kappa u^2) with u = tan_k cos theta.
+    kap, al, k1, k2 = spec.kappa, spec.alpha, spec.k1, spec.k2
+    al2 = al**2
+    ks = (k1, k2, 0.0)
+
+    def value(y):
+        x = _coord_vg(0, kap, y, False)[0]
+        yy = _coord_vg(1, kap, y, False)[0]
+        a = _az_vg(kap, y, False)[0]
+        w = x * x + yy * yy
+        den = 1.0 - kap * w
+        _sin_guard(den, "planar anisotropy denominator")
+        val = 0.5 * al * al * (w + 4.0 * a * a) / den
+        if k1 != 0.0:
+            _sin_guard(x, "x_k")
+            val += k1 / (x * x)
+        if k2 != 0.0:
+            _sin_guard(yy, "y_k")
+            val += k2 / (yy * yy)
+        return val
 
     def force(sk, ck, sth, cth, sph, cph):
         if abs(ck) < EPS_DOM:
@@ -315,13 +272,59 @@ def _potential_force(spec: SystemSpec):
         cr, cth_f, cph_f = _coupling_force(ks, sk, ck, sth, cth, sph, cph)
         return vr + cr, vth + cth_f, cph_f
 
-    return force
+    return value, force
 
+
+def potential_observable(spec: SystemSpec) -> Optional[Observable]:
+    """Potential of a system as an observable; None for the free system.
+
+    The gradient is (V_r, V_theta, V_phi, 0, 0, 0) from the same force
+    that hamilton_rhs subtracts, taken after the value's domain guards.
+    """
+    potential = _system(spec.system_id).potential
+    if potential is None:
+        return None
+    kap = spec.kappa
+    value, force = potential(spec)
+
+    def vg(y, grad=True):
+        val = value(y)
+        if not grad:
+            return val, None
+        r, th, ph = y[0], y[1], y[2]
+        g = np.zeros(6)
+        g[:3] = force(sin_k(kap, r), cos_k(kap, r), math.sin(th), math.cos(th),
+                      math.sin(ph), math.cos(ph))
+        return val, g
+
+    return Observable("V", {"kappa": kap, **spec.params}, vg)
+
+
+def potential_value(spec: SystemSpec, q: ConfigPoint) -> float:
+    """Potential energy at a configuration point."""
+    v = potential_observable(spec)
+    if v is None:
+        return 0.0
+    return v.value(np.array([q.r, q.theta, q.phi, 0.0, 0.0, 0.0]))
+
+
+def hamiltonian(spec: SystemSpec) -> Observable:
+    """Hamiltonian observable H = T + V of a system."""
+    t = kinetic(spec.kappa)
+    v = potential_observable(spec)
+    if v is None:
+        return Observable("H", dict(t.params), t._vg)
+    return scaled_sum("H", [(1.0, t), (1.0, v)])
+
+
+# ---------------------------------------------------------------------------
+# Equations of motion.
 
 def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Closed-form Hamilton equations dy/dt = f(t, y) for a system."""
     kap = spec.kappa
-    force = _potential_force(spec)
+    potential = _system(spec.system_id).potential
+    force = None if potential is None else potential(spec)[1]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r, th, ph, pr, pth, pph = y.tolist()
@@ -477,280 +480,275 @@ def _pair_sums(kjs) -> tuple:
     return sums, invol, ids
 
 
+def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
+    kap = spec.kappa
+    jsq = angular_J_squared()
+    p = {i: noether_P(i, kap) for i in (1, 2, 3)}
+    j = {i: angular_J(i) for i in (1, 2, 3)}
+    x = {i: coordinate(i, kap) for i in (1, 2, 3)}
+    integrals = {f"P{i}": p[i] for i in (1, 2, 3)}
+    integrals.update({f"J{i}": j[i] for i in (1, 2, 3)})
+    aux = {"H": h, "Jsq": jsq}
+    invol = {"H_J2_J3": ("H", "Jsq", "J3")}
+    indep = {"primary": ("P1", "P2", "P3", "J1", "J2")}
+
+    def radial(y):
+        total = sum(x[i].value(y) * p[i].value(y) for i in (1, 2, 3))
+        expect = y[3] * sin_k(kap, y[0])
+        return (total - expect) / max(1.0, abs(expect))
+
+    ids = [Identity("alg:x.P-p_r*sin_k", residual=radial)]
+    for a, (b, c) in _CYCLE.items():
+        ids.append(_bracket(f"{{P{a},P{b}}}-kappa*J{c}", p[a], p[b],
+                            lambda y, c=c: kap * j[c].value(y)))
+        ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], j[c].value))
+    ids += _rotation_identities(j, p, "P")
+    ids += [
+        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda y: cos_k(kap, y[0]))
+        for i in (1, 2, 3)
+    ]
+    return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
+
+
+def _oscillator_catalog(spec: SystemSpec, h: Observable) -> Catalog:
+    kap = spec.kappa
+    jsq = angular_J_squared()
+    al = spec.alpha
+    integrals = {f"J{i}": angular_J(i) for i in (1, 2, 3)}
+    for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)):
+        integrals[f"K{i}{j}"] = fradkin_K(i, j, kap, al)
+    diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
+    js = {i: integrals[f"J{i}"] for i in (1, 2, 3)}
+    jsqs = {i: square(js[i], f"J{i}sq") for i in (1, 2, 3)}
+    aux = {"H": h, "Jsq": jsq}
+    aux.update(_axis_blocks(kap, diag, jsqs))
+    complexes = {f"M{j}": complex_M(j, kap, al) for j in (1, 2, 3)}
+    invol = {
+        "H_J2_J3": ("H", "Jsq", "J3"),
+        "axis1": ("K11", "J1", "W1"),
+        "axis2": ("K22", "J2", "W2"),
+        "axis3": ("K33", "J3", "W3"),
+    }
+    # Any 5-set containing a diagonal pair K_ii, K_jj together with
+    # K_ij and J_l is dependent through the published minor identity
+    # K_ii K_jj - K_ij^2 = alpha^2 J_l^2, so the designated set mixes
+    # the three angular momenta with two diagonal entries instead.
+    indep = {"primary": ("J1", "J2", "J3", "K11", "K22")}
+
+    def trace(y):
+        tr = sum(diag[i].value(y) for i in (1, 2, 3))
+        expect = 2.0 * h.value(y)
+        return (tr + kap * jsq.value(y) - expect) / max(1.0, abs(tr), abs(expect))
+
+    def product(a, b, c):
+        ma, mb, kab = complexes[f"M{a}"], complexes[f"M{b}"], integrals[f"K{a}{b}"]
+
+        def residual(y):
+            lhs = ma.value(y) * mb.value(y).conjugate()
+            rhs = kab.value(y) + 1j * al * js[c].value(y)
+            return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+        return Identity(f"alg:M{a}*conj(M{b})-(K{a}{b}+i*alpha*J{c})", residual=residual)
+
+    def modulus(i):
+        def residual(y):
+            lhs = abs(complexes[f"M{i}"].value(y)) ** 2
+            rhs = diag[i].value(y)
+            return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+        return Identity(f"alg:|M{i}|^2-K{i}{i}", residual=residual)
+
+    def phase(i):
+        m = complexes[f"M{i}"]
+        lam = lambda y: 1.0 / cos_k(kap, y[0]) ** 2
+        return Identity(f"{{M{i},H}}-i*lambda*alpha*M{i}", (
+            (m.re, h, lambda y: -lam(y) * al * m.im.value(y)),
+            (m.im, h, lambda y: lam(y) * al * m.re.value(y)),
+        ))
+
+    ids = [Identity("alg:trace(K)+kappa*Jsq-2H", residual=trace)]
+    ids += [product(a, b, c) for a, (b, c) in _CYCLE.items()]
+    ids += [modulus(i) for i in (1, 2, 3)]
+    ids += [phase(i) for i in (1, 2, 3)]
+    ids += _block_identities(diag, js, "J", aux)
+    return Catalog(integrals, aux, complexes, invol, indep, tuple(ids))
+
+
+def _sw_catalog(spec: SystemSpec, h: Observable) -> Catalog:
+    kap = spec.kappa
+    al = spec.alpha
+    ks = (spec.k1, spec.k2, spec.k3)
+    integrals = {
+        f"K{i}{i}": fradkin_K(i, i, kap, al, *ks) for i in (1, 2, 3)
+    }
+    integrals.update({f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)})
+    diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
+    kjs = {i: integrals[f"KJ{i}"] for i in (1, 2, 3)}
+    sums, invol, pair_ids = _pair_sums(kjs)
+    aux = {"H": h}
+    aux.update(_axis_blocks(kap, diag, kjs))
+    aux.update(sums)
+    invol.update({f"axis{i}": (f"K{i}{i}", f"KJ{i}", f"W{i}") for i in (1, 2, 3)})
+    indep = {"primary": ("KJ1", "KJ2", "KJ3", "K11", "K22")}
+    ksum = spec.k1 + spec.k2 + spec.k3
+
+    def trace(y):
+        tr = sum(diag[i].value(y) for i in (1, 2, 3))
+        kj = sum(kjs[i].value(y) for i in (1, 2, 3))
+        hv = h.value(y)
+        lhs = 0.5 * (tr + kap * kj) + kap * ksum
+        return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
+
+    ids = [Identity("alg:H-(trace(K)+kappa*trace(KJ))/2-kappa*(k1+k2+k3)", residual=trace)]
+    ids += pair_ids
+    ids += _block_identities(diag, kjs, "KJ", aux)
+    return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
+
+
+def _osc112_catalog(spec: SystemSpec, h: Observable) -> Catalog:
+    kap = spec.kappa
+    fam = osc112_observables(kap, spec.alpha, spec.k1, spec.k2)
+    integrals = {n: fam[n] for n in ("K3", "KJ3", "K12", "KRL1", "KRL2")}
+    aux = {"H": h, "Az": fam["Az"], "V112": potential_observable(spec)}
+    invol = {"K3_KJ3_K12": ("K3", "KJ3", "K12")}
+    indep = {"primary": ("K3", "KJ3", "K12", "KRL1", "KRL2")}
+
+    def recompose(y):
+        hv = h.value(y)
+        lhs = 0.5 * (fam["K3"].value(y) + fam["K12"].value(y) + kap * fam["KJ3"].value(y))
+        return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
+
+    ids = (Identity("alg:H-(K3+K12+kappa*KJ3)/2", residual=recompose),)
+    return Catalog(integrals, aux, {}, invol, indep, ids)
+
+
+def _kepler_catalog(spec: SystemSpec, h: Observable) -> Catalog:
+    kap = spec.kappa
+    jsq = angular_J_squared()
+    j = {i: angular_J(i) for i in (1, 2, 3)}
+    krl = {i: kepler_RL(i, kap, spec.k) for i in (1, 2, 3)}
+    integrals = {f"J{i}": j[i] for i in (1, 2, 3)}
+    integrals.update({f"KRL{i}": krl[i] for i in (1, 2, 3)})
+    aux = {"H": h, "Jsq": jsq}
+    invol = {"H_J2_J3": ("H", "Jsq", "J3")}
+    indep = {"primary": ("J1", "J2", "J3", "KRL1", "KRL2")}
+    ids = [
+        _bracket(f"{{KRL{a},KRL{b}}}+2J{c}(H-kappa*Jsq)", krl[a], krl[b],
+                 lambda y, c=c: -2.0 * j[c].value(y) * (h.value(y) - kap * jsq.value(y)))
+        for a, (b, c) in _CYCLE.items()
+    ]
+    ids += _rotation_identities(j, krl, "KRL")
+    return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
+
+
+def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
+    kap = spec.kappa
+    ks = (spec.k1, spec.k2, spec.k3)
+    integrals = {f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)}
+    complexes = {}
+    # R_i and S_i are conserved only in pairs through the quartic
+    # combination KR_i = R_i^2 + 2 k_i S_i^2, so they live in aux.
+    aux = {"H": h}
+    for i in (1, 2, 3):
+        aux[f"R{i}"] = k123_R(i, kap, spec.k, *ks)
+        aux[f"S{i}"] = k123_S(i, kap)
+        if ks[i - 1] >= 0.0:
+            integrals[f"KR{i}"] = k123_KR(i, kap, spec.k, *ks)
+            complexes[f"N{i}"] = k123_N(i, kap, spec.k, *ks)
+    sums, invol, ids = _pair_sums({i: integrals[f"KJ{i}"] for i in (1, 2, 3)})
+    aux.update(sums)
+    primary = tuple(
+        ["KJ1", "KJ2", "KJ3"]
+        + [n for n in ("KR1", "KR2", "KR3") if n in integrals][:2]
+    )
+    if len(primary) < 5:
+        primary = primary + ("H",)[: 5 - len(primary)]
+
+    def coupled(i):
+        # {R_i, H} = -2 k_i lambda_i S_i and {S_i, H} = lambda_i R_i
+        # with lambda_i = 1 / coord_i^2.
+        r, s, ki = aux[f"R{i}"], aux[f"S{i}"], ks[i - 1]
+
+        def lam(y):
+            x = kappa_cartesian(kap, y)[i - 1]
+            _sin_guard(x, "coordinate in coupling factor")
+            return 1.0 / (x * x)
+
+        return [
+            _bracket(f"{{R{i},H}}+2k{i}*lambda{i}*S{i}", r, h,
+                     lambda y: -2.0 * ki * lam(y) * s.value(y)),
+            _bracket(f"{{S{i},H}}-lambda{i}*R{i}", s, h, lambda y: lam(y) * r.value(y)),
+        ]
+
+    for i in (1, 2, 3):
+        ids += coupled(i)
+    return Catalog(integrals, aux, complexes, invol, {"primary": primary}, tuple(ids))
+
+
 def catalog(spec: SystemSpec) -> Catalog:
     """Build the named integral catalog of a system and its identities."""
-    kap = spec.kappa
-    sid = spec.system_id
-    h = hamiltonian(spec)
-    jsq = angular_J_squared()
-    if sid == "free":
-        p = {i: noether_P(i, kap) for i in (1, 2, 3)}
-        j = {i: angular_J(i) for i in (1, 2, 3)}
-        x = {i: coordinate(i, kap) for i in (1, 2, 3)}
-        integrals = {f"P{i}": p[i] for i in (1, 2, 3)}
-        integrals.update({f"J{i}": j[i] for i in (1, 2, 3)})
-        aux = {"H": h, "Jsq": jsq}
-        invol = {"H_J2_J3": ("H", "Jsq", "J3")}
-        indep = {"primary": ("P1", "P2", "P3", "J1", "J2")}
-
-        def radial(y):
-            total = sum(x[i].value(y) * p[i].value(y) for i in (1, 2, 3))
-            expect = y[3] * sin_k(kap, y[0])
-            return (total - expect) / max(1.0, abs(expect))
-
-        ids = [Identity("alg:x.P-p_r*sin_k", residual=radial)]
-        for a, (b, c) in _CYCLE.items():
-            ids.append(_bracket(f"{{P{a},P{b}}}-kappa*J{c}", p[a], p[b],
-                                lambda y, c=c: kap * j[c].value(y)))
-            ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], j[c].value))
-        ids += _rotation_identities(j, p, "P")
-        ids += [
-            _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda y: cos_k(kap, y[0]))
-            for i in (1, 2, 3)
-        ]
-        return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
-    if sid == "oscillator":
-        al = spec.alpha
-        integrals = {f"J{i}": angular_J(i) for i in (1, 2, 3)}
-        for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)):
-            integrals[f"K{i}{j}"] = fradkin_K(i, j, kap, al)
-        diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
-        js = {i: integrals[f"J{i}"] for i in (1, 2, 3)}
-        jsqs = {i: square(js[i], f"J{i}sq") for i in (1, 2, 3)}
-        aux = {"H": h, "Jsq": jsq}
-        aux.update(_axis_blocks(kap, diag, jsqs))
-        complexes = {f"M{j}": complex_M(j, kap, al) for j in (1, 2, 3)}
-        invol = {
-            "H_J2_J3": ("H", "Jsq", "J3"),
-            "axis1": ("K11", "J1", "W1"),
-            "axis2": ("K22", "J2", "W2"),
-            "axis3": ("K33", "J3", "W3"),
-        }
-        # Any 5-set containing a diagonal pair K_ii, K_jj together with
-        # K_ij and J_l is dependent through the published minor identity
-        # K_ii K_jj - K_ij^2 = alpha^2 J_l^2, so the designated set mixes
-        # the three angular momenta with two diagonal entries instead.
-        indep = {"primary": ("J1", "J2", "J3", "K11", "K22")}
-
-        def trace(y):
-            tr = sum(diag[i].value(y) for i in (1, 2, 3))
-            expect = 2.0 * h.value(y)
-            return (tr + kap * jsq.value(y) - expect) / max(1.0, abs(tr), abs(expect))
-
-        def product(a, b, c):
-            ma, mb, kab = complexes[f"M{a}"], complexes[f"M{b}"], integrals[f"K{a}{b}"]
-
-            def residual(y):
-                lhs = ma.value(y) * mb.value(y).conjugate()
-                rhs = kab.value(y) + 1j * al * js[c].value(y)
-                return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-            return Identity(f"alg:M{a}*conj(M{b})-(K{a}{b}+i*alpha*J{c})", residual=residual)
-
-        def modulus(i):
-            def residual(y):
-                lhs = abs(complexes[f"M{i}"].value(y)) ** 2
-                rhs = diag[i].value(y)
-                return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-            return Identity(f"alg:|M{i}|^2-K{i}{i}", residual=residual)
-
-        def phase(i):
-            m = complexes[f"M{i}"]
-            lam = lambda y: 1.0 / cos_k(kap, y[0]) ** 2
-            return Identity(f"{{M{i},H}}-i*lambda*alpha*M{i}", (
-                (m.re, h, lambda y: -lam(y) * al * m.im.value(y)),
-                (m.im, h, lambda y: lam(y) * al * m.re.value(y)),
-            ))
-
-        ids = [Identity("alg:trace(K)+kappa*Jsq-2H", residual=trace)]
-        ids += [product(a, b, c) for a, (b, c) in _CYCLE.items()]
-        ids += [modulus(i) for i in (1, 2, 3)]
-        ids += [phase(i) for i in (1, 2, 3)]
-        ids += _block_identities(diag, js, "J", aux)
-        return Catalog(integrals, aux, complexes, invol, indep, tuple(ids))
-    if sid == "sw":
-        al = spec.alpha
-        ks = (spec.k1, spec.k2, spec.k3)
-        integrals = {
-            f"K{i}{i}": fradkin_K(i, i, kap, al, *ks) for i in (1, 2, 3)
-        }
-        integrals.update({f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)})
-        diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
-        kjs = {i: integrals[f"KJ{i}"] for i in (1, 2, 3)}
-        sums, invol, pair_ids = _pair_sums(kjs)
-        aux = {"H": h}
-        aux.update(_axis_blocks(kap, diag, kjs))
-        aux.update(sums)
-        invol.update({f"axis{i}": (f"K{i}{i}", f"KJ{i}", f"W{i}") for i in (1, 2, 3)})
-        indep = {"primary": ("KJ1", "KJ2", "KJ3", "K11", "K22")}
-        ksum = spec.k1 + spec.k2 + spec.k3
-
-        def trace(y):
-            tr = sum(diag[i].value(y) for i in (1, 2, 3))
-            kj = sum(kjs[i].value(y) for i in (1, 2, 3))
-            hv = h.value(y)
-            lhs = 0.5 * (tr + kap * kj) + kap * ksum
-            return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
-
-        ids = [Identity("alg:H-(trace(K)+kappa*trace(KJ))/2-kappa*(k1+k2+k3)", residual=trace)]
-        ids += pair_ids
-        ids += _block_identities(diag, kjs, "KJ", aux)
-        return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
-    if sid == "osc112":
-        fam = osc112_observables(kap, spec.alpha, spec.k1, spec.k2)
-        integrals = {n: fam[n] for n in ("K3", "KJ3", "K12", "KRL1", "KRL2")}
-        aux = {"H": h, "Az": fam["Az"], "V112": fam["V112"]}
-        invol = {"K3_KJ3_K12": ("K3", "KJ3", "K12")}
-        indep = {"primary": ("K3", "KJ3", "K12", "KRL1", "KRL2")}
-
-        def recompose(y):
-            hv = h.value(y)
-            lhs = 0.5 * (fam["K3"].value(y) + fam["K12"].value(y) + kap * fam["KJ3"].value(y))
-            return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
-
-        ids = (Identity("alg:H-(K3+K12+kappa*KJ3)/2", residual=recompose),)
-        return Catalog(integrals, aux, {}, invol, indep, ids)
-    if sid == "kepler":
-        j = {i: angular_J(i) for i in (1, 2, 3)}
-        krl = {i: kepler_RL(i, kap, spec.k) for i in (1, 2, 3)}
-        integrals = {f"J{i}": j[i] for i in (1, 2, 3)}
-        integrals.update({f"KRL{i}": krl[i] for i in (1, 2, 3)})
-        aux = {"H": h, "Jsq": jsq}
-        invol = {"H_J2_J3": ("H", "Jsq", "J3")}
-        indep = {"primary": ("J1", "J2", "J3", "KRL1", "KRL2")}
-        ids = [
-            _bracket(f"{{KRL{a},KRL{b}}}+2J{c}(H-kappa*Jsq)", krl[a], krl[b],
-                     lambda y, c=c: -2.0 * j[c].value(y) * (h.value(y) - kap * jsq.value(y)))
-            for a, (b, c) in _CYCLE.items()
-        ]
-        ids += _rotation_identities(j, krl, "KRL")
-        return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
-    if sid == "kepler123":
-        ks = (spec.k1, spec.k2, spec.k3)
-        integrals = {f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)}
-        complexes = {}
-        # R_i and S_i are conserved only in pairs through the quartic
-        # combination KR_i = R_i^2 + 2 k_i S_i^2, so they live in aux.
-        aux = {"H": h}
-        for i in (1, 2, 3):
-            aux[f"R{i}"] = k123_R(i, kap, spec.k, *ks)
-            aux[f"S{i}"] = k123_S(i, kap)
-            if ks[i - 1] >= 0.0:
-                integrals[f"KR{i}"] = k123_KR(i, kap, spec.k, *ks)
-                complexes[f"N{i}"] = k123_N(i, kap, spec.k, *ks)
-        sums, invol, ids = _pair_sums({i: integrals[f"KJ{i}"] for i in (1, 2, 3)})
-        aux.update(sums)
-        primary = tuple(
-            ["KJ1", "KJ2", "KJ3"]
-            + [n for n in ("KR1", "KR2", "KR3") if n in integrals][:2]
-        )
-        if len(primary) < 5:
-            primary = primary + ("H",)[: 5 - len(primary)]
-
-        def coupled(i):
-            # {R_i, H} = -2 k_i lambda_i S_i and {S_i, H} = lambda_i R_i
-            # with lambda_i = 1 / coord_i^2.
-            r, s, ki = aux[f"R{i}"], aux[f"S{i}"], ks[i - 1]
-
-            def lam(y):
-                x = kappa_cartesian(kap, y)[i - 1]
-                _sin_guard(x, "coordinate in coupling factor")
-                return 1.0 / (x * x)
-
-            return [
-                _bracket(f"{{R{i},H}}+2k{i}*lambda{i}*S{i}", r, h,
-                         lambda y: -2.0 * ki * lam(y) * s.value(y)),
-                _bracket(f"{{S{i},H}}-lambda{i}*R{i}", s, h, lambda y: lam(y) * r.value(y)),
-            ]
-
-        for i in (1, 2, 3):
-            ids += coupled(i)
-        return Catalog(integrals, aux, complexes, invol, {"primary": primary}, tuple(ids))
-    raise ValueError(f"unknown system {sid!r}")
+    return _system(spec.system_id).catalog(spec, hamiltonian(spec))
 
 
 # ---------------------------------------------------------------------------
 # Radial charts.  rho = sin_k(r) and R = tan_k(r) give two alternative
 # coordinates for the systems whose potential depends on r only.
 
-def _require_radial(spec: SystemSpec) -> None:
-    if spec.system_id not in RADIAL_SYSTEMS:
+def _oscillator_chart(spec: SystemSpec) -> tuple:
+    kap, al2 = spec.kappa, spec.alpha**2
+    return (
+        lambda rho: 0.5 * al2 * rho * rho / (1.0 - kap * rho * rho),
+        lambda rho: al2 * rho / (1.0 - kap * rho * rho) ** 2,
+        lambda R: 0.5 * al2 * R * R,
+    )
+
+
+def _kepler_chart(spec: SystemSpec) -> tuple:
+    kap, kc = spec.kappa, spec.k
+    return (
+        lambda rho: kc * math.sqrt(1.0 - kap * rho * rho) / rho,
+        lambda rho: -kc / (rho * rho * math.sqrt(1.0 - kap * rho * rho)),
+        lambda R: kc / R,
+    )
+
+
+def _chart_forms(spec: SystemSpec) -> tuple:
+    """(V(rho), dV/drho, V(R)); ValueError for a potential that is not radial."""
+    forms = _system(spec.system_id).chart
+    if forms is None:
         raise ValueError(
             f"chart forms require a radial potential; {spec.system_id!r} has "
             "angle-dependent terms"
         )
+    return forms(spec)
 
 
 def chart_potential(spec: SystemSpec, chart: str) -> Callable[[float], float]:
     """Potential as a function of the chart radius rho or R."""
-    _require_radial(spec)
-    kap = spec.kappa
-    sid = spec.system_id
+    v_rho, _, v_big = _chart_forms(spec)
     if chart == "rho":
-        if sid == "free":
-            return lambda rho: 0.0
-        if sid == "oscillator":
-            al2 = spec.alpha**2
-            return lambda rho: 0.5 * al2 * rho * rho / (1.0 - kap * rho * rho)
-        kc = spec.k
-        return lambda rho: kc * math.sqrt(1.0 - kap * rho * rho) / rho
+        return v_rho
     if chart == "R":
-        if sid == "free":
-            return lambda R: 0.0
-        if sid == "oscillator":
-            al2 = spec.alpha**2
-            return lambda R: 0.5 * al2 * R * R
-        kc = spec.k
-        return lambda R: kc / R
+        return v_big
     raise ValueError(f"chart must be 'rho' or 'R', got {chart!r}")
-
-
-def _chart_potential_derivative(spec: SystemSpec) -> Callable[[float], float]:
-    """d V / d rho for the rho chart."""
-    kap = spec.kappa
-    sid = spec.system_id
-    if sid == "free":
-        return lambda rho: 0.0
-    if sid == "oscillator":
-        al2 = spec.alpha**2
-        return lambda rho: al2 * rho / (1.0 - kap * rho * rho) ** 2
-    kc = spec.k
-    return lambda rho: -kc / (rho * rho * math.sqrt(1.0 - kap * rho * rho))
 
 
 def rho_chart_hamiltonian_value(spec: SystemSpec, s: PhaseState) -> float:
     """Hamiltonian evaluated on a rho-chart state."""
-    _require_radial(spec)
-    kap = spec.kappa
-    rho = s.q.r
-    sth = math.sin(s.q.theta)
-    if abs(rho) < 1e-12 or abs(sth) < 1e-12:
-        raise DomainSingularity("rho-chart state on a coordinate singularity")
-    ang = s.p_theta**2 + (s.p_phi / sth) ** 2
-    kin = 0.5 * ((1.0 - kap * rho * rho) * s.p_r**2 + ang / (rho * rho))
-    return kin + chart_potential(spec, "rho")(rho)
+    v = chart_potential(spec, "rho")
+    return rho_chart_kinetic(spec.kappa, s) + v(s.q.r)
 
 
 def R_chart_hamiltonian_value(spec: SystemSpec, s: PhaseState) -> float:
     """Hamiltonian evaluated on an R-chart state."""
-    _require_radial(spec)
-    kap = spec.kappa
-    rr = s.q.r
-    sth = math.sin(s.q.theta)
-    if abs(rr) < 1e-12 or abs(sth) < 1e-12:
-        raise DomainSingularity("R-chart state on a coordinate singularity")
-    fac = 1.0 + kap * rr * rr
-    ang = s.p_theta**2 + (s.p_phi / sth) ** 2
-    kin = 0.5 * (fac * fac * s.p_r**2 + fac * ang / (rr * rr))
-    return kin + chart_potential(spec, "R")(rr)
+    v = chart_potential(spec, "R")
+    return R_chart_kinetic(spec.kappa, s) + v(s.q.r)
 
 
 def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Hamilton equations in the rho chart for radial systems."""
-    _require_radial(spec)
+    _, dv, _ = _chart_forms(spec)
     kap = spec.kappa
-    dv = _chart_potential_derivative(spec)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         rho, th, _, prho, pth, pph = y.tolist()
@@ -774,3 +772,43 @@ def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]
         ))
 
     return rhs
+
+
+# ---------------------------------------------------------------------------
+# The registry: one entry per system, in the order the systems are listed.
+
+_SYSTEMS = {
+    "free": _System(
+        "geodesic motion, V = 0", {}, _free_catalog,
+        chart=lambda spec: (lambda x: 0.0,) * 3,
+    ),
+    "oscillator": _System(
+        "isotropic oscillator, V = alpha^2 tan_k^2(r)/2", {"alpha": 1.0},
+        _oscillator_catalog, _oscillator, _oscillator_chart,
+    ),
+    "sw": _System(
+        "oscillator with three inverse-square axis couplings",
+        {"alpha": 1.0, "k1": 0.0, "k2": 0.0, "k3": 0.0},
+        _sw_catalog, _with_couplings(_oscillator),
+    ),
+    "osc112": _System(
+        "1:1:2 anisotropic oscillator with two planar couplings",
+        {"alpha": 1.0, "k1": 0.0, "k2": 0.0},
+        _osc112_catalog, _osc112,
+        axial=True,
+    ),
+    "kepler": _System(
+        "curved Kepler problem, V = k/tan_k(r)", {"k": -1.0},
+        _kepler_catalog, _kepler, _kepler_chart,
+    ),
+    "kepler123": _System(
+        "Kepler with three inverse-square axis couplings",
+        {"k": -1.0, "k1": 0.0, "k2": 0.0, "k3": 0.0},
+        _kepler123_catalog, _with_couplings(_kepler),
+    ),
+}
+
+SYSTEM_IDS = tuple(_SYSTEMS)
+
+# Systems whose potential depends on r alone admit the two radial charts.
+RADIAL_SYSTEMS = tuple(sid for sid, entry in _SYSTEMS.items() if entry.chart is not None)

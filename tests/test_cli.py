@@ -172,11 +172,15 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 
 
 def test_config_bad_schema_version(tmp_path, capsys):
-    """A wrong schema_version, a missing --system and a short --y0 exit 2."""
+    """A wrong schema_version, an unknown system in a config, a missing
+    --system and a short --y0 exit 2."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99, "system": "free"}))
     assert_cli_error(capsys, ["trajectory", "--config", str(bad)],
                      "config schema_version must be 1, got 99")
+    bad.write_text(json.dumps({"schema_version": 1, "system": "harmonic"}))
+    assert_cli_error(capsys, ["potential", "--config", str(bad)],
+                     "unknown system 'harmonic'")
     assert_cli_error(capsys, ["trajectory", "--y0", OSC_BOUND_Y0], "--system is required")
     assert_cli_error(capsys, ["trajectory", "--system", "free", "--y0", "1,2"],
                      "--y0 needs six comma-separated values")

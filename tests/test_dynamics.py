@@ -468,20 +468,40 @@ def test_trajectory_thin():
 # ---------------------------------------------------------------------------
 # Sampling and reports.
 
+# System, parameters, the coordinate planes x, y, z = 0 the sampler must
+# keep clear, and whether it must keep 1 - kappa u^2 clear as well.
+SAMPLER_RULES = (
+    ("sw", {"k1": 0.1, "k2": 0.2, "k3": 0.3}, (True, True, True), False),
+    ("sw", {"k1": 0.1, "k2": 0.0, "k3": 0.3}, (True, False, True), False),
+    ("osc112", {"k1": 0.1, "k2": 0.2}, (True, True, True), True),
+    ("kepler123", {"k1": 0.1, "k2": 0.2, "k3": 0.3}, (True, True, True), False),
+    ("oscillator", {}, (False, False, False), False),
+)
+
+
 def test_sample_state_rejection_rules():
     rng = np.random.default_rng(16)
-    spec = make_system("sw", kappa=1.0, alpha=1.0, k1=0.1, k2=0.2, k3=0.3)
-    for _ in range(300):
-        margin = 0.1
-        y = sample_state(spec, rng, min_angular=0.25, margin=margin)
-        r, th, ph = y[:3]
-        sth = math.sin(th)
-        sk = math.sin(r)
-        ck = math.cos(r)
-        assert sth >= margin and sk >= margin and abs(ck) >= margin
-        for d in (sth * math.cos(ph), sth * math.sin(ph), math.cos(th)):
-            assert abs(sk * d) >= margin
-        assert abs(y[5]) >= 0.25
+    margin = 0.1
+    for sid, params, planes, axial in SAMPLER_RULES:
+        spec = make_system(sid, kappa=1.0, **params)
+        near = [False, False, False]
+        for _ in range(300):
+            y = sample_state(spec, rng, min_angular=0.25, margin=margin)
+            r, th, ph = y[:3]
+            sth = math.sin(th)
+            sk = math.sin(r)
+            ck = math.cos(r)
+            assert sth >= margin and sk >= margin and abs(ck) >= margin
+            dirs = (sth * math.cos(ph), sth * math.sin(ph), math.cos(th))
+            for i, (keep, d) in enumerate(zip(planes, dirs)):
+                assert not keep or abs(sk * d) >= margin, (sid, params, i)
+                near[i] |= abs(sk * d) < margin
+            if axial:
+                u = (sk / ck) * math.cos(th)
+                assert abs(1.0 - u * u) >= margin
+            assert abs(y[5]) >= 0.25
+        # A plane the rules leave open is visited by some draw.
+        assert all(keep or hit for keep, hit in zip(planes, near)), (sid, params)
 
 
 def test_sample_state_rejects_kappa_beyond_radius_range():
@@ -560,6 +580,14 @@ def test_fradkin_audit_special_states():
     s = np.array([0.8, 1.1, 0.4, 0.0, 0.0, 0.0])
     res = fradkin_audit(0.7, 1.3, s)
     assert res["kernel"] == 0.0
+    # Minors and quadratic forms are cancelling differences of products
+    # near 1e3 here; measured against those terms they hold to rounding.
+    s = np.array([
+        0.15064038694810825, 3.077629652929851, 0.45039238938187504,
+        0.43998870339100926, 0.8013263466793128, 0.5935706999962527,
+    ])
+    res = fradkin_audit(0.7, 1.3, s)
+    assert max(res.values()) < 1e-10, res
     # At alpha = 0 the pp contraction reduces to (sum P^2)^2.
     rng = np.random.default_rng(20)
     spec = make_system("oscillator", kappa=0.7, alpha=1.0)

@@ -32,7 +32,7 @@ from curvedyn.observables import (
 )
 from curvedyn.dynamics import sample_state
 from curvedyn.geometry import ConfigPoint
-from curvedyn.systems import catalog, make_system
+from curvedyn.systems import catalog, make_system, potential_observable
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3, 0.0)
 ALPHA, KC = 1.3, -1.0
@@ -93,6 +93,9 @@ def library_observables(kap):
             lambda s, i=i: oracles.k123_kr(i, kap, KC, KS, s),
         )
     o112 = osc112_observables(kap, ALPHA, KS[0], KS[1])
+    o112["V112"] = potential_observable(
+        make_system("osc112", kap, alpha=ALPHA, k1=KS[0], k2=KS[1])
+    )
     refs = {
         "Az": lambda s: oracles.osc112_az(kap, s),
         "V112": lambda s: oracles.osc112_v(kap, ALPHA, KS[0], KS[1], s),

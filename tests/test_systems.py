@@ -18,9 +18,11 @@ from curvedyn.systems import (
     hamilton_rhs,
     hamiltonian,
     make_system,
+    potential_observable,
     potential_profile,
     potential_value,
     rho_chart_hamiltonian_value,
+    rho_chart_rhs,
     system_summaries,
 )
 
@@ -279,6 +281,27 @@ def test_hamiltonian_matches_reference():
                 assert h.value(s) == pytest.approx(refs[sid](kap, s), rel=1e-12)
 
 
+def test_potential_gradient_is_the_rhs_force():
+    """The gradient of V is, bit for bit, the force the Hamilton equations subtract."""
+    rng = np.random.default_rng(208)
+    for sid in SYSTEM_IDS:
+        for kap in KAPPAS:
+            spec = canonical_spec(sid, kap)
+            v = potential_observable(spec)
+            if v is None:
+                assert sid == "free"
+                continue
+            rhs = hamilton_rhs(spec)
+            kinetic_rhs = hamilton_rhs(make_system("free", kap))
+            for _ in range(10):
+                y = sample_state(spec, rng, margin=0.05)
+                g = v.gradient(y)
+                assert not g[3:].any()
+                np.testing.assert_array_equal(
+                    rhs(0.0, y)[3:], kinetic_rhs(0.0, y)[3:] - g[:3]
+                )
+
+
 def test_chart_potentials_and_hamiltonians():
     rng = np.random.default_rng(207)
     for sid in RADIAL_SYSTEMS:
@@ -316,9 +339,16 @@ def test_chart_potentials_and_hamiltonians():
 
 
 def test_chart_forms_reject_nonradial_systems():
-    spec = canonical_spec("sw", 1.0)
-    with pytest.raises(ValueError):
-        chart_potential(spec, "rho")
     st = PhaseState.from_array(np.array([0.5, 1.2, 0.4, 0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        rho_chart_hamiltonian_value(spec, st)
+    entry_points = (
+        lambda spec: chart_potential(spec, "rho"),
+        lambda spec: chart_potential(spec, "R"),
+        lambda spec: rho_chart_hamiltonian_value(spec, st),
+        lambda spec: R_chart_hamiltonian_value(spec, st),
+        rho_chart_rhs,
+    )
+    for sid in ("sw", "osc112", "kepler123"):
+        assert sid not in RADIAL_SYSTEMS
+        for call in entry_points:
+            with pytest.raises(ValueError, match="radial potential"):
+                call(canonical_spec(sid, 1.0))
