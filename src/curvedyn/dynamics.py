@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -81,6 +80,14 @@ def poisson_bracket_fd(f, g, s, h: float = 1e-6) -> float:
     gf = grad(f)
     gg = grad(g)
     return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
+
+
+def _audit_state(s) -> np.ndarray:
+    """The state as a float array; anything but a finite 6-vector raises."""
+    y = _as_array(s)
+    if y.shape != (6,) or not np.isfinite(y).all():
+        raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
+    return y
 
 
 def _call(fn, y: np.ndarray) -> float:
@@ -464,9 +471,13 @@ def independence_rank(
     different magnitudes that quadratic and quartic integrals can have.
     Functional independence is invariant under this row scaling, and
     genuine dependencies still manifest many orders below the
-    threshold.
+    threshold.  An empty observable list, or a state that is not a
+    finite 6-vector, raises ValueError.
     """
-    g = np.array([o.gradient(s) for o in observables])
+    y = _audit_state(s)
+    if not observables:
+        raise ValueError("independence_rank needs at least one observable")
+    g = np.array([o.gradient(y) for o in observables])
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         g = np.where(norms > 0.0, g / np.maximum(norms, 1e-300), g)
@@ -483,12 +494,13 @@ def fradkin_audit(kappa, alpha, s) -> dict:
 
     Covers the trace identity, the vanishing determinant, the kernel
     relation K J = 0, the coordinate quadratic forms, the 2x2 minors,
-    and the three full contractions with coordinates and momenta.
+    and the three full contractions with coordinates and momenta.  A
+    state that is not a finite 6-vector raises ValueError.
     """
     from .observables import angular_J, fradkin_matrix, kappa_cartesian, noether_P
 
     kap = float(kappa)
-    y = _as_array(s)
+    y = _audit_state(s)
     m = fradkin_matrix(kap, alpha, y).entries
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
     p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
@@ -543,22 +555,44 @@ class BracketResidual:
     residual: float
 
 
-def _max_residual(states, fn) -> float:
-    return max(abs(fn(y)) for y in states)
+class _GradientCache:
+    """Gradient and its norm of each observable seen at one state.
 
+    Entries are keyed by id(obs), because Observable equality compares
+    names only, and each entry keeps its observable so that no id is
+    reused while the cache lives.  A scaled_sum's gradient is assembled
+    from the cached gradients of its terms with scaled_sum's own
+    arithmetic, so it equals obs.gradient(y) bit for bit.
+    """
 
-def _pb_rel(f: Observable, g: Observable, y, expect: float = 0.0) -> float:
-    """Bracket minus its expected value, relative to the gradient scale."""
-    gf = f.gradient(y)
-    gg = g.gradient(y)
-    raw = float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3]) - expect
-    scale = max(1.0, float(np.linalg.norm(gf) * np.linalg.norm(gg)), abs(expect))
-    return raw / scale
+    def __init__(self, y: np.ndarray):
+        self.y = y
+        self.entries = {}
 
+    def entry(self, obs: Observable) -> tuple:
+        """(obs, gradient, norm of the gradient) at this state."""
+        entry = self.entries.get(id(obs))
+        if entry is None:
+            if obs.terms:
+                g = np.zeros(6)
+                for c, term in obs.terms:
+                    g = g + c * self.entry(term)[1]
+            else:
+                g = obs.gradient(self.y)
+            entry = self.entries[id(obs)] = (obs, g, np.linalg.norm(g))
+        return entry
 
-def _brackets_residual(brackets, y) -> float:
-    """hypot of the residuals of {f, g} = expect(y) over (f, g, expect) triples."""
-    return math.hypot(*[_pb_rel(f, g, y, 0.0 if e is None else e(y)) for f, g, e in brackets])
+    def brackets_residual(self, brackets) -> float:
+        """hypot of the residuals of {f, g} = expect(y) over (f, g, expect)
+        triples, each relative to its gradient scale."""
+        rel = []
+        for f, g, e in brackets:
+            _, gf, nf = self.entry(f)
+            _, gg, ng = self.entry(g)
+            expect = 0.0 if e is None else e(self.y)
+            raw = float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3]) - expect
+            rel.append(raw / max(1.0, float(nf * ng), abs(expect)))
+        return math.hypot(*rel)
 
 
 def bracket_table_audit(
@@ -574,15 +608,18 @@ def bracket_table_audit(
     residual per identity, maximized over the given states and
     normalized as described on BracketResidual.  An identity with free
     coefficients draws one random vector from rng (defaulting to a fixed
-    seed), in table order, and uses it at every state.  A state that is
-    not a finite 6-vector raises ValueError.
+    seed), in table order, and uses it at every state.  Each distinct
+    observable's gradient is evaluated once per state and shared by
+    every bracket row; a linear combination (scaled_sum, such as H =
+    T + V or a row's random combination) takes its gradient from those
+    of its terms.  An empty state list, or a state that is not a finite
+    6-vector, raises ValueError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    states = [np.asarray(y, dtype=float) for y in states]
-    for y in states:
-        if y.shape != (6,) or not np.isfinite(y).all():
-            raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
+    states = [_audit_state(y) for y in states]
+    if not states:
+        raise ValueError("bracket_table_audit needs at least one state")
     cat = catalog(spec)
     obs = cat.observables
     table = [
@@ -594,13 +631,17 @@ def bracket_table_audit(
         Identity(f"conserve:{{{name},H}}", ((o, obs["H"], None),))
         for name, o in cat.integrals.items()
     ]
+    caches = [_GradientCache(y) for y in states]
     out = []
     for row in table + list(cat.identities):
         brackets = row.brackets
         if row.n_coeffs:
             brackets = brackets(rng.uniform(-1.0, 1.0, row.n_coeffs))
-        fn = row.residual or partial(_brackets_residual, brackets)
-        out.append(BracketResidual(row.name, _max_residual(states, fn)))
+        if row.residual is not None:
+            worst = max(abs(row.residual(y)) for y in states)
+        else:
+            worst = max(abs(cache.brackets_residual(brackets)) for cache in caches)
+        out.append(BracketResidual(row.name, worst))
     return out
 
 
@@ -646,8 +687,8 @@ def closed_orbit_check(
     """Search for a return of the trajectory to its initial state.
 
     Integrates over [0, t_max], locates the best candidate return after
-    a guard time (the second sign change of p_r, or a tenth of t_max if
-    radial motion never turns), and refines the return time by golden
+    a guard time (the last sample before the second sign change of p_r,
+    or a tenth of t_max if radial motion never turns), and refines the return time by golden
     section on the normalized phase-space distance between the two
     samples around it; each probe takes one Dormand-Prince 5 step from
     the earlier sample.  Distances are normalized per component by the
@@ -666,7 +707,7 @@ def closed_orbit_check(
     nz = signs != 0
     flips = np.nonzero(np.diff(signs[nz]) != 0)[0]
     if len(flips) >= 2:
-        t_guard = traj.times[np.nonzero(nz)[0][flips[1] + 1]]
+        t_guard = traj.times[np.nonzero(nz)[0][flips[1]]]
     else:
         t_guard = 0.1 * t_max
     mask = traj.times > t_guard

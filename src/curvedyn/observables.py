@@ -74,11 +74,15 @@ class Observable:
     ``_vg(y, grad=True)`` maps a 6-tuple to ``(value, gradient)``.  With
     ``grad`` false it computes the same value and runs the same domain
     guards, but returns ``(value, None)`` without assembling the gradient.
+    A linear combination built by ``scaled_sum`` also lists its
+    ``(c, observable)`` terms, so that a caller holding the terms'
+    gradients can assemble its gradient from them.
     """
 
     name: str
     params: dict = field(compare=False)
     _vg: Callable = field(repr=False, compare=False)
+    terms: tuple = field(default=(), repr=False, compare=False)
 
     def value(self, s) -> float:
         return self._vg(_as6(s), False)[0]
@@ -765,7 +769,7 @@ def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
                 g = g + c * gv
         return val, g
 
-    return Observable(name, {}, vg)
+    return Observable(name, {}, vg, tuple(terms))
 
 
 def square(obs: Observable, name: str | None = None) -> Observable:

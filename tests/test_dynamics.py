@@ -642,6 +642,103 @@ def test_bracket_table_audit_rejects_nonfinite_states():
             bracket_table_audit(spec, states)
 
 
+def test_bracket_table_audit_rejects_empty_states():
+    spec = make_system("oscillator", kappa=0.7, alpha=1.0)
+    with pytest.raises(ValueError, match="at least one state"):
+        bracket_table_audit(spec, [])
+
+
+def test_independence_rank_rejects_bad_input():
+    """A NaN state used to give rank 1, an empty list a numpy AxisError."""
+    spec = make_system("oscillator", kappa=0.7, alpha=1.3)
+    five = [catalog(spec).get(n) for n in catalog(spec).independence_sets["primary"]]
+    good = sample_state(spec, np.random.default_rng(23), margin=0.12)
+    bad = good.copy()
+    bad[1] = math.nan
+    for state in (bad, good[:3], np.full(6, math.inf)):
+        with pytest.raises(ValueError, match="finite 6-vectors"):
+            independence_rank(five, state)
+    with pytest.raises(ValueError, match="at least one observable"):
+        independence_rank([], good)
+
+
+def test_fradkin_audit_rejects_bad_input():
+    """A NaN state used to give NaN residuals, a 3-vector an IndexError."""
+    good = sample_state(make_system("oscillator", kappa=0.7, alpha=1.3),
+                        np.random.default_rng(24), margin=0.12)
+    bad = good.copy()
+    bad[4] = math.nan
+    for state in (bad, good[:3]):
+        with pytest.raises(ValueError, match="finite 6-vectors"):
+            fradkin_audit(0.7, 1.3, state)
+
+
+def audit_states(sid, params, n, seed):
+    spec = make_system(sid, kappa=0.7, **params)
+    rng = np.random.default_rng(seed)
+    return spec, [sample_state(spec, rng, margin=0.12) for _ in range(n)]
+
+
+def test_bracket_table_audit_one_gradient_per_observable_per_state(monkeypatch):
+    """Per state, no observable's gradient is evaluated twice in one call."""
+    from curvedyn.observables import Observable
+
+    calls = Counter()
+    gradient = Observable.gradient
+
+    def counted(obs, s):
+        calls[id(obs), tuple(np.asarray(s).tolist())] += 1
+        return gradient(obs, s)
+
+    monkeypatch.setattr(Observable, "gradient", counted)
+    for sid, (params, *_) in AUDIT_TABLES.items():
+        calls.clear()
+        spec, states = audit_states(sid, params, 3, 25)
+        bracket_table_audit(spec, states)
+        assert calls, sid
+        assert max(calls.values()) == 1, (sid, max(calls.values()))
+        assert {y for _, y in calls} == {tuple(y.tolist()) for y in states}, sid
+
+
+def test_bracket_table_audit_splits_over_states():
+    """Auditing [y1, y2] gives the max of auditing [y1] and [y2] exactly.
+
+    Each call draws its coefficients from a generator with the same
+    seed, so the random-coefficient rows see the same vectors too.
+    """
+    for sid, (params, *_) in AUDIT_TABLES.items():
+        spec, (y1, y2) = audit_states(sid, params, 2, 26)
+        both, one, two = (
+            bracket_table_audit(spec, states, np.random.default_rng(27))
+            for states in ([y1, y2], [y1], [y2])
+        )
+        for row, r1, r2 in zip(both, one, two):
+            assert row.name == r1.name == r2.name
+            assert row.residual == max(r1.residual, r2.residual), (sid, row.name)
+
+
+def test_scaled_sum_gradient_from_terms_is_bit_identical():
+    """The audit's gradient of a linear combination, built from the cached
+    gradients of its terms, equals its own gradient bit for bit."""
+    from curvedyn.dynamics import _GradientCache
+
+    rng = np.random.default_rng(28)
+    for sid, (params, *_) in AUDIT_TABLES.items():
+        spec, states = audit_states(sid, params, 4, 29)
+        obs = catalog(spec).observables
+        sums = [o for o in obs.values() if o.terms]
+        c = rng.uniform(-1.0, 1.0, 3)
+        plain = [o for o in obs.values() if not o.terms][:2]
+        combo = scaled_sum("combo", [(c[0], plain[0]), (c[1], plain[1])])
+        sums += [combo, scaled_sum("nested", [(c[2], combo), (c[0], obs["H"])])]
+        if sid != "free":
+            assert obs["H"].terms, sid
+        for y in states:
+            cache = _GradientCache(y)
+            for o in sums:
+                assert cache.entry(o)[1].tobytes() == o.gradient(y).tobytes(), (sid, o.name)
+
+
 # ---------------------------------------------------------------------------
 # Closed orbits.
 
@@ -672,6 +769,25 @@ def test_closed_orbit_great_circle_period():
     result = closed_orbit_check(spec, y0, 15.0)
     assert result.found
     assert abs(result.period - 2.0 * math.pi) < 1e-6
+
+
+def test_closed_orbit_guard_keeps_return_after_turning_point():
+    """A great circle starting just after a radial turning point.
+
+    The guard used to be the first sample after the second sign change
+    of p_r, which here lies past the return at 2 pi, so the return was
+    excluded (NOT FOUND, distance 7.3e-4, t_guard 6.28412).
+    """
+    spec = make_system("free", kappa=1.0)
+    y0 = np.array([
+        2.70234406388171, 0.6211502485646658, 2.5652845826786796,
+        -0.0015520474478189256, 0.24102421308853003, -0.20389967870247694,
+    ])
+    result = closed_orbit_check(spec, y0, 8.0)
+    assert result.t_guard < 2.0 * math.pi
+    assert result.found
+    assert abs(result.period - 2.0 * math.pi) < 1e-9
+    assert result.distance < 1e-8
 
 
 def rk4_reference(rhs, y0, t_end, dt=1e-4):
