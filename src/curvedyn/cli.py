@@ -12,14 +12,14 @@ Subcommands:
 All numeric output uses repr-faithful %.17g formatting.  Runs are
 deterministic for a fixed seed; the seed comes from --seed, falling
 back to the CURVEDYN_SEED environment variable, then a built-in
-default.  A JSON config file can supply any of the options; explicit
-command line flags win over the file.  Audit subcommands exit nonzero
-when any check exceeds its tolerance.  Invalid input rejected by the
-library (a ValueError, which includes DomainSingularity), a missing,
-unreadable or malformed config file or one with a wrong schema_version,
-a missing --system, a --y0 that is not six values, a count option
-below 1, and a failed implicit solve print "error: <message>" on stderr
-and exit with status 2.
+default.  A JSON config file can supply any of the options, and its
+values pass the same checks as flags; explicit flags win over the file.
+--emit-config prints the resolved run as a config file whose every key
+is read back.  Audit subcommands exit nonzero when any check exceeds its
+tolerance.  A bad option value, input rejected by the library (a
+ValueError, which includes DomainSingularity), a missing, unreadable or
+malformed config file, a missing --system, an unwritable --output and a
+failed implicit solve print "error: <message>" on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics, systems
-from .kappa_core import DomainSingularity
+from .kappa_core import DomainSingularity, cos_k
 from .systems import SystemSpec, make_system
 
 SCHEMA_VERSION = 1
@@ -47,19 +47,306 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _add_system_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", choices=systems.SYSTEM_IDS, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    for name in _PARAM_NAMES:
-        p.add_argument(f"--{name}", type=float, default=None)
+# ---------------------------------------------------------------------------
+# Conversions of a flag's string or a config file's JSON value.
+
+def _real(value) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"must be a number, got {value!r}")
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--emit-config", action="store_true",
-                   help="print the effective config as JSON and exit")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+def _integer(least: int):
+    """Conversion to an int >= least, 0 or 1 (a JSON float does not count)."""
+    def convert(value) -> int:
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        if type(value) is not int or value < least:
+            kind = ("non-negative", "positive")[least]
+            raise ValueError(f"must be a {kind} integer, got {value!r}")
+        return value
+    return convert
+
+
+def _choice(*choices):
+    def convert(value):
+        if value in choices:
+            return value
+        raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+    return convert
+
+
+def _y0(value):
+    """'random', or six floats from a comma-separated string or a JSON list."""
+    if value == "random":
+        return value
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 6:
+        raise ValueError(f"needs six comma-separated values or 'random', got {value!r}")
+    return [_real(v) for v in parts]
+
+
+# ---------------------------------------------------------------------------
+# Subcommand implementations.
+
+def _cmd_list_systems() -> int:
+    lines = []
+    for sid in systems.SYSTEM_IDS:
+        params = ", ".join(make_system(sid, 0.0).params) or "none"
+        lines.append(f"{sid:12s} params: {params:24s} {systems.system_summaries()[sid]}")
+    print("\n".join(lines))
+    return 0
+
+
+def _cmd_list_observables(args, spec: SystemSpec, opts: dict) -> int:
+    if args.emit_config:
+        return _emit_config(args, spec, opts)
+    cat = systems.catalog(spec)
+    lines = [f"system: {spec.system_id}  kappa: {_fmt(spec.kappa)}"]
+    lines.append("integrals: " + " ".join(cat.integrals))
+    lines.append("auxiliary: " + " ".join(cat.aux))
+    if cat.complexes:
+        lines.append("complex: " + " ".join(cat.complexes))
+    for name, group in cat.involution_sets.items():
+        lines.append(f"involution {name}: " + " ".join(group))
+    for name, group in cat.independence_sets.items():
+        lines.append(f"independence {name}: " + " ".join(group))
+    _emit(args, "\n".join(lines) + "\n")
+    return 0
+
+
+def _initial_state(spec: SystemSpec, opts: dict, rng) -> np.ndarray:
+    """opts["y0"], drawn from rng when it is 'random' and then kept in opts."""
+    if opts["y0"] == "random":
+        y0 = dynamics.sample_state(spec, rng, min_angular=0.3)
+        if opts.get("chart") == "rho":
+            # The rho chart covers the hemisphere cos_k(r) > 0; retry
+            # random draws until they land on it.
+            for _ in range(1000):
+                if cos_k(spec.kappa, y0[0]) > 0.05:
+                    break
+                y0 = dynamics.sample_state(spec, rng, min_angular=0.3)
+        opts["y0"] = [float(v) for v in y0]
+    return np.array(opts["y0"])
+
+
+def _cmd_trajectory(args, spec: SystemSpec, opts: dict) -> int:
+    y0 = _initial_state(spec, opts, np.random.default_rng(opts["seed"]))
+    if args.emit_config:
+        return _emit_config(args, spec, opts)
+    rho = opts["chart"] == "rho"
+    if rho:
+        # y0 is always given in the base chart and transformed here.
+        from .geometry import PhaseState, to_rho_chart
+
+        y0 = to_rho_chart(spec.kappa, PhaseState.from_array(y0)).as_array()
+        rhs = systems.rho_chart_rhs(spec)
+    else:
+        rhs = systems.hamilton_rhs(spec)
+    traj = dynamics.integrate(rhs, y0, (0.0, opts["t_max"]), method=opts["method"],
+                              dt=opts["dt"], tol=opts["tol"])
+    labels = ("rho" if rho else "r", "theta", "phi",
+              "p_rho" if rho else "p_r", "p_theta", "p_phi")
+    rows = ["t," + ",".join(labels)]
+    for i in range(0, len(traj.times), opts["every"]):
+        rows.append(
+            ",".join([_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]])
+        )
+    _emit(args, "\n".join(rows) + "\n")
+    if traj.truncated:
+        print(f"warning: trajectory truncated: {traj.diagnostics.get('reason')}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_potential(args, spec: SystemSpec, opts: dict) -> int:
+    if args.emit_config:
+        return _emit_config(args, spec, opts)
+    profile = systems.potential_profile(
+        spec, np.linspace(opts["r_min"], opts["r_max"], opts["n"]),
+        theta=opts["theta"], phi=opts["phi"],
+    )
+    rows = ["r,V"]
+    for r, v in profile:
+        rows.append(f"{_fmt(r)},{'nan' if math.isnan(v) else _fmt(v)}")
+    _emit(args, "\n".join(rows) + "\n")
+    return 0
+
+
+def _audit_conservation(spec, rng, opts, lines) -> bool:
+    ok = True
+    cat = systems.catalog(spec)
+    watch = dict(cat.integrals)
+    watch["H"] = cat.aux["H"]
+    rhs = systems.hamilton_rhs(spec)
+    for run in range(opts["ics"]):
+        y0 = dynamics.sample_state(spec, rng, min_angular=0.3)
+        traj = dynamics.integrate(rhs, y0, (0.0, opts["t_max"]), tol=1e-12)
+        if traj.truncated:
+            lines.append(f"FAIL conservation run{run} truncated: "
+                         f"{traj.diagnostics.get('reason')}")
+            ok = False
+            continue
+        report = dynamics.conservation_report(watch, traj)
+        for name, entry in report.items():
+            tol = opts["tol"] if opts["tol"] is not None else (
+                1e-7 if name.startswith("KR") else 1e-8
+            )
+            good = entry["rel_drift"] < tol
+            ok &= good
+            lines.append(
+                f"{'PASS' if good else 'FAIL'} conservation run{run} {name} "
+                f"rel_drift={entry['rel_drift']:.3e} tol={tol:.1e}"
+            )
+    return ok
+
+
+def _audit_brackets(spec, rng, opts, lines) -> bool:
+    tol = opts["tol"] if opts["tol"] is not None else 1e-10
+    states = [dynamics.sample_state(spec, rng) for _ in range(opts["states"])]
+    ok = True
+    for res in dynamics.bracket_table_audit(spec, states, rng):
+        good = res.residual < tol
+        ok &= good
+        lines.append(f"{'PASS' if good else 'FAIL'} bracket {res.name} "
+                     f"residual={res.residual:.3e} tol={tol:.1e}")
+    return ok
+
+
+def _audit_rank(spec, rng, opts, lines) -> bool:
+    threshold = opts["tol"] if opts["tol"] is not None else 1e-6
+    n_states = opts["states"]
+    cat = systems.catalog(spec)
+    ok = True
+    for set_name, names in cat.independence_sets.items():
+        obs = [cat.observables[n] for n in names]
+        expected = len(obs)
+        hits = 0
+        for _ in range(n_states):
+            y = dynamics.sample_state(spec, rng)
+            if dynamics.independence_rank(obs, y, threshold=threshold) == expected:
+                hits += 1
+        frac = hits / n_states
+        good = frac >= 0.95
+        ok &= good
+        lines.append(f"{'PASS' if good else 'FAIL'} rank {set_name} "
+                     f"fraction={frac:.3f} threshold={threshold:.1e}")
+    return ok
+
+
+def _audit_fradkin(spec, rng, opts, lines) -> bool:
+    tol = opts["tol"] if opts["tol"] is not None else 1e-10
+    if spec.system_id != "oscillator":
+        lines.append("SKIP fradkin (oscillator only)")
+        return True
+    worst: dict = {}
+    for _ in range(opts["states"]):
+        y = dynamics.sample_state(spec, rng)
+        for name, val in dynamics.fradkin_audit(spec.kappa, spec.alpha, y).items():
+            worst[name] = max(worst.get(name, 0.0), val)
+    ok = True
+    for name, val in worst.items():
+        good = val < tol
+        ok &= good
+        lines.append(f"{'PASS' if good else 'FAIL'} fradkin {name} "
+                     f"residual={val:.3e} tol={tol:.1e}")
+    return ok
+
+
+_AUDITS = {"conservation": _audit_conservation, "brackets": _audit_brackets,
+           "rank": _audit_rank, "fradkin": _audit_fradkin}
+
+
+def _cmd_audit(args, spec: SystemSpec, opts: dict) -> int:
+    rng = np.random.default_rng(opts["seed"])
+    if args.emit_config:
+        return _emit_config(args, spec, opts)
+    lines: list = []
+    ok = True
+    for kind in _AUDITS if opts["kind"] == "all" else (opts["kind"],):
+        ok &= _AUDITS[kind](spec, rng, opts, lines)
+    lines.append("AUDIT " + ("PASS" if ok else "FAIL"))
+    _emit(args, "\n".join(lines) + "\n")
+    return 0 if ok else 1
+
+
+def _cmd_closed_orbit(args, spec: SystemSpec, opts: dict) -> int:
+    y0 = _initial_state(spec, opts, np.random.default_rng(opts["seed"]))
+    if args.emit_config:
+        return _emit_config(args, spec, opts)
+    try:
+        result = dynamics.closed_orbit_check(
+            spec, y0, opts["t_max"], return_tol=opts["return_tol"]
+        )
+    except DomainSingularity as exc:
+        _emit(args, f"NOT FOUND singular trajectory: {exc}\n")
+        return 1
+    if result.found:
+        _emit(args, f"FOUND period={_fmt(result.period)} "
+                    f"distance={result.distance:.3e}\n")
+        return 0
+    _emit(args, f"NOT FOUND best_distance={result.distance:.3e}\n")
+    return 1
+
+
+# ---------------------------------------------------------------------------
+# Option tables: one (name, conversion, default, help) entry per option.
+# The name is the config key and, with "-" for "_", the flag.  A system
+# parameter's key lives in "params", the seed's at the top level, and
+# the others in the section named after the subcommand.  A callable
+# default is computed from the options resolved before it.
+
+_SYSTEM = (
+    ("system", str, None, "required: " + ", ".join(systems.SYSTEM_IDS)),
+    ("kappa", _real, 1.0, "curvature (default 1)"),
+) + tuple((name, _real, None, "system parameter") for name in _PARAM_NAMES)
+_SEED = ("seed", _integer(0), lambda o: int(os.environ.get("CURVEDYN_SEED", DEFAULT_SEED)),
+         "random seed (default $CURVEDYN_SEED, then built in)")
+_Y0_HELP = "six comma-separated values r,theta,phi,p_r,p_theta,p_phi or 'random'"
+
+_COMMANDS = {
+    # subcommand: (implementation, help, its table)
+    "list-observables": (_cmd_list_observables, "integral catalog of a system", ()),
+    "trajectory": (_cmd_trajectory, "integrate and emit states as CSV", (
+        _SEED,
+        ("y0", _y0, "random", _Y0_HELP),
+        ("t_max", _real, 10.0, None),
+        ("method", _choice(*dynamics.METHODS), "rk45_adaptive", ", ".join(dynamics.METHODS)),
+        ("tol", _real, 1e-10, None),
+        ("dt", _real, None, None),
+        ("every", _integer(1), 1, "emit every N-th stored sample"),
+        ("chart", _choice("base", "rho"), "base", "integrate in the base or the rho chart"),
+    )),
+    "potential": (_cmd_potential, "radial potential profile as CSV", (
+        ("r_min", _real, 0.15, None),
+        ("r_max", _real, lambda o: math.pi / math.sqrt(o["kappa"]) - 0.15
+         if o["kappa"] > 0.0 else 2.5, "default pi/sqrt(kappa) - 0.15, or 2.5"),
+        ("n", _integer(1), 100, None),
+        ("theta", _real, math.pi / 2.0, None),
+        ("phi", _real, math.pi / 4.0, None),
+    )),
+    "audit": (_cmd_audit, "run verification audits", (
+        _SEED,
+        ("kind", _choice(*_AUDITS, "all"), "all", ", ".join((*_AUDITS, "all"))),
+        ("states", _integer(1), 50, "number of random audit states"),
+        ("ics", _integer(1), 3, "number of trajectories for the conservation audit"),
+        ("t_max", _real, 20.0, None),
+        ("tol", _real, None, "override the default tolerance of every check"),
+    )),
+    "closed-orbit": (_cmd_closed_orbit, "search for a periodic return", (
+        _SEED,
+        ("y0", _y0, "random", _Y0_HELP),
+        ("t_max", _real, 40.0, None),
+        ("return_tol", _real, 1e-4, None),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,63 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="curvature-parametrized Hamiltonian systems toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     sub.add_parser("list-systems", help="available systems")
-
-    p = sub.add_parser("list-observables", help="integral catalog of a system")
-    _add_system_args(p)
-    _add_common_args(p)
-
-    p = sub.add_parser("trajectory", help="integrate and emit states as CSV")
-    _add_system_args(p)
-    _add_common_args(p)
-    p.add_argument("--y0", default=None,
-                   help="six comma-separated values r,theta,phi,p_r,p_theta,p_phi "
-                        "or 'random'")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--method", choices=dynamics.METHODS, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--every", type=int, default=None,
-                   help="emit every N-th stored sample")
-    p.add_argument("--chart", choices=["base", "rho"], default=None,
-                   help="integrate in the base chart or the rho chart")
-
-    p = sub.add_parser("potential", help="radial potential profile as CSV")
-    _add_system_args(p)
-    _add_common_args(p)
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
-
-    p = sub.add_parser("audit", help="run verification audits")
-    _add_system_args(p)
-    _add_common_args(p)
-    p.add_argument("--kind",
-                   choices=["conservation", "brackets", "rank", "fradkin", "all"],
-                   default="all")
-    p.add_argument("--states", type=int, default=None,
-                   help="number of random audit states")
-    p.add_argument("--ics", type=int, default=None,
-                   help="number of trajectories for the conservation audit")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the default tolerance of every check")
-
-    p = sub.add_parser("closed-orbit", help="search for a periodic return")
-    _add_system_args(p)
-    _add_common_args(p)
-    p.add_argument("--y0", default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--return-tol", type=float, default=None)
-
+    for command, (_, text, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, *_, option_help in _SYSTEM + table:
+            p.add_argument("--" + name.replace("_", "-"), help=option_help)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--emit-config", action="store_true",
+                       help="print the effective config as JSON and exit")
+        p.add_argument("--output", help="output path (default stdout)")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Config handling.
+# Config handling and output.
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
@@ -144,361 +388,78 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _merged_option(args, cfg: dict, section: str, name: str, fallback):
-    """CLI flag if given, else config value, else fallback."""
-    cli_val = getattr(args, name.replace("-", "_"), None)
-    if cli_val is not None:
-        return cli_val
-    if section and isinstance(cfg.get(section), dict) and name in cfg[section]:
-        return cfg[section][name]
-    if name in cfg:
-        return cfg[name]
-    return fallback
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValueError(f"config {key!r} must be a JSON object, got {section!r}")
+    return section
 
 
-def _positive_count(name: str, value) -> int:
-    """A count option as an int, rejecting zero and negative values."""
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"--{name} must be a positive integer, got {value!r}")
-    return count
+def _options(args, cfg: dict) -> dict:
+    """Each option from its flag, config section, top-level config key or
+    default, the first not None; a value that fails its conversion
+    raises ValueError("--name ...")."""
+    section = _section(cfg, args.command.replace("-", "_"))
+    params = _section(cfg, "params")
+    opts = {}
+    for name, convert, default, _ in _SYSTEM + _COMMANDS[args.command][2]:
+        where = params if name in _PARAM_NAMES else section
+        for value in (getattr(args, name), where.get(name), cfg.get(name)):
+            if value is not None:
+                try:
+                    opts[name] = convert(value)
+                except ValueError as exc:
+                    raise ValueError(f"--{name.replace('_', '-')} {exc}") from None
+                break
+        else:
+            opts[name] = default(opts) if callable(default) else default
+    return opts
 
 
-def _build_spec(args, cfg: dict) -> SystemSpec:
-    system = _merged_option(args, cfg, "", "system", None)
+def _build_spec(opts: dict) -> SystemSpec:
+    system, kappa = opts["system"], opts["kappa"]
     if system is None:
         raise ValueError("--system is required (or supply it in --config)")
-    kappa = _merged_option(args, cfg, "", "kappa", 1.0)
-    params = dict(cfg.get("params", {}))
-    for name in _PARAM_NAMES:
-        val = getattr(args, name)
-        if val is not None:
-            params[name] = val
-    allowed = make_system(system, kappa).params
-    params = {k: v for k, v in params.items() if k in allowed}
+    params = {name: opts[name] for name in make_system(system, kappa).params
+              if opts[name] is not None}
     return make_system(system, kappa, **params)
 
 
-def _spec_config(spec: SystemSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "system": spec.system_id,
-        "kappa": spec.kappa,
-        "params": spec.params,
-    }
-
-
-def _get_rng(args, cfg: dict) -> tuple[np.random.Generator, int]:
-    seed = _merged_option(args, cfg, "", "seed", None)
-    if seed is None:
-        seed = int(os.environ.get("CURVEDYN_SEED", DEFAULT_SEED))
-    return np.random.default_rng(int(seed)), int(seed)
-
-
-def _open_output(args):
-    if args.output is None:
-        return sys.stdout, False
-    return open(args.output, "w"), True
+def _emit_config(args, spec: SystemSpec, opts: dict) -> int:
+    """Print the resolved run as a config file that --config reads back."""
+    out = {"schema_version": SCHEMA_VERSION, "system": spec.system_id,
+           "kappa": spec.kappa, "params": spec.params}
+    section = {name: opts[name] for name, *_ in _COMMANDS[args.command][2]}
+    if "seed" in section:
+        out["seed"] = section.pop("seed")
+    if section:
+        out[args.command.replace("-", "_")] = section
+    print(json.dumps(out, indent=2))
+    return 0
 
 
 def _emit(args, text: str) -> None:
-    fh, close = _open_output(args)
+    if args.output is None:
+        sys.stdout.write(text)
+        return
     try:
-        fh.write(text)
-    finally:
-        if close:
-            fh.close()
-
-
-# ---------------------------------------------------------------------------
-# Subcommand implementations.
-
-def _cmd_list_systems(args) -> int:
-    lines = []
-    for sid in systems.SYSTEM_IDS:
-        params = ", ".join(make_system(sid, 0.0).params) or "none"
-        lines.append(f"{sid:12s} params: {params:24s} {systems.system_summaries()[sid]}")
-    print("\n".join(lines))
-    return 0
-
-
-def _cmd_list_observables(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(args, cfg)
-    if args.emit_config:
-        print(json.dumps(_spec_config(spec), indent=2))
-        return 0
-    cat = systems.catalog(spec)
-    lines = [f"system: {spec.system_id}  kappa: {_fmt(spec.kappa)}"]
-    lines.append("integrals: " + " ".join(cat.integrals))
-    lines.append("auxiliary: " + " ".join(cat.aux))
-    if cat.complexes:
-        lines.append("complex: " + " ".join(cat.complexes))
-    for name, group in cat.involution_sets.items():
-        lines.append(f"involution {name}: " + " ".join(group))
-    for name, group in cat.independence_sets.items():
-        lines.append(f"independence {name}: " + " ".join(group))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _parse_y0(text: str, spec: SystemSpec, rng) -> np.ndarray:
-    if text == "random":
-        return dynamics.sample_state(spec, rng, min_angular=0.3)
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 6:
-        raise ValueError("--y0 needs six comma-separated values or 'random'")
-    return np.array(parts)
-
-
-def _cmd_trajectory(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(args, cfg)
-    rng, seed = _get_rng(args, cfg)
-    t_max = _merged_option(args, cfg, "trajectory", "t_max", 10.0)
-    method = _merged_option(args, cfg, "trajectory", "method", "rk45_adaptive")
-    tol = _merged_option(args, cfg, "trajectory", "tol", 1e-10)
-    dt = _merged_option(args, cfg, "trajectory", "dt", None)
-    every = _positive_count("every", _merged_option(args, cfg, "trajectory", "every", 1))
-    chart = _merged_option(args, cfg, "trajectory", "chart", "base")
-    y0_text = _merged_option(args, cfg, "trajectory", "y0", "random")
-    if isinstance(y0_text, (list, tuple)):
-        y0 = np.array([float(v) for v in y0_text])
-    else:
-        y0 = _parse_y0(str(y0_text), spec, rng)
-    if chart == "rho" and str(y0_text) == "random":
-        # The rho chart covers the hemisphere cos_k(r) > 0; retry random
-        # draws until they land on it.
-        from .kappa_core import cos_k
-
-        for _ in range(1000):
-            if cos_k(spec.kappa, y0[0]) > 0.05:
-                break
-            y0 = dynamics.sample_state(spec, rng, min_angular=0.3)
-    if args.emit_config:
-        out = _spec_config(spec)
-        out["seed"] = seed
-        out["trajectory"] = {
-            "y0": list(map(float, y0)),
-            "t_max": float(t_max),
-            "method": method,
-            "tol": float(tol),
-            "dt": dt,
-            "every": every,
-            "chart": chart,
-        }
-        print(json.dumps(out, indent=2))
-        return 0
-    if chart == "rho":
-        # y0 is always given in the base chart and transformed here.
-        from .geometry import PhaseState, to_rho_chart
-
-        y0 = to_rho_chart(spec.kappa, PhaseState.from_array(y0)).as_array()
-        rhs = systems.rho_chart_rhs(spec)
-    else:
-        rhs = systems.hamilton_rhs(spec)
-    traj = dynamics.integrate(
-        rhs, y0, (0.0, float(t_max)), method=method, dt=dt, tol=float(tol)
-    )
-    labels = ("rho" if chart == "rho" else "r", "theta", "phi",
-              "p_rho" if chart == "rho" else "p_r", "p_theta", "p_phi")
-    rows = ["t," + ",".join(labels)]
-    for i in range(0, len(traj.times), every):
-        rows.append(
-            ",".join([_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]])
-        )
-    _emit(args, "\n".join(rows) + "\n")
-    if traj.truncated:
-        print(f"warning: trajectory truncated: {traj.diagnostics.get('reason')}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_potential(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(args, cfg)
-    if spec.kappa > 0.0:
-        top = math.pi / math.sqrt(spec.kappa) - 0.15
-    else:
-        top = 2.5
-    r_min = float(_merged_option(args, cfg, "potential", "r_min", 0.15))
-    r_max = float(_merged_option(args, cfg, "potential", "r_max", top))
-    n = _positive_count("n", _merged_option(args, cfg, "potential", "n", 100))
-    theta = float(_merged_option(args, cfg, "potential", "theta", math.pi / 2.0))
-    phi = float(_merged_option(args, cfg, "potential", "phi", math.pi / 4.0))
-    if args.emit_config:
-        out = _spec_config(spec)
-        out["potential"] = {"r_min": r_min, "r_max": r_max, "n": n,
-                            "theta": theta, "phi": phi}
-        print(json.dumps(out, indent=2))
-        return 0
-    profile = systems.potential_profile(
-        spec, np.linspace(r_min, r_max, n), theta=theta, phi=phi
-    )
-    rows = ["r,V"]
-    for r, v in profile:
-        rows.append(f"{_fmt(r)},{'nan' if math.isnan(v) else _fmt(v)}")
-    _emit(args, "\n".join(rows) + "\n")
-    return 0
-
-
-def _audit_conservation(spec, rng, ics, t_max, tol_override, lines) -> bool:
-    ok = True
-    cat = systems.catalog(spec)
-    watch = dict(cat.integrals)
-    watch["H"] = cat.aux["H"]
-    rhs = systems.hamilton_rhs(spec)
-    for run in range(ics):
-        y0 = dynamics.sample_state(spec, rng, min_angular=0.3)
-        traj = dynamics.integrate(rhs, y0, (0.0, t_max), tol=1e-12)
-        if traj.truncated:
-            lines.append(f"FAIL conservation run{run} truncated: "
-                         f"{traj.diagnostics.get('reason')}")
-            ok = False
-            continue
-        report = dynamics.conservation_report(watch, traj)
-        for name, entry in report.items():
-            tol = tol_override if tol_override is not None else (
-                1e-7 if name.startswith("KR") else 1e-8
-            )
-            good = entry["rel_drift"] < tol
-            ok &= good
-            lines.append(
-                f"{'PASS' if good else 'FAIL'} conservation run{run} {name} "
-                f"rel_drift={entry['rel_drift']:.3e} tol={tol:.1e}"
-            )
-    return ok
-
-
-def _audit_brackets(spec, rng, n_states, tol_override, lines) -> bool:
-    tol = tol_override if tol_override is not None else 1e-10
-    states = [dynamics.sample_state(spec, rng) for _ in range(n_states)]
-    ok = True
-    for res in dynamics.bracket_table_audit(spec, states, rng):
-        good = res.residual < tol
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} bracket {res.name} "
-                     f"residual={res.residual:.3e} tol={tol:.1e}")
-    return ok
-
-
-def _audit_rank(spec, rng, n_states, tol_override, lines) -> bool:
-    threshold = tol_override if tol_override is not None else 1e-6
-    cat = systems.catalog(spec)
-    ok = True
-    for set_name, names in cat.independence_sets.items():
-        obs = [cat.observables[n] for n in names]
-        expected = len(obs)
-        hits = 0
-        for _ in range(n_states):
-            y = dynamics.sample_state(spec, rng)
-            if dynamics.independence_rank(obs, y, threshold=threshold) == expected:
-                hits += 1
-        frac = hits / n_states
-        good = frac >= 0.95
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} rank {set_name} "
-                     f"fraction={frac:.3f} threshold={threshold:.1e}")
-    return ok
-
-
-def _audit_fradkin(spec, rng, n_states, tol_override, lines) -> bool:
-    tol = tol_override if tol_override is not None else 1e-10
-    if spec.system_id != "oscillator":
-        lines.append("SKIP fradkin (oscillator only)")
-        return True
-    worst: dict = {}
-    for _ in range(n_states):
-        y = dynamics.sample_state(spec, rng)
-        for name, val in dynamics.fradkin_audit(spec.kappa, spec.alpha, y).items():
-            worst[name] = max(worst.get(name, 0.0), val)
-    ok = True
-    for name, val in worst.items():
-        good = val < tol
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} fradkin {name} "
-                     f"residual={val:.3e} tol={tol:.1e}")
-    return ok
-
-
-def _cmd_audit(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(args, cfg)
-    rng, seed = _get_rng(args, cfg)
-    n_states = _positive_count("states", _merged_option(args, cfg, "audit", "states", 50))
-    ics = _positive_count("ics", _merged_option(args, cfg, "audit", "ics", 3))
-    t_max = float(_merged_option(args, cfg, "audit", "t_max", 20.0))
-    if args.emit_config:
-        out = _spec_config(spec)
-        out["seed"] = seed
-        out["audit"] = {"kind": args.kind, "states": n_states, "ics": ics,
-                        "t_max": t_max, "tol": args.tol}
-        print(json.dumps(out, indent=2))
-        return 0
-    lines: list = []
-    ok = True
-    kinds = (("conservation", "brackets", "rank", "fradkin")
-             if args.kind == "all" else (args.kind,))
-    for kind in kinds:
-        if kind == "conservation":
-            ok &= _audit_conservation(spec, rng, ics, t_max, args.tol, lines)
-        elif kind == "brackets":
-            ok &= _audit_brackets(spec, rng, n_states, args.tol, lines)
-        elif kind == "rank":
-            ok &= _audit_rank(spec, rng, n_states, args.tol, lines)
-        elif kind == "fradkin":
-            ok &= _audit_fradkin(spec, rng, n_states, args.tol, lines)
-    lines.append("AUDIT " + ("PASS" if ok else "FAIL"))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
-
-
-def _cmd_closed_orbit(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(args, cfg)
-    rng, seed = _get_rng(args, cfg)
-    t_max = float(_merged_option(args, cfg, "closed_orbit", "t_max", 40.0))
-    return_tol = float(_merged_option(args, cfg, "closed_orbit", "return_tol", 1e-4))
-    y0_text = _merged_option(args, cfg, "closed_orbit", "y0", "random")
-    if isinstance(y0_text, (list, tuple)):
-        y0 = np.array([float(v) for v in y0_text])
-    else:
-        y0 = _parse_y0(str(y0_text), spec, rng)
-    if args.emit_config:
-        out = _spec_config(spec)
-        out["seed"] = seed
-        out["closed_orbit"] = {"y0": list(map(float, y0)), "t_max": t_max,
-                               "return_tol": return_tol}
-        print(json.dumps(out, indent=2))
-        return 0
-    try:
-        result = dynamics.closed_orbit_check(
-            spec, y0, t_max, return_tol=return_tol
-        )
-    except DomainSingularity as exc:
-        _emit(args, f"NOT FOUND singular trajectory: {exc}\n")
-        return 1
-    if result.found:
-        _emit(args, f"FOUND period={_fmt(result.period)} "
-                    f"distance={result.distance:.3e}\n")
-        return 0
-    _emit(args, f"NOT FOUND best_distance={result.distance:.3e}\n")
-    return 1
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write output file {args.output!r}: {exc.strerror or exc}"
+        ) from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "list-systems": _cmd_list_systems,
-        "list-observables": _cmd_list_observables,
-        "trajectory": _cmd_trajectory,
-        "potential": _cmd_potential,
-        "audit": _cmd_audit,
-        "closed-orbit": _cmd_closed_orbit,
-    }
     try:
-        return handlers[args.command](args)
+        if args.command == "list-systems":
+            return _cmd_list_systems()
+        opts = _options(args, _load_config(args.config))
+        return _COMMANDS[args.command][0](args, _build_spec(opts), opts)
     except (ValueError, dynamics.NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

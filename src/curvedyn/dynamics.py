@@ -347,9 +347,9 @@ def integrate(
 
     Bad input raises ValueError at once: a y0 that is not a finite 1-D
     vector, a t_span whose ends are not finite with t1 > t0, an unknown
-    method, or a missing or non-positive dt.  A domain singularity
-    encountered mid-run truncates the trajectory at the last good state
-    (the adaptive method first retries with smaller steps down to
+    method, a missing or non-positive dt, or a tol that is not positive
+    and finite.  A domain singularity encountered mid-run truncates the
+    trajectory at the last good state (the adaptive method first retries with smaller steps down to
     dt_min, unless the rhs fails at the initial state itself) and sets
     the truncated flag with a reason in the diagnostics.  A run likewise
     truncates with reason "non-finite state" at the last finite state:
@@ -371,6 +371,8 @@ def integrate(
         raise ValueError(f"y0 must be a finite 1-D state vector, got {y0!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     diag = {"method": method, "tol": tol, "dt": dt}

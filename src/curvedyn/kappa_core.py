@@ -61,13 +61,9 @@ class Curvature:
         return self.kappa
 
 
-def _as_kappa(kappa) -> float:
-    return float(kappa)
-
-
 def cos_k(kappa, x: float) -> float:
     """cos(sqrt(kappa) x), continued through kappa <= 0."""
-    kap = _as_kappa(kappa)
+    kap = float(kappa)
     u = kap * x * x
     if abs(u) < SMALL_KAPPA_X2:
         # 1 - u/2 + u^2/24; next term u^3/720 is below roundoff here.
@@ -79,7 +75,7 @@ def cos_k(kappa, x: float) -> float:
 
 def sin_k(kappa, x: float) -> float:
     """sin(sqrt(kappa) x)/sqrt(kappa), continued through kappa <= 0."""
-    kap = _as_kappa(kappa)
+    kap = float(kappa)
     u = kap * x * x
     if abs(u) < SMALL_KAPPA_X2:
         return x * (1.0 - u / 6.0 + u * u / 120.0)
@@ -105,7 +101,7 @@ def d_sin_k(kappa, x: float) -> float:
 
 def d_cos_k(kappa, x: float) -> float:
     """Derivative of cos_k in x, equal to -kappa sin_k."""
-    return -_as_kappa(kappa) * sin_k(kappa, x)
+    return -float(kappa) * sin_k(kappa, x)
 
 
 def d_tan_k(kappa, x: float, eps: float = EPS_DOM) -> float:
@@ -118,7 +114,7 @@ def d_tan_k(kappa, x: float, eps: float = EPS_DOM) -> float:
 
 def arcsin_k(kappa, y: float) -> float:
     """Inverse of sin_k on the principal branch."""
-    kap = _as_kappa(kappa)
+    kap = float(kappa)
     u = kap * y * y
     if abs(u) < SMALL_KAPPA_X2:
         return y * (1.0 + u / 6.0 + 3.0 * u * u / 40.0)
@@ -134,7 +130,7 @@ def arcsin_k(kappa, y: float) -> float:
 
 def arctan_k(kappa, y: float) -> float:
     """Inverse of tan_k on the principal branch."""
-    kap = _as_kappa(kappa)
+    kap = float(kappa)
     u = kap * y * y
     if abs(u) < SMALL_KAPPA_X2:
         return y * (1.0 - u / 3.0 + u * u / 5.0)

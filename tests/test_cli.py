@@ -1,11 +1,17 @@
 """Command line interface: outputs, exit codes, config merging, seeds."""
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvedyn.cli import main
+from curvedyn.dynamics import METHODS
+from curvedyn.systems import SYSTEM_IDS
 
 OSC_BOUND_Y0 = "0.8,1.2,0.4,0.15,0.3,0.35"
 
@@ -136,24 +142,32 @@ def test_seed_from_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_emit_config_round_trip(tmp_path, capsys):
-    args = ("trajectory", "--system", "kepler", "--kappa", "-1", "--k", "-1",
-            "--y0", "0.9,1.3,0.2,0.1,0.25,0.45", "--t-max", "2.0",
-            "--tol", "1e-11", "--seed", "9")
-    code, out, _ = run(capsys, *args, "--emit-config")
-    assert code == 0
-    cfg = json.loads(out)
-    assert cfg["schema_version"] == 1
-    assert cfg["system"] == "kepler" and cfg["params"] == {"k": -1.0}
-    assert cfg["trajectory"]["tol"] == 1e-11
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(out)
+    """Every key --emit-config writes is read back: the file replays the run."""
+    runs = (
+        (("trajectory", "--system", "kepler", "--kappa", "-1", "--k", "-1",
+          "--y0", "0.9,1.3,0.2,0.1,0.25,0.45", "--t-max", "2.0",
+          "--tol", "1e-11", "--seed", "9"),
+         {"k": -1.0}, {"tol": 1e-11}),
+        (("audit", "--system", "free", "--kappa", "0.7", "--kind", "rank",
+          "--tol", "1e-4", "--states", "10", "--seed", "9"),
+         {}, {"kind": "rank", "tol": 1e-4}),
+    )
+    for args, params, entries in runs:
+        code, out, _ = run(capsys, *args, "--emit-config")
+        assert code == 0
+        cfg = json.loads(out)
+        assert cfg["schema_version"] == 1
+        assert cfg["system"] == args[2] and cfg["params"] == params
+        assert {k: cfg[args[0]][k] for k in entries} == entries
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(out)
 
-    direct = tmp_path / "direct.csv"
-    via_cfg = tmp_path / "via_cfg.csv"
-    assert main(list(args) + ["--output", str(direct)]) == 0
-    assert main(["trajectory", "--config", str(cfg_path), "--output", str(via_cfg)]) == 0
-    capsys.readouterr()
-    assert direct.read_bytes() == via_cfg.read_bytes()
+        direct = tmp_path / "direct.csv"
+        via_cfg = tmp_path / "via_cfg.csv"
+        assert main(list(args) + ["--output", str(direct)]) == 0
+        assert main([args[0], "--config", str(cfg_path), "--output", str(via_cfg)]) == 0
+        capsys.readouterr()
+        assert direct.read_bytes() == via_cfg.read_bytes(), args[0]
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):
@@ -173,7 +187,8 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 
 def test_config_bad_schema_version(tmp_path, capsys):
     """A wrong schema_version, an unknown system in a config, a missing
-    --system and a short --y0 exit 2."""
+    --system, a short --y0, and a bad value in a config file or a flag
+    exit 2."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99, "system": "free"}))
     assert_cli_error(capsys, ["trajectory", "--config", str(bad)],
@@ -184,6 +199,21 @@ def test_config_bad_schema_version(tmp_path, capsys):
     assert_cli_error(capsys, ["trajectory", "--y0", OSC_BOUND_Y0], "--system is required")
     assert_cli_error(capsys, ["trajectory", "--system", "free", "--y0", "1,2"],
                      "--y0 needs six comma-separated values")
+    # Config values pass the same checks as flags.
+    for entries, fragment in (
+        ({"trajectory": {"chart": "bogus"}}, "--chart must be one of base, rho, got 'bogus'"),
+        ({"trajectory": {"every": 2.5}}, "--every must be a positive integer, got 2.5"),
+        ({"trajectory": {"y0": [0.7, 1.1]}}, "--y0 needs six comma-separated values"),
+        ({"params": [1]}, "config 'params' must be a JSON object"),
+    ):
+        bad.write_text(json.dumps({"schema_version": 1, "system": "oscillator", **entries}))
+        assert_cli_error(capsys, ["trajectory", "--config", str(bad), "--t-max", "0.1"],
+                         fragment)
+    # A bad flag value prints one error line, not argparse's usage.
+    assert_cli_error(capsys, ["trajectory", "--system", "free", "--kappa", "abc"],
+                     "--kappa must be a number, got 'abc'")
+    assert_cli_error(capsys, ["audit", "--system", "free", "--kind", "bogus"],
+                     "--kind must be one of conservation, brackets, rank, fradkin, all")
 
 
 def test_potential_csv(capsys):
@@ -302,6 +332,14 @@ def test_config_file_missing_or_unreadable(tmp_path, capsys):
     assert_cli_error(capsys, ["potential", "--config", str(bad)], "is not valid JSON")
 
 
+def test_unwritable_output(tmp_path, capsys):
+    """An output path that cannot be opened is an error, not a traceback."""
+    base = ["potential", "--system", "kepler", "--kappa", "1", "--n", "3"]
+    for path in (tmp_path, tmp_path / "absent" / "out.csv"):
+        assert_cli_error(capsys, base + ["--output", str(path)],
+                         f"cannot write output file {str(path)!r}")
+
+
 def test_trajectory_every_must_be_positive(tmp_path, capsys):
     base = ["trajectory", "--system", "oscillator", "--kappa", "1", "--y0", OSC_BOUND_Y0]
     for every in ("0", "-3"):
@@ -332,3 +370,104 @@ def test_random_state_beyond_kappa_limit(capsys):
         capsys, ["trajectory", "--system", "oscillator", "--kappa", "200", "--t-max", "1"],
         "kappa < 109.662, got kappa = 200.0",
     )
+
+
+# ---------------------------------------------------------------------------
+# Property: any mix of flags and config entries, each valid, out of range,
+# of the wrong type or missing, ends in status 0, 1 or 2, and a 2 prints
+# one error line and nothing else.
+
+_FLOAT_JUNK = (True, "abc", "", [1.0], {"x": 1})
+_INT_JUNK = _FLOAT_JUNK + (2.5,)
+_CHOICE_JUNK = (5, True, ["free"])
+# option: (valid values, out-of-range values, wrong-type config values).
+# The valid values keep every run short.
+_SPACE = {
+    "system": (st.sampled_from(SYSTEM_IDS), ("harmonic",), _CHOICE_JUNK),
+    "kappa": (st.sampled_from((-1.0, -0.3, 0.0, 0.7, 1.0)), (200.0, math.inf, math.nan),
+              _FLOAT_JUNK),
+    "alpha": (st.floats(0.5, 2.0), (math.nan,), _FLOAT_JUNK),
+    "k": (st.floats(-2.0, -0.5), (math.nan,), _FLOAT_JUNK),
+    **{name: (st.floats(0.05, 0.3), (math.nan,), _FLOAT_JUNK) for name in ("k1", "k2", "k3")},
+    "seed": (st.integers(0, 2**32 - 1), (-1,), _INT_JUNK),
+    "y0": (st.sampled_from(("random", [0.8, 1.2, 0.4, 0.15, 0.3, 0.35])),
+           ([0.7, 1.1], [math.nan] * 6), (True, 5, "abc", {"x": 1})),
+    "t_max": (st.floats(0.01, 0.05), (-1.0, 0.0, math.nan), _FLOAT_JUNK),
+    "method": (st.sampled_from(METHODS), ("euler",), _CHOICE_JUNK),
+    "tol": (st.floats(1e-10, 1e-6), (0.0, -1.0, math.inf), _FLOAT_JUNK),
+    "dt": (st.floats(0.01, 0.05), (0.0, -0.01), _FLOAT_JUNK),
+    "every": (st.integers(1, 4), (0, -3), _INT_JUNK),
+    "chart": (st.sampled_from(("base", "rho")), ("bogus",), _CHOICE_JUNK),
+    "r_min": (st.floats(0.1, 1.0), (math.nan, -1.0), _FLOAT_JUNK),
+    "r_max": (st.floats(1.0, 2.0), (math.inf,), _FLOAT_JUNK),
+    "n": (st.integers(1, 20), (0,), _INT_JUNK),
+    "theta": (st.floats(0.1, 3.0), (math.inf,), _FLOAT_JUNK),
+    "phi": (st.floats(0.0, 6.0), (math.nan,), _FLOAT_JUNK),
+    "kind": (st.sampled_from(("conservation", "brackets", "rank", "fradkin", "all")),
+             ("bogus",), _CHOICE_JUNK),
+    "states": (st.integers(1, 3), (0,), _INT_JUNK),
+    "ics": (st.just(1), (0,), _INT_JUNK),
+    "return_tol": (st.floats(1e-6, 1e-2), (-1.0,), _FLOAT_JUNK),
+}
+_OPTIONS = {
+    "list-observables": (),
+    "trajectory": ("seed", "y0", "t_max", "method", "tol", "dt", "every", "chart"),
+    "potential": ("r_min", "r_max", "n", "theta", "phi"),
+    "audit": ("seed", "kind", "states", "ics", "t_max", "tol"),
+    "closed-orbit": ("seed", "y0", "t_max", "return_tol"),
+}
+_TOP_LEVEL = ("system", "kappa", "seed")
+_PARAMS = ("alpha", "k", "k1", "k2", "k3")
+# One of flag and config always sets these: their defaults make long runs,
+# and an unset system only repeats one error.
+_ALWAYS_SET = ("system", "t_max", "states", "ics", "n")
+
+
+@st.composite
+def _cli_run(draw, command):
+    """argv and config of one run: up to two options get a bad value, as a
+    flag, a config entry or both; the others are valid or missing."""
+    names = ("system", "kappa", *_PARAMS, *_OPTIONS[command])
+    bad = draw(st.sets(st.sampled_from(names), max_size=2))
+    argv, cfg = [command], {"schema_version": 1}
+    for name in names:
+        valid, out_of_range, junk = _SPACE[name]
+        kinds = ("out of range", "wrong type") if name in bad else ("missing", "valid")
+        flag, entry = draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))
+        if name in _ALWAYS_SET and flag == entry == "missing":
+            flag = "valid"
+        if flag == "wrong type":
+            argv.append(f"--{name.replace('_', '-')}=" + draw(st.sampled_from(("abc", "", "[1]"))))
+        elif flag != "missing":
+            value = draw(valid if flag == "valid" else st.sampled_from(out_of_range))
+            text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+            argv.append(f"--{name.replace('_', '-')}={text}")
+        if entry != "missing":
+            value = draw({"valid": valid, "out of range": st.sampled_from(out_of_range),
+                          "wrong type": st.sampled_from(junk)}[entry])
+            if name in _PARAMS:
+                cfg.setdefault("params", {})[name] = value
+            elif name in _TOP_LEVEL or draw(st.booleans()):
+                cfg[name] = value
+            else:
+                cfg.setdefault(command.replace("-", "_"), {})[name] = value
+    if draw(st.booleans()):
+        argv.append("--emit-config")
+    return argv, cfg
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flag_and_config_space(command, data, tmp_path):
+    argv, cfg = data.draw(_cli_run(command))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -196,9 +196,13 @@ def test_integrate_validation():
         (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": 0.0}),
         (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": -0.1}),
         (CIRC_Y0, (0.0, 1.0), {"dt": math.nan}),
+        (CIRC_Y0, (0.0, 1.0), {"tol": 0.0}),
+        (CIRC_Y0, (0.0, 1.0), {"tol": -1e-10}),
+        (CIRC_Y0, (0.0, 1.0), {"tol": math.nan}),
+        (CIRC_Y0, (0.0, 1.0), {"tol": math.inf}),
     ]
     for y0, t_span, kwargs in bad:
-        with pytest.raises(ValueError, match="^(y0|t_span|dt) must"):
+        with pytest.raises(ValueError, match="^(y0|t_span|dt|tol) must"):
             integrate(rhs, y0, t_span, **kwargs)
 
 
