@@ -16,10 +16,12 @@ default.  A JSON config file can supply any of the options, and its
 values pass the same checks as flags; explicit flags win over the file.
 --emit-config prints the resolved run as a config file whose every key
 is read back.  Audit subcommands exit nonzero when any check exceeds its
-tolerance.  A bad option value, input rejected by the library (a
+tolerance, and trajectory prints "warning: trajectory truncated: <reason>"
+and exits 1 when the run stopped early, for any reason (a failed implicit
+solve included).  A bad option value, input rejected by the library (a
 ValueError, which includes DomainSingularity), a missing, unreadable or
-malformed config file, a missing --system, an unwritable --output and a
-failed implicit solve print "error: <message>" on stderr and exit 2.
+malformed config file, a missing --system and an unwritable --output
+print "error: <message>" on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -460,7 +462,7 @@ def main(argv=None) -> int:
             return _cmd_list_systems()
         opts = _options(args, _load_config(args.config))
         return _COMMANDS[args.command][0](args, _build_spec(opts), opts)
-    except (ValueError, dynamics.NonConvergence) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ from .observables import Observable
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
-    "NonConvergence",
     "Trajectory",
     "poisson_bracket",
     "poisson_bracket_fd",
@@ -41,10 +40,6 @@ __all__ = [
 ]
 
 METHODS = ("rk4_fixed", "rk45_adaptive", "implicit_midpoint")
-
-
-class NonConvergence(RuntimeError):
-    """Implicit solver failed to reach its fixed-point tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,118 +118,66 @@ class Trajectory:
         return Trajectory(self.times[idx], self.states[idx], self.diagnostics, self.truncated)
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2).  Row s of A holds the weights of stage s.  Its last row
-# equals the 5th-order weights B5, so the seventh stage is evaluated at
-# the new state y5 and serves as the first stage of the next step (FSAL).
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0],
-        [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0, 0.0],
-        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0, 0.0],
-        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0],
-    ]
+# Explicit Runge-Kutta tableaux (c, A) (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.1 and II.5).  Row s of A holds the weights of stage s, taken
+# at t + c[s] * dt, and the last row the weights b of the new state.  RK4
+# has four stages.  The seventh stage of Dormand-Prince 5(4) (Table II.5.2)
+# is its last row, at the new state y5, and starts the next step (FSAL).
+_RK4 = (
+    (0.0, 0.5, 0.5, 1.0),
+    np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 0.0],
+        ]
+    ),
+)
+_DP54 = (
+    (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0),
+    np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0],
+            [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0, 0.0],
+            [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0, 0.0],
+            [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0],
+        ]
+    ),
 )
 # The 5th-order weights (last row of A) minus the embedded 4th-order
 # ones: dt * (E @ K) is the local error estimate y5 - y4, without y4.
-_DP_E = _DP_A[6] - np.array(
-    [
-        5179.0 / 57600.0,
-        0.0,
-        7571.0 / 16695.0,
-        393.0 / 640.0,
-        -92097.0 / 339200.0,
-        187.0 / 2100.0,
-        1.0 / 40.0,
-    ]
-)
+_DP_E = _DP54[1][6] - np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
+                                -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0])
 
 
-def _rk4_step(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _Stages:
+    """Stage buffer and stage loop of the explicit Runge-Kutta steps.
 
-
-def _fixed_grid(t0: float, t1: float, dt: float):
-    n = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    return n
-
-
-def _sample_buffers(t0: float, y0: np.ndarray):
-    """Output arrays holding (t0, y0) in row 0, to be grown by _grown."""
-    times = np.empty(64)
-    states = np.empty((64, y0.size))
-    times[0] = t0
-    states[0] = y0
-    return times, states
-
-
-def _grown(times: np.ndarray, states: np.ndarray):
-    """The output arrays with their capacity doubled."""
-    return (np.concatenate((times, np.empty_like(times))),
-            np.concatenate((states, np.empty_like(states))))
-
-
-def _integrate_fixed(rhs, y0, t0, t1, dt, stepper, diag):
-    times, states = _sample_buffers(t0, y0)
-    n = 1
-    y = y0
-    t = t0
-    truncated = False
-    for _ in range(_fixed_grid(t0, t1, dt)):
-        step = min(dt, t1 - t)
-        try:
-            y = stepper(rhs, t, y, step)
-        except DomainSingularity as exc:
-            diag["reason"] = f"domain singularity: {exc}"
-            truncated = True
-            break
-        if not np.isfinite(y).all():
-            diag["reason"] = "non-finite state"
-            truncated = True
-            break
-        t = t + step
-        if n == len(times):
-            times, states = _grown(times, states)
-        times[n] = t
-        states[n] = y
-        n += 1
-    diag["n_steps"] = n - 1
-    return Trajectory(times[:n].copy(), states[:n].copy(), diag, truncated)
-
-
-class _DPStages:
-    """Stage buffer and stage loop of Dormand-Prince 5(4) attempts.
-
-    K holds the seven stage derivatives; the caller sets K[0] = rhs(t, y)
-    before an attempt.  The scaled tableau dtA = dt * A is filled once
-    per attempt, and each stage reads its fixed views (dtA[s, :s],
-    K[:s]), so a stage costs one dot product, one addition and its rhs
-    call.  evals counts the rhs calls of the stage loop that returned.
+    K holds the stage derivatives; attempt expects K[0] = rhs(t, y).  The
+    scaled tableau dtA = dt * A is filled once per attempt, and each row
+    reads its fixed views (dtA[s, :s], K[:s]), so a row costs one dot
+    product and one addition, plus the rhs call of a stage.  evals counts
+    the rhs calls that returned.
     """
 
-    def __init__(self, size: int):
-        self.K = np.empty((7, size))
-        self.dtA = np.empty((7, 7))
-        self.rows = tuple(
-            (s, _DP_C[s], self.dtA[s, :s], self.K[:s]) for s in range(1, 7)
-        )
+    def __init__(self, tableau: tuple, size: int):
+        c, self.A = tableau
+        self.K = np.empty((len(self.A), size))
+        self.dtA = np.empty_like(self.A)
+        self.rows = tuple((s, c[s], self.dtA[s, :s], self.K[:s]) for s in range(1, len(c)))
+        # With fsal the weights row is the last stage; else it gives y_new.
+        self.fsal = len(c) == len(self.A)
+        self.b, self.Kb = self.dtA[-1, :-1], self.K[:-1]
         self.evals = 0
 
     def attempt(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """Fill stages 1-6 of a step of size dt from (t, y); return y5.
-
-        The last row of A is the 5th-order weights B5, so the argument of
-        the seventh stage is the new state y5 (and K[6] its derivative).
-        """
-        np.multiply(_DP_A, dt, out=self.dtA)
+        """The new state of a step of size dt from (t, y), a fresh array."""
+        np.multiply(self.A, dt, out=self.dtA)
         K = self.K
         # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
         # costs about three times the product itself.
@@ -242,39 +185,83 @@ class _DPStages:
             ys = y + row.dot(Ks)
             K[s] = rhs(t + c * dt, ys)
             self.evals += 1
-        return ys
+        return ys if self.fsal else y + self.b.dot(self.Kb)
+
+    def step(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+        """attempt after evaluating its first stage at (t, y)."""
+        self.K[0] = rhs(t, y)
+        self.evals += 1
+        return self.attempt(rhs, t, y, dt)
+
+
+# An rhs call that raises one of these ends a run: at a domain singularity,
+# or (math.sinh and the like raise) on a state out of the float range.
+_STOPS = (DomainSingularity, OverflowError)
+
+
+def _stop_reason(exc: Exception) -> str:
+    return "non-finite state" if isinstance(exc, OverflowError) else f"domain singularity: {exc}"
+
+
+def _trajectory(times: list, states: list, diag: dict, reason) -> Trajectory:
+    """The stored samples as a Trajectory, truncated when reason is given."""
+    diag["n_steps"] = len(times) - 1
+    if reason is not None:
+        diag["reason"] = reason
+    return Trajectory(np.array(times), np.array(states), diag, reason is not None)
+
+
+def _integrate_fixed(y0, t0, t1, dt, stepper, diag):
+    """Steps of stepper(t, y, dt), which returns None if its solve fails."""
+    times, states = [t0], [y0]
+    t, y = t0, y0
+    reason = None
+    for _ in range(max(1, math.ceil((t1 - t0) / dt - 1e-12))):
+        step = min(dt, t1 - t)
+        try:
+            y = stepper(t, y, step)
+        except _STOPS as exc:
+            reason = _stop_reason(exc)
+            break
+        if y is None:
+            reason = f"implicit solve did not converge at t = {t}"
+            break
+        if not np.isfinite(y).all():
+            reason = "non-finite state"
+            break
+        t = t + step
+        times.append(t)
+        states.append(y)
+    return _trajectory(times, states, diag, reason)
 
 
 def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
-    t = t0
-    y = y0
-    y_list = y0.tolist()
-    times, states = _sample_buffers(t0, y0)
-    n = 1
-    stages = _DPStages(y0.size)
+    t, y, y_list = t0, y0, y0.tolist()
+    times, states = [t0], [y0]
+    stages = _Stages(_DP54, y0.size)
     K = stages.K
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
     err_prev = 1.0
-    n_steps = n_rejected = n_k1 = 0
+    n_rejected = 0
     reason = None
     # K[0] depends on (t, y) alone: it survives a rejected attempt, is
     # handed on by FSAL, and a failure of it cannot be mended by a
     # smaller step, so the run truncates at once.
     try:
         K[0] = rhs(t, y)
-        n_k1 = 1
-    except DomainSingularity as exc:
-        reason = f"domain singularity: {exc}"
+        stages.evals = 1
+    except _STOPS as exc:
+        reason = _stop_reason(exc)
     while reason is None and t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if n_steps + n_rejected >= max_steps:
+        if len(times) - 1 + n_rejected >= max_steps:
             reason = "max_steps exceeded"
             break
         dt = min(dt, t1 - t)
         try:
             y5 = stages.attempt(rhs, t, y, dt)
-        except DomainSingularity as exc:
+        except _STOPS as exc:
             if dt <= dt_min:
-                reason = f"domain singularity: {exc}"
+                reason = _stop_reason(exc)
                 break
             dt = max(0.25 * dt, dt_min)
             n_rejected += 1
@@ -294,13 +281,9 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
             t = t + dt
             y = y5
             y_list = y5_list
-            if n == len(times):
-                times, states = _grown(times, states)
-            times[n] = t
-            states[n] = y
-            n += 1
+            times.append(t)
+            states.append(y)
             K[0] = K[6]  # first same as last
-            n_steps += 1
             fac = 0.9 * (err + 1e-300) ** -0.14 * err_prev**0.08
             dt = dt * min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-4)
@@ -311,14 +294,14 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
                 break
             fac = 0.9 * err**-0.2
             dt = max(dt * max(0.2, min(1.0, fac)), dt_min)
-    diag.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs_evals=n_k1 + stages.evals)
-    if reason is not None:
-        diag["reason"] = reason
-    return Trajectory(times[:n].copy(), states[:n].copy(), diag, reason is not None)
+    diag.update(n_rejected=n_rejected, n_rhs_evals=stages.evals)
+    return _trajectory(times, states, diag, reason)
 
 
-def _implicit_midpoint_step(rhs, t, y, dt, fp_tol, max_iter=100):
-    ynew = _rk4_step(rhs, t, y, dt)  # warm start
+def _implicit_midpoint_step(rhs, stages, t, y, dt, fp_tol, max_iter=100):
+    """One implicit midpoint step by fixed-point iteration from an RK4
+    warm start, or None if the iteration does not reach fp_tol."""
+    ynew = stages.step(rhs, t, y, dt)
     tm = t + 0.5 * dt
     scale = max(1.0, float(np.max(np.abs(y))))
     for _ in range(max_iter):
@@ -327,9 +310,7 @@ def _implicit_midpoint_step(rhs, t, y, dt, fp_tol, max_iter=100):
         ynew = ynext
         if delta < fp_tol * scale:
             return ynew
-    raise NonConvergence(
-        f"implicit midpoint fixed point did not reach {fp_tol} at t = {t}"
-    )
+    return None
 
 
 def integrate(
@@ -348,18 +329,17 @@ def integrate(
     Bad input raises ValueError at once: a y0 that is not a finite 1-D
     vector, a t_span whose ends are not finite with t1 > t0, an unknown
     method, a missing or non-positive dt, or a tol that is not positive
-    and finite.  A domain singularity encountered mid-run truncates the
-    trajectory at the last good state (the adaptive method first retries with smaller steps down to
-    dt_min, unless the rhs fails at the initial state itself) and sets
-    the truncated flag with a reason in the diagnostics.  A run likewise
-    truncates with reason "non-finite state" at the last finite state:
-    the adaptive method as soon as a stage, its error estimate or the new
-    state is not finite (rather than rejecting steps until max_steps),
-    rk4_fixed as soon as a step yields a non-finite state.  An implicit
-    midpoint step whose fixed point does not converge raises
-    NonConvergence.  The diagnostics hold n_steps (accepted steps,
-    len(times) - 1) for every method, and n_rejected and n_rhs_evals (rhs
-    calls that returned) for rk45_adaptive.
+    and finite.  Every method treats a failure mid-run alike: the run
+    truncates at the last good state and sets the truncated flag with a
+    reason in the diagnostics.  The reasons are a domain singularity (the
+    adaptive method first retries with smaller steps down to dt_min,
+    unless the rhs fails at the initial state itself), "non-finite state"
+    (also when the rhs overflows; the adaptive method checks every stage
+    and its error estimate too), "implicit solve did not converge at t = ..." (implicit_midpoint), and
+    "max_steps exceeded" or "step size underflow" (rk45_adaptive).  The
+    diagnostics hold n_steps (accepted steps, len(times) - 1) for every
+    method, and n_rejected and n_rhs_evals (rhs calls that returned) for
+    rk45_adaptive.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -380,10 +360,12 @@ def integrate(
         return _integrate_dp54(rhs, y0, t0, t1, dt, tol, dt_min, max_steps, diag)
     if dt is None:
         raise ValueError(f"method {method!r} requires an explicit dt")
+    stages = _Stages(_RK4, y0.size)
     if method == "rk4_fixed":
-        return _integrate_fixed(rhs, y0, t0, t1, dt, _rk4_step, diag)
-    stepper = lambda f, t, y, h: _implicit_midpoint_step(f, t, y, h, fp_tol)
-    return _integrate_fixed(rhs, y0, t0, t1, dt, stepper, diag)
+        stepper = lambda t, y, h: stages.step(rhs, t, y, h)
+    else:
+        stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h, fp_tol)
+    return _integrate_fixed(y0, t0, t1, dt, stepper, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +384,22 @@ def sample_state(
     systems with couplings on them, and optionally enforce a floor on
     the angular momentum so that sampled trajectories stay clear of the
     polar axis.  Radii are drawn from [0.15, pi/sqrt(kappa) - 0.15] on
-    the sphere, so a kappa too large for that range raises ValueError.
+    the sphere.  A margin outside [0, 1), a kappa too large for a radius in
+    that range with sin_k(r) and |cos_k(r)| at least margin, and rules
+    that 100,000 draws fail to satisfy raise ValueError.
     """
     kap = spec.kappa
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"sample_state needs 0 <= margin < 1, got {margin!r}")
     if kap > 0.0:
+        # Some radius in [0.15, pi/sqrt(kappa) - 0.15] (symmetric about the
+        # equator) has sin_k(r) and |cos_k(r)| >= margin iff kappa < k_max.
+        x = math.acos(margin)
+        k_max = min((x / 0.15) ** 2, (math.sin(x) / margin) ** 2 if margin else math.inf)
+        if not kap < k_max:
+            raise ValueError(f"sample_state needs kappa < {k_max:.6g} at margin = {margin!r}, and at "
+                             f"any margin kappa < {(math.pi / 0.3) ** 2:.6g}, got kappa = {kap!r}")
         lo, hi = 0.15, math.pi / math.sqrt(kap) - 0.15
-        if hi <= lo:
-            raise ValueError(
-                "sample_state needs pi/sqrt(kappa) - 0.15 > 0.15, that is "
-                f"kappa < {(math.pi / 0.3) ** 2:.6g}, got kappa = {kap!r}"
-            )
     else:
         lo, hi = 0.15, 2.5
     axial = _system(spec.system_id).axial
@@ -437,7 +425,7 @@ def sample_state(
             if abs(pph) < min_angular or pth * pth + pph * pph < min_angular:
                 continue
         return np.array([r, th, ph, pr, pth, pph])
-    raise RuntimeError("state sampling failed to satisfy the rejection rules")
+    raise ValueError("state sampling failed to satisfy the rejection rules")
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +676,7 @@ def closed_orbit_check(
 ) -> ClosedOrbitResult:
     """Search for a return of the trajectory to its initial state.
 
+    A return_tol that is not positive and finite raises ValueError.
     Integrates over [0, t_max], locates the best candidate return after
     a guard time (the last sample before the second sign change of p_r,
     or a tenth of t_max if radial motion never turns), and refines the return time by golden
@@ -698,6 +687,8 @@ def closed_orbit_check(
     modulo a full turn.  The diagnostics hold the state at the refined
     return time ("return_state") whether or not a return is found.
     """
+    if not (math.isfinite(return_tol) and return_tol > 0.0):
+        raise ValueError(f"return_tol must be positive and finite, got {return_tol!r}")
     y0 = _as_array(y0).copy()
     rhs = hamilton_rhs(spec)
     traj = integrate(rhs, y0, (0.0, t_max), method="rk45_adaptive", tol=integrate_tol)
@@ -725,7 +716,7 @@ def closed_orbit_check(
     # The bracket spans at most two accepted steps, so one DP5 step from
     # the stored sample lo reaches any t in it with an error at the level
     # of integrate_tol.  K[0] at lo is shared by every probe.
-    stages = _DPStages(y0.size)
+    stages = _Stages(_DP54, y0.size)
     stages.K[0] = rhs(base_t, base_y)
 
     def state_at(t: float) -> np.ndarray:

@@ -119,15 +119,19 @@ def _system(system_id) -> _System:
 
 
 def make_system(system_id: str, kappa, **params) -> SystemSpec:
-    """Build a validated system specification."""
+    """Build a validated system specification; an unknown system or
+    parameter, or a non-finite kappa or parameter, raises ValueError."""
     allowed = _system(system_id).defaults
     unknown = set(params) - set(allowed)
     if unknown:
         raise ValueError(
             f"system {system_id!r} does not accept parameters {sorted(unknown)}"
         )
-    filled = {**allowed, **{k: float(v) for k, v in params.items()}}
-    return SystemSpec(system_id=system_id, kappa=float(kappa), **filled)
+    filled = {"kappa": float(kappa), **allowed, **{k: float(v) for k, v in params.items()}}
+    bad = {k: v for k, v in filled.items() if not math.isfinite(v)}
+    if bad:
+        raise ValueError(f"kappa and the system parameters must be finite, got {bad}")
+    return SystemSpec(system_id=system_id, **filled)
 
 
 def system_summaries() -> dict:

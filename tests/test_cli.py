@@ -79,23 +79,27 @@ def test_trajectory_rho_chart(capsys):
 
 
 def test_trajectory_truncated_exit_code(capsys):
-    code, out, err = run(
-        capsys, "trajectory", "--system", "kepler", "--kappa", "0",
-        "--k", "-1", "--y0", "1,1.5707963267948966,0,0,0,0", "--t-max", "3",
+    """A run cut short, by a collision or a failed implicit solve, exits 1."""
+    cases = (
+        ("--k", "-1", "--y0", "1,1.5707963267948966,0,0,0,0", "--t-max", "3"),
+        ("--y0", "0.3,1.2,0.4,0.9,0.3,0.35", "--method", "implicit_midpoint",
+         "--dt", "1.0", "--t-max", "1"),
     )
-    assert code == 1
-    assert "truncated" in err
-    assert out.startswith("t,r")
+    for extra in cases:
+        code, out, err = run(capsys, "trajectory", "--system", "kepler", "--kappa", "0", *extra)
+        assert code == 1
+        assert err.startswith("warning: trajectory truncated: ") and err.count("\n") == 1, err
+        assert out.startswith("t,r")
 
 
 def test_library_errors_print_error_line(capsys):
-    """Library ValueErrors and NonConvergence exit 2 with one stderr line."""
+    """Library ValueErrors exit 2 with one stderr line."""
     base = ("trajectory", "--system", "oscillator", "--kappa", "1", "--t-max", "1")
     cases = (
         ("--y0", "nan,1.2,0.4,0.15,0.3,0.35"),
         ("--y0", OSC_BOUND_Y0, "--method", "rk4_fixed"),
-        ("--y0", "0.3,1.2,0.4,0.9,0.3,0.35", "--method", "implicit_midpoint",
-         "--dt", "1.0", "--system", "kepler", "--kappa", "0"),
+        ("--kappa", "nan"),
+        ("--alpha", "inf"),
     )
     for extra in cases:
         code, out, err = run(capsys, *base, *extra)
@@ -365,10 +369,15 @@ def test_potential_n_must_be_positive(capsys):
 
 
 def test_random_state_beyond_kappa_limit(capsys):
-    """Random states need pi/sqrt(kappa) - 0.15 > 0.15, i.e. kappa < 109.66."""
+    """Random states need pi/sqrt(kappa) - 0.15 > 0.15, i.e. kappa < 109.66,
+    and at margin 0.05 a radius with |cos_k(r)| >= 0.05, i.e. kappa < 102.79."""
     assert_cli_error(
         capsys, ["trajectory", "--system", "oscillator", "--kappa", "200", "--t-max", "1"],
         "kappa < 109.662, got kappa = 200.0",
+    )
+    assert_cli_error(
+        capsys, ["trajectory", "--system", "free", "--kappa", "105"],
+        "kappa < 102.789 at margin = 0.05, and at any margin kappa < 109.662, got kappa = 105.0",
     )
 
 

@@ -5,9 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvedyn import dynamics
 from curvedyn.dynamics import (
-    NonConvergence,
     Trajectory,
     bracket_table_audit,
     closed_orbit_check,
@@ -29,7 +31,7 @@ from curvedyn.observables import (
     scaled_sum,
     square,
 )
-from curvedyn.systems import catalog, hamilton_rhs, hamiltonian, make_system
+from curvedyn.systems import SYSTEM_IDS, catalog, hamilton_rhs, hamiltonian, make_system
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3)
 
@@ -252,8 +254,7 @@ def test_adaptive_counts_pinned_on_readme_orbit():
 
     On a run with no domain-singularity retries every attempt costs six
     evaluations and the first step one more: the first stage depends on
-    the state alone, so a rejected attempt keeps it.  At tol=1e-12 the
-    run also outgrows the initial output buffer several times.
+    the state alone, so a rejected attempt keeps it.
     """
     rhs = hamilton_rhs(make_system("oscillator", kappa=1.0))
     y0 = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
@@ -337,6 +338,81 @@ def test_rhs_eval_counts_match_a_call_counter():
         assert len(traj.states) == len(traj.times)
 
 
+def test_runge_kutta_tableaux_order_conditions():
+    """Row sums of A equal the nodes c, and the weights b (the last row of
+    A) meet sum b_i c_i^(k-1) = 1/k up to the order of the method; the
+    embedded Dormand-Prince weights b - e meet it up to order 4 only."""
+    for (c, A), order, fsal in ((dynamics._RK4, 4, False), (dynamics._DP54, 5, True)):
+        c = np.array(c)
+        n = len(c)
+        assert A.shape == (n + (not fsal),) * 2
+        assert np.array_equal(A, np.tril(A, -1))
+        assert np.allclose(A.sum(axis=1)[:n], c, rtol=0.0, atol=1e-15)
+        b = A[-1]
+        assert b[n:].size == int(not fsal) and not b[n:].any()
+        for k in range(1, order + 1):
+            assert abs(b[:n] @ c ** (k - 1) - 1.0 / k) < 1e-15, k
+    c, A = dynamics._DP54
+    assert c[-1] == 1.0  # the weights row is the FSAL stage, at t + dt
+    embedded = A[-1] - dynamics._DP_E
+    for k in range(1, 5):
+        assert abs(embedded @ np.array(c) ** (k - 1) - 1.0 / k) < 1e-15, k
+    assert abs(embedded @ np.array(c) ** 4 - 1.0 / 5.0) > 1e-4
+
+
+_PARAMS = {"kepler": {"k": -1.0}, "kepler123": {"k": -1.0, "k1": 0.1, "k2": 0.2, "k3": 0.3},
+           "sw": {"k1": 0.1, "k2": 0.2, "k3": 0.3}, "osc112": {"k1": 0.1, "k2": 0.2}}
+
+
+@st.composite
+def integrate_calls(draw):
+    """(method, y0, t_span, dt, tol, max_steps) of one integrate call, all
+    valid or with one of them out of its domain.  y0 may sit on a pole:
+    r = 0, or theta = 0 or pi."""
+    method = draw(st.sampled_from(dynamics.METHODS))
+    y0 = [draw(st.floats(0.0, 3.0) | st.just(0.0)),
+          draw(st.floats(0.0, math.pi) | st.sampled_from([0.0, math.pi])),
+          draw(st.floats(-4.0, 4.0)), *draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))]
+    t0 = draw(st.floats(-1.0, 1.0))
+    t_span = (t0, t0 + draw(st.floats(1e-3, 0.2)))
+    dt = None if method == "rk45_adaptive" and draw(st.booleans()) else draw(st.floats(1e-3, 0.5))
+    tol = draw(st.floats(1e-12, 1e-2))
+    bad = draw(st.sampled_from(["", "", "", "method", "y0", "t_span", "dt", "tol"]))
+    if bad == "method":
+        method = "euler"
+    elif bad == "y0":
+        y0[draw(st.integers(0, 5))] = draw(st.sampled_from([math.nan, math.inf]))
+    elif bad == "t_span":
+        t_span = (t0, draw(st.sampled_from([t0, t0 - 0.1, math.nan, math.inf])))
+    elif bad == "dt":
+        dt = draw(st.sampled_from([None, 0.0, -0.1, math.nan, math.inf]))
+    elif bad == "tol":
+        tol = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+    return method, y0, t_span, dt, tol, draw(st.integers(1, 200))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sid=st.sampled_from(SYSTEM_IDS), kap=st.sampled_from([-1.0, 0.0, 1.0]), call=integrate_calls())
+def test_integrate_finishes_or_rejects_input(sid, kap, call):
+    """integrate either raises ValueError before any rhs call or returns
+    finite samples, n_steps of them past the first, with a reason exactly
+    when the run was truncated; it never raises mid-run."""
+    method, y0, t_span, dt, tol, max_steps = call
+    counted = CountingRhs(hamilton_rhs(make_system(sid, kap, **_PARAMS.get(sid, {}))))
+    try:
+        traj = integrate(counted, y0, t_span, method=method, dt=dt, tol=tol, max_steps=max_steps)
+    except ValueError:
+        assert counted.calls == []
+        return
+    d = traj.diagnostics
+    assert np.isfinite(traj.times).all() and np.isfinite(traj.states).all()
+    assert traj.states.shape == (len(traj.times), 6)
+    assert d["n_steps"] == len(traj.times) - 1
+    assert traj.truncated == ("reason" in d)
+    if method == "rk45_adaptive":
+        assert d["n_steps"] + d["n_rejected"] <= max_steps
+
+
 def test_rk4_fourth_order_convergence():
     """Halving dt divides the endpoint error by about 16."""
     rhs = circ_rhs()
@@ -415,13 +491,23 @@ def test_implicit_midpoint_energy_bounded():
     assert float(np.max(rel[-quarter:])) < 1e-6
 
 
+def test_closed_orbit_rejects_bad_return_tol(monkeypatch):
+    """A return_tol that is not positive and finite raises before the run."""
+    monkeypatch.setattr(dynamics, "integrate", None)
+    spec = make_system("free", kappa=1.0)
+    for return_tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="return_tol must be positive and finite"):
+            closed_orbit_check(spec, ECC_Y0, 10.0, return_tol=return_tol)
+
+
 def test_implicit_midpoint_nonconvergence():
-    """An unattainable fixed-point tolerance raises instead of looping."""
+    """An unattainable fixed-point tolerance truncates instead of looping."""
     rhs = circ_rhs()
-    with pytest.raises(NonConvergence):
-        integrate(
-            rhs, ECC_Y0, (0.0, 1.0), method="implicit_midpoint", dt=0.1, fp_tol=0.0
-        )
+    traj = integrate(rhs, ECC_Y0, (0.0, 1.0), method="implicit_midpoint", dt=0.1, fp_tol=0.0)
+    assert traj.truncated
+    assert traj.diagnostics["reason"] == "implicit solve did not converge at t = 0.0"
+    assert len(traj.times) == 1 and traj.diagnostics["n_steps"] == 0
+    assert np.array_equal(traj.states, [ECC_Y0])
 
 
 def test_truncation_on_domain_singularity():
@@ -513,6 +599,21 @@ def test_sample_state_rejects_kappa_beyond_radius_range():
     rng = np.random.default_rng(19)
     with pytest.raises(ValueError, match=r"kappa < 109\.662, got kappa = 200\.0"):
         sample_state(make_system("free", kappa=200.0), rng)
+    # Above kappa = (arccos(0.05) / 0.15)^2 = 102.79 no radius in the range
+    # has |cos_k(r)| >= 0.05, and above (sin(arccos(0.2)) / 0.2)^2 = 24 none
+    # has sin_k(r) and |cos_k(r)| >= 0.2: rejected at once, not after
+    # 100,000 draws.
+    for kappa in (103.0, 105.0, 109.0):
+        with pytest.raises(ValueError, match=r"kappa < 102\.789 at margin = 0\.05"):
+            sample_state(make_system("free", kappa=kappa), rng)
+    with pytest.raises(ValueError, match=r"kappa < 24 at margin = 0\.2"):
+        sample_state(make_system("free", kappa=30.0), rng, margin=0.2)
+    for margin in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="0 <= margin < 1"):
+            sample_state(make_system("free", kappa=-1.0), rng, margin=margin)
+    # |p_phi| <= 1 < min_angular: no draw passes, and the sampler gives up.
+    with pytest.raises(ValueError, match="failed to satisfy the rejection rules"):
+        sample_state(make_system("free", kappa=1.0), rng, min_angular=1.5)
     r = sample_state(make_system("free", kappa=100.0), rng)[0]
     assert 0.15 <= r <= math.pi / 10.0 - 0.15
 

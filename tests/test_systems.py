@@ -50,6 +50,10 @@ def test_make_system_validation():
         make_system("kepler", kappa=1.0, alpha=2.0)
     with pytest.raises(ValueError):
         make_system("free", kappa=1.0, k1=0.1)
+    for kappa, params in ((math.nan, {}), (math.inf, {}), (1.0, {"alpha": math.nan}),
+                          (1.0, {"k1": -math.inf})):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_system("sw", kappa=kappa, **params)
     spec = make_system("sw", kappa=0.5)
     assert spec.alpha == 1.0 and spec.k1 == 0.0
     spec = make_system("kepler123", kappa=-1.0, k=-2.0, k2=0.4)
