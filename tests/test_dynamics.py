@@ -542,6 +542,29 @@ def test_truncation_fixed_grid():
     assert abs(traj.times[-1] - 0.5) < 0.02
 
 
+def test_rhs_overflow_truncates_or_is_retried():
+    """math.sinh overflows on a runaway radius at kappa < 0: the fixed-step
+    methods truncate with reason "non-finite state", and the adaptive one
+    retries the step with a smaller dt, as for a domain singularity."""
+    rhs = hamilton_rhs(make_system("free", kappa=-1.0))
+    y0 = [0.0625, 1.0, 0.0, 0.0, 0.0, 1.0]
+    for method in ("rk4_fixed", "implicit_midpoint"):
+        traj = integrate(rhs, y0, (0.0, 0.125), method=method, dt=0.5)
+        assert traj.truncated and traj.diagnostics["reason"] == "non-finite state"
+        assert len(traj.times) == 1
+    overflows = []
+
+    def noted(t, y):
+        try:
+            return rhs(t, y)
+        except OverflowError:
+            overflows.append(t)
+            raise
+
+    traj = integrate(noted, y0, (0.0, 0.125), dt=0.125)
+    assert overflows and not traj.truncated
+
+
 def test_trajectory_thin():
     times = np.linspace(0.0, 1.0, 1001)
     states = np.tile(np.arange(6.0), (1001, 1)) + times[:, None]
