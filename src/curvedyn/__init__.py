@@ -4,7 +4,6 @@ integrals with analytic gradients, Poisson brackets, integrators, and
 verification audits."""
 
 from .kappa_core import (
-    Curvature,
     DomainSingularity,
     arcsin_k,
     arctan_k,
@@ -26,7 +25,6 @@ from .dynamics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Curvature",
     "DomainSingularity",
     "cos_k",
     "sin_k",

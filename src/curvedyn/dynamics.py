@@ -19,9 +19,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import PhaseState
+from .geometry import PhaseState, _central_difference
 from .kappa_core import DomainSingularity, cos_k, sin_k
-from .observables import Observable
+from .observables import Observable, _dir_vg
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
@@ -61,19 +61,8 @@ def poisson_bracket(f: Observable, g: Observable, s) -> float:
 def poisson_bracket_fd(f, g, s, h: float = 1e-6) -> float:
     """Central finite-difference bracket of two state functions."""
     y = _as_array(s)
-
-    def grad(fn):
-        out = np.empty(6)
-        for i in range(6):
-            yp = y.copy()
-            ym = y.copy()
-            yp[i] += h
-            ym[i] -= h
-            out[i] = (_call(fn, yp) - _call(fn, ym)) / (2.0 * h)
-        return out
-
-    gf = grad(f)
-    gg = grad(g)
+    gf = _central_difference(lambda x: _call(f, x), y, h)
+    gg = _central_difference(lambda x: _call(g, x), y, h)
     return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
 
 
@@ -300,7 +289,8 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
 
 def _implicit_midpoint_step(rhs, stages, t, y, dt, fp_tol, max_iter=100):
     """One implicit midpoint step by fixed-point iteration from an RK4
-    warm start, or None if the iteration does not reach fp_tol."""
+    warm start, or None if the iteration does not reach fp_tol.  A
+    non-finite iterate is returned at once, for the caller to reject."""
     ynew = stages.step(rhs, t, y, dt)
     tm = t + 0.5 * dt
     scale = max(1.0, float(np.max(np.abs(y))))
@@ -309,6 +299,10 @@ def _implicit_midpoint_step(rhs, stages, t, y, dt, fp_tol, max_iter=100):
         delta = float(np.max(np.abs(ynext - ynew)))
         ynew = ynext
         if delta < fp_tol * scale:
+            return ynew
+        # delta is also non-finite after a non-finite warm start, from
+        # which the iteration may still recover.
+        if not math.isfinite(delta) and not np.isfinite(ynew).all():
             return ynew
     return None
 
@@ -335,7 +329,8 @@ def integrate(
     adaptive method first retries with smaller steps down to dt_min,
     unless the rhs fails at the initial state itself), "non-finite state"
     (also when the rhs overflows; the adaptive method checks every stage
-    and its error estimate too), "implicit solve did not converge at t = ..." (implicit_midpoint), and
+    and its error estimate too, implicit_midpoint every iterate),
+    "implicit solve did not converge at t = ..." (implicit_midpoint), and
     "max_steps exceeded" or "step size underflow" (rk45_adaptive).  The
     diagnostics hold n_steps (accepted steps, len(times) - 1) for every
     method, and n_rejected and n_rhs_evals (rhs calls that returned) for
@@ -384,13 +379,17 @@ def sample_state(
     systems with couplings on them, and optionally enforce a floor on
     the angular momentum so that sampled trajectories stay clear of the
     polar axis.  Radii are drawn from [0.15, pi/sqrt(kappa) - 0.15] on
-    the sphere.  A margin outside [0, 1), a kappa too large for a radius in
-    that range with sin_k(r) and |cos_k(r)| at least margin, and rules
-    that 100,000 draws fail to satisfy raise ValueError.
+    the sphere.  A margin outside [0, 1), a min_angular of 1 or more
+    (no |p_phi| <= 1 reaches it), a kappa too large for a radius in that
+    range with sin_k(r) and |cos_k(r)| at least margin, and rules that
+    100,000 draws fail to satisfy raise ValueError.
     """
     kap = spec.kappa
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"sample_state needs 0 <= margin < 1, got {margin!r}")
+    if not min_angular < 1.0:
+        raise ValueError(f"sample_state needs min_angular < 1, since |p_phi| <= 1, "
+                         f"got {min_angular!r}")
     if kap > 0.0:
         # Some radius in [0.15, pi/sqrt(kappa) - 0.15] (symmetric about the
         # equator) has sin_k(r) and |cos_k(r)| >= margin iff kappa < k_max.
@@ -413,7 +412,7 @@ def sample_state(
         ck = cos_k(kap, r)
         if sth < margin or sk < margin or abs(ck) < margin:
             continue
-        dirs = (sth * math.cos(ph), sth * math.sin(ph), math.cos(th))
+        dirs = [_dir_vg(axis, (r, th, ph), False)[0] for axis in range(3)]
         if any(need and abs(sk * d) < margin for need, d in zip(needs_axis, dirs)):
             continue
         if axial:

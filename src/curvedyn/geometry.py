@@ -1,10 +1,16 @@
 """Riemannian structure in geodesic polar coordinates (r, theta, phi).
 
-Covers the metric and volume density, the six Killing vector fields with
-numeric Lie brackets, the forces of free geodesic motion, the Legendre
-map between velocity and momentum descriptions, and two alternative
-radial charts (rho = sin_k(r) and R = tan_k(r)) with their canonical
-momentum transforms.
+Covers the metric and volume density, the Noether momenta P_i and
+angular momenta J_i with their analytic 6-gradients, the six Killing
+vector fields with numeric Lie brackets, the forces of free geodesic
+motion, the Legendre map between velocity and momentum descriptions,
+and two alternative radial charts (rho = sin_k(r) and R = tan_k(r)) with
+their canonical momentum transforms.
+
+The momenta live here because they define the fields: a momentum
+<p, X> is linear in p, so the Killing field X_i (Y_i) is the momentum
+part of the gradient of P_i (J_i).  The observables module builds its
+integrals on these momenta.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ __all__ = [
     "kinetic_energy",
 ]
 
-# Below this, 1/sin(theta) and 1/sin_k(r) factors are treated as singular.
-_EPS_SING = 1e-12
+# Below this, 1/sin(theta), 1/sin_k(r) and the like are treated as singular.
+_EPS = 1e-12
 
 KILLING_IDS = ("X1", "X2", "X3", "Y1", "Y2", "Y3")
 
@@ -135,36 +141,123 @@ def volume_density(kappa, q: ConfigPoint) -> float:
     return s * s * math.sin(q.theta)
 
 
-def _killing_components(fid: str, kappa: float, r: float, th: float, ph: float):
-    sth, cth = math.sin(th), math.cos(th)
-    sph, cph = math.sin(ph), math.cos(ph)
-    if fid in ("X1", "X2", "X3"):
-        s = sin_k(kappa, r)
-        if abs(s) < _EPS_SING:
-            raise DomainSingularity("Killing X fields singular at sin_k(r) = 0")
-        ct = cos_k(kappa, r) / s
-        if fid == "X3":
-            return cth, -ct * sth, 0.0
-        if abs(sth) < _EPS_SING:
-            raise DomainSingularity("Killing X1/X2 singular at sin(theta) = 0")
-        if fid == "X1":
-            return sth * cph, ct * cth * cph, -ct * sph / sth
-        return sth * sph, ct * cth * sph, ct * cph / sth
-    if fid == "Y3":
-        return 0.0, 0.0, 1.0
-    if abs(sth) < _EPS_SING:
-        raise DomainSingularity("Killing Y1/Y2 singular at sin(theta) = 0")
-    cot = cth / sth
-    if fid == "Y1":
-        return 0.0, -sph, -cph * cot
-    if fid == "Y2":
-        return 0.0, cph, -sph * cot
-    raise ValueError(f"unknown Killing field id {fid!r}")
+# ---------------------------------------------------------------------------
+# Momenta.  Each returns (value, 6-gradient) on a 6-tuple state, or
+# (value, None) when called with grad false.
 
+_VG = tuple[float, np.ndarray | None]
+
+
+def _sin_guard(x: float, what: str) -> None:
+    if abs(x) < _EPS:
+        raise DomainSingularity(f"{what} vanishes")
+
+
+def _p_vg(i: int, kap: float, y, grad: bool = True) -> _VG:
+    """Noether momentum P_i of the translation-like isometries."""
+    r, th, ph, pr, pth, pph = y
+    sk = sin_k(kap, r)
+    _sin_guard(sk, "sin_k(r)")
+    ck = cos_k(kap, r)
+    ct = ck / sk
+    dct = -1.0 / (sk * sk)
+    sth, cth = math.sin(th), math.cos(th)
+    if i == 3:
+        val = cth * pr - ct * sth * pth
+        if not grad:
+            return val, None
+        g = np.zeros(6)
+        g[0] = -dct * sth * pth
+        g[1] = -sth * pr - ct * cth * pth
+        g[3] = cth
+        g[4] = -ct * sth
+        return val, g
+    _sin_guard(sth, "sin(theta)")
+    sph, cph = math.sin(ph), math.cos(ph)
+    # The y axis is the x axis turned by pi/2: (a, b) -> (sin, -cos).
+    if i == 1:
+        a, b = cph, sph
+    elif i == 2:
+        a, b = sph, -cph
+    else:
+        raise ValueError(f"momentum index must be 1..3, got {i}")
+    ang = cth * a * pth - (b / sth) * pph
+    val = sth * a * pr + ct * ang
+    if not grad:
+        return val, None
+    g = np.zeros(6)
+    g[0] = dct * ang
+    g[1] = cth * a * pr + ct * (-sth * a * pth + (cth / (sth * sth)) * b * pph)
+    g[2] = -sth * b * pr + ct * (-cth * b * pth - (a / sth) * pph)
+    g[3] = sth * a
+    g[4] = ct * cth * a
+    g[5] = -ct * b / sth
+    return val, g
+
+
+def _j_vg(i: int, y, grad: bool = True) -> _VG:
+    """Angular momentum J_i of the rotations."""
+    _, th, ph, _, pth, pph = y
+    if i == 3:
+        if not grad:
+            return pph, None
+        g = np.zeros(6)
+        g[5] = 1.0
+        return pph, g
+    sth, cth = math.sin(th), math.cos(th)
+    _sin_guard(sth, "sin(theta)")
+    sph, cph = math.sin(ph), math.cos(ph)
+    cot = cth / sth
+    if i == 1:
+        a, b = cph, sph
+    elif i == 2:
+        a, b = sph, -cph
+    else:
+        raise ValueError(f"angular index must be 1..3, got {i}")
+    val = -(b * pth + cot * a * pph)
+    if not grad:
+        return val, None
+    g = np.zeros(6)
+    g[1] = a * pph / (sth * sth)
+    g[2] = -a * pth + cot * b * pph
+    g[4] = -b
+    g[5] = -cot * a
+    return val, g
+
+
+# ---------------------------------------------------------------------------
+# Killing fields.
 
 def killing_field(fid: str, kappa, q: ConfigPoint) -> TangentVector:
-    """One of the six Killing vector fields X1..X3, Y1..Y3 at q."""
-    return TangentVector(*_killing_components(fid, float(kappa), q.r, q.theta, q.phi))
+    """One of the six Killing vector fields X1..X3, Y1..Y3 at q.
+
+    X_i (Y_i) is the momentum part of the gradient of P_i (J_i).
+    """
+    x = (q.r, q.theta, q.phi)
+    return TangentVector(*_killing_components(fid, float(kappa), x).tolist())
+
+
+def _killing_components(fid: str, kap: float, x) -> np.ndarray:
+    if fid not in KILLING_IDS:
+        raise ValueError(f"unknown Killing field id {fid!r}")
+    # The momentum part of the gradient of <p, X> is X whatever p is.
+    y = (*x, 0.0, 0.0, 0.0)
+    i = int(fid[1])
+    g = _p_vg(i, kap, y)[1] if fid[0] == "X" else _j_vg(i, y)[1]
+    return g[3:]
+
+
+def _central_difference(fn, x, h: float) -> np.ndarray:
+    """Rows (fn(x + h e_j) - fn(x - h e_j)) / 2h, one per coordinate j of x."""
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for j in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        rows.append((fn(xp) - fn(xm)) / (2.0 * h))
+    return np.array(rows)
 
 
 def lie_bracket_numeric(
@@ -173,22 +266,11 @@ def lie_bracket_numeric(
     """Commutator [A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
     kap = float(kappa)
     x0 = (q.r, q.theta, q.phi)
-
-    def comp(fid, x):
-        return np.array(_killing_components(fid, kap, *x))
-
-    a0 = comp(fid_a, x0)
-    b0 = comp(fid_b, x0)
-    out = np.zeros(3)
-    for j in range(3):
-        xp = list(x0)
-        xm = list(x0)
-        xp[j] += h
-        xm[j] -= h
-        da = (comp(fid_a, xp) - comp(fid_a, xm)) / (2.0 * h)
-        db = (comp(fid_b, xp) - comp(fid_b, xm)) / (2.0 * h)
-        out += a0[j] * db - b0[j] * da
-    return TangentVector(*out)
+    a0 = _killing_components(fid_a, kap, x0)
+    b0 = _killing_components(fid_b, kap, x0)
+    da = _central_difference(lambda x: _killing_components(fid_a, kap, x), x0, h)
+    db = _central_difference(lambda x: _killing_components(fid_b, kap, x), x0, h)
+    return TangentVector(*sum(a0[j] * db[j] - b0[j] * da[j] for j in range(3)))
 
 
 def lie_derivative_metric(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> np.ndarray:
@@ -203,21 +285,11 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> n
     def g_at(x):
         return np.diag(metric_coeffs(kap, ConfigPoint(*x)))
 
-    def x_at(x):
-        return np.array(_killing_components(fid, kap, *x))
-
     g0 = g_at(x0)
-    x_field = x_at(x0)
+    x_field = _killing_components(fid, kap, x0)
+    dg = _central_difference(g_at, x0, h)
+    dx = _central_difference(lambda x: _killing_components(fid, kap, x), x0, h)
     out = np.zeros((3, 3))
-    dg = np.zeros((3, 3, 3))
-    dx = np.zeros((3, 3))
-    for c in range(3):
-        xp = list(x0)
-        xm = list(x0)
-        xp[c] += h
-        xm[c] -= h
-        dg[c] = (g_at(xp) - g_at(xm)) / (2.0 * h)
-        dx[c] = (x_at(xp) - x_at(xm)) / (2.0 * h)
     for a in range(3):
         for b in range(3):
             term = sum(x_field[c] * dg[c, a, b] for c in range(3))
@@ -230,20 +302,12 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> n
 def volume_divergence(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> float:
     """Divergence of a Killing field with respect to the volume density."""
     kap = float(kappa)
-    x0 = (q.r, q.theta, q.phi)
 
     def flux(x):
-        w = volume_density(kap, ConfigPoint(*x))
-        return w * np.array(_killing_components(fid, kap, *x))
+        return volume_density(kap, ConfigPoint(*x)) * _killing_components(fid, kap, x)
 
-    total = 0.0
-    for j in range(3):
-        xp = list(x0)
-        xm = list(x0)
-        xp[j] += h
-        xm[j] -= h
-        total += (flux(xp)[j] - flux(xm)[j]) / (2.0 * h)
-    return total / volume_density(kap, q)
+    d = _central_difference(flux, (q.r, q.theta, q.phi), h)
+    return sum(d[j, j] for j in range(3)) / volume_density(kap, q)
 
 
 def geodesic_forces(kappa, s: VelocityState) -> tuple[float, float, float]:
@@ -252,7 +316,7 @@ def geodesic_forces(kappa, s: VelocityState) -> tuple[float, float, float]:
     r, th = s.q.r, s.q.theta
     sk = sin_k(kap, r)
     sth = math.sin(th)
-    if abs(sk) < _EPS_SING or abs(sth) < _EPS_SING:
+    if abs(sk) < _EPS or abs(sth) < _EPS:
         raise DomainSingularity("geodesic forces singular at sin_k(r) = 0 or sin(theta) = 0")
     ck = cos_k(kap, r)
     cth = math.cos(th)
@@ -286,7 +350,7 @@ def legendre(kappa, s: VelocityState) -> PhaseState:
 def legendre_inv(kappa, s: PhaseState) -> VelocityState:
     """Canonical momenta to velocities: v = g^-1 p."""
     g1, g2, g3 = metric_coeffs(kappa, s.q)
-    if g2 < _EPS_SING**2 or g3 < _EPS_SING**2:
+    if g2 < _EPS**2 or g3 < _EPS**2:
         raise DomainSingularity("degenerate metric: sin_k(r) or sin(theta) vanishes")
     return VelocityState(s.q, s.p_r / g1, s.p_theta / g2, s.p_phi / g3)
 
@@ -333,7 +397,7 @@ def rho_chart_kinetic(kappa, s: PhaseState) -> float:
     kap = float(kappa)
     rho, th = s.q.r, s.q.theta
     sth = math.sin(th)
-    if abs(rho) < _EPS_SING or abs(sth) < _EPS_SING:
+    if abs(rho) < _EPS or abs(sth) < _EPS:
         raise DomainSingularity("rho chart kinetic singular")
     ang = s.p_theta**2 + (s.p_phi / sth) ** 2
     return 0.5 * ((1.0 - kap * rho * rho) * s.p_r**2 + ang / (rho * rho))
@@ -344,7 +408,7 @@ def R_chart_kinetic(kappa, s: PhaseState) -> float:
     kap = float(kappa)
     big_r, th = s.q.r, s.q.theta
     sth = math.sin(th)
-    if abs(big_r) < _EPS_SING or abs(sth) < _EPS_SING:
+    if abs(big_r) < _EPS or abs(sth) < _EPS:
         raise DomainSingularity("R chart kinetic singular")
     lam = 1.0 + kap * big_r * big_r
     ang = s.p_theta**2 + (s.p_phi / sth) ** 2

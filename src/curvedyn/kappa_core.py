@@ -11,10 +11,8 @@ kappa is used instead; the switch is exact to double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Curvature",
     "DomainSingularity",
     "EPS_DOM",
     "SMALL_KAPPA_X2",
@@ -37,28 +35,6 @@ SMALL_KAPPA_X2 = 1e-6
 
 class DomainSingularity(ValueError):
     """Raised when an evaluation point sits on a genuine singularity."""
-
-
-@dataclass(frozen=True)
-class Curvature:
-    """Validated curvature parameter with a sign classification."""
-
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa):
-            raise ValueError("curvature must be finite")
-
-    @property
-    def classification(self) -> str:
-        if self.kappa > 0.0:
-            return "spherical"
-        if self.kappa < 0.0:
-            return "hyperbolic"
-        return "euclidean"
-
-    def __float__(self) -> float:
-        return self.kappa
 
 
 def cos_k(kappa, x: float) -> float:

@@ -1,13 +1,15 @@
 """Named phase-space functions with values and analytic 6-gradients.
 
-Every conserved quantity handled by the library lives here: Noether
-momenta, angular momenta, curvature-scaled Cartesian coordinates, the
-symmetric quadratic tensor of the isotropic oscillator, angular-momentum
-and Runge-Lenz style integrals of the coupled systems, and the complex
-combinations whose moduli are conserved.  Each observable carries a
-hand-derived closed-form gradient with respect to
+Every conserved quantity handled by the library is an observable here:
+Noether momenta, angular momenta, curvature-scaled Cartesian
+coordinates, the symmetric quadratic tensor of the isotropic oscillator,
+angular-momentum and Runge-Lenz style integrals of the coupled systems,
+and the complex combinations whose moduli are conserved.  Each
+observable carries a hand-derived closed-form gradient with respect to
 (r, theta, phi, p_r, p_theta, p_phi); composites assemble primitive
-gradients through explicit product, quotient, and chain rules.  A finite
+gradients through explicit product, quotient, and chain rules.  The
+formulas of the momenta P_i and J_i live in the geometry module, beside
+the Killing fields that are their momentum gradients.  A finite
 difference cross-check of every gradient lives in the test suite.
 """
 
@@ -20,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PhaseState, ConfigPoint
+from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _sin_guard
 from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
 
 __all__ = [
@@ -50,9 +52,6 @@ __all__ = [
     "square",
 ]
 
-_EPS = 1e-12
-
-
 class UnsupportedEntry(ValueError):
     """Off-diagonal quadratic-tensor entries exist only without couplings."""
 
@@ -80,7 +79,6 @@ class Observable:
     """
 
     name: str
-    params: dict = field(compare=False)
     _vg: Callable = field(repr=False, compare=False)
     terms: tuple = field(default=(), repr=False, compare=False)
 
@@ -108,99 +106,8 @@ class ComplexObservable:
 
 # ---------------------------------------------------------------------------
 # Primitive value-and-gradient pieces.  Each returns (value, 6-gradient),
-# or (value, None) when called with grad false.
-
-_VG = tuple[float, np.ndarray | None]
-
-
-def _sin_guard(x: float, what: str) -> None:
-    if abs(x) < _EPS:
-        raise DomainSingularity(f"{what} vanishes")
-
-
-def _p_vg(i: int, kap: float, y, grad: bool = True) -> _VG:
-    r, th, ph, pr, pth, pph = y
-    sk = sin_k(kap, r)
-    _sin_guard(sk, "sin_k(r)")
-    ck = cos_k(kap, r)
-    ct = ck / sk
-    dct = -1.0 / (sk * sk)
-    sth, cth = math.sin(th), math.cos(th)
-    if i == 3:
-        val = cth * pr - ct * sth * pth
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[0] = -dct * sth * pth
-        g[1] = -sth * pr - ct * cth * pth
-        g[3] = cth
-        g[4] = -ct * sth
-        return val, g
-    _sin_guard(sth, "sin(theta)")
-    sph, cph = math.sin(ph), math.cos(ph)
-    if i == 1:
-        ang = cth * cph * pth - (sph / sth) * pph
-        val = sth * cph * pr + ct * ang
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[0] = dct * ang
-        g[1] = cth * cph * pr + ct * (-sth * cph * pth + (cth / (sth * sth)) * sph * pph)
-        g[2] = -sth * sph * pr + ct * (-cth * sph * pth - (cph / sth) * pph)
-        g[3] = sth * cph
-        g[4] = ct * cth * cph
-        g[5] = -ct * sph / sth
-        return val, g
-    if i == 2:
-        ang = cth * sph * pth + (cph / sth) * pph
-        val = sth * sph * pr + ct * ang
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[0] = dct * ang
-        g[1] = cth * sph * pr + ct * (-sth * sph * pth - (cth / (sth * sth)) * cph * pph)
-        g[2] = sth * cph * pr + ct * (cth * cph * pth - (sph / sth) * pph)
-        g[3] = sth * sph
-        g[4] = ct * cth * sph
-        g[5] = ct * cph / sth
-        return val, g
-    raise ValueError(f"momentum index must be 1..3, got {i}")
-
-
-def _j_vg(i: int, y, grad: bool = True) -> _VG:
-    _, th, ph, _, pth, pph = y
-    if i == 3:
-        if not grad:
-            return pph, None
-        g = np.zeros(6)
-        g[5] = 1.0
-        return pph, g
-    sth, cth = math.sin(th), math.cos(th)
-    _sin_guard(sth, "sin(theta)")
-    sph, cph = math.sin(ph), math.cos(ph)
-    cot = cth / sth
-    if i == 1:
-        val = -(sph * pth + cot * cph * pph)
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[1] = cph * pph / (sth * sth)
-        g[2] = -cph * pth + cot * sph * pph
-        g[4] = -sph
-        g[5] = -cot * cph
-        return val, g
-    if i == 2:
-        val = cph * pth - cot * sph * pph
-        if not grad:
-            return val, None
-        g = np.zeros(6)
-        g[1] = sph * pph / (sth * sth)
-        g[2] = -sph * pth - cot * cph * pph
-        g[4] = cph
-        g[5] = -cot * sph
-        return val, g
-    raise ValueError(f"angular index must be 1..3, got {i}")
-
+# or (value, None) when called with grad false.  The momenta P_i and J_i
+# are geometry._p_vg and geometry._j_vg.
 
 def _jsq_vg(y, grad: bool = True) -> _VG:
     _, th, _, _, pth, pph = y
@@ -226,21 +133,19 @@ def _dir_vg(axis: int, y, grad: bool = True) -> _VG:
         g[1] = -sth
         return cth, g
     sph, cph = math.sin(ph), math.cos(ph)
+    # The y axis is the x axis turned by pi/2: (a, b) -> (sin, -cos).
     if axis == 0:
-        if not grad:
-            return sth * cph, None
-        g = np.zeros(6)
-        g[1] = cth * cph
-        g[2] = -sth * sph
-        return sth * cph, g
-    if axis == 1:
-        if not grad:
-            return sth * sph, None
-        g = np.zeros(6)
-        g[1] = cth * sph
-        g[2] = sth * cph
-        return sth * sph, g
-    raise ValueError(f"axis must be 0..2, got {axis}")
+        a, b = cph, sph
+    elif axis == 1:
+        a, b = sph, -cph
+    else:
+        raise ValueError(f"axis must be 0..2, got {axis}")
+    if not grad:
+        return sth * a, None
+    g = np.zeros(6)
+    g[1] = cth * a
+    g[2] = -sth * b
+    return sth * a, g
 
 
 def _coord_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
@@ -285,8 +190,7 @@ def _az_vg(kap: float, y, grad: bool = True) -> _VG:
     cth = math.cos(th)
     u = tk * cth
     den = 1.0 - kap * u * u
-    if abs(den) < _EPS:
-        raise DomainSingularity("axial anisotropy factor denominator vanishes")
+    _sin_guard(den, "axial anisotropy factor denominator")
     if not grad:
         return u / den, None
     dadu = (1.0 + kap * u * u) / (den * den)
@@ -317,17 +221,17 @@ def _tan_dir_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
 def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
     kap = float(kappa)
-    return Observable(f"P{i}", {"kappa": kap}, partial(_p_vg, i, kap))
+    return Observable(f"P{i}", partial(_p_vg, i, kap))
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
-    return Observable(f"J{i}", {}, partial(_j_vg, i))
+    return Observable(f"J{i}", partial(_j_vg, i))
 
 
 def angular_J_squared() -> Observable:
     """Total squared angular momentum J1^2 + J2^2 + J3^2."""
-    return Observable("Jsq", {}, _jsq_vg)
+    return Observable("Jsq", _jsq_vg)
 
 
 def coordinate(axis: int, kappa) -> Observable:
@@ -336,7 +240,7 @@ def coordinate(axis: int, kappa) -> Observable:
         raise ValueError(f"axis must be 1..3, got {axis}")
     kap = float(kappa)
     name = ("xk", "yk", "zk")[axis - 1]
-    return Observable(name, {"kappa": kap}, partial(_coord_vg, axis - 1, kap))
+    return Observable(name, partial(_coord_vg, axis - 1, kap))
 
 
 def direction_cosine(axis: int) -> Observable:
@@ -344,7 +248,7 @@ def direction_cosine(axis: int) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("dx", "dy", "dz")[axis - 1]
-    return Observable(name, {}, partial(_dir_vg, axis - 1))
+    return Observable(name, partial(_dir_vg, axis - 1))
 
 
 def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
@@ -363,7 +267,7 @@ def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
 def kinetic(kappa) -> Observable:
     """Kinetic energy of the canonical momenta under the metric."""
     kap = float(kappa)
-    return Observable("T", {"kappa": kap}, partial(_kinetic_vg, kap))
+    return Observable("T", partial(_kinetic_vg, kap))
 
 
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -412,10 +316,7 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
         g[0] += 2.0 * al * al * tk * di * dj / (ck * ck)
         return val, g
 
-    params = {"kappa": kap, "alpha": al}
-    if any(ks):
-        params.update({"k1": ks[0], "k2": ks[1], "k3": ks[2]})
-    return Observable(f"K{i}{j}", params, vg)
+    return Observable(f"K{i}{j}", vg)
 
 
 @dataclass(frozen=True)
@@ -453,7 +354,7 @@ def complex_M(j: int, kappa, alpha) -> ComplexObservable:
         v, g = _tan_dir_vg(j - 1, kap, y, grad)
         return al * v, (al * g if grad else None)
 
-    im = Observable(f"ImM{j}", {"kappa": kap, "alpha": al}, im_vg)
+    im = Observable(f"ImM{j}", im_vg)
     return ComplexObservable(f"M{j}", re, im)
 
 
@@ -488,14 +389,12 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
                 g = g + 4.0 * kc * q * gq
         return val, g
 
-    return Observable(
-        f"KJ{i}", {"kappa": kap, "k1": ks[0], "k2": ks[1], "k3": ks[2]}, vg
-    )
+    return Observable(f"KJ{i}", vg)
 
 
 def _osc112_az(kappa) -> Observable:
     kap = float(kappa)
-    return Observable("Az", {"kappa": kap}, partial(_az_vg, kap))
+    return Observable("Az", partial(_az_vg, kap))
 
 
 def _osc112_k3(kappa, alpha) -> Observable:
@@ -509,7 +408,7 @@ def _osc112_k3(kappa, alpha) -> Observable:
             return val, None
         return val, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
 
-    return Observable("K3", {"kappa": kap, "alpha": al}, vg)
+    return Observable("K3", vg)
 
 
 def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
@@ -529,33 +428,29 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
         t = w / den
         coef = 1.0 + 4.0 * kap * a * a
         val = (p1 * p1 + kap * j1 * j1) + (p2 * p2 + kap * j2 * j2) + al * al * coef * t
-        if k2 != 0.0:
-            _sin_guard(yy, "y_k")
-            val += 2.0 * k2 * (1.0 - kap * x * x) / (yy * yy)
-        if k1 != 0.0:
-            _sin_guard(x, "x_k")
-            val += 2.0 * k1 * (1.0 - kap * yy * yy) / (x * x)
-        if not grad:
-            return val, None
-        gw = 2.0 * x * gx + 2.0 * yy * gy
-        gt = gw / (den * den)
-        g = (
-            2.0 * p1 * gp1
-            + 2.0 * p2 * gp2
-            + 2.0 * kap * (j1 * gj1 + j2 * gj2)
-            + al * al * (8.0 * kap * a * t * ga + coef * gt)
-        )
-        if k2 != 0.0:
-            g = g + 2.0 * k2 * (
-                -2.0 * kap * x * gx / (yy * yy) - 2.0 * (1.0 - kap * x * x) * gy / yy**3
+        g = None
+        if grad:
+            gt = (2.0 * x * gx + 2.0 * yy * gy) / (den * den)
+            g = (
+                2.0 * p1 * gp1
+                + 2.0 * p2 * gp2
+                + 2.0 * kap * (j1 * gj1 + j2 * gj2)
+                + al * al * (8.0 * kap * a * t * ga + coef * gt)
             )
-        if k1 != 0.0:
-            g = g + 2.0 * k1 * (
-                -2.0 * kap * yy * gy / (x * x) - 2.0 * (1.0 - kap * yy * yy) * gx / x**3
-            )
+        # 2 k (1 - kappa o^2) / c^2 for the coordinate c under the coupling
+        # and the other one o, the k2 term first.
+        for kc, c, gc, o, go, what in ((k2, yy, gy, x, gx, "y_k"), (k1, x, gx, yy, gy, "x_k")):
+            if kc == 0.0:
+                continue
+            _sin_guard(c, what)
+            val += 2.0 * kc * (1.0 - kap * o * o) / (c * c)
+            if grad:
+                g = g + 2.0 * kc * (
+                    -2.0 * kap * o * go / (c * c) - 2.0 * (1.0 - kap * o * o) * gc / c**3
+                )
         return val, g
 
-    return Observable("K12", {"kappa": kap, "alpha": al, "k1": k1, "k2": k2}, vg)
+    return Observable("K12", vg)
 
 
 def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
@@ -617,7 +512,7 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
             g = g - 2.0 * kc * coup
         return val, g
 
-    return Observable(f"KRL{which}", {"kappa": kap, "alpha": al, "k": kc}, vg)
+    return Observable(f"KRL{which}", vg)
 
 
 def osc112_observables(kappa, alpha, k1=0.0, k2=0.0) -> dict:
@@ -653,7 +548,7 @@ def kepler_RL(i: int, kappa, k) -> Observable:
         g = jl * gpj + pj * gjl - jj * gpl - pl * gjj + kc * gd
         return val, g
 
-    return Observable(f"KRL{i}", {"kappa": kap, "k": kc}, vg)
+    return Observable(f"KRL{i}", vg)
 
 
 def _coupling_sum_vg(kap: float, ks, y, grad: bool = True) -> _VG:
@@ -692,14 +587,15 @@ def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
                 g[0] += 2.0 * (ck * ck - kap * sk * sk) * d * u
         return val, g
 
-    return Observable(
-        f"R{i}", {"kappa": kap, "k": float(k), "k1": ks[0], "k2": ks[1], "k3": ks[2]}, vg
-    )
+    return Observable(f"R{i}", vg)
 
 
 def k123_S(i: int, kappa) -> Observable:
-    """Scaled radial momentum p_r sin_k(r) divided by the i-th coordinate."""
-    kap = float(kappa)
+    """Scaled radial momentum p_r sin_k(r) divided by the i-th coordinate.
+
+    That is p_r over the i-th direction cosine, so kappa drops out; the
+    argument keeps the signature of the other kepler123 constructors.
+    """
 
     def vg(y, grad=True):
         pr = y[3]
@@ -712,7 +608,7 @@ def k123_S(i: int, kappa) -> Observable:
         g[3] += 1.0 / d
         return val, g
 
-    return Observable(f"S{i}", {"kappa": kap}, vg)
+    return Observable(f"S{i}", vg)
 
 
 def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
@@ -729,7 +625,7 @@ def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
         v, g = s_obs._vg(y, grad)
         return root * v, (root * g if grad else None)
 
-    im = Observable(f"ImN{i}", dict(re.params), im_vg)
+    im = Observable(f"ImN{i}", im_vg)
     return ComplexObservable(f"N{i}", re, im)
 
 
@@ -750,7 +646,7 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
             return val, None
         return val, 2.0 * rv * rg + 4.0 * ki * sv * sg
 
-    return Observable(f"KR{i}", dict(r_obs.params), vg)
+    return Observable(f"KR{i}", vg)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +665,7 @@ def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
                 g = g + c * gv
         return val, g
 
-    return Observable(name, {}, vg, tuple(terms))
+    return Observable(name, vg, tuple(terms))
 
 
 def square(obs: Observable, name: str | None = None) -> Observable:
@@ -779,4 +675,4 @@ def square(obs: Observable, name: str | None = None) -> Observable:
         v, g = obs._vg(y, grad)
         return v * v, (2.0 * v * g if grad else None)
 
-    return Observable(name or f"{obs.name}^2", dict(obs.params), vg)
+    return Observable(name or f"{obs.name}^2", vg)

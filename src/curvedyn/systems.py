@@ -241,12 +241,10 @@ def _osc112(spec: SystemSpec) -> tuple:
         den = 1.0 - kap * w
         _sin_guard(den, "planar anisotropy denominator")
         val = 0.5 * al * al * (w + 4.0 * a * a) / den
-        if k1 != 0.0:
-            _sin_guard(x, "x_k")
-            val += k1 / (x * x)
-        if k2 != 0.0:
-            _sin_guard(yy, "y_k")
-            val += k2 / (yy * yy)
+        for kc, c, what in ((k1, x, "x_k"), (k2, yy, "y_k")):
+            if kc != 0.0:
+                _sin_guard(c, what)
+                val += kc / (c * c)
         return val
 
     def force(sk, ck, sth, cth, sph, cph):
@@ -301,7 +299,7 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
                       math.sin(ph), math.cos(ph))
         return val, g
 
-    return Observable("V", {"kappa": kap, **spec.params}, vg)
+    return Observable("V", vg)
 
 
 def potential_value(spec: SystemSpec, q: ConfigPoint) -> float:
@@ -317,7 +315,7 @@ def hamiltonian(spec: SystemSpec) -> Observable:
     t = kinetic(spec.kappa)
     v = potential_observable(spec)
     if v is None:
-        return Observable("H", dict(t.params), t._vg)
+        return Observable("H", t._vg)
     return scaled_sum("H", [(1.0, t), (1.0, v)])
 
 
@@ -473,15 +471,15 @@ def _rotation_identities(j, vec, label) -> list:
 
 
 def _pair_sums(kjs) -> tuple:
-    """Sums KJ_bc = KJ_b + KJ_c over cyclic (a, b, c), the involution sets
-    (H, KJ_a, KJ_bc) and the displayed identities {KJ_a, KJ_bc} = 0."""
-    sums, invol, ids = {}, {}, []
+    """Sums KJ_bc = KJ_b + KJ_c over cyclic (a, b, c) and the involution
+    sets (H, KJ_a, KJ_bc).  The audit's involution rows hold the displayed
+    identities {KJ_a, KJ_bc} = 0."""
+    sums, invol = {}, {}
     for a, (b, c) in _CYCLE.items():
         name = f"KJ{b}{c}"
         sums[name] = scaled_sum(name, [(1.0, kjs[b]), (1.0, kjs[c])])
         invol[f"H_KJ{a}"] = ("H", f"KJ{a}", name)
-        ids.append(_bracket(f"{{KJ{a},KJ{b}+KJ{c}}}", kjs[a], sums[name]))
-    return sums, invol, ids
+    return sums, invol
 
 
 def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
@@ -588,7 +586,7 @@ def _sw_catalog(spec: SystemSpec, h: Observable) -> Catalog:
     integrals.update({f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)})
     diag = {i: integrals[f"K{i}{i}"] for i in (1, 2, 3)}
     kjs = {i: integrals[f"KJ{i}"] for i in (1, 2, 3)}
-    sums, invol, pair_ids = _pair_sums(kjs)
+    sums, invol = _pair_sums(kjs)
     aux = {"H": h}
     aux.update(_axis_blocks(kap, diag, kjs))
     aux.update(sums)
@@ -604,7 +602,6 @@ def _sw_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
 
     ids = [Identity("alg:H-(trace(K)+kappa*trace(KJ))/2-kappa*(k1+k2+k3)", residual=trace)]
-    ids += pair_ids
     ids += _block_identities(diag, kjs, "KJ", aux)
     return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
 
@@ -659,7 +656,7 @@ def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         if ks[i - 1] >= 0.0:
             integrals[f"KR{i}"] = k123_KR(i, kap, spec.k, *ks)
             complexes[f"N{i}"] = k123_N(i, kap, spec.k, *ks)
-    sums, invol, ids = _pair_sums({i: integrals[f"KJ{i}"] for i in (1, 2, 3)})
+    sums, invol = _pair_sums({i: integrals[f"KJ{i}"] for i in (1, 2, 3)})
     aux.update(sums)
     primary = tuple(
         ["KJ1", "KJ2", "KJ3"]
@@ -684,9 +681,8 @@ def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
             _bracket(f"{{S{i},H}}-lambda{i}*R{i}", s, h, lambda y: lam(y) * r.value(y)),
         ]
 
-    for i in (1, 2, 3):
-        ids += coupled(i)
-    return Catalog(integrals, aux, complexes, invol, {"primary": primary}, tuple(ids))
+    ids = tuple(row for i in (1, 2, 3) for row in coupled(i))
+    return Catalog(integrals, aux, complexes, invol, {"primary": primary}, ids)
 
 
 def catalog(spec: SystemSpec) -> Catalog:

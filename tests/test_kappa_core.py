@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from curvedyn.kappa_core import (
-    Curvature,
     DomainSingularity,
     EPS_DOM,
     SMALL_KAPPA_X2,
@@ -144,13 +143,3 @@ def test_domain_guard_threshold():
     # Just outside the guard evaluates; the guard width is EPS_DOM on cos_k.
     assert abs(tan_k(1.0, math.pi / 2.0 - 1e-3)) > 999.0
     assert EPS_DOM == 1e-10
-
-
-def test_curvature_wrapper():
-    assert Curvature(1.5).classification == "spherical"
-    assert Curvature(0.0).classification == "euclidean"
-    assert Curvature(-0.2).classification == "hyperbolic"
-    assert float(Curvature(-0.2)) == -0.2
-    assert sin_k(Curvature(1.0), 0.5) == sin_k(1.0, 0.5)
-    with pytest.raises(ValueError):
-        Curvature(math.inf)

@@ -336,7 +336,6 @@ def test_scaled_sum_and_square():
 def test_observable_metadata():
     obs = noether_P(2, 0.7)
     assert obs.name == "P2"
-    assert obs.params["kappa"] == 0.7
     assert isinstance(obs, Observable)
     m = complex_M(1, 0.7, ALPHA)
     assert m.name == "M1"
