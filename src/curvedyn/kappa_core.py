@@ -5,7 +5,9 @@ sphere, zero for Euclidean space, negative for hyperbolic space.  The
 kernels cos_k, sin_k, tan_k interpolate between circular and hyperbolic
 functions and reduce smoothly to (1, x, x) at kappa = 0.  Near kappa = 0
 the closed forms lose digits to cancellation, so a truncated series in
-kappa is used instead; the switch is exact to double precision.
+kappa is used instead; the switch is exact to double precision.  At
+kappa = 0 itself the series is always taken, so a non-finite x gives a
+non-finite result where the closed form would divide by sqrt(-0.0).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def cos_k(kappa, x: float) -> float:
     """cos(sqrt(kappa) x), continued through kappa <= 0."""
     kap = float(kappa)
     u = kap * x * x
-    if abs(u) < SMALL_KAPPA_X2:
+    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
         # 1 - u/2 + u^2/24; next term u^3/720 is below roundoff here.
         return 1.0 - u / 2.0 + u * u / 24.0
     if kap > 0.0:
@@ -53,7 +55,7 @@ def sin_k(kappa, x: float) -> float:
     """sin(sqrt(kappa) x)/sqrt(kappa), continued through kappa <= 0."""
     kap = float(kappa)
     u = kap * x * x
-    if abs(u) < SMALL_KAPPA_X2:
+    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
         return x * (1.0 - u / 6.0 + u * u / 120.0)
     if kap > 0.0:
         rk = math.sqrt(kap)
@@ -92,7 +94,7 @@ def arcsin_k(kappa, y: float) -> float:
     """Inverse of sin_k on the principal branch."""
     kap = float(kappa)
     u = kap * y * y
-    if abs(u) < SMALL_KAPPA_X2:
+    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
         return y * (1.0 + u / 6.0 + 3.0 * u * u / 40.0)
     if kap > 0.0:
         rk = math.sqrt(kap)
@@ -108,7 +110,7 @@ def arctan_k(kappa, y: float) -> float:
     """Inverse of tan_k on the principal branch."""
     kap = float(kappa)
     u = kap * y * y
-    if abs(u) < SMALL_KAPPA_X2:
+    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
         return y * (1.0 - u / 3.0 + u * u / 5.0)
     if kap > 0.0:
         rk = math.sqrt(kap)

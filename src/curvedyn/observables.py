@@ -159,25 +159,39 @@ def _coord_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
     return sk * d, g
 
 
-def _kinetic_vg(kap: float, y, grad: bool = True) -> _VG:
-    r, th, _, pr, pth, pph = y
-    sk = sin_k(kap, r)
-    _sin_guard(sk, "sin_k(r)")
-    sth, cth = math.sin(th), math.cos(th)
-    _sin_guard(sth, "sin(theta)")
-    sk2 = sk * sk
-    ang = pth * pth + (pph / sth) ** 2
-    val = 0.5 * (pr * pr + ang / sk2)
-    if not grad:
-        return val, None
-    ck = cos_k(kap, r)
-    g = np.zeros(6)
-    g[0] = -ck * ang / (sk2 * sk)
-    g[1] = -pph * pph * cth / (sk2 * sth**3)
-    g[3] = pr
-    g[4] = pth / sk2
-    g[5] = pph / (sk2 * sth * sth)
-    return val, g
+def _hamilton_flow(kap: float, terms: Callable | None = None) -> Callable:
+    """Hamilton equations dy/dt = f(t, y) of T + V on a state array.
+
+    terms(sin_k r, cos_k r, sin theta, cos theta, phi) gives
+    (V, V_r, V_theta, V_phi), and f subtracts that force; with terms None
+    f is geodesic motion, so (-f[3], -f[4], 0, f[0], f[1], f[2]) is the
+    gradient of T.
+    """
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        r, th, ph, pr, pth, pph = y.tolist()
+        sk = sin_k(kap, r)
+        if abs(sk) < 1e-12:
+            raise DomainSingularity("sin_k(r) vanishes along trajectory")
+        sth = math.sin(th)
+        if abs(sth) < 1e-12:
+            raise DomainSingularity("sin(theta) vanishes along trajectory")
+        ck = cos_k(kap, r)
+        cth = math.cos(th)
+        sk2 = sk * sk
+        sth2 = sth * sth
+        ang = pth * pth + pph * pph / sth2
+        dpr = ck * ang / (sk2 * sk)
+        dpth = cth * pph * pph / (sk2 * sth2 * sth)
+        dpph = 0.0
+        if terms is not None:
+            _, vr, vth, vph = terms(sk, ck, sth, cth, ph)
+            dpr -= vr
+            dpth -= vth
+            dpph -= vph
+        return np.array((pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph))
+
+    return rhs
 
 
 def _az_vg(kap: float, y, grad: bool = True) -> _VG:
@@ -265,9 +279,26 @@ def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
 
 
 def kinetic(kappa) -> Observable:
-    """Kinetic energy of the canonical momenta under the metric."""
+    """Kinetic energy of the canonical momenta under the metric.
+
+    Its gradient is read off the geodesic Hamilton equations.
+    """
     kap = float(kappa)
-    return Observable("T", partial(_kinetic_vg, kap))
+    flow = _hamilton_flow(kap)
+
+    def vg(y, grad=True):
+        r, th, _, pr, pth, pph = y
+        sk = sin_k(kap, r)
+        _sin_guard(sk, "sin_k(r)")
+        sth = math.sin(th)
+        _sin_guard(sth, "sin(theta)")
+        val = 0.5 * (pr * pr + (pth * pth + (pph / sth) ** 2) / (sk * sk))
+        if not grad:
+            return val, None
+        f = flow(0.0, np.asarray(y)).tolist()
+        return val, np.array((-f[3], -f[4], 0.0, f[0], f[1], f[2]))
+
+    return Observable("T", vg)
 
 
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -287,34 +318,24 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
 
     def vg(y, grad=True):
         pi, gpi = _p_vg(i, kap, y, grad)
-        ck = cos_k(kap, y[0])
-        if abs(ck) < EPS_DOM:
-            raise DomainSingularity("tan_k(r) singular at cos_k(r) = 0")
-        tk = sin_k(kap, y[0]) / ck
-        di, gdi = _dir_vg(ia, y, grad)
+        wi, gwi = _tan_dir_vg(ia, kap, y, grad)
         if i == j:
-            val = pi * pi + (al * tk * di) ** 2
-            w = tk * di
+            val = pi * pi + (al * wi) ** 2
             if ki != 0.0:
-                _sin_guard(w, "tan_k(r) dir_i")
-                val += 2.0 * ki / (w * w)
+                _sin_guard(wi, "tan_k(r) dir_i")
+                val += 2.0 * ki / (wi * wi)
             if not grad:
                 return val, None
-            g = 2.0 * pi * gpi + al * al * tk * (2.0 * tk * di * gdi)
-            g[0] += 2.0 * al * al * tk * di * di / (ck * ck)
+            g = 2.0 * pi * gpi + 2.0 * al * al * wi * gwi
             if ki != 0.0:
-                gw = tk * gdi
-                gw[0] += di / (ck * ck)
-                g += (-4.0 * ki / w**3) * gw
+                g += (-4.0 * ki / wi**3) * gwi
             return val, g
         pj, gpj = _p_vg(j, kap, y, grad)
-        dj, gdj = _dir_vg(ja, y, grad)
-        val = pi * pj + al * al * tk * tk * di * dj
+        wj, gwj = _tan_dir_vg(ja, kap, y, grad)
+        val = pi * pj + al * al * wi * wj
         if not grad:
             return val, None
-        g = pi * gpj + pj * gpi + al * al * tk * tk * (di * gdj + dj * gdi)
-        g[0] += 2.0 * al * al * tk * di * dj / (ck * ck)
-        return val, g
+        return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
 
     return Observable(f"K{i}{j}", vg)
 
@@ -551,20 +572,41 @@ def kepler_RL(i: int, kappa, k) -> Observable:
     return Observable(f"KRL{i}", vg)
 
 
-def _coupling_sum_vg(kap: float, ks, y, grad: bool = True) -> _VG:
-    """Sum of k_i / coord_i^2 over the nonzero couplings, with gradient."""
-    val = 0.0
-    g = np.zeros(6) if grad else None
-    for ax in range(3):
-        kc = ks[ax]
-        if kc == 0.0:
-            continue
-        c, gc = _coord_vg(ax, kap, y, grad)
-        _sin_guard(c, "coordinate under coupling")
-        val += kc / (c * c)
-        if grad:
-            g = g - 2.0 * kc * gc / c**3
-    return val, g
+def _coupling_terms(ks, sk, ck, sth, cth, ph) -> tuple[float, float, float, float]:
+    """U = sum k_i / coord_i^2 over the nonzero couplings and its partials
+    (U, U_r, U_theta, U_phi) in plain floats, from sin_k r, cos_k r,
+    sin theta, cos theta and phi."""
+    u = ur = uth = uph = 0.0
+    k1, k2, k3 = ks
+    if k1 != 0.0 or k2 != 0.0:
+        sph, cph = math.sin(ph), math.cos(ph)
+    if k1 != 0.0:
+        x = sk * sth * cph
+        if abs(x) < 1e-12:
+            raise DomainSingularity("x coordinate vanishes under coupling")
+        c = -2.0 * k1 / (x * x * x)
+        u += k1 / (x * x)
+        ur += c * ck * sth * cph
+        uth += c * sk * cth * cph
+        uph += c * (-sk * sth * sph)
+    if k2 != 0.0:
+        yy = sk * sth * sph
+        if abs(yy) < 1e-12:
+            raise DomainSingularity("y coordinate vanishes under coupling")
+        c = -2.0 * k2 / (yy * yy * yy)
+        u += k2 / (yy * yy)
+        ur += c * ck * sth * sph
+        uth += c * sk * cth * sph
+        uph += c * sk * sth * cph
+    if k3 != 0.0:
+        z = sk * cth
+        if abs(z) < 1e-12:
+            raise DomainSingularity("z coordinate vanishes under coupling")
+        c = -2.0 * k3 / (z * z * z)
+        u += k3 / (z * z)
+        ur += c * ck * cth
+        uth += c * (-sk * sth)
+    return u, ur, uth, uph
 
 
 def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -575,14 +617,14 @@ def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
 
     def vg(y, grad=True):
         val, g = base._vg(y, grad)
-        u, gu = _coupling_sum_vg(kap, ks, y, grad)
-        if u != 0.0 or any(ks):
-            sk = sin_k(kap, y[0])
-            ck = cos_k(kap, y[0])
+        if any(ks):
+            sk, ck = sin_k(kap, y[0]), cos_k(kap, y[0])
+            u, ur, uth, uph = _coupling_terms(ks, sk, ck, math.sin(y[1]), math.cos(y[1]), y[2])
             cs = ck * sk
             d, gd = _dir_vg(i - 1, y, grad)
             val += 2.0 * cs * d * u
             if grad:
+                gu = np.array((ur, uth, uph, 0.0, 0.0, 0.0))
                 g = g + 2.0 * (cs * u * gd + cs * d * gu)
                 g[0] += 2.0 * (ck * ck - kap * sk * sk) * d * u
         return val, g

@@ -13,9 +13,11 @@ differ in the potential:
   kepler123   kepler plus k_i / coord_i^2 couplings on all three axes
 
 Each system is one entry of a private registry, _SYSTEMS, and everything
-that depends on which system it is reads that entry.  The gradient of V
-is the force that hamilton_rhs subtracts, so each potential's derivative
-is written once.
+that depends on which system it is reads that entry.  H = T + V is
+written once: each potential is one terms function that gives V and its
+partials together, from which the value and gradient of V, the force in
+hamilton_rhs and the radial-chart forms are all read, and the gradient
+of T is read off the geodesic Hamilton equations.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
 from .observables import (
     _CYCLE,
     Observable,
-    _az_vg,
-    _coord_vg,
-    _coupling_sum_vg,
+    _coupling_terms,
+    _hamilton_flow,
     _sin_guard,
     angular_J,
     angular_J_squared,
@@ -96,18 +97,19 @@ class SystemSpec:
 class _System:
     """Everything that distinguishes one system.
 
-    potential(spec) gives (value, force), None for the free system;
-    catalog(spec, h) builds the Catalog around the Hamiltonian h;
-    chart(spec), for a potential of r alone, gives (V(rho), dV/drho,
-    V(R)).  axial marks the factor u/(1 - kappa u^2), u = tan_k(r)
-    cos(theta): sampled states keep its denominator and z = 0 clear.
+    potential(spec) gives the terms function of V (see Potentials),
+    None for the free system; catalog(spec, h) builds the Catalog around
+    the Hamiltonian h; radial marks a potential of r alone, which the
+    radial charts take; axial marks the factor u/(1 - kappa u^2),
+    u = tan_k(r) cos(theta): sampled states keep its denominator and
+    z = 0 clear.
     """
 
     summary: str
     defaults: dict
     catalog: Callable
     potential: Optional[Callable] = None
-    chart: Optional[Callable] = None
+    radial: bool = False
     axial: bool = False
 
 
@@ -140,114 +142,60 @@ def system_summaries() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Potentials.  Each factory maps a spec to (value, force): value(y) is V on
-# a 6-tuple state with its domain guards, and force gives (V_r, V_theta,
-# V_phi) in plain floats from (sin_k r, cos_k r, sin theta, cos theta,
-# sin phi, cos phi), for the Hamilton equations and the gradient of V.
+# Potentials.  Each factory maps a spec to one function,
+# terms(sin_k r, cos_k r, sin theta, cos theta, phi), that gives
+# (V, V_r, V_theta, V_phi) in plain floats and carries the potential's
+# domain guards.  hamilton_rhs subtracts its force, potential_observable
+# reads V and its gradient from it, and the radial charts evaluate it at
+# the sin_k and cos_k of their radius.
 
-def _oscillator(spec: SystemSpec) -> tuple:
-    kap, al = spec.kappa, spec.alpha
-    al2 = al**2
+def _oscillator(spec: SystemSpec) -> Callable:
+    half_al2, al2 = 0.5 * spec.alpha * spec.alpha, spec.alpha**2
 
-    def value(y):
-        ck = cos_k(kap, y[0])
+    def terms(sk, ck, sth, cth, ph):
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("oscillator potential singular at cos_k(r) = 0")
-        tk = sin_k(kap, y[0]) / ck
-        return 0.5 * al * al * tk * tk
+        tk = sk / ck
+        return half_al2 * tk * tk, al2 * sk / (ck * ck * ck), 0.0, 0.0
 
-    def force(sk, ck, sth, cth, sph, cph):
-        return al2 * sk / (ck * ck * ck), 0.0, 0.0
-
-    return value, force
+    return terms
 
 
-def _kepler(spec: SystemSpec) -> tuple:
-    kap, kc = spec.kappa, spec.k
+def _kepler(spec: SystemSpec) -> Callable:
+    kc = spec.k
 
-    def value(y):
-        sk = sin_k(kap, y[0])
+    def terms(sk, ck, sth, cth, ph):
         if abs(sk) < 1e-12:
             raise DomainSingularity("Kepler potential singular at sin_k(r) = 0")
-        return kc * cos_k(kap, y[0]) / sk
+        return kc * ck / sk, -kc / (sk * sk), 0.0, 0.0
 
-    def force(sk, ck, sth, cth, sph, cph):
-        return -kc / (sk * sk), 0.0, 0.0
-
-    return value, force
-
-
-def _coupling_force(ks, sk, ck, sth, cth, sph, cph):
-    """Configuration-space partials of sum k_i / coord_i^2 in plain floats."""
-    vr = vth = vph = 0.0
-    k1, k2, k3 = ks
-    if k1 != 0.0:
-        x = sk * sth * cph
-        if abs(x) < 1e-12:
-            raise DomainSingularity("x coordinate vanishes under coupling")
-        c = -2.0 * k1 / (x * x * x)
-        vr += c * ck * sth * cph
-        vth += c * sk * cth * cph
-        vph += c * (-sk * sth * sph)
-    if k2 != 0.0:
-        yy = sk * sth * sph
-        if abs(yy) < 1e-12:
-            raise DomainSingularity("y coordinate vanishes under coupling")
-        c = -2.0 * k2 / (yy * yy * yy)
-        vr += c * ck * sth * sph
-        vth += c * sk * cth * sph
-        vph += c * sk * sth * cph
-    if k3 != 0.0:
-        z = sk * cth
-        if abs(z) < 1e-12:
-            raise DomainSingularity("z coordinate vanishes under coupling")
-        c = -2.0 * k3 / (z * z * z)
-        vr += c * ck * cth
-        vth += c * (-sk * sth)
-    return vr, vth, vph
+    return terms
 
 
 def _with_couplings(radial: Callable) -> Callable:
     """Factory of a radial potential plus sum k_i / coord_i^2 on all three axes."""
 
-    def potential(spec: SystemSpec) -> tuple:
-        base_value, base_force = radial(spec)
-        kap, ks = spec.kappa, (spec.k1, spec.k2, spec.k3)
+    def potential(spec: SystemSpec) -> Callable:
+        base = radial(spec)
+        ks = (spec.k1, spec.k2, spec.k3)
 
-        def value(y):
-            return base_value(y) + _coupling_sum_vg(kap, ks, y, False)[0]
+        def terms(sk, ck, sth, cth, ph):
+            v, vr, _, _ = base(sk, ck, sth, cth, ph)
+            u, ur, uth, uph = _coupling_terms(ks, sk, ck, sth, cth, ph)
+            return v + u, ur + vr, uth, uph
 
-        def force(sk, ck, sth, cth, sph, cph):
-            vr, vth, vph = _coupling_force(ks, sk, ck, sth, cth, sph, cph)
-            return vr + base_force(sk, ck, sth, cth, sph, cph)[0], vth, vph
-
-        return value, force
+        return terms
 
     return potential
 
 
-def _osc112(spec: SystemSpec) -> tuple:
+def _osc112(spec: SystemSpec) -> Callable:
     # The planar part uses w = sin_k^2 sin^2 theta, the axial part the
     # factor A = u/(1 - kappa u^2) with u = tan_k cos theta.
-    kap, al, k1, k2 = spec.kappa, spec.alpha, spec.k1, spec.k2
-    al2 = al**2
-    ks = (k1, k2, 0.0)
+    kap, al2 = spec.kappa, spec.alpha**2
+    ks = (spec.k1, spec.k2, 0.0)
 
-    def value(y):
-        x = _coord_vg(0, kap, y, False)[0]
-        yy = _coord_vg(1, kap, y, False)[0]
-        a = _az_vg(kap, y, False)[0]
-        w = x * x + yy * yy
-        den = 1.0 - kap * w
-        _sin_guard(den, "planar anisotropy denominator")
-        val = 0.5 * al * al * (w + 4.0 * a * a) / den
-        for kc, c, what in ((k1, x, "x_k"), (k2, yy, "y_k")):
-            if kc != 0.0:
-                _sin_guard(c, what)
-                val += kc / (c * c)
-        return val
-
-    def force(sk, ck, sth, cth, sph, cph):
+    def terms(sk, ck, sth, cth, ph):
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("cos_k(r) vanishes along trajectory")
         w = sk * sk * sth * sth
@@ -271,33 +219,30 @@ def _osc112(spec: SystemSpec) -> tuple:
         d2 = den * den
         vr = 0.5 * al2 * (n_r * den + kap * n * w_r) / d2
         vth = 0.5 * al2 * (n_th * den + kap * n * w_th) / d2
-        cr, cth_f, cph_f = _coupling_force(ks, sk, ck, sth, cth, sph, cph)
-        return vr + cr, vth + cth_f, cph_f
+        c, cr, cth_f, cph_f = _coupling_terms(ks, sk, ck, sth, cth, ph)
+        return 0.5 * al2 * n / den + c, vr + cr, vth + cth_f, cph_f
 
-    return value, force
+    return terms
 
 
 def potential_observable(spec: SystemSpec) -> Optional[Observable]:
     """Potential of a system as an observable; None for the free system.
 
-    The gradient is (V_r, V_theta, V_phi, 0, 0, 0) from the same force
-    that hamilton_rhs subtracts, taken after the value's domain guards.
+    The value and the gradient (V_r, V_theta, V_phi, 0, 0, 0) both come
+    from the potential's terms, whose force hamilton_rhs subtracts.
     """
     potential = _system(spec.system_id).potential
     if potential is None:
         return None
     kap = spec.kappa
-    value, force = potential(spec)
+    terms = potential(spec)
 
     def vg(y, grad=True):
-        val = value(y)
+        r, th = y[0], y[1]
+        val, vr, vth, vph = terms(sin_k(kap, r), cos_k(kap, r), math.sin(th), math.cos(th), y[2])
         if not grad:
             return val, None
-        r, th, ph = y[0], y[1], y[2]
-        g = np.zeros(6)
-        g[:3] = force(sin_k(kap, r), cos_k(kap, r), math.sin(th), math.cos(th),
-                      math.sin(ph), math.cos(ph))
-        return val, g
+        return val, np.array((vr, vth, vph, 0.0, 0.0, 0.0))
 
     return Observable("V", vg)
 
@@ -324,34 +269,8 @@ def hamiltonian(spec: SystemSpec) -> Observable:
 
 def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Closed-form Hamilton equations dy/dt = f(t, y) for a system."""
-    kap = spec.kappa
     potential = _system(spec.system_id).potential
-    force = None if potential is None else potential(spec)[1]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        r, th, ph, pr, pth, pph = y.tolist()
-        sk = sin_k(kap, r)
-        if abs(sk) < 1e-12:
-            raise DomainSingularity("sin_k(r) vanishes along trajectory")
-        sth = math.sin(th)
-        if abs(sth) < 1e-12:
-            raise DomainSingularity("sin(theta) vanishes along trajectory")
-        ck = cos_k(kap, r)
-        cth = math.cos(th)
-        sk2 = sk * sk
-        sth2 = sth * sth
-        ang = pth * pth + pph * pph / sth2
-        dpr = ck * ang / (sk2 * sk)
-        dpth = cth * pph * pph / (sk2 * sth2 * sth)
-        dpph = 0.0
-        if force is not None:
-            vr, vth, vph = force(sk, ck, sth, cth, math.sin(ph), math.cos(ph))
-            dpr -= vr
-            dpth -= vth
-            dpph -= vph
-        return np.array((pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph))
-
-    return rhs
+    return _hamilton_flow(spec.kappa, None if potential is None else potential(spec))
 
 
 def potential_profile(
@@ -366,11 +285,8 @@ def potential_profile(
     out = np.empty((rs.size, 2))
     out[:, 0] = rs
     for idx, r in enumerate(rs):
-        if v is None:
-            out[idx, 1] = 0.0
-            continue
         try:
-            out[idx, 1] = v.value(np.array([r, theta, phi, 0.0, 0.0, 0.0]))
+            out[idx, 1] = 0.0 if v is None else v.value(np.array([r, theta, phi, 0.0, 0.0, 0.0]))
         except DomainSingularity:
             out[idx, 1] = math.nan
     return out
@@ -694,43 +610,42 @@ def catalog(spec: SystemSpec) -> Catalog:
 # Radial charts.  rho = sin_k(r) and R = tan_k(r) give two alternative
 # coordinates for the systems whose potential depends on r only.
 
-def _oscillator_chart(spec: SystemSpec) -> tuple:
-    kap, al2 = spec.kappa, spec.alpha**2
-    return (
-        lambda rho: 0.5 * al2 * rho * rho / (1.0 - kap * rho * rho),
-        lambda rho: al2 * rho / (1.0 - kap * rho * rho) ** 2,
-        lambda R: 0.5 * al2 * R * R,
-    )
+def _chart_terms(spec: SystemSpec, chart: str) -> Callable:
+    """Map of a chart radius to the potential's terms and cos_k(r).
 
-
-def _kepler_chart(spec: SystemSpec) -> tuple:
-    kap, kc = spec.kappa, spec.k
-    return (
-        lambda rho: kc * math.sqrt(1.0 - kap * rho * rho) / rho,
-        lambda rho: -kc / (rho * rho * math.sqrt(1.0 - kap * rho * rho)),
-        lambda R: kc / R,
-    )
-
-
-def _chart_forms(spec: SystemSpec) -> tuple:
-    """(V(rho), dV/drho, V(R)); ValueError for a potential that is not radial."""
-    forms = _system(spec.system_id).chart
-    if forms is None:
+    The terms are taken at sin_k(r) = rho, cos_k(r) = sqrt(1 - kappa rho^2)
+    on the rho chart and at cos_k(r) = 1/sqrt(1 + kappa R^2),
+    sin_k(r) = R cos_k(r) on the R chart; a radius outside its chart
+    raises DomainSingularity.  A potential that is not radial, or an
+    unknown chart, raises ValueError.
+    """
+    entry = _system(spec.system_id)
+    if not entry.radial:
         raise ValueError(
             f"chart forms require a radial potential; {spec.system_id!r} has "
             "angle-dependent terms"
         )
-    return forms(spec)
+    if chart not in ("rho", "R"):
+        raise ValueError(f"chart must be 'rho' or 'R', got {chart!r}")
+    kap = spec.kappa
+    terms = entry.potential(spec) if entry.potential else lambda *q: (0.0, 0.0, 0.0, 0.0)
+    rho = chart == "rho"
+
+    def at(x):
+        d = 1.0 - kap * x * x if rho else 1.0 + kap * x * x
+        if not d > 0.0:
+            raise DomainSingularity(f"{chart} = {x!r} lies outside the {chart} chart "
+                                    f"at kappa = {kap!r}")
+        ck = math.sqrt(d) if rho else 1.0 / math.sqrt(d)
+        return terms(x if rho else x * ck, ck, 1.0, 0.0, 0.0), ck
+
+    return at
 
 
 def chart_potential(spec: SystemSpec, chart: str) -> Callable[[float], float]:
     """Potential as a function of the chart radius rho or R."""
-    v_rho, _, v_big = _chart_forms(spec)
-    if chart == "rho":
-        return v_rho
-    if chart == "R":
-        return v_big
-    raise ValueError(f"chart must be 'rho' or 'R', got {chart!r}")
+    at = _chart_terms(spec, chart)
+    return lambda x: at(x)[0][0]
 
 
 def rho_chart_hamiltonian_value(spec: SystemSpec, s: PhaseState) -> float:
@@ -746,8 +661,11 @@ def R_chart_hamiltonian_value(spec: SystemSpec, s: PhaseState) -> float:
 
 
 def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Hamilton equations in the rho chart for radial systems."""
-    _, dv, _ = _chart_forms(spec)
+    """Hamilton equations in the rho chart for radial systems.
+
+    dV/drho is V_r / cos_k(r) from the potential's terms.
+    """
+    at = _chart_terms(spec, "rho")
     kap = spec.kappa
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -762,11 +680,12 @@ def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]
             raise DomainSingularity("rho chart boundary reached")
         sth2 = sth * sth
         ang = pth * pth + pph * pph / sth2
+        (_, vr, _, _), ck = at(rho)
         return np.array((
             (1.0 - kap * rho2) * prho,
             pth / rho2,
             pph / (rho2 * sth2),
-            kap * rho * prho * prho + ang / (rho2 * rho) - dv(rho),
+            kap * rho * prho * prho + ang / (rho2 * rho) - vr / ck,
             math.cos(th) * pph * pph / (rho2 * sth2 * sth),
             0.0,
         ))
@@ -778,13 +697,10 @@ def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]
 # The registry: one entry per system, in the order the systems are listed.
 
 _SYSTEMS = {
-    "free": _System(
-        "geodesic motion, V = 0", {}, _free_catalog,
-        chart=lambda spec: (lambda x: 0.0,) * 3,
-    ),
+    "free": _System("geodesic motion, V = 0", {}, _free_catalog, radial=True),
     "oscillator": _System(
         "isotropic oscillator, V = alpha^2 tan_k^2(r)/2", {"alpha": 1.0},
-        _oscillator_catalog, _oscillator, _oscillator_chart,
+        _oscillator_catalog, _oscillator, radial=True,
     ),
     "sw": _System(
         "oscillator with three inverse-square axis couplings",
@@ -799,7 +715,7 @@ _SYSTEMS = {
     ),
     "kepler": _System(
         "curved Kepler problem, V = k/tan_k(r)", {"k": -1.0},
-        _kepler_catalog, _kepler, _kepler_chart,
+        _kepler_catalog, _kepler, radial=True,
     ),
     "kepler123": _System(
         "Kepler with three inverse-square axis couplings",
@@ -811,4 +727,4 @@ _SYSTEMS = {
 SYSTEM_IDS = tuple(_SYSTEMS)
 
 # Systems whose potential depends on r alone admit the two radial charts.
-RADIAL_SYSTEMS = tuple(sid for sid, entry in _SYSTEMS.items() if entry.chart is not None)
+RADIAL_SYSTEMS = tuple(sid for sid, entry in _SYSTEMS.items() if entry.radial)

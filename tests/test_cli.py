@@ -92,6 +92,16 @@ def test_trajectory_truncated_exit_code(capsys):
         assert out.startswith("t,r")
 
 
+def test_flat_overflow_truncates_without_traceback(capsys):
+    """At kappa = 0 a state that overflows to infinity truncates the run
+    instead of raising ZeroDivisionError from the kernels."""
+    code, out, err = run(capsys, "trajectory", "--system", "free", "--kappa", "0",
+                         "--y0", "1e-3,1,0,0,1e150,1", "--t-max", "1")
+    assert code == 1
+    assert err == "warning: trajectory truncated: non-finite state\n", err
+    assert out.startswith("t,r")
+
+
 def test_library_errors_print_error_line(capsys):
     """Library ValueErrors exit 2 with one stderr line."""
     base = ("trajectory", "--system", "oscillator", "--kappa", "1", "--t-max", "1")

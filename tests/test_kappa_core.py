@@ -143,3 +143,12 @@ def test_domain_guard_threshold():
     # Just outside the guard evaluates; the guard width is EPS_DOM on cos_k.
     assert abs(tan_k(1.0, math.pi / 2.0 - 1e-3)) > 999.0
     assert EPS_DOM == 1e-10
+
+
+@pytest.mark.parametrize("kernel", [cos_k, sin_k, tan_k, arcsin_k, arctan_k])
+@pytest.mark.parametrize("kap", [0.0, -0.0])
+def test_flat_kernels_at_infinity_are_non_finite(kernel, kap):
+    """At kappa = 0 a non-finite x takes the series branch: a non-finite
+    result, not a ZeroDivisionError from dividing by sqrt(-0.0)."""
+    for x in (math.inf, -math.inf, math.nan):
+        assert not math.isfinite(kernel(kap, x)), (kernel.__name__, x)

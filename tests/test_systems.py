@@ -197,7 +197,7 @@ def test_kepler_c_parametrized_relations():
 
 
 def test_hamilton_rhs_matches_gradient():
-    """The closed-form equations equal the symplectic gradient of H."""
+    """The closed-form equations equal the symplectic gradient of H, bit for bit."""
     rng = np.random.default_rng(204)
     for sid in SYSTEM_IDS:
         for kap in KAPPAS + (0.0,):
@@ -208,9 +208,7 @@ def test_hamilton_rhs_matches_gradient():
                 s = sample_state(spec, rng, min_angular=0.1, margin=0.1)
                 _, g = h.value_and_gradient(s)
                 want = np.concatenate([g[3:], -g[:3]])
-                got = rhs(0.0, np.asarray(s))
-                scale = max(1.0, float(np.max(np.abs(want))))
-                assert np.max(np.abs(got - want)) / scale < 1e-12, (sid, kap)
+                assert np.array_equal(rhs(0.0, np.asarray(s)), want), (sid, kap)
 
 
 def test_rhs_raises_on_axis():
@@ -356,3 +354,20 @@ def test_chart_forms_reject_nonradial_systems():
         for call in entry_points:
             with pytest.raises(ValueError, match="radial potential"):
                 call(canonical_spec(sid, 1.0))
+
+
+def test_chart_forms_reject_radii_outside_the_chart():
+    """1 - kappa rho^2 <= 0 or 1 + kappa R^2 <= 0 lies outside the chart."""
+    st = lambda x: PhaseState.from_array(np.array([x, 1.2, 0.4, 0.1, 0.2, 0.3]))
+    for sid in ("oscillator", "kepler"):
+        for chart, kap, x in (("rho", 1.0, 1.5), ("rho", 4.0, 0.5), ("R", -1.0, 1.5),
+                              ("R", -4.0, 0.5), ("rho", 1.0, math.nan)):
+            spec = canonical_spec(sid, kap)
+            with pytest.raises(DomainSingularity, match="outside the"):
+                chart_potential(spec, chart)(x)
+            value = rho_chart_hamiltonian_value if chart == "rho" else R_chart_hamiltonian_value
+            with pytest.raises(DomainSingularity, match="outside the"):
+                value(spec, st(x))
+        # Inside the chart, just short of its edge, both forms evaluate.
+        assert math.isfinite(chart_potential(canonical_spec(sid, 1.0), "rho")(0.999))
+        assert math.isfinite(chart_potential(canonical_spec(sid, -1.0), "R")(0.999))
