@@ -17,8 +17,9 @@ values pass the same checks as flags; explicit flags win over the file.
 --emit-config prints the resolved run as a config file whose every key
 is read back.  Audit subcommands exit nonzero when any check exceeds its
 tolerance, and trajectory prints "warning: trajectory truncated: <reason>"
-and exits 1 when the run stopped early, for any reason (a failed implicit
-solve included).  A bad option value, input rejected by the library (a
+(its only stderr line: numpy's RuntimeWarnings are silenced) and exits 1
+when the run stopped early, for any reason (a failed implicit solve
+included).  A bad option value, input rejected by the library (a
 ValueError, which includes DomainSingularity), a missing, unreadable or
 malformed config file, a missing --system and an unwritable --output
 print "error: <message>" on stderr and exit 2.
@@ -31,6 +32,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -461,7 +463,11 @@ def main(argv=None) -> int:
         if args.command == "list-systems":
             return _cmd_list_systems()
         opts = _options(args, _load_config(args.config))
-        return _COMMANDS[args.command][0](args, _build_spec(opts), opts)
+        # A run that turns non-finite says so in its own one line; numpy's
+        # overflow and invalid-value warnings would only precede it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command][0](args, _build_spec(opts), opts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

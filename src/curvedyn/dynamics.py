@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import PhaseState, _central_difference
 from .kappa_core import DomainSingularity, cos_k, sin_k
-from .observables import Observable, _dir_vg
+from .observables import Observable, _dir_vg, angular_J, fradkin_matrix, kappa_cartesian, noether_P
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 METHODS = ("rk4_fixed", "rk45_adaptive", "implicit_midpoint")
+FD_STEP = 1e-6  # central-difference step of poisson_bracket_fd
+DT_MIN = 1e-12  # smallest step rk45_adaptive retries down to
+ORBIT_TOL = 1e-12  # tolerance of the run behind closed_orbit_check
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +61,11 @@ def poisson_bracket(f: Observable, g: Observable, s) -> float:
     return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
 
 
-def poisson_bracket_fd(f, g, s, h: float = 1e-6) -> float:
-    """Central finite-difference bracket of two state functions."""
+def poisson_bracket_fd(f, g, s) -> float:
+    """Central finite-difference bracket of two state functions, step FD_STEP."""
     y = _as_array(s)
-    gf = _central_difference(lambda x: _call(f, x), y, h)
-    gg = _central_difference(lambda x: _call(g, x), y, h)
+    gf = _central_difference(lambda x: _call(f, x), y, FD_STEP)
+    gg = _central_difference(lambda x: _call(g, x), y, FD_STEP)
     return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
 
 
@@ -224,7 +227,7 @@ def _integrate_fixed(y0, t0, t1, dt, stepper, diag):
     return _trajectory(times, states, diag, reason)
 
 
-def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
+def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, max_steps, diag):
     t, y, y_list = t0, y0, y0.tolist()
     times, states = [t0], [y0]
     stages = _Stages(_DP54, y0.size)
@@ -249,10 +252,10 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
         try:
             y5 = stages.attempt(rhs, t, y, dt)
         except _STOPS as exc:
-            if dt <= dt_min:
+            if dt <= DT_MIN:
                 reason = _stop_reason(exc)
                 break
-            dt = max(0.25 * dt, dt_min)
+            dt = max(0.25 * dt, DT_MIN)
             n_rejected += 1
             continue
         # RMS of the error estimate dt * (E @ K) relative to
@@ -278,11 +281,11 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, dt_min, max_steps, diag):
             err_prev = max(err, 1e-4)
         else:
             n_rejected += 1
-            if dt <= dt_min:
+            if dt <= DT_MIN:
                 reason = "step size underflow"
                 break
             fac = 0.9 * err**-0.2
-            dt = max(dt * max(0.2, min(1.0, fac)), dt_min)
+            dt = max(dt * max(0.2, min(1.0, fac)), DT_MIN)
     diag.update(n_rejected=n_rejected, n_rhs_evals=stages.evals)
     return _trajectory(times, states, diag, reason)
 
@@ -314,7 +317,6 @@ def integrate(
     method: str = "rk45_adaptive",
     dt: Optional[float] = None,
     tol: float = 1e-10,
-    dt_min: float = 1e-12,
     fp_tol: float = 1e-13,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
@@ -326,7 +328,7 @@ def integrate(
     and finite.  Every method treats a failure mid-run alike: the run
     truncates at the last good state and sets the truncated flag with a
     reason in the diagnostics.  The reasons are a domain singularity (the
-    adaptive method first retries with smaller steps down to dt_min,
+    adaptive method first retries with smaller steps down to DT_MIN,
     unless the rhs fails at the initial state itself), "non-finite state"
     (also when the rhs overflows; the adaptive method checks every stage
     and its error estimate too, implicit_midpoint every iterate),
@@ -352,7 +354,7 @@ def integrate(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     diag = {"method": method, "tol": tol, "dt": dt}
     if method == "rk45_adaptive":
-        return _integrate_dp54(rhs, y0, t0, t1, dt, tol, dt_min, max_steps, diag)
+        return _integrate_dp54(rhs, y0, t0, t1, dt, tol, max_steps, diag)
     if dt is None:
         raise ValueError(f"method {method!r} requires an explicit dt")
     stages = _Stages(_RK4, y0.size)
@@ -468,10 +470,7 @@ def independence_rank(
         raise ValueError("independence_rank needs at least one observable")
     g = np.array([o.gradient(y) for o in observables])
     norms = np.linalg.norm(g, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        g = np.where(norms > 0.0, g / np.maximum(norms, 1e-300), g)
-    else:
-        g = g / norms
+    g = g / np.where(norms > 0.0, norms, 1.0)
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[0] == 0.0:
         return 0
@@ -486,8 +485,6 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     and the three full contractions with coordinates and momenta.  A
     state that is not a finite 6-vector raises ValueError.
     """
-    from .observables import angular_J, fradkin_matrix, kappa_cartesian, noether_P
-
     kap = float(kappa)
     y = _audit_state(s)
     m = fradkin_matrix(kap, alpha, y).entries
@@ -644,7 +641,6 @@ class ClosedOrbitResult:
     found: bool
     period: Optional[float]
     distance: float
-    t_guard: float
     diagnostics: dict
 
 
@@ -666,56 +662,12 @@ def _normalized_distance(y: np.ndarray, y0: np.ndarray, scales: np.ndarray):
     return np.sqrt((d * d).sum(axis=-1)) / math.sqrt(6.0)
 
 
-def closed_orbit_check(
-    spec: SystemSpec,
-    y0,
-    t_max: float,
-    return_tol: float = 1e-4,
-    integrate_tol: float = 1e-12,
-) -> ClosedOrbitResult:
-    """Search for a return of the trajectory to its initial state.
-
-    A return_tol that is not positive and finite raises ValueError.
-    Integrates over [0, t_max], locates the best candidate return after
-    a guard time (the last sample before the second sign change of p_r,
-    or a tenth of t_max if radial motion never turns), and refines the return time by golden
-    section on the normalized phase-space distance between the two
-    samples around it; each probe takes one Dormand-Prince 5 step from
-    the earlier sample.  Distances are normalized per component by the
-    coordinate ranges explored by the orbit, with the azimuth compared
-    modulo a full turn.  The diagnostics hold the state at the refined
-    return time ("return_state") whether or not a return is found.
-    """
-    if not (math.isfinite(return_tol) and return_tol > 0.0):
-        raise ValueError(f"return_tol must be positive and finite, got {return_tol!r}")
-    y0 = _as_array(y0).copy()
-    rhs = hamilton_rhs(spec)
-    traj = integrate(rhs, y0, (0.0, t_max), method="rk45_adaptive", tol=integrate_tol)
-    diag = {"truncated": traj.truncated, "n_samples": len(traj.times)}
-    scales = _orbit_scales(traj.states)
-    dist = _normalized_distance(traj.states, y0, scales)
-    pr = traj.states[:, 3]
-    signs = np.sign(pr)
-    nz = signs != 0
-    flips = np.nonzero(np.diff(signs[nz]) != 0)[0]
-    if len(flips) >= 2:
-        t_guard = traj.times[np.nonzero(nz)[0][flips[1]]]
-    else:
-        t_guard = 0.1 * t_max
-    mask = traj.times > t_guard
-    if not np.any(mask):
-        return ClosedOrbitResult(False, None, float("inf"), t_guard, diag)
-    idx = np.nonzero(mask)[0]
-    best = idx[np.argmin(dist[idx])]
-    lo = max(best - 1, 0)
-    hi = min(best + 1, len(traj.times) - 1)
-    t_lo, t_hi = traj.times[lo], traj.times[hi]
-    base_t = float(traj.times[lo])
-    base_y = traj.states[lo]
-    # The bracket spans at most two accepted steps, so one DP5 step from
-    # the stored sample lo reaches any t in it with an error at the level
-    # of integrate_tol.  K[0] at lo is shared by every probe.
-    stages = _Stages(_DP54, y0.size)
+def _refine_return(rhs, stages: _Stages, traj: Trajectory, k: int, y0, scales) -> tuple:
+    """(t, state, distance) closest to y0 between the samples k - 1 and
+    k + 1 (or k, the last), by golden section.  The bracket spans at most
+    two accepted steps, so each probe is one DP5 step from sample k - 1,
+    with an error at the level of ORBIT_TOL, and shares K[0] there."""
+    base_t, base_y = float(traj.times[k - 1]), traj.states[k - 1]
     stages.K[0] = rhs(base_t, base_y)
 
     def state_at(t: float) -> np.ndarray:
@@ -727,7 +679,7 @@ def closed_orbit_check(
         return _normalized_distance(state_at(t), y0, scales)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t_lo, t_hi
+    a, b = traj.times[k - 1], traj.times[min(k + 1, len(traj.times) - 1)]
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = d_at(c), d_at(d)
@@ -744,8 +696,53 @@ def closed_orbit_check(
             fd = d_at(d)
     t_best = 0.5 * (a + b)
     y_best = state_at(t_best)
-    d_best = float(_normalized_distance(y_best, y0, scales))
-    diag["coarse_distance"] = float(dist[best])
+    return t_best, y_best, float(_normalized_distance(y_best, y0, scales))
+
+
+def closed_orbit_check(
+    spec: SystemSpec,
+    y0,
+    t_max: float,
+    return_tol: float = 1e-4,
+) -> ClosedOrbitResult:
+    """Search for the first return of the trajectory to its initial state.
+
+    A return_tol that is not positive and finite raises ValueError.  The
+    candidate returns of a run over [0, t_max] are the local minima of the
+    sample distance to y0 (with the run's end counted as infinitely far),
+    normalized per component by the ranges the whole run explores, with
+    the azimuth compared modulo a full turn.  They are refined in time
+    order, and the first whose refined distance is below return_tol gives
+    the least period.  Otherwise the result holds the best refined
+    candidate, or an infinite distance if there is none.  The diagnostics
+    hold n_samples, truncated, n_candidates (candidates refined) and, for
+    the reported candidate, coarse_distance and the state at its refined
+    time (return_state).
+    """
+    if not (math.isfinite(return_tol) and return_tol > 0.0):
+        raise ValueError(f"return_tol must be positive and finite, got {return_tol!r}")
+    y0 = _as_array(y0).copy()
+    rhs = hamilton_rhs(spec)
+    traj = integrate(rhs, y0, (0.0, t_max), method="rk45_adaptive", tol=ORBIT_TOL)
+    diag = {"truncated": traj.truncated, "n_samples": len(traj.times), "n_candidates": 0}
+    scales = _orbit_scales(traj.states)
+    # Past its last sample the run counts as infinitely far, so a return
+    # in its last step is a candidate too.
+    dist = np.append(_normalized_distance(traj.states, y0, scales), math.inf)
+    minima = np.nonzero((dist[:-2] > dist[1:-1]) & (dist[1:-1] <= dist[2:]))[0] + 1
+    stages = _Stages(_DP54, y0.size)
+    best = None
+    for k in minima.tolist():
+        t, y, d = _refine_return(rhs, stages, traj, k, y0, scales)
+        diag["n_candidates"] += 1
+        if best is None or d < best[2]:
+            best = (t, y, d, k)
+        if d < return_tol:
+            break
+    if best is None:
+        return ClosedOrbitResult(False, None, math.inf, diag)
+    t_best, y_best, d_best, k = best
+    diag["coarse_distance"] = float(dist[k])
     diag["return_state"] = y_best.copy()
     found = d_best < return_tol
-    return ClosedOrbitResult(found, t_best if found else None, d_best, float(t_guard), diag)
+    return ClosedOrbitResult(found, t_best if found else None, d_best, diag)

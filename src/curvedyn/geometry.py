@@ -56,6 +56,8 @@ __all__ = [
 
 # Below this, 1/sin(theta), 1/sin_k(r) and the like are treated as singular.
 _EPS = 1e-12
+# Central-difference step of the numeric Lie brackets and derivatives.
+FD_STEP = 1e-5
 
 KILLING_IDS = ("X1", "X2", "X3", "Y1", "Y2", "Y3")
 
@@ -67,13 +69,6 @@ class ConfigPoint:
     r: float
     theta: float
     phi: float
-
-    def is_valid(self, kappa: float) -> bool:
-        if not (self.r > 0.0 and 0.0 < self.theta < math.pi):
-            return False
-        if kappa > 0.0 and self.r >= math.pi / math.sqrt(kappa):
-            return False
-        return all(math.isfinite(v) for v in (self.r, self.theta, self.phi))
 
 
 @dataclass(frozen=True)
@@ -260,20 +255,18 @@ def _central_difference(fn, x, h: float) -> np.ndarray:
     return np.array(rows)
 
 
-def lie_bracket_numeric(
-    fid_a: str, fid_b: str, kappa, q: ConfigPoint, h: float = 1e-5
-) -> TangentVector:
+def lie_bracket_numeric(fid_a: str, fid_b: str, kappa, q: ConfigPoint) -> TangentVector:
     """Commutator [A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
     kap = float(kappa)
     x0 = (q.r, q.theta, q.phi)
     a0 = _killing_components(fid_a, kap, x0)
     b0 = _killing_components(fid_b, kap, x0)
-    da = _central_difference(lambda x: _killing_components(fid_a, kap, x), x0, h)
-    db = _central_difference(lambda x: _killing_components(fid_b, kap, x), x0, h)
+    da = _central_difference(lambda x: _killing_components(fid_a, kap, x), x0, FD_STEP)
+    db = _central_difference(lambda x: _killing_components(fid_b, kap, x), x0, FD_STEP)
     return TangentVector(*sum(a0[j] * db[j] - b0[j] * da[j] for j in range(3)))
 
 
-def lie_derivative_metric(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> np.ndarray:
+def lie_derivative_metric(fid: str, kappa, q: ConfigPoint) -> np.ndarray:
     """Lie derivative of the metric along a Killing field, by central differences.
 
     Returns the symmetric 3x3 matrix X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c,
@@ -287,8 +280,8 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> n
 
     g0 = g_at(x0)
     x_field = _killing_components(fid, kap, x0)
-    dg = _central_difference(g_at, x0, h)
-    dx = _central_difference(lambda x: _killing_components(fid, kap, x), x0, h)
+    dg = _central_difference(g_at, x0, FD_STEP)
+    dx = _central_difference(lambda x: _killing_components(fid, kap, x), x0, FD_STEP)
     out = np.zeros((3, 3))
     for a in range(3):
         for b in range(3):
@@ -299,14 +292,14 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> n
     return out
 
 
-def volume_divergence(fid: str, kappa, q: ConfigPoint, h: float = 1e-5) -> float:
+def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
     """Divergence of a Killing field with respect to the volume density."""
     kap = float(kappa)
 
     def flux(x):
         return volume_density(kap, ConfigPoint(*x)) * _killing_components(fid, kap, x)
 
-    d = _central_difference(flux, (q.r, q.theta, q.phi), h)
+    d = _central_difference(flux, (q.r, q.theta, q.phi), FD_STEP)
     return sum(d[j, j] for j in range(3)) / volume_density(kap, q)
 
 

@@ -64,11 +64,11 @@ def sin_k(kappa, x: float) -> float:
     return math.sinh(rk * x) / rk
 
 
-def tan_k(kappa, x: float, eps: float = EPS_DOM) -> float:
-    """sin_k / cos_k, singular where cos_k vanishes."""
+def tan_k(kappa, x: float) -> float:
+    """sin_k / cos_k, singular where |cos_k| < EPS_DOM."""
     c = cos_k(kappa, x)
-    if abs(c) < eps:
-        raise DomainSingularity(f"tan_k singular: |cos_k({float(kappa)}, {x})| < {eps}")
+    if abs(c) < EPS_DOM:
+        raise DomainSingularity(f"tan_k singular: |cos_k({float(kappa)}, {x})| < {EPS_DOM}")
     return sin_k(kappa, x) / c
 
 
@@ -82,11 +82,11 @@ def d_cos_k(kappa, x: float) -> float:
     return -float(kappa) * sin_k(kappa, x)
 
 
-def d_tan_k(kappa, x: float, eps: float = EPS_DOM) -> float:
+def d_tan_k(kappa, x: float) -> float:
     """Derivative of tan_k in x, equal to 1/cos_k^2."""
     c = cos_k(kappa, x)
-    if abs(c) < eps:
-        raise DomainSingularity(f"d_tan_k singular: |cos_k({float(kappa)}, {x})| < {eps}")
+    if abs(c) < EPS_DOM:
+        raise DomainSingularity(f"d_tan_k singular: |cos_k({float(kappa)}, {x})| < {EPS_DOM}")
     return 1.0 / (c * c)
 
 

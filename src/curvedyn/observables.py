@@ -349,9 +349,6 @@ class FradkinMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries)
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
 
 def fradkin_matrix(kappa, alpha, s) -> FradkinMatrix:
     """Evaluate all six K_ij entries of the pure oscillator at a state."""

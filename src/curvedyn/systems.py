@@ -229,17 +229,21 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
     """Potential of a system as an observable; None for the free system.
 
     The value and the gradient (V_r, V_theta, V_phi, 0, 0, 0) both come
-    from the potential's terms, whose force hamilton_rhs subtracts.
+    from the potential's terms, whose force hamilton_rhs subtracts.  A
+    radial potential's terms ignore theta, so its sine and cosine are
+    not taken.
     """
-    potential = _system(spec.system_id).potential
-    if potential is None:
+    entry = _system(spec.system_id)
+    if entry.potential is None:
         return None
     kap = spec.kappa
-    terms = potential(spec)
+    terms = entry.potential(spec)
+    radial = entry.radial
 
     def vg(y, grad=True):
         r, th = y[0], y[1]
-        val, vr, vth, vph = terms(sin_k(kap, r), cos_k(kap, r), math.sin(th), math.cos(th), y[2])
+        sth, cth = (1.0, 0.0) if radial else (math.sin(th), math.cos(th))
+        val, vr, vth, vph = terms(sin_k(kap, r), cos_k(kap, r), sth, cth, y[2])
         if not grad:
             return val, None
         return val, np.array((vr, vth, vph, 0.0, 0.0, 0.0))

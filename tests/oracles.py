@@ -264,3 +264,56 @@ def k123_n(i, kap, k, ks, s):
     ki = ks[i - 1]
     return complex(k123_r(i, kap, k, ks, s),
                    math.sqrt(2.0 * ki) * k123_s(i, kap, s))
+
+
+# Radial quadrature of a bound orbit of a central potential.
+
+def radial_period(system, kap, coupling, s, nodes=400):
+    """(T_r, dphi): the radial period of a bound orbit and the angle it
+    sweeps in its plane meanwhile, for system "free", "oscillator" (coupling
+    alpha) or "kepler" (coupling k).
+
+    With L^2 = |J|^2 and gap(r) = 2 (E - V(r)) - L^2 / sin_k(r)^2, the
+    turning points r1 < r2 are the zeros of gap around r, found by a scan
+    outward in small steps and then bisection.  T_r = 2 int dr / sqrt(gap)
+    and dphi = 2 int L / sin_k(r)^2 dr / sqrt(gap) over [r1, r2].  Under
+    r = m - h cos(psi) both integrands are smooth periodic functions of
+    psi, so the midpoint rule in psi converges geometrically.
+    """
+    v = {
+        "free": lambda r: 0.0,
+        "oscillator": lambda r: 0.5 * coupling ** 2 * tk(kap, r) ** 2,
+        "kepler": lambda r: coupling * ck(kap, r) / sk(kap, r),
+    }[system]
+    lsq = jsq(s)
+    energy = kinetic(kap, s) + v(s[0])
+    r_end = math.pi / math.sqrt(kap) if kap > 0.0 else 50.0
+
+    def gap(r):
+        return 2.0 * (energy - v(r)) - lsq / sk(kap, r) ** 2
+
+    def turning(step):
+        a = s[0]
+        while gap(a + step) > 0.0:
+            a += step
+            if not 0.0 < a + step < r_end:
+                raise ValueError("the orbit is not bound")
+        b = a + step
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if gap(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    r1, r2 = turning(-1e-3), turning(1e-3)
+    m, h = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
+    t_r = dphi = 0.0
+    for i in range(nodes):
+        psi = math.pi * (i + 0.5) / nodes
+        r = m - h * math.cos(psi)
+        w = h * math.sin(psi) / math.sqrt(gap(r))
+        t_r += w
+        dphi += w * math.sqrt(lsq) / sk(kap, r) ** 2
+    return 2.0 * math.pi / nodes * t_r, 2.0 * math.pi / nodes * dphi

@@ -249,11 +249,19 @@ def test_criterion_06_independence_rank():
 
 
 def test_criterion_07_closed_orbits():
-    """Bounded oscillator and Kepler orbits close; great circles take 2 pi."""
+    """Bounded oscillator and Kepler orbits close after their least period,
+    which a radial quadrature gives independently; great circles take 2 pi.
+
+    By Bertrand's property on S^3 and H^3 an oscillator orbit turns by pi
+    in its plane per radial period and closes after two, a Kepler orbit
+    turns by 2 pi and closes after one.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     failures = []
     worst = 0.0
+    oracle_err = 0.0
+    radial_periods = {"oscillator": 2, "kepler": 1}
     # Energy caps keep the negative-curvature draws below the escape
     # energy and the spherical Kepler draws on the attracting hemisphere.
     caps = {
@@ -276,6 +284,14 @@ def test_criterion_07_closed_orbits():
             worst = max(worst, res.distance)
             if not (res.found and res.distance < 1e-4):
                 failures.append((sid, kap, res.found, res.distance))
+                continue
+            coupling = PARAMS[sid]["alpha" if sid == "oscillator" else "k"]
+            t_r, dphi = oracles.radial_period(sid, kap, coupling, list(y0))
+            n = radial_periods[sid]
+            err = abs(res.period - n * t_r)
+            oracle_err = max(oracle_err, err)
+            if err >= 1e-8 or abs(dphi / math.pi - 2.0 / n) >= 1e-8:
+                failures.append((sid, kap, res.period, n * t_r, dphi / math.pi))
     free = canonical("free", 1.0)
     tkin = kinetic(1.0)
     period_err = 0.0
@@ -291,7 +307,8 @@ def test_criterion_07_closed_orbits():
             failures.append(("free", res.period))
     elapsed = time.perf_counter() - t0
     report(7, "closed orbits", elapsed, 60.0, failures,
-           f"worst distance {worst:.1e}, period error {period_err:.1e}")
+           f"worst distance {worst:.1e}, oracle period error {oracle_err:.1e}, "
+           f"great-circle period error {period_err:.1e}")
 
 
 def test_criterion_08_figure_data():

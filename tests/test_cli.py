@@ -102,6 +102,18 @@ def test_flat_overflow_truncates_without_traceback(capsys):
     assert out.startswith("t,r")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_prints_no_runtime_warning(capsys):
+    """The truncation line is the only stderr line of a run that turns
+    non-finite: numpy's invalid-value warnings stay silent, so even as
+    errors they do not end the run."""
+    code, out, err = run(capsys, "trajectory", "--system", "free", "--kappa", "0",
+                         "--y0", "1e-3,1,0,0,1e150,1", "--t-max", "1")
+    assert code == 1
+    assert err == "warning: trajectory truncated: non-finite state\n", err
+    assert out.startswith("t,r")
+
+
 def test_library_errors_print_error_line(capsys):
     """Library ValueErrors exit 2 with one stderr line."""
     base = ("trajectory", "--system", "oscillator", "--kappa", "1", "--t-max", "1")

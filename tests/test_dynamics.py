@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from curvedyn import dynamics
 from curvedyn.dynamics import (
     Trajectory,
@@ -157,7 +158,7 @@ def test_fd_bracket_agreement():
             s = sample_state(spec, rng, margin=0.1)
             for f in obs:
                 a = poisson_bracket(f, h, s)
-                b = poisson_bracket_fd(f, h, s, h=1e-6)
+                b = poisson_bracket_fd(f, h, s)
                 assert abs(a - b) < 1e-6, (kap, f.name)
             assert abs(poisson_bracket_fd(angular_J(3), angular_J(3), s)) < 1e-10
 
@@ -172,7 +173,7 @@ def test_fd_bracket_coordinate_momentum():
         for _ in range(20):
             s = sample_state(spec, rng, margin=0.1)
             want = cos_k(kap, s[0])
-            assert abs(poisson_bracket_fd(x1, p1, s, h=1e-6) - want) < 1e-6
+            assert abs(poisson_bracket_fd(x1, p1, s) - want) < 1e-6
             assert abs(poisson_bracket(x1, p1, s) - want) < 1e-12
 
 
@@ -887,7 +888,6 @@ def test_closed_orbit_oscillator_sphere():
     result = closed_orbit_check(spec, y0, 40.0)
     assert result.found
     assert result.distance < 1e-4
-    assert result.period > result.t_guard
 
 
 def test_closed_orbit_hyperbolic_kepler_bound_state():
@@ -900,22 +900,24 @@ def test_closed_orbit_hyperbolic_kepler_bound_state():
 
 
 def test_closed_orbit_great_circle_period():
-    """Unit-speed free motion on the unit sphere returns after 2 pi."""
+    """Unit-speed free motion on the unit sphere returns after 2 pi, also
+    when the run ends in the step of the return."""
     spec = make_system("free", kappa=1.0)
     y0 = np.array([0.9, 1.2, 0.7, 0.3, 0.25, 0.3])
     t2 = 2.0 * kinetic(1.0).value(y0)
     y0[3:] /= math.sqrt(t2)
-    result = closed_orbit_check(spec, y0, 15.0)
-    assert result.found
-    assert abs(result.period - 2.0 * math.pi) < 1e-6
+    for t_max in (15.0, 2.0 * math.pi, 2.0 * math.pi + 1e-3):
+        result = closed_orbit_check(spec, y0, t_max)
+        assert result.found, t_max
+        assert abs(result.period - 2.0 * math.pi) < 1e-6
 
 
-def test_closed_orbit_guard_keeps_return_after_turning_point():
+def test_closed_orbit_return_just_after_turning_point():
     """A great circle starting just after a radial turning point.
 
-    The guard used to be the first sample after the second sign change
-    of p_r, which here lies past the return at 2 pi, so the return was
-    excluded (NOT FOUND, distance 7.3e-4, t_guard 6.28412).
+    Its second sign change of p_r falls just past the return at 2 pi, so
+    a search that only looked past that change missed the return (NOT
+    FOUND, distance 7.3e-4).
     """
     spec = make_system("free", kappa=1.0)
     y0 = np.array([
@@ -923,10 +925,23 @@ def test_closed_orbit_guard_keeps_return_after_turning_point():
         -0.0015520474478189256, 0.24102421308853003, -0.20389967870247694,
     ])
     result = closed_orbit_check(spec, y0, 8.0)
-    assert result.t_guard < 2.0 * math.pi
     assert result.found
     assert abs(result.period - 2.0 * math.pi) < 1e-9
     assert result.distance < 1e-8
+
+
+def test_closed_orbit_period_independent_of_t_max():
+    """A Kepler orbit on S^3 reports its least period, not the multiple of
+    it that the sample grid happens to land closest to (5T, 10T and 20T
+    when the search took the closest sample of the whole run)."""
+    spec = make_system("kepler", kappa=1.0, k=-1.0)
+    y0 = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
+    period, dphi = oracles.radial_period("kepler", 1.0, -1.0, list(y0))
+    assert abs(dphi - 2.0 * math.pi) < 1e-8
+    for n in (5, 10, 20):
+        result = closed_orbit_check(spec, y0, n * period)
+        assert result.found
+        assert abs(result.period - period) < 1e-8, n
 
 
 def rk4_reference(rhs, y0, t_end, dt=1e-4):
@@ -949,19 +964,19 @@ def test_closed_orbit_refined_return_state():
 
     Checked against a fine RK4 run from y0 written here, and against the
     library's own adaptive run stopped at t_best, which isolates the
-    refinement from the global error of the run.  Periods are pinned to
-    the values of the earlier RK4 re-integration refinement.
+    refinement from the global error of the run.  The great circle's
+    period is pinned to the value of the earlier RK4 re-integration
+    refinement, and the README oscillator orbit's to its least period,
+    1.3e-11 from the radial quadrature of tests/oracles.py.
     """
     gc = np.array([0.9, 1.2, 0.7, 0.3, 0.25, 0.3])
     gc[3:] /= math.sqrt(2.0 * kinetic(1.0).value(gc))
     cases = (
-        # README oscillator orbit.  Its tol=1e-12 run to t = 31.6 carries a
-        # global error of 1.4e-10 in p_r, so the RK4 bound is 1e-9 there.
         (make_system("oscillator", kappa=1.0, alpha=1.0),
-         np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35]), 40.0, 31.59178213499375, 1e-9),
-        (make_system("free", kappa=1.0), gc, 15.0, 6.283185307176108, 1e-10),
+         np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35]), 40.0, 3.948972766875372),
+        (make_system("free", kappa=1.0), gc, 15.0, 6.283185307176108),
     )
-    for spec, y0, t_max, old_period, rk4_bound in cases:
+    for spec, y0, t_max, old_period in cases:
         result = closed_orbit_check(spec, y0, t_max)
         assert result.found
         assert abs(result.period - old_period) < 1e-9
@@ -970,7 +985,7 @@ def test_closed_orbit_refined_return_state():
         rhs = hamilton_rhs(spec)
         adaptive = integrate(rhs, y0, (0.0, t_best), tol=1e-12).final_state
         assert float(np.max(np.abs(y_best - adaptive))) < 1e-12
-        assert float(np.max(np.abs(y_best - rk4_reference(rhs, y0, t_best)))) < rk4_bound
+        assert float(np.max(np.abs(y_best - rk4_reference(rhs, y0, t_best)))) < 1e-10
 
 
 def test_normalized_distance_vectorized():
