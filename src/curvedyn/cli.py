@@ -322,7 +322,8 @@ _COMMANDS = {
         _SEED,
         ("y0", _y0, "random", _Y0_HELP),
         ("t_max", _real, 10.0, None),
-        ("method", _choice(*dynamics.METHODS), "rk45_adaptive", ", ".join(dynamics.METHODS)),
+        ("method", _choice(*dynamics.METHODS), dynamics.DEFAULT_METHOD,
+         ", ".join(dynamics.METHODS) + f" (default {dynamics.DEFAULT_METHOD})"),
         ("tol", _real, 1e-10, None),
         ("dt", _real, None, None),
         ("every", _integer(1), 1, "emit every N-th stored sample"),

@@ -3,9 +3,10 @@
 The canonical bracket pairs (r, p_r), (theta, p_theta), (phi, p_phi).
 Brackets of cataloged observables contract their analytic gradients, so
 bracket identities can be audited to near machine precision without any
-finite differencing.  Three integrators cover the trade-offs: a fixed
-step classical Runge-Kutta, an embedded Dormand-Prince 5(4) pair with
-proportional-integral step control, and an implicit midpoint rule whose
+finite differencing.  Four integrators cover the trade-offs: a fixed
+step classical Runge-Kutta, two embedded Dormand-Prince pairs run by one
+adaptive step loop (8(5,3), the default, and 5(4) with
+proportional-integral step control), and an implicit midpoint rule whose
 fixed-point iteration preserves quadratic invariants to iteration
 tolerance.
 """
@@ -39,9 +40,10 @@ __all__ = [
     "closed_orbit_check",
 ]
 
-METHODS = ("rk4_fixed", "rk45_adaptive", "implicit_midpoint")
+METHODS = ("rk4_fixed", "rk45_adaptive", "dop853", "implicit_midpoint")
+DEFAULT_METHOD = "dop853"  # of integrate and of the CLI's trajectory
 FD_STEP = 1e-6  # central-difference step of poisson_bracket_fd
-DT_MIN = 1e-12  # smallest step rk45_adaptive retries down to
+DT_MIN = 1e-12  # smallest step the adaptive methods retry down to
 ORBIT_TOL = 1e-12  # tolerance of the run behind closed_orbit_check
 
 
@@ -111,10 +113,12 @@ class Trajectory:
 
 
 # Explicit Runge-Kutta tableaux (c, A) (Hairer, Norsett & Wanner, Solving
-# ODEs I, II.1 and II.5).  Row s of A holds the weights of stage s, taken
-# at t + c[s] * dt, and the last row the weights b of the new state.  RK4
-# has four stages.  The seventh stage of Dormand-Prince 5(4) (Table II.5.2)
-# is its last row, at the new state y5, and starts the next step (FSAL).
+# ODEs I, II.1, II.5 and II.10).  Row s of A holds the weights of stage s,
+# taken at t + c[s] * dt, and the last row the weights b of the new state.
+# RK4 has four stages.  The embedded pairs evaluate their weights row as
+# a last stage, at the new state and c = 1, which starts the next step
+# (FSAL): the seventh stage of Dormand-Prince 5(4) (Table II.5.2) and the
+# thirteenth of Dormand-Prince 8(5,3).
 _RK4 = (
     (0.0, 0.5, 0.5, 1.0),
     np.array(
@@ -127,7 +131,7 @@ _RK4 = (
         ]
     ),
 )
-_DP54 = (
+_DP54_TABLEAU = (
     (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0),
     np.array(
         [
@@ -143,8 +147,66 @@ _DP54 = (
 )
 # The 5th-order weights (last row of A) minus the embedded 4th-order
 # ones: dt * (E @ K) is the local error estimate y5 - y4, without y4.
-_DP_E = _DP54[1][6] - np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-                                -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0])
+_DP_E = _DP54_TABLEAU[1][6] - np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
+                                        -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0])
+
+# Dormand-Prince 8(5,3), the constants of Hairer's dop853.f.  Each row of
+# A lists its leading entries; the rest of the row is zero.
+_DOP853_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+             4.45031289275240888144113950566e0, 1.89151789931450038304281599044e0,
+             -5.8012039600105847814672114227e0, 3.1116436695781989440891606237e-1,
+             -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+             4.47106157277725905176885569043e-2)
+_DOP853_TABLEAU = (
+    (0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+     0.118350341907227396726757197510e0, 0.281649658092772603273242802490e0,
+     0.333333333333333333333333333333e0, 0.25e0, 0.307692307692307692307692307692e0,
+     0.651282051282051282051282051282e0, 0.6e0, 0.857142857142857142857142857142e0,
+     1.0, 1.0),
+    np.array([row + (0.0,) * (13 - len(row)) for row in (
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+        (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+         9.24834003261792003115737966543e-1),
+        (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+         1.25467687566822425016691814123e-1),
+        (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+         6.02165389804559606850219397283e-2, -1.7578125e-2),
+        (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+         1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+         8.27378916381402288758473766002e-3),
+        (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825e0,
+         -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+         2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+        (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468e0,
+         -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+         1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+         -2.03312017085086261358222928593e-2),
+        (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209e0,
+         1.09143734899672957818500254654e0, -8.14978701074692612513997267357e0,
+         -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+         2.49360555267965238987089396762e0, -3.0467644718982195003823669022e0),
+        (2.27331014751653820792359768449e0, 0.0, 0.0, -1.05344954667372501984066689879e1,
+         -2.00087205822486249909675718444e0, -1.79589318631187989172765950534e1,
+         2.79488845294199600508499808837e1, -2.85899827713502369474065508674e0,
+         -8.87285693353062954433549289258e0, 1.23605671757943030647266201528e1,
+         6.43392746015763530355970484046e-1),
+        _DOP853_B,
+    )]),
+)
+# The error rows E5 = b - (5th-order weights) and E3 = b - (3rd-order
+# weights), whose products with K times dt estimate the local errors.
+_DOP853_E = np.array([
+    (1.312004499419488073250102996e-2, 0.0, 0.0, 0.0, 0.0, -1.225156446376204440720569753e0,
+     -4.957589496572501915214079952e-1, 1.664377182454986536961530415e0,
+     -3.503288487499736816886487290e-1, 3.341791187130174790297318841e-1,
+     8.192320648511571246570742613e-2, -2.235530786388629525884427845e-2, 0.0),
+    np.array(_DOP853_B + (0.0,)) - np.array(
+        [0.244094488188976377952755905512e0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+         0.733846688281611857341361741547e0, 0.0, 0.0, 0.220588235294117647058823529412e-1, 0.0]),
+])
 
 
 class _Stages:
@@ -227,12 +289,61 @@ def _integrate_fixed(y0, t0, t1, dt, stepper, diag):
     return _trajectory(times, states, diag, reason)
 
 
-def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, max_steps, diag):
+def _dp54_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
+    """RMS of the error estimate dt * (E @ K) relative to
+    tol * (1 + max(|y|, |y_new|)), on floats rather than temporaries."""
+    acc = 0.0
+    for e, a, b in zip(_DP_E.dot(K).tolist(), y, y_new):
+        w = e / (1.0 + max(abs(a), abs(b)))
+        acc += w * w
+    return dt / tol * math.sqrt(acc / len(y_new))
+
+
+def _dop853_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
+    """err5^2 / sqrt(err5^2 + 0.01 err3^2) / sqrt(n) * dt / tol, where err5
+    and err3 are the norms of the estimates E5 @ K and E3 @ K on the
+    weights 1 + max(|y|, |y_new|) (dop853.f; both zero gives zero)."""
+    acc5 = acc3 = 0.0
+    e5, e3 = _DOP853_E.dot(K).tolist()
+    for a, b, u, v in zip(e5, e3, y, y_new):
+        w = 1.0 + max(abs(u), abs(v))
+        acc5 += (a / w) ** 2
+        acc3 += (b / w) ** 2
+    return dt / tol * acc5 / math.sqrt(len(y_new) * (acc5 + 0.01 * acc3 or 1.0))
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """An embedded Runge-Kutta pair, as _integrate_adaptive runs it.
+
+    error(K, y, y_new, dt, tol) is the scaled error of an attempt, which
+    is accepted when it is at most 1.  After an accepted step dt grows by
+    0.9 * err**accept[0] * err_prev**accept[1] (err_prev is the last
+    accepted error, at least 1e-4), after a rejection by 0.9 *
+    err**reject but at most 1, each factor clipped to bounds.
+    """
+
+    tableau: tuple
+    error: Callable
+    accept: tuple
+    reject: float
+    bounds: tuple
+
+
+# DP5(4) with proportional-integral control; DOP853 with dop853.f's
+# control, err**(-1/8) with factors in [0.333, 6].
+_DP54 = _Pair(_DP54_TABLEAU, _dp54_error, (-0.14, 0.08), -0.2, (0.2, 5.0))
+_DOP853 = _Pair(_DOP853_TABLEAU, _dop853_error, (-0.125, 0.0), -0.125, (0.333, 6.0))
+_ADAPTIVE = {"rk45_adaptive": _DP54, "dop853": _DOP853}
+
+
+def _integrate_adaptive(rhs, pair: _Pair, y0, t0, t1, dt0, tol, max_steps, diag):
     t, y, y_list = t0, y0, y0.tolist()
     times, states = [t0], [y0]
-    stages = _Stages(_DP54, y0.size)
+    stages = _Stages(pair.tableau, y0.size)
     K = stages.K
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
+    (a_err, a_prev), lo, hi = pair.accept, *pair.bounds
     err_prev = 1.0
     n_rejected = 0
     reason = None
@@ -250,7 +361,7 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, max_steps, diag):
             break
         dt = min(dt, t1 - t)
         try:
-            y5 = stages.attempt(rhs, t, y, dt)
+            y_new = stages.attempt(rhs, t, y, dt)
         except _STOPS as exc:
             if dt <= DT_MIN:
                 reason = _stop_reason(exc)
@@ -258,34 +369,28 @@ def _integrate_dp54(rhs, y0, t0, t1, dt0, tol, max_steps, diag):
             dt = max(0.25 * dt, DT_MIN)
             n_rejected += 1
             continue
-        # RMS of the error estimate dt * (E @ K) relative to
-        # tol * (1 + max(|y|, |y5|)), on floats rather than temporaries.
-        y5_list = y5.tolist()
-        acc = 0.0
-        for e, a, b in zip(_DP_E.dot(K).tolist(), y_list, y5_list):
-            w = e / (1.0 + max(abs(a), abs(b)))
-            acc += w * w
-        err = dt / tol * math.sqrt(acc / len(y5_list))
-        if not (math.isfinite(err) and all(map(math.isfinite, y5_list))):
+        new_list = y_new.tolist()
+        err = pair.error(K, y_list, new_list, dt, tol)
+        if not (math.isfinite(err) and all(map(math.isfinite, new_list))):
             reason = "non-finite state"
             break
         if err <= 1.0:
             t = t + dt
-            y = y5
-            y_list = y5_list
+            y = y_new
+            y_list = new_list
             times.append(t)
             states.append(y)
-            K[0] = K[6]  # first same as last
-            fac = 0.9 * (err + 1e-300) ** -0.14 * err_prev**0.08
-            dt = dt * min(5.0, max(0.2, fac))
+            K[0] = K[-1]  # first same as last
+            fac = 0.9 * (err + 1e-300) ** a_err * err_prev**a_prev
+            dt = dt * min(hi, max(lo, fac))
             err_prev = max(err, 1e-4)
         else:
             n_rejected += 1
             if dt <= DT_MIN:
                 reason = "step size underflow"
                 break
-            fac = 0.9 * err**-0.2
-            dt = max(dt * max(0.2, min(1.0, fac)), DT_MIN)
+            fac = 0.9 * err**pair.reject
+            dt = max(dt * max(lo, min(1.0, fac)), DT_MIN)
     diag.update(n_rejected=n_rejected, n_rhs_evals=stages.evals)
     return _trajectory(times, states, diag, reason)
 
@@ -314,7 +419,7 @@ def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0,
     t_span,
-    method: str = "rk45_adaptive",
+    method: str = DEFAULT_METHOD,
     dt: Optional[float] = None,
     tol: float = 1e-10,
     fp_tol: float = 1e-13,
@@ -328,15 +433,15 @@ def integrate(
     and finite.  Every method treats a failure mid-run alike: the run
     truncates at the last good state and sets the truncated flag with a
     reason in the diagnostics.  The reasons are a domain singularity (the
-    adaptive method first retries with smaller steps down to DT_MIN,
+    adaptive methods first retry with smaller steps down to DT_MIN,
     unless the rhs fails at the initial state itself), "non-finite state"
-    (also when the rhs overflows; the adaptive method checks every stage
-    and its error estimate too, implicit_midpoint every iterate),
+    (also when the rhs overflows; the adaptive methods check every stage
+    and their error estimate too, implicit_midpoint every iterate),
     "implicit solve did not converge at t = ..." (implicit_midpoint), and
-    "max_steps exceeded" or "step size underflow" (rk45_adaptive).  The
-    diagnostics hold n_steps (accepted steps, len(times) - 1) for every
-    method, and n_rejected and n_rhs_evals (rhs calls that returned) for
-    rk45_adaptive.
+    "max_steps exceeded" or "step size underflow" (the adaptive methods,
+    dop853 and rk45_adaptive).  The diagnostics hold n_steps (accepted
+    steps, len(times) - 1) for every method, and n_rejected and
+    n_rhs_evals (rhs calls that returned) for the adaptive methods.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -353,8 +458,8 @@ def integrate(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     diag = {"method": method, "tol": tol, "dt": dt}
-    if method == "rk45_adaptive":
-        return _integrate_dp54(rhs, y0, t0, t1, dt, tol, max_steps, diag)
+    if method in _ADAPTIVE:
+        return _integrate_adaptive(rhs, _ADAPTIVE[method], y0, t0, t1, dt, tol, max_steps, diag)
     if dt is None:
         raise ValueError(f"method {method!r} requires an explicit dt")
     stages = _Stages(_RK4, y0.size)
@@ -730,7 +835,7 @@ def closed_orbit_check(
     # in its last step is a candidate too.
     dist = np.append(_normalized_distance(traj.states, y0, scales), math.inf)
     minima = np.nonzero((dist[:-2] > dist[1:-1]) & (dist[1:-1] <= dist[2:]))[0] + 1
-    stages = _Stages(_DP54, y0.size)
+    stages = _Stages(_DP54.tableau, y0.size)
     best = None
     for k in minima.tolist():
         t, y, d = _refine_return(rhs, stages, traj, k, y0, scales)

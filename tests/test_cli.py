@@ -1,4 +1,5 @@
 """Command line interface: outputs, exit codes, config merging, seeds."""
+import inspect
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvedyn.cli import main
-from curvedyn.dynamics import METHODS
+from curvedyn.dynamics import DEFAULT_METHOD, METHODS, integrate
 from curvedyn.systems import SYSTEM_IDS
 
 OSC_BOUND_Y0 = "0.8,1.2,0.4,0.15,0.3,0.35"
@@ -194,6 +195,16 @@ def test_emit_config_round_trip(tmp_path, capsys):
         assert main([args[0], "--config", str(cfg_path), "--output", str(via_cfg)]) == 0
         capsys.readouterr()
         assert direct.read_bytes() == via_cfg.read_bytes(), args[0]
+
+
+def test_trajectory_default_method_is_the_library_default(capsys):
+    """trajectory resolves method to DEFAULT_METHOD, the default of
+    integrate too, so a run without --method integrates as integrate does."""
+    code, out, _ = run(capsys, "trajectory", "--system", "free", "--y0", OSC_BOUND_Y0,
+                       "--emit-config")
+    assert code == 0
+    assert json.loads(out)["trajectory"]["method"] == DEFAULT_METHOD
+    assert inspect.signature(integrate).parameters["method"].default == DEFAULT_METHOD
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Bracket engine, integrators, sampling, audits, and orbit detection."""
+import itertools
 import math
 import time
 from collections import Counter
@@ -35,6 +36,7 @@ from curvedyn.observables import (
 from curvedyn.systems import SYSTEM_IDS, catalog, hamilton_rhs, hamiltonian, make_system
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3)
+ADAPTIVE = ("dop853", "rk45_adaptive")
 
 # Flat Kepler circular orbit: r = 1, p_phi = 1 balances -1/r^2 against
 # the centrifugal term, so the period is exactly 2 pi.
@@ -296,28 +298,35 @@ def test_rhs_eval_counts_match_a_call_counter():
 
     # The first stage at a stored state is evaluated once, also when an
     # attempt from it is rejected (README orbit) or raises (wall run).  A
-    # state may still see two calls where stages 6 and 7 share a point:
-    # always under the constant drift of nan_past_rhs, and in the wall run
-    # once dt drops below the resolution of the state.
+    # state may still see two calls where the last two stages (both at
+    # c = 1) share a point: always under the constant drift of
+    # nan_past_rhs, and in the wall run once dt drops below the
+    # resolution of the state.  There a third call comes from DOP853's
+    # stage at c = 1/4 in an attempt that raised, since the retry takes
+    # a quarter of its step.
     adaptive = (
-        (osc, readme_y0, False, 1),
+        (osc, readme_y0, False, {"dop853": 1, "rk45_adaptive": 1}),
         (nan_past_rhs, NAN_PAST_Y0, True, None),
         # Stages past the wall raise, and the step is retried down to dt_min.
-        (walled, readme_y0, True, 2),
+        (walled, readme_y0, True, {"dop853": 3, "rk45_adaptive": 2}),
     )
-    for rhs, y0, truncated, calls_per_state in adaptive:
+    for method, (rhs, y0, truncated, max_calls) in itertools.product(ADAPTIVE, adaptive):
         counted = CountingRhs(rhs)
-        traj = integrate(counted, y0, (0.0, 20.0), method="rk45_adaptive", tol=1e-10)
+        traj = integrate(counted, y0, (0.0, 20.0), method=method, tol=1e-10)
         d = traj.diagnostics
         assert traj.truncated == truncated
         assert d["n_rhs_evals"] == len(counted.calls)
         assert d["n_steps"] == len(traj.times) - 1
-        if calls_per_state is None:
+        if max_calls is None:
             continue
-        assert d["n_rejected"] > 0
+        if not truncated:
+            # Each attempt costs a stage per row of A but the first.
+            per_attempt = len(dynamics._ADAPTIVE[method].tableau[0]) - 1
+            assert d["n_rhs_evals"] == per_attempt * (d["n_steps"] + d["n_rejected"]) + 1
+        assert d["n_rejected"] > 0, method
         calls = Counter(counted.calls)
         for t, y in zip(traj.times.tolist(), traj.states.tolist()):
-            assert 1 <= calls[t, tuple(y)] <= calls_per_state
+            assert 1 <= calls[t, tuple(y)] <= max_calls[method], method
 
     counted = CountingRhs(osc)
     traj = integrate(counted, readme_y0, (0.0, 1.0), method="rk4_fixed", dt=0.01)
@@ -342,8 +351,11 @@ def test_rhs_eval_counts_match_a_call_counter():
 def test_runge_kutta_tableaux_order_conditions():
     """Row sums of A equal the nodes c, and the weights b (the last row of
     A) meet sum b_i c_i^(k-1) = 1/k up to the order of the method; the
-    embedded Dormand-Prince weights b - e meet it up to order 4 only."""
-    for (c, A), order, fsal in ((dynamics._RK4, 4, False), (dynamics._DP54, 5, True)):
+    embedded Dormand-Prince 5(4) weights b - e meet it up to order 4 only,
+    and the 8(5,3) weights b, b - E5 and b - E3 up to orders 8, 5 and 3."""
+    tableaux = ((dynamics._RK4, 4, False), (dynamics._DP54.tableau, 5, True),
+                (dynamics._DOP853.tableau, 8, True))
+    for (c, A), order, fsal in tableaux:
         c = np.array(c)
         n = len(c)
         assert A.shape == (n + (not fsal),) * 2
@@ -353,12 +365,38 @@ def test_runge_kutta_tableaux_order_conditions():
         assert b[n:].size == int(not fsal) and not b[n:].any()
         for k in range(1, order + 1):
             assert abs(b[:n] @ c ** (k - 1) - 1.0 / k) < 1e-15, k
-    c, A = dynamics._DP54
+    c, A = dynamics._DP54.tableau
     assert c[-1] == 1.0  # the weights row is the FSAL stage, at t + dt
     embedded = A[-1] - dynamics._DP_E
     for k in range(1, 5):
         assert abs(embedded @ np.array(c) ** (k - 1) - 1.0 / k) < 1e-15, k
     assert abs(embedded @ np.array(c) ** 4 - 1.0 / 5.0) > 1e-4
+    c, A = dynamics._DOP853.tableau
+    c = np.array(c)
+    assert c[-1] == 1.0
+    e5, e3 = dynamics._DOP853_E
+    for weights, order in ((A[-1], 8), (A[-1] - e5, 5), (A[-1] - e3, 3)):
+        for k in range(1, order + 1):
+            assert abs(weights @ c ** (k - 1) - 1.0 / k) < 1e-15, (order, k)
+        assert abs(weights @ c**order - 1.0 / (order + 1)) > 1e-5, order
+
+
+def test_dop853_eighth_order_convergence():
+    """Fixed Dormand-Prince 8(5,3) steps: the endpoint error falls as dt^8."""
+    rhs = circ_rhs()
+    stages = dynamics._Stages(dynamics._DOP853.tableau, 6)
+
+    def endpoint(n):
+        y = ECC_Y0
+        for i in range(n):
+            y = stages.step(rhs, 3.0 * i / n, y, 3.0 / n)
+        return y
+
+    ref = endpoint(200)
+    ns = (8, 12, 16)
+    errs = [float(np.max(np.abs(endpoint(n) - ref))) for n in ns]
+    for (n0, e0), (n1, e1) in zip(zip(ns, errs), zip(ns[1:], errs[1:])):
+        assert abs(math.log(e0 / e1) / math.log(n1 / n0) - 8.0) < 0.5, errs
 
 
 _PARAMS = {"kepler": {"k": -1.0}, "kepler123": {"k": -1.0, "k1": 0.1, "k2": 0.2, "k3": 0.3},
@@ -376,7 +414,7 @@ def integrate_calls(draw):
           draw(st.floats(-4.0, 4.0)), *draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))]
     t0 = draw(st.floats(-1.0, 1.0))
     t_span = (t0, t0 + draw(st.floats(1e-3, 0.2)))
-    dt = None if method == "rk45_adaptive" and draw(st.booleans()) else draw(st.floats(1e-3, 0.5))
+    dt = None if method in ADAPTIVE and draw(st.booleans()) else draw(st.floats(1e-3, 0.5))
     tol = draw(st.floats(1e-12, 1e-2))
     bad = draw(st.sampled_from(["", "", "", "method", "y0", "t_span", "dt", "tol"]))
     if bad == "method":
@@ -410,7 +448,7 @@ def test_integrate_finishes_or_rejects_input(sid, kap, call):
     assert traj.states.shape == (len(traj.times), 6)
     assert d["n_steps"] == len(traj.times) - 1
     assert traj.truncated == ("reason" in d)
-    if method == "rk45_adaptive":
+    if method in ADAPTIVE:
         assert d["n_steps"] + d["n_rejected"] <= max_steps
 
 
@@ -537,14 +575,16 @@ def test_truncation_on_domain_singularity():
 
 
 def test_adaptive_truncates_when_first_stage_fails():
-    """A domain singularity at the initial state truncates without retries."""
-    counted = CountingRhs(hamilton_rhs(make_system("free", kappa=1.0)))
-    traj = integrate(counted, [1.0, 0.0, 0.3, 0.1, 0.2, 0.3], (0.0, 1.0))
-    d = traj.diagnostics
-    assert traj.truncated
-    assert d["reason"].startswith("domain singularity: sin(theta)")
-    assert (d["n_steps"], d["n_rejected"], d["n_rhs_evals"]) == (0, 0, 0)
-    assert counted.calls == [] and len(traj.times) == 1
+    """A domain singularity at the initial state truncates without retries,
+    at the default method and under Dormand-Prince 5(4)."""
+    for kwargs in ({}, {"method": "rk45_adaptive"}):
+        counted = CountingRhs(hamilton_rhs(make_system("free", kappa=1.0)))
+        traj = integrate(counted, [1.0, 0.0, 0.3, 0.1, 0.2, 0.3], (0.0, 1.0), **kwargs)
+        d = traj.diagnostics
+        assert traj.truncated
+        assert d["reason"].startswith("domain singularity: sin(theta)")
+        assert (d["n_steps"], d["n_rejected"], d["n_rhs_evals"]) == (0, 0, 0)
+        assert counted.calls == [] and len(traj.times) == 1
 
 
 def test_truncation_fixed_grid():
@@ -557,8 +597,8 @@ def test_truncation_fixed_grid():
 
 def test_rhs_overflow_truncates_or_is_retried():
     """math.sinh overflows on a runaway radius at kappa < 0: the fixed-step
-    methods truncate with reason "non-finite state", and the adaptive one
-    retries the step with a smaller dt, as for a domain singularity."""
+    methods truncate with reason "non-finite state", and the adaptive ones
+    retry the step with a smaller dt, as for a domain singularity."""
     rhs = hamilton_rhs(make_system("free", kappa=-1.0))
     y0 = [0.0625, 1.0, 0.0, 0.0, 0.0, 1.0]
     for method in ("rk4_fixed", "implicit_midpoint"):
@@ -574,8 +614,10 @@ def test_rhs_overflow_truncates_or_is_retried():
             overflows.append(t)
             raise
 
-    traj = integrate(noted, y0, (0.0, 0.125), dt=0.125)
-    assert overflows and not traj.truncated
+    for method, t1 in (("rk45_adaptive", 0.125), ("dop853", 0.5)):
+        overflows.clear()
+        traj = integrate(noted, y0, (0.0, t1), method=method, dt=t1)
+        assert overflows and not traj.truncated, method
 
 
 def test_trajectory_thin():
@@ -983,7 +1025,7 @@ def test_closed_orbit_refined_return_state():
         t_best = result.period
         y_best = result.diagnostics["return_state"]
         rhs = hamilton_rhs(spec)
-        adaptive = integrate(rhs, y0, (0.0, t_best), tol=1e-12).final_state
+        adaptive = integrate(rhs, y0, (0.0, t_best), method="rk45_adaptive", tol=1e-12).final_state
         assert float(np.max(np.abs(y_best - adaptive))) < 1e-12
         assert float(np.max(np.abs(y_best - rk4_reference(rhs, y0, t_best)))) < 1e-10
 
