@@ -28,6 +28,7 @@ print "error: <message>" on stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -157,11 +158,11 @@ def _cmd_trajectory(args, spec: SystemSpec, opts: dict) -> int:
                               dt=opts["dt"], tol=opts["tol"])
     labels = ("rho" if rho else "r", "theta", "phi",
               "p_rho" if rho else "p_r", "p_theta", "p_phi")
+    every = opts["every"]
+    row = ",".join(["%.17g"] * 7)
     rows = ["t," + ",".join(labels)]
-    for i in range(0, len(traj.times), opts["every"]):
-        rows.append(
-            ",".join([_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]])
-        )
+    rows += [row % (t, *y) for t, y in zip(traj.times[::every].tolist(),
+                                           traj.states[::every].tolist())]
     _emit(args, "\n".join(rows) + "\n")
     if traj.truncated:
         print(f"warning: trajectory truncated: {traj.diagnostics.get('reason')}",
@@ -177,9 +178,7 @@ def _cmd_potential(args, spec: SystemSpec, opts: dict) -> int:
         spec, np.linspace(opts["r_min"], opts["r_max"], opts["n"]),
         theta=opts["theta"], phi=opts["phi"],
     )
-    rows = ["r,V"]
-    for r, v in profile:
-        rows.append(f"{_fmt(r)},{'nan' if math.isnan(v) else _fmt(v)}")
+    rows = ["r,V"] + ["%.17g,%.17g" % (r, v) for r, v in profile.tolist()]
     _emit(args, "\n".join(rows) + "\n")
     return 0
 
@@ -372,6 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses (every default is None and
+# options are resolved in _options), so one parser serves every call.
+_parser = functools.cache(build_parser)
+
+
 # ---------------------------------------------------------------------------
 # Config handling and output.
 
@@ -459,7 +463,7 @@ def _emit(args, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-systems":
             return _cmd_list_systems()

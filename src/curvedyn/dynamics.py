@@ -265,12 +265,15 @@ def _trajectory(times: list, states: list, diag: dict, reason) -> Trajectory:
     return Trajectory(np.array(times), np.array(states), diag, reason is not None)
 
 
-def _integrate_fixed(y0, t0, t1, dt, stepper, diag):
-    """Steps of stepper(t, y, dt), which returns None if its solve fails."""
+def _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag):
+    """Steps of stepper(t, y, dt), which returns None if its solve fails;
+    at most max_steps of them."""
     times, states = [t0], [y0]
     t, y = t0, y0
-    reason = None
-    for _ in range(max(1, math.ceil((t1 - t0) / dt - 1e-12))):
+    # n may be infinite when dt is subnormal.
+    n = (t1 - t0) / dt - 1e-12
+    reason = "max_steps exceeded" if n > max_steps else None
+    for _ in range(max_steps if reason else max(1, math.ceil(n))):
         step = min(dt, t1 - t)
         try:
             y = stepper(t, y, step)
@@ -280,7 +283,7 @@ def _integrate_fixed(y0, t0, t1, dt, stepper, diag):
         if y is None:
             reason = f"implicit solve did not converge at t = {t}"
             break
-        if not np.isfinite(y).all():
+        if not all(map(math.isfinite, y.tolist())):
             reason = "non-finite state"
             break
         t = t + step
@@ -429,19 +432,22 @@ def integrate(
 
     Bad input raises ValueError at once: a y0 that is not a finite 1-D
     vector, a t_span whose ends are not finite with t1 > t0, an unknown
-    method, a missing or non-positive dt, or a tol that is not positive
-    and finite.  Every method treats a failure mid-run alike: the run
-    truncates at the last good state and sets the truncated flag with a
-    reason in the diagnostics.  The reasons are a domain singularity (the
-    adaptive methods first retry with smaller steps down to DT_MIN,
-    unless the rhs fails at the initial state itself), "non-finite state"
-    (also when the rhs overflows; the adaptive methods check every stage
-    and their error estimate too, implicit_midpoint every iterate),
-    "implicit solve did not converge at t = ..." (implicit_midpoint), and
-    "max_steps exceeded" or "step size underflow" (the adaptive methods,
-    dop853 and rk45_adaptive).  The diagnostics hold n_steps (accepted
-    steps, len(times) - 1) for every method, and n_rejected and
-    n_rhs_evals (rhs calls that returned) for the adaptive methods.
+    method, a missing or non-positive dt, a tol that is not positive and
+    finite, an fp_tol that is not finite and non-negative, or a max_steps
+    that is not an integer >= 1.  Every method treats a failure mid-run
+    alike: the run truncates at the last good state and sets the
+    truncated flag with a reason in the diagnostics.  The reasons are a
+    domain singularity (the adaptive methods first retry with smaller
+    steps down to DT_MIN, unless the rhs fails at the initial state
+    itself), "non-finite state" (also when the rhs overflows; the
+    adaptive methods check every stage and their error estimate too,
+    implicit_midpoint every iterate), "implicit solve did not converge at
+    t = ..." (implicit_midpoint), "max_steps exceeded" (every method; the
+    adaptive methods count rejected attempts too) and "step size
+    underflow" (the adaptive methods, dop853 and rk45_adaptive).  The
+    diagnostics hold n_steps (accepted steps, len(times) - 1) for every
+    method, and n_rejected and n_rhs_evals (rhs calls that returned) for
+    the adaptive methods.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -455,6 +461,11 @@ def integrate(
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not (math.isfinite(fp_tol) and fp_tol >= 0.0):
+        raise ValueError(f"fp_tol must be finite and non-negative, got {fp_tol!r}")
+    if (isinstance(max_steps, bool) or not isinstance(max_steps, (int, np.integer))
+            or max_steps < 1):
+        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     diag = {"method": method, "tol": tol, "dt": dt}
@@ -467,7 +478,7 @@ def integrate(
         stepper = lambda t, y, h: stages.step(rhs, t, y, h)
     else:
         stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h, fp_tol)
-    return _integrate_fixed(y0, t0, t1, dt, stepper, diag)
+    return _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +823,8 @@ def closed_orbit_check(
 ) -> ClosedOrbitResult:
     """Search for the first return of the trajectory to its initial state.
 
-    A return_tol that is not positive and finite raises ValueError.  The
+    A y0 that is not a finite 6-vector, or a return_tol that is not
+    positive and finite, raises ValueError before any integration.  The
     candidate returns of a run over [0, t_max] are the local minima of the
     sample distance to y0 (with the run's end counted as infinitely far),
     normalized per component by the ranges the whole run explores, with
@@ -827,6 +839,8 @@ def closed_orbit_check(
     if not (math.isfinite(return_tol) and return_tol > 0.0):
         raise ValueError(f"return_tol must be positive and finite, got {return_tol!r}")
     y0 = _as_array(y0).copy()
+    if y0.shape != (6,) or not np.isfinite(y0).all():
+        raise ValueError(f"closed_orbit_check needs a finite 6-vector y0, got {y0!r}")
     rhs = hamilton_rhs(spec)
     traj = integrate(rhs, y0, (0.0, t_max), method="rk45_adaptive", tol=ORBIT_TOL)
     diag = {"truncated": traj.truncated, "n_samples": len(traj.times), "n_candidates": 0}

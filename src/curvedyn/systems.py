@@ -288,9 +288,9 @@ def potential_profile(
     rs = np.asarray(r_values, dtype=float)
     out = np.empty((rs.size, 2))
     out[:, 0] = rs
-    for idx, r in enumerate(rs):
+    for idx, r in enumerate(rs.tolist()):
         try:
-            out[idx, 1] = 0.0 if v is None else v.value(np.array([r, theta, phi, 0.0, 0.0, 0.0]))
+            out[idx, 1] = 0.0 if v is None else v.value((r, theta, phi, 0.0, 0.0, 0.0))
         except DomainSingularity:
             out[idx, 1] = math.nan
     return out

@@ -3,6 +3,9 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -10,9 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import curvedyn
+from curvedyn import dynamics, systems
 from curvedyn.cli import main
 from curvedyn.dynamics import DEFAULT_METHOD, METHODS, integrate
-from curvedyn.systems import SYSTEM_IDS
+from curvedyn.geometry import PhaseState, to_rho_chart
+from curvedyn.systems import SYSTEM_IDS, make_system, rho_chart_rhs
 
 OSC_BOUND_Y0 = "0.8,1.2,0.4,0.15,0.3,0.35"
 
@@ -77,6 +83,73 @@ def test_trajectory_rho_chart(capsys):
     assert lines[0] == "t,rho,theta,phi,p_rho,p_theta,p_phi"
     first = [float(v) for v in lines[1].split(",")]
     assert first[1] == pytest.approx(math.sin(0.8), rel=1e-15)
+
+
+def test_trajectory_rows_are_the_library_run(capsys):
+    """Each row is %.17g of every N-th sample of the same integrate run,
+    in the base and in the rho chart."""
+    spec = make_system("oscillator", 1.0)
+    y0 = np.array([float(v) for v in OSC_BOUND_Y0.split(",")])
+    base = integrate(systems.hamilton_rhs(spec), y0, (0.0, 2.0))
+    rho_y0 = to_rho_chart(1.0, PhaseState.from_array(y0)).as_array()
+    rho = integrate(rho_chart_rhs(spec), rho_y0, (0.0, 2.0))
+    args = ("trajectory", "--system", "oscillator", "--kappa", "1", "--y0", OSC_BOUND_Y0,
+            "--t-max", "2")
+    for extra, traj, every in (((), base, 1), (("--every", "3"), base, 3),
+                               (("--chart", "rho"), rho, 1)):
+        code, out, err = run(capsys, *args, *extra)
+        assert code == 0 and err == ""
+        expected = [",".join("%.17g" % v for v in (t, *y))
+                    for t, y in zip(traj.times[::every], traj.states[::every])]
+        assert out.splitlines()[1:] == expected, extra
+
+
+def test_repeated_main_calls_match_first_calls(capsys):
+    """In-process calls, one of them failing, leave no state behind: each
+    prints what the same call prints first thing in a new interpreter."""
+    base = ["trajectory", "--system", "oscillator", "--kappa", "1", "--y0", OSC_BOUND_Y0,
+            "--t-max", "1"]
+    calls = (base + ["--every", "3"], base + ["--every", "0"], base)
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvedyn.__file__)))
+    script = "import sys; from curvedyn.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), argv
+
+
+def test_library_calls_go_through_module_attributes(capsys, monkeypatch):
+    """The CLI looks up its library entry points on their modules at call
+    time, so a wrapper set on the module (a tracer, say) sees every call."""
+    seen = []
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((dynamics, "integrate"), (dynamics, "closed_orbit_check"),
+                         (systems, "potential_profile"), (systems, "hamilton_rhs"),
+                         (systems, "rho_chart_rhs")):
+        spy(module, name)
+    y0 = ("--y0", OSC_BOUND_Y0)
+    for argv, names in (
+        (("trajectory", "--system", "oscillator", *y0, "--t-max", "0.5"),
+         ["hamilton_rhs", "integrate"]),
+        (("trajectory", "--system", "oscillator", *y0, "--t-max", "0.5", "--chart", "rho"),
+         ["rho_chart_rhs", "integrate"]),
+        (("potential", "--system", "oscillator", "--n", "3"), ["potential_profile"]),
+        (("closed-orbit", "--system", "free", "--y0", "1,1.5707963267948966,0,0,0,1",
+          "--t-max", "8"), ["closed_orbit_check"]),
+    ):
+        seen.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and seen[:len(names)] == names, (argv, seen)
 
 
 def test_trajectory_truncated_exit_code(capsys):

@@ -205,10 +205,20 @@ def test_integrate_validation():
         (CIRC_Y0, (0.0, 1.0), {"tol": -1e-10}),
         (CIRC_Y0, (0.0, 1.0), {"tol": math.nan}),
         (CIRC_Y0, (0.0, 1.0), {"tol": math.inf}),
+        (CIRC_Y0, (0.0, 1.0), {"method": "implicit_midpoint", "dt": 0.1, "fp_tol": math.nan}),
+        (CIRC_Y0, (0.0, 1.0), {"method": "implicit_midpoint", "dt": 0.1, "fp_tol": math.inf}),
+        (CIRC_Y0, (0.0, 1.0), {"method": "implicit_midpoint", "dt": 0.1, "fp_tol": -1e-13}),
+        (CIRC_Y0, (0.0, 1.0), {"max_steps": 0}),
+        (CIRC_Y0, (0.0, 1.0), {"max_steps": -5}),
+        (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": 0.1, "max_steps": 0}),
+        (CIRC_Y0, (0.0, 1.0), {"max_steps": 2.5}),
+        (CIRC_Y0, (0.0, 1.0), {"max_steps": True}),
     ]
     for y0, t_span, kwargs in bad:
-        with pytest.raises(ValueError, match="^(y0|t_span|dt|tol) must"):
-            integrate(rhs, y0, t_span, **kwargs)
+        counted = CountingRhs(rhs)
+        with pytest.raises(ValueError, match="^(y0|t_span|dt|tol|fp_tol|max_steps) must"):
+            integrate(counted, y0, t_span, **kwargs)
+        assert counted.calls == [], kwargs
 
 
 def nan_past_rhs(t, y):
@@ -239,6 +249,26 @@ def test_adaptive_truncates_on_nonfinite_state():
     assert traj.diagnostics["reason"] == "non-finite state"
     assert np.isfinite(traj.states).all()
     assert traj.times[-1] <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "implicit_midpoint"])
+def test_fixed_step_honours_max_steps(method):
+    """A fixed-step run stops after max_steps steps with the adaptive
+    methods' reason, on the steps of the uncapped run; a subnormal dt,
+    whose step count overflows the floats, truncates too."""
+    rhs = circ_rhs()
+    full = integrate(rhs, ECC_Y0, (0.0, 1.0), method=method, dt=0.1)
+    capped = integrate(rhs, ECC_Y0, (0.0, 1.0), method=method, dt=0.1, max_steps=3)
+    assert not full.truncated and full.diagnostics["n_steps"] == 10
+    assert capped.truncated and capped.diagnostics["reason"] == "max_steps exceeded"
+    assert capped.diagnostics["n_steps"] == 3
+    assert np.array_equal(capped.times, full.times[:4])
+    assert np.array_equal(capped.states, full.states[:4])
+    exact = integrate(rhs, ECC_Y0, (0.0, 1.0), method=method, dt=0.1, max_steps=10)
+    assert not exact.truncated and np.array_equal(exact.states, full.states)
+    tiny = integrate(rhs, ECC_Y0, (0.0, 1.0), method=method, dt=5e-324, max_steps=5)
+    assert tiny.truncated and tiny.diagnostics["reason"] == "max_steps exceeded"
+    assert len(tiny.times) == 6
 
 
 def test_fixed_step_truncates_on_nonfinite_state():
@@ -448,8 +478,7 @@ def test_integrate_finishes_or_rejects_input(sid, kap, call):
     assert traj.states.shape == (len(traj.times), 6)
     assert d["n_steps"] == len(traj.times) - 1
     assert traj.truncated == ("reason" in d)
-    if method in ADAPTIVE:
-        assert d["n_steps"] + d["n_rejected"] <= max_steps
+    assert d["n_steps"] + d.get("n_rejected", 0) <= max_steps
 
 
 def test_rk4_fourth_order_convergence():
@@ -537,6 +566,18 @@ def test_closed_orbit_rejects_bad_return_tol(monkeypatch):
     for return_tol in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="return_tol must be positive and finite"):
             closed_orbit_check(spec, ECC_Y0, 10.0, return_tol=return_tol)
+
+
+def test_closed_orbit_rejects_bad_state(monkeypatch):
+    """A y0 that is not a finite 6-vector raises, naming the function,
+    before the rhs is built or the run starts."""
+    monkeypatch.setattr(dynamics, "integrate", None)
+    monkeypatch.setattr(dynamics, "hamilton_rhs", None)
+    spec = make_system("free", kappa=1.0)
+    for y0 in (ECC_Y0[:5], np.tile(ECC_Y0, (2, 1)), np.where(np.arange(6) == 2, math.nan, ECC_Y0),
+               np.where(np.arange(6) == 4, math.inf, ECC_Y0)):
+        with pytest.raises(ValueError, match="closed_orbit_check needs a finite 6-vector y0"):
+            closed_orbit_check(spec, y0, 10.0)
 
 
 def test_implicit_midpoint_nonconvergence():
