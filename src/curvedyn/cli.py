@@ -64,6 +64,14 @@ def _real(value) -> float:
     raise ValueError(f"must be a number, got {value!r}")
 
 
+def _positive(value) -> float:
+    """A number that is positive and finite."""
+    x = _real(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return x
+
+
 def _integer(least: int):
     """Conversion to an int >= least, 0 or 1 (a JSON float does not count)."""
     def convert(value) -> int:
@@ -342,7 +350,7 @@ _COMMANDS = {
         ("states", _integer(1), 50, "number of random audit states"),
         ("ics", _integer(1), 3, "number of trajectories for the conservation audit"),
         ("t_max", _real, 20.0, None),
-        ("tol", _real, None, "override the default tolerance of every check"),
+        ("tol", _positive, None, "override the default tolerance of every check"),
     )),
     "closed-orbit": (_cmd_closed_orbit, "search for a periodic return", (
         _SEED,

@@ -213,16 +213,17 @@ class _Stages:
     """Stage buffer and stage loop of the explicit Runge-Kutta steps.
 
     K holds the stage derivatives; attempt expects K[0] = rhs(t, y).  The
-    scaled tableau dtA = dt * A is filled once per attempt, and each row
-    reads its fixed views (dtA[s, :s], K[:s]), so a row costs one dot
-    product and one addition, plus the rhs call of a stage.  evals counts
-    the rhs calls that returned.
+    scaled tableau dtA = dt * A is filled when dt differs from the last
+    attempt's, and each row reads its fixed views (dtA[s, :s], K[:s]), so
+    a row costs one dot product and one addition, plus the rhs call of a
+    stage.  evals counts the rhs calls that returned.
     """
 
     def __init__(self, tableau: tuple, size: int):
         c, self.A = tableau
         self.K = np.empty((len(self.A), size))
         self.dtA = np.empty_like(self.A)
+        self.dt = None  # the step dtA is scaled to
         self.rows = tuple((s, c[s], self.dtA[s, :s], self.K[:s]) for s in range(1, len(c)))
         # With fsal the weights row is the last stage; else it gives y_new.
         self.fsal = len(c) == len(self.A)
@@ -231,14 +232,20 @@ class _Stages:
 
     def attempt(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """The new state of a step of size dt from (t, y), a fresh array."""
-        np.multiply(self.A, dt, out=self.dtA)
+        if dt != self.dt:
+            np.multiply(self.A, dt, out=self.dtA)
+            self.dt = dt
         K = self.K
         # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
         # costs about three times the product itself.
-        for s, c, row, Ks in self.rows:
-            ys = y + row.dot(Ks)
-            K[s] = rhs(t + c * dt, ys)
-            self.evals += 1
+        try:
+            for s, c, row, Ks in self.rows:
+                ys = y + row.dot(Ks)
+                K[s] = rhs(t + c * dt, ys)
+        except BaseException:
+            self.evals += s - 1  # the stages before s returned
+            raise
+        self.evals += len(self.rows)
         return ys if self.fsal else y + self.b.dot(self.Kb)
 
     def step(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -296,8 +303,9 @@ def _dp54_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
     """RMS of the error estimate dt * (E @ K) relative to
     tol * (1 + max(|y|, |y_new|)), on floats rather than temporaries."""
     acc = 0.0
-    for e, a, b in zip(_DP_E.dot(K).tolist(), y, y_new):
-        w = e / (1.0 + max(abs(a), abs(b)))
+    # b if b > a else a is max(a, b), with its order on a NaN.
+    for e, a, b in zip(_DP_E.dot(K).tolist(), map(abs, y), map(abs, y_new)):
+        w = e / (1.0 + (b if b > a else a))
         acc += w * w
     return dt / tol * math.sqrt(acc / len(y_new))
 
@@ -308,8 +316,8 @@ def _dop853_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
     weights 1 + max(|y|, |y_new|) (dop853.f; both zero gives zero)."""
     acc5 = acc3 = 0.0
     e5, e3 = _DOP853_E.dot(K).tolist()
-    for a, b, u, v in zip(e5, e3, y, y_new):
-        w = 1.0 + max(abs(u), abs(v))
+    for a, b, u, v in zip(e5, e3, map(abs, y), map(abs, y_new)):
+        w = 1.0 + (v if v > u else u)  # max(u, v), as in _dp54_error
         acc5 += (a / w) ** 2
         acc3 += (b / w) ** 2
     return dt / tol * acc5 / math.sqrt(len(y_new) * (acc5 + 0.01 * acc3 or 1.0))
@@ -404,16 +412,19 @@ def _implicit_midpoint_step(rhs, stages, t, y, dt, fp_tol, max_iter=100):
     non-finite iterate is returned at once, for the caller to reject."""
     ynew = stages.step(rhs, t, y, dt)
     tm = t + 0.5 * dt
-    scale = max(1.0, float(np.max(np.abs(y))))
+    # y is finite, so its max-abs needs no NaN rule.
+    bound = fp_tol * max(1.0, *map(abs, y.tolist()))
     for _ in range(max_iter):
         ynext = y + dt * rhs(tm, 0.5 * (y + ynew))
-        delta = float(np.max(np.abs(ynext - ynew)))
+        delta = (ynext - ynew).tolist()
         ynew = ynext
-        if delta < fp_tol * scale:
+        # A NaN in delta makes its sum NaN, but not always its max-abs.
+        total = sum(delta)
+        if max(map(abs, delta)) < bound and not math.isnan(total):
             return ynew
-        # delta is also non-finite after a non-finite warm start, from
-        # which the iteration may still recover.
-        if not math.isfinite(delta) and not np.isfinite(ynew).all():
+        # A non-finite iterate makes the sum non-finite, and so does a
+        # non-finite warm start, from which the iteration may still recover.
+        if not math.isfinite(total) and not np.isfinite(ynew).all():
             return ynew
     return None
 
@@ -578,12 +589,14 @@ def independence_rank(
     different magnitudes that quadratic and quartic integrals can have.
     Functional independence is invariant under this row scaling, and
     genuine dependencies still manifest many orders below the
-    threshold.  An empty observable list, or a state that is not a
-    finite 6-vector, raises ValueError.
+    threshold.  An empty observable list, a state that is not a finite
+    6-vector, or a threshold outside (0, 1) raises ValueError.
     """
     y = _audit_state(s)
     if not observables:
         raise ValueError("independence_rank needs at least one observable")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"independence_rank needs 0 < threshold < 1, got {threshold!r}")
     g = np.array([o.gradient(y) for o in observables])
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     g = g / np.where(norms > 0.0, norms, 1.0)
@@ -658,13 +671,14 @@ class BracketResidual:
 
 
 class _GradientCache:
-    """Gradient and its norm of each observable seen at one state.
+    """Value, gradient and gradient norm of each observable seen at one
+    state: the state an identity's expect and residual read.
 
     Entries are keyed by id(obs), because Observable equality compares
     names only, and each entry keeps its observable so that no id is
-    reused while the cache lives.  A scaled_sum's gradient is assembled
-    from the cached gradients of its terms with scaled_sum's own
-    arithmetic, so it equals obs.gradient(y) bit for bit.
+    reused while the cache lives.  A scaled_sum's value and gradient are
+    assembled from the cached ones of its terms with scaled_sum's own
+    arithmetic, so they equal obs.value(y) and obs.gradient(y) bit for bit.
     """
 
     def __init__(self, y: np.ndarray):
@@ -672,26 +686,32 @@ class _GradientCache:
         self.entries = {}
 
     def entry(self, obs: Observable) -> tuple:
-        """(obs, gradient, norm of the gradient) at this state."""
+        """(obs, gradient, norm of the gradient, value) at this state."""
         entry = self.entries.get(id(obs))
         if entry is None:
             if obs.terms:
-                g = np.zeros(6)
+                v, g = 0.0, np.zeros(6)
                 for c, term in obs.terms:
-                    g = g + c * self.entry(term)[1]
+                    _, tg, _, tv = self.entry(term)
+                    v += c * tv
+                    g = g + c * tg
             else:
-                g = obs.gradient(self.y)
-            entry = self.entries[id(obs)] = (obs, g, np.linalg.norm(g))
+                v, g = obs.value_and_gradient(self.y)
+            entry = self.entries[id(obs)] = (obs, g, np.linalg.norm(g), v)
         return entry
 
+    def value(self, obs: Observable) -> float:
+        """obs.value(y) at this state."""
+        return self.entry(obs)[3]
+
     def brackets_residual(self, brackets) -> float:
-        """hypot of the residuals of {f, g} = expect(y) over (f, g, expect)
-        triples, each relative to its gradient scale."""
+        """hypot of the residuals of {f, g} = expect(self) over (f, g,
+        expect) triples, each relative to its gradient scale."""
         rel = []
         for f, g, e in brackets:
-            _, gf, nf = self.entry(f)
-            _, gg, ng = self.entry(g)
-            expect = 0.0 if e is None else e(self.y)
+            _, gf, nf, _ = self.entry(f)
+            _, gg, ng, _ = self.entry(g)
+            expect = 0.0 if e is None else e(self)
             raw = float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3]) - expect
             rel.append(raw / max(1.0, float(nf * ng), abs(expect)))
         return math.hypot(*rel)
@@ -711,11 +731,12 @@ def bracket_table_audit(
     normalized as described on BracketResidual.  An identity with free
     coefficients draws one random vector from rng (defaulting to a fixed
     seed), in table order, and uses it at every state.  Each distinct
-    observable's gradient is evaluated once per state and shared by
-    every bracket row; a linear combination (scaled_sum, such as H =
-    T + V or a row's random combination) takes its gradient from those
-    of its terms.  An empty state list, or a state that is not a finite
-    6-vector, raises ValueError.
+    observable's value and gradient are evaluated once per state and
+    shared by every row, the values read by the expected sides and the
+    algebraic rows; a linear combination (scaled_sum, such as H = T + V
+    or a row's random combination) takes them from those of its terms.
+    An empty state list, or a state that is not a finite 6-vector,
+    raises ValueError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -740,7 +761,7 @@ def bracket_table_audit(
         if row.n_coeffs:
             brackets = brackets(rng.uniform(-1.0, 1.0, row.n_coeffs))
         if row.residual is not None:
-            worst = max(abs(row.residual(y)) for y in states)
+            worst = max(abs(row.residual(cache)) for cache in caches)
         else:
             worst = max(abs(cache.brackets_residual(brackets)) for cache in caches)
         out.append(BracketResidual(row.name, worst))

@@ -13,6 +13,7 @@ non-finite result where the closed form would divide by sqrt(-0.0).
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 __all__ = [
     "DomainSingularity",
@@ -20,6 +21,7 @@ __all__ = [
     "SMALL_KAPPA_X2",
     "cos_k",
     "sin_k",
+    "sin_cos_k",
     "tan_k",
     "d_cos_k",
     "d_sin_k",
@@ -62,6 +64,32 @@ def sin_k(kappa, x: float) -> float:
         return math.sin(rk * x) / rk
     rk = math.sqrt(-kap)
     return math.sinh(rk * x) / rk
+
+
+def sin_cos_k(kappa) -> Callable[[float], tuple[float, float]]:
+    """sc(x) = (sin_k(kappa, x), cos_k(kappa, x)), bit for bit, with kappa
+    bound once: sqrt(|kappa|), the circular or hyperbolic functions and,
+    at kappa = 0, the series branch are resolved here instead of on every
+    call.  A non-finite x gives what sin_k and cos_k give, or raises what
+    sin_k raises."""
+    kap = float(kappa)
+
+    def series(x: float) -> tuple[float, float]:
+        u = kap * x * x
+        return x * (1.0 - u / 6.0 + u * u / 120.0), 1.0 - u / 2.0 + u * u / 24.0
+
+    if kap == 0.0:
+        return series
+    rk = math.sqrt(abs(kap))
+    sin, cos = (math.sin, math.cos) if kap > 0.0 else (math.sinh, math.cosh)
+
+    def sc(x: float) -> tuple[float, float]:
+        if abs(kap * x * x) < SMALL_KAPPA_X2:
+            return series(x)
+        a = rk * x
+        return sin(a) / rk, cos(a)
+
+    return sc
 
 
 def tan_k(kappa, x: float) -> float:

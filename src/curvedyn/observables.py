@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _sin_guard
-from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
+from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_cos_k, sin_k
 
 __all__ = [
     "Observable",
@@ -60,7 +60,18 @@ class NegativeCoupling(ValueError):
     """Complex pairings need nonnegative couplings under the square root."""
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _as6(s) -> tuple[float, float, float, float, float, float]:
+    """A state as a 6-tuple of floats.  A float64 array takes one tolist;
+    indexing is faster than iterating for a list or tuple."""
+    if type(s) is np.ndarray and s.dtype is _F64:
+        try:
+            r, th, ph, pr, pth, pph = s.tolist()
+        except ValueError:
+            raise ValueError(f"a state must be a 6-vector, got shape {s.shape}") from None
+        return r, th, ph, pr, pth, pph
     if isinstance(s, PhaseState):
         return (s.q.r, s.q.theta, s.q.phi, s.p_r, s.p_theta, s.p_phi)
     return (float(s[0]), float(s[1]), float(s[2]), float(s[3]), float(s[4]), float(s[5]))
@@ -165,19 +176,22 @@ def _hamilton_flow(kap: float, terms: Callable | None = None) -> Callable:
     terms(sin_k r, cos_k r, sin theta, cos theta, phi) gives
     (V, V_r, V_theta, V_phi), and f subtracts that force; with terms None
     f is geodesic motion, so (-f[3], -f[4], 0, f[0], f[1], f[2]) is the
-    gradient of T.
+    gradient of T.  sin_k r and cos_k r come from one call of the kernels
+    bound to kappa, and the functions f calls are bound once too: on a
+    six-vector their lookups cost about a tenth of an evaluation.
     """
+    sc = sin_cos_k(kap)
+    sin, cos, array = math.sin, math.cos, np.array
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r, th, ph, pr, pth, pph = y.tolist()
-        sk = sin_k(kap, r)
+        sk, ck = sc(r)
         if abs(sk) < 1e-12:
             raise DomainSingularity("sin_k(r) vanishes along trajectory")
-        sth = math.sin(th)
+        sth = sin(th)
         if abs(sth) < 1e-12:
             raise DomainSingularity("sin(theta) vanishes along trajectory")
-        ck = cos_k(kap, r)
-        cth = math.cos(th)
+        cth = cos(th)
         sk2 = sk * sk
         sth2 = sth * sth
         ang = pth * pth + pph * pph / sth2
@@ -189,7 +203,7 @@ def _hamilton_flow(kap: float, terms: Callable | None = None) -> Callable:
             dpr -= vr
             dpth -= vth
             dpph -= vph
-        return np.array((pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph))
+        return array((pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph))
 
     return rhs
 
@@ -569,10 +583,10 @@ def kepler_RL(i: int, kappa, k) -> Observable:
     return Observable(f"KRL{i}", vg)
 
 
-def _coupling_terms(ks, sk, ck, sth, cth, ph) -> tuple[float, float, float, float]:
+def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
     """U = sum k_i / coord_i^2 over the nonzero couplings and its partials
-    (U, U_r, U_theta, U_phi) in plain floats, from sin_k r, cos_k r,
-    sin theta, cos theta and phi."""
+    (U, U_r, U_theta, U_phi) in plain floats, or U alone with grad false,
+    from sin_k r, cos_k r, sin theta, cos theta and phi."""
     u = ur = uth = uph = 0.0
     k1, k2, k3 = ks
     if k1 != 0.0 or k2 != 0.0:
@@ -581,29 +595,32 @@ def _coupling_terms(ks, sk, ck, sth, cth, ph) -> tuple[float, float, float, floa
         x = sk * sth * cph
         if abs(x) < 1e-12:
             raise DomainSingularity("x coordinate vanishes under coupling")
-        c = -2.0 * k1 / (x * x * x)
         u += k1 / (x * x)
-        ur += c * ck * sth * cph
-        uth += c * sk * cth * cph
-        uph += c * (-sk * sth * sph)
+        if grad:
+            c = -2.0 * k1 / (x * x * x)
+            ur += c * ck * sth * cph
+            uth += c * sk * cth * cph
+            uph += c * (-sk * sth * sph)
     if k2 != 0.0:
         yy = sk * sth * sph
         if abs(yy) < 1e-12:
             raise DomainSingularity("y coordinate vanishes under coupling")
-        c = -2.0 * k2 / (yy * yy * yy)
         u += k2 / (yy * yy)
-        ur += c * ck * sth * sph
-        uth += c * sk * cth * sph
-        uph += c * sk * sth * cph
+        if grad:
+            c = -2.0 * k2 / (yy * yy * yy)
+            ur += c * ck * sth * sph
+            uth += c * sk * cth * sph
+            uph += c * sk * sth * cph
     if k3 != 0.0:
         z = sk * cth
         if abs(z) < 1e-12:
             raise DomainSingularity("z coordinate vanishes under coupling")
-        c = -2.0 * k3 / (z * z * z)
         u += k3 / (z * z)
-        ur += c * ck * cth
-        uth += c * (-sk * sth)
-    return u, ur, uth, uph
+        if grad:
+            c = -2.0 * k3 / (z * z * z)
+            ur += c * ck * cth
+            uth += c * (-sk * sth)
+    return (u, ur, uth, uph) if grad else u
 
 
 def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ConfigPoint, PhaseState, R_chart_kinetic, rho_chart_kinetic
-from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_k
+from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_cos_k, sin_k
 from .observables import (
     _CYCLE,
     Observable,
@@ -143,19 +143,22 @@ def system_summaries() -> dict:
 
 # ---------------------------------------------------------------------------
 # Potentials.  Each factory maps a spec to one function,
-# terms(sin_k r, cos_k r, sin theta, cos theta, phi), that gives
-# (V, V_r, V_theta, V_phi) in plain floats and carries the potential's
-# domain guards.  hamilton_rhs subtracts its force, potential_observable
-# reads V and its gradient from it, and the radial charts evaluate it at
-# the sin_k and cos_k of their radius.
+# terms(sin_k r, cos_k r, sin theta, cos theta, phi, grad=True), that gives
+# (V, V_r, V_theta, V_phi) in plain floats, or V alone with grad false, and
+# carries the potential's domain guards either way.  hamilton_rhs
+# subtracts its force, potential_observable reads V and its gradient from
+# it, and the radial charts evaluate it at the sin_k and cos_k of their
+# radius.
 
 def _oscillator(spec: SystemSpec) -> Callable:
     half_al2, al2 = 0.5 * spec.alpha * spec.alpha, spec.alpha**2
 
-    def terms(sk, ck, sth, cth, ph):
+    def terms(sk, ck, sth, cth, ph, grad=True):
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("oscillator potential singular at cos_k(r) = 0")
         tk = sk / ck
+        if not grad:
+            return half_al2 * tk * tk
         return half_al2 * tk * tk, al2 * sk / (ck * ck * ck), 0.0, 0.0
 
     return terms
@@ -164,9 +167,11 @@ def _oscillator(spec: SystemSpec) -> Callable:
 def _kepler(spec: SystemSpec) -> Callable:
     kc = spec.k
 
-    def terms(sk, ck, sth, cth, ph):
+    def terms(sk, ck, sth, cth, ph, grad=True):
         if abs(sk) < 1e-12:
             raise DomainSingularity("Kepler potential singular at sin_k(r) = 0")
+        if not grad:
+            return kc * ck / sk
         return kc * ck / sk, -kc / (sk * sk), 0.0, 0.0
 
     return terms
@@ -179,7 +184,10 @@ def _with_couplings(radial: Callable) -> Callable:
         base = radial(spec)
         ks = (spec.k1, spec.k2, spec.k3)
 
-        def terms(sk, ck, sth, cth, ph):
+        def terms(sk, ck, sth, cth, ph, grad=True):
+            if not grad:
+                return base(sk, ck, sth, cth, ph, False) + _coupling_terms(
+                    ks, sk, ck, sth, cth, ph, False)
             v, vr, _, _ = base(sk, ck, sth, cth, ph)
             u, ur, uth, uph = _coupling_terms(ks, sk, ck, sth, cth, ph)
             return v + u, ur + vr, uth, uph
@@ -195,7 +203,7 @@ def _osc112(spec: SystemSpec) -> Callable:
     kap, al2 = spec.kappa, spec.alpha**2
     ks = (spec.k1, spec.k2, 0.0)
 
-    def terms(sk, ck, sth, cth, ph):
+    def terms(sk, ck, sth, cth, ph, grad=True):
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("cos_k(r) vanishes along trajectory")
         w = sk * sk * sth * sth
@@ -208,12 +216,14 @@ def _osc112(spec: SystemSpec) -> Callable:
         if abs(uden) < 1e-12:
             raise DomainSingularity("axial anisotropy denominator vanishes")
         a = u / uden
+        n = w + 4.0 * a * a
+        if not grad:
+            return 0.5 * al2 * n / den + _coupling_terms(ks, sk, ck, sth, cth, ph, False)
         dadu = (1.0 + kap * u * u) / (uden * uden)
         w_r = 2.0 * sk * ck * sth * sth
         w_th = 2.0 * sk * sk * sth * cth
         u_r = cth / (ck * ck)
         u_th = -tk * sth
-        n = w + 4.0 * a * a
         n_r = w_r + 8.0 * a * dadu * u_r
         n_th = w_th + 8.0 * a * dadu * u_th
         d2 = den * den
@@ -229,23 +239,24 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
     """Potential of a system as an observable; None for the free system.
 
     The value and the gradient (V_r, V_theta, V_phi, 0, 0, 0) both come
-    from the potential's terms, whose force hamilton_rhs subtracts.  A
-    radial potential's terms ignore theta, so its sine and cosine are
-    not taken.
+    from the potential's terms, whose force hamilton_rhs subtracts; a
+    value alone does not compute the force.  A radial potential's terms
+    ignore theta, so its sine and cosine are not taken.
     """
     entry = _system(spec.system_id)
     if entry.potential is None:
         return None
-    kap = spec.kappa
+    sc = sin_cos_k(spec.kappa)
     terms = entry.potential(spec)
     radial = entry.radial
 
     def vg(y, grad=True):
-        r, th = y[0], y[1]
+        th = y[1]
         sth, cth = (1.0, 0.0) if radial else (math.sin(th), math.cos(th))
-        val, vr, vth, vph = terms(sin_k(kap, r), cos_k(kap, r), sth, cth, y[2])
+        sk, ck = sc(y[0])
         if not grad:
-            return val, None
+            return terms(sk, ck, sth, cth, y[2], False), None
+        val, vr, vth, vph = terms(sk, ck, sth, cth, y[2])
         return val, np.array((vr, vth, vph, 0.0, 0.0, 0.0))
 
     return Observable("V", vg)
@@ -283,9 +294,18 @@ def potential_profile(
     theta: float = math.pi / 2.0,
     phi: float = math.pi / 4.0,
 ) -> np.ndarray:
-    """Potential sampled along a fixed ray; singular radii yield NaN rows."""
+    """Potential sampled along a fixed ray; singular radii yield NaN rows.
+
+    A radius, theta or phi that is not finite raises ValueError.
+    """
     v = potential_observable(spec)
     rs = np.asarray(r_values, dtype=float)
+    bad = rs[~np.isfinite(rs)]
+    if bad.size:
+        raise ValueError(f"potential_profile needs finite radii, got {float(bad[0])!r}")
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(angle):
+            raise ValueError(f"potential_profile needs a finite {name}, got {angle!r}")
     out = np.empty((rs.size, 2))
     out[:, 0] = rs
     for idx, r in enumerate(rs.tolist()):
@@ -304,13 +324,15 @@ class Identity:
     """One bracket or algebraic identity that a system displays.
 
     A bracket identity lists (f, g, expect) triples, each stating
-    {f, g} = expect(y), with expect None for zero; the audit measures
+    {f, g} = expect(at), with expect None for zero; the audit measures
     each triple relative to its gradient scale and joins several, such
     as the real and imaginary parts of {M_j, H}, with hypot.  An
-    algebraic identity gives residual(y) instead, normalized by its own
-    terms.  An identity that holds for every coefficient vector c
-    declares n_coeffs, and its brackets is then a function of c that
-    returns the triples.
+    algebraic identity gives residual(at) instead, normalized by its own
+    terms.  Both read the audit's state as at.y and an observable's
+    value there as at.value(obs), which the audit evaluates once per
+    state beside the gradient.  An identity that holds for every
+    coefficient vector c declares n_coeffs, and its brackets is then a
+    function of c that returns the triples.
     """
 
     name: str
@@ -350,6 +372,11 @@ def _bracket(name: str, f: Observable, g: Observable, expect=None) -> Identity:
     return Identity(name, ((f, g, expect),))
 
 
+def _complex_value(at, m) -> complex:
+    """m.value(at.y) of a ComplexObservable, from the values at holds."""
+    return complex(at.value(m.re), at.value(m.im))
+
+
 def _axis_blocks(kap, diag, extra):
     """Complementary blocks W_i = diag_j + diag_l + kappa (extra_j + extra_l)."""
     blocks = {}
@@ -382,7 +409,7 @@ def _rotation_identities(j, vec, label) -> list:
 
         def brackets(c):
             combo = scaled_sum(f"c.{label}", [(c[m - 1], vec[m]) for m in (1, 2, 3)])
-            expect = lambda y: c[a - 1] * vec[b].value(y) - c[b - 1] * vec[a].value(y)
+            expect = lambda at: c[a - 1] * at.value(vec[b]) - c[b - 1] * at.value(vec[a])
             return ((j[i], combo, expect),)
 
         return Identity(f"{{J{i},c.{label}}}-rotation", brackets, n_coeffs=3)
@@ -414,19 +441,19 @@ def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
     invol = {"H_J2_J3": ("H", "Jsq", "J3")}
     indep = {"primary": ("P1", "P2", "P3", "J1", "J2")}
 
-    def radial(y):
-        total = sum(x[i].value(y) * p[i].value(y) for i in (1, 2, 3))
-        expect = y[3] * sin_k(kap, y[0])
+    def radial(at):
+        total = sum(at.value(x[i]) * at.value(p[i]) for i in (1, 2, 3))
+        expect = at.y[3] * sin_k(kap, at.y[0])
         return (total - expect) / max(1.0, abs(expect))
 
     ids = [Identity("alg:x.P-p_r*sin_k", residual=radial)]
     for a, (b, c) in _CYCLE.items():
         ids.append(_bracket(f"{{P{a},P{b}}}-kappa*J{c}", p[a], p[b],
-                            lambda y, c=c: kap * j[c].value(y)))
-        ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], j[c].value))
+                            lambda at, c=c: kap * at.value(j[c])))
+        ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], lambda at, c=c: at.value(j[c])))
     ids += _rotation_identities(j, p, "P")
     ids += [
-        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda y: cos_k(kap, y[0]))
+        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda at: cos_k(kap, at.y[0]))
         for i in (1, 2, 3)
     ]
     return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
@@ -457,35 +484,35 @@ def _oscillator_catalog(spec: SystemSpec, h: Observable) -> Catalog:
     # the three angular momenta with two diagonal entries instead.
     indep = {"primary": ("J1", "J2", "J3", "K11", "K22")}
 
-    def trace(y):
-        tr = sum(diag[i].value(y) for i in (1, 2, 3))
-        expect = 2.0 * h.value(y)
-        return (tr + kap * jsq.value(y) - expect) / max(1.0, abs(tr), abs(expect))
+    def trace(at):
+        tr = sum(at.value(diag[i]) for i in (1, 2, 3))
+        expect = 2.0 * at.value(h)
+        return (tr + kap * at.value(jsq) - expect) / max(1.0, abs(tr), abs(expect))
 
     def product(a, b, c):
         ma, mb, kab = complexes[f"M{a}"], complexes[f"M{b}"], integrals[f"K{a}{b}"]
 
-        def residual(y):
-            lhs = ma.value(y) * mb.value(y).conjugate()
-            rhs = kab.value(y) + 1j * al * js[c].value(y)
+        def residual(at):
+            lhs = _complex_value(at, ma) * _complex_value(at, mb).conjugate()
+            rhs = at.value(kab) + 1j * al * at.value(js[c])
             return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
         return Identity(f"alg:M{a}*conj(M{b})-(K{a}{b}+i*alpha*J{c})", residual=residual)
 
     def modulus(i):
-        def residual(y):
-            lhs = abs(complexes[f"M{i}"].value(y)) ** 2
-            rhs = diag[i].value(y)
+        def residual(at):
+            lhs = abs(_complex_value(at, complexes[f"M{i}"])) ** 2
+            rhs = at.value(diag[i])
             return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
         return Identity(f"alg:|M{i}|^2-K{i}{i}", residual=residual)
 
     def phase(i):
         m = complexes[f"M{i}"]
-        lam = lambda y: 1.0 / cos_k(kap, y[0]) ** 2
+        lam = lambda at: 1.0 / cos_k(kap, at.y[0]) ** 2
         return Identity(f"{{M{i},H}}-i*lambda*alpha*M{i}", (
-            (m.re, h, lambda y: -lam(y) * al * m.im.value(y)),
-            (m.im, h, lambda y: lam(y) * al * m.re.value(y)),
+            (m.re, h, lambda at: -lam(at) * al * at.value(m.im)),
+            (m.im, h, lambda at: lam(at) * al * at.value(m.re)),
         ))
 
     ids = [Identity("alg:trace(K)+kappa*Jsq-2H", residual=trace)]
@@ -514,10 +541,10 @@ def _sw_catalog(spec: SystemSpec, h: Observable) -> Catalog:
     indep = {"primary": ("KJ1", "KJ2", "KJ3", "K11", "K22")}
     ksum = spec.k1 + spec.k2 + spec.k3
 
-    def trace(y):
-        tr = sum(diag[i].value(y) for i in (1, 2, 3))
-        kj = sum(kjs[i].value(y) for i in (1, 2, 3))
-        hv = h.value(y)
+    def trace(at):
+        tr = sum(at.value(diag[i]) for i in (1, 2, 3))
+        kj = sum(at.value(kjs[i]) for i in (1, 2, 3))
+        hv = at.value(h)
         lhs = 0.5 * (tr + kap * kj) + kap * ksum
         return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
 
@@ -534,9 +561,9 @@ def _osc112_catalog(spec: SystemSpec, h: Observable) -> Catalog:
     invol = {"K3_KJ3_K12": ("K3", "KJ3", "K12")}
     indep = {"primary": ("K3", "KJ3", "K12", "KRL1", "KRL2")}
 
-    def recompose(y):
-        hv = h.value(y)
-        lhs = 0.5 * (fam["K3"].value(y) + fam["K12"].value(y) + kap * fam["KJ3"].value(y))
+    def recompose(at):
+        hv = at.value(h)
+        lhs = 0.5 * (at.value(fam["K3"]) + at.value(fam["K12"]) + kap * at.value(fam["KJ3"]))
         return (hv - lhs) / max(1.0, abs(hv), abs(lhs))
 
     ids = (Identity("alg:H-(K3+K12+kappa*KJ3)/2", residual=recompose),)
@@ -555,7 +582,7 @@ def _kepler_catalog(spec: SystemSpec, h: Observable) -> Catalog:
     indep = {"primary": ("J1", "J2", "J3", "KRL1", "KRL2")}
     ids = [
         _bracket(f"{{KRL{a},KRL{b}}}+2J{c}(H-kappa*Jsq)", krl[a], krl[b],
-                 lambda y, c=c: -2.0 * j[c].value(y) * (h.value(y) - kap * jsq.value(y)))
+                 lambda at, c=c: -2.0 * at.value(j[c]) * (at.value(h) - kap * at.value(jsq)))
         for a, (b, c) in _CYCLE.items()
     ]
     ids += _rotation_identities(j, krl, "KRL")
@@ -590,15 +617,15 @@ def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         # with lambda_i = 1 / coord_i^2.
         r, s, ki = aux[f"R{i}"], aux[f"S{i}"], ks[i - 1]
 
-        def lam(y):
-            x = kappa_cartesian(kap, y)[i - 1]
+        def lam(at):
+            x = kappa_cartesian(kap, at.y)[i - 1]
             _sin_guard(x, "coordinate in coupling factor")
             return 1.0 / (x * x)
 
         return [
             _bracket(f"{{R{i},H}}+2k{i}*lambda{i}*S{i}", r, h,
-                     lambda y: -2.0 * ki * lam(y) * s.value(y)),
-            _bracket(f"{{S{i},H}}-lambda{i}*R{i}", s, h, lambda y: lam(y) * r.value(y)),
+                     lambda at: -2.0 * ki * lam(at) * at.value(s)),
+            _bracket(f"{{S{i},H}}-lambda{i}*R{i}", s, h, lambda at: lam(at) * at.value(r)),
         ]
 
     ids = tuple(row for i in (1, 2, 3) for row in coupled(i))

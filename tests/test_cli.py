@@ -474,6 +474,33 @@ def test_potential_n_must_be_positive(capsys):
     )
 
 
+def test_potential_non_finite_input(capsys):
+    """A NaN radius or angle used to print NaN rows and exit 0, an
+    infinite radius only "error: math domain error"."""
+    base = ["potential", "--n", "3"]
+    cases = (
+        (["--system", "kepler", "--kappa", "1", "--r-min", "nan"], "finite radii, got nan"),
+        (["--system", "kepler", "--kappa", "1", "--r-max", "inf"], "finite radii"),
+        (["--system", "sw", "--k1", "0.1", "--theta", "nan"], "finite theta, got nan"),
+        (["--system", "oscillator", "--phi=-inf"], "finite phi, got -inf"),
+    )
+    for argv, fragment in cases:
+        assert_cli_error(capsys, base + argv, fragment)
+
+
+def test_audit_tol_must_be_positive_and_finite(tmp_path, capsys):
+    """--tol -1 or 0 used to pass the rank audit, inf every audit."""
+    base = ["audit", "--system", "free", "--kappa", "0.7", "--kind", "rank", "--states", "3"]
+    for tol in ("-1", "0", "nan", "inf"):
+        assert_cli_error(capsys, base + ["--tol", tol],
+                         f"--tol must be positive and finite, got {tol!r}")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "system": "free", "audit": {"tol": -1}}))
+    assert_cli_error(capsys, ["audit", "--config", str(cfg)], "--tol must be positive")
+    # A rank threshold must also lie below 1.
+    assert_cli_error(capsys, base + ["--tol", "2"], "0 < threshold < 1")
+
+
 def test_random_state_beyond_kappa_limit(capsys):
     """Random states need pi/sqrt(kappa) - 0.15 > 0.15, i.e. kappa < 109.66,
     and at margin 0.05 a radius with |cos_k(r)| >= 0.05, i.e. kappa < 102.79."""

@@ -411,6 +411,45 @@ def test_runge_kutta_tableaux_order_conditions():
         assert abs(weights @ c**order - 1.0 / (order + 1)) > 1e-5, order
 
 
+def test_stages_reused_across_step_sizes_match_fresh_stages():
+    """One stage buffer rescales its tableau only when dt changes; steps of
+    dt1, dt2, dt1, dt1 from it equal those of fresh buffers bit for bit."""
+    rhs = circ_rhs()
+    tableaux = (dynamics._RK4, dynamics._DP54.tableau, dynamics._DOP853.tableau)
+    for tableau in tableaux:
+        reused = dynamics._Stages(tableau, 6)
+        y, t = ECC_Y0, 0.0
+        for dt in (0.1, 0.037, 0.1, 0.1, 1.0 / 3.0):
+            want = dynamics._Stages(tableau, 6).step(rhs, t, y, dt)
+            got = reused.step(rhs, t, y, dt)
+            assert got.tobytes() == want.tobytes(), (len(tableau[0]), dt)
+            y, t = got, t + dt
+        assert reused.evals == 5 * len(tableau[0])
+
+
+def test_stage_evals_count_the_calls_that_returned():
+    """An rhs that raises mid-attempt leaves evals at the calls before it."""
+    rhs = circ_rhs()
+    for tableau in (dynamics._RK4, dynamics._DP54.tableau, dynamics._DOP853.tableau):
+        n_rows = len(tableau[0]) - 1
+        for fail_at in range(1, n_rows + 1):
+            calls = []
+
+            def failing(t, y):
+                if len(calls) + 1 == fail_at:
+                    raise DomainSingularity("test stage")
+                calls.append(t)
+                return rhs(t, y)
+
+            stages = dynamics._Stages(tableau, 6)
+            stages.K[0] = rhs(0.0, ECC_Y0)
+            with pytest.raises(DomainSingularity, match="test stage"):
+                stages.attempt(failing, 0.0, ECC_Y0, 0.1)
+            assert stages.evals == len(calls) == fail_at - 1
+            stages.attempt(rhs, 0.0, ECC_Y0, 0.1)
+            assert stages.evals == fail_at - 1 + n_rows
+
+
 def test_dop853_eighth_order_convergence():
     """Fixed Dormand-Prince 8(5,3) steps: the endpoint error falls as dt^8."""
     rhs = circ_rhs()
@@ -592,12 +631,20 @@ def test_implicit_midpoint_nonconvergence():
 
 def test_implicit_midpoint_nan_truncates_at_once():
     """A NaN fixed-point iterate ends the step as a non-finite state,
-    without spending the iteration budget on NaN."""
-    counted = CountingRhs(lambda t, y: np.full(6, math.nan) if y[0] > 1.5 else np.ones(6))
-    traj = integrate(counted, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0),
-                     method="implicit_midpoint", dt=0.01)
-    assert traj.truncated and traj.diagnostics["reason"] == "non-finite state"
-    assert 0.49 < traj.times[-1] < 0.52
+    without spending the iteration budget on NaN, whichever components
+    are NaN (a NaN past the first does not reach a max of magnitudes)."""
+    for nan_at in (slice(None), 0, 3, 5):
+        def rhs(t, y):
+            out = np.ones(6)
+            if y[0] > 1.5:
+                out[nan_at] = math.nan
+            return out
+
+        counted = CountingRhs(rhs)
+        traj = integrate(counted, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0),
+                         method="implicit_midpoint", dt=0.01)
+        assert traj.truncated and traj.diagnostics["reason"] == "non-finite state", nan_at
+        assert 0.49 < traj.times[-1] < 0.52
     # Five calls per accepted step (four warm-start stages, one iterate).
     assert len(counted.calls) <= 5 * len(traj.times) + 10
 
@@ -883,6 +930,10 @@ def test_independence_rank_rejects_bad_input():
             independence_rank(five, state)
     with pytest.raises(ValueError, match="at least one observable"):
         independence_rank([], good)
+    # A threshold of -1 used to give full rank, NaN rank 0.
+    for threshold in (-1.0, 0.0, 1.0, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="0 < threshold < 1"):
+            independence_rank(five, good, threshold=threshold)
 
 
 def test_fradkin_audit_rejects_bad_input():
@@ -903,17 +954,28 @@ def audit_states(sid, params, n, seed):
 
 
 def test_bracket_table_audit_one_gradient_per_observable_per_state(monkeypatch):
-    """Per state, no observable's gradient is evaluated twice in one call."""
+    """Per state, no observable's gradient is evaluated twice in one call.
+
+    The audit takes each value with its gradient from value_and_gradient,
+    so it calls neither value nor gradient on its own.
+    """
     from curvedyn.observables import Observable
 
     calls = Counter()
-    gradient = Observable.gradient
+    alone = Counter()
 
-    def counted(obs, s):
-        calls[id(obs), tuple(np.asarray(s).tolist())] += 1
-        return gradient(obs, s)
+    def counting(name, counter, key):
+        method = getattr(Observable, name)
 
-    monkeypatch.setattr(Observable, "gradient", counted)
+        def counted(obs, s):
+            counter[key(obs, s)] += 1
+            return method(obs, s)
+
+        monkeypatch.setattr(Observable, name, counted)
+
+    counting("value_and_gradient", calls, lambda obs, s: (id(obs), tuple(np.asarray(s).tolist())))
+    for name in ("value", "gradient"):
+        counting(name, alone, lambda obs, s, name=name: name)
     for sid, (params, *_) in AUDIT_TABLES.items():
         calls.clear()
         spec, states = audit_states(sid, params, 3, 25)
@@ -921,6 +983,7 @@ def test_bracket_table_audit_one_gradient_per_observable_per_state(monkeypatch):
         assert calls, sid
         assert max(calls.values()) == 1, (sid, max(calls.values()))
         assert {y for _, y in calls} == {tuple(y.tolist()) for y in states}, sid
+        assert not alone, (sid, alone)
 
 
 def test_bracket_table_audit_splits_over_states():
@@ -942,7 +1005,8 @@ def test_bracket_table_audit_splits_over_states():
 
 def test_scaled_sum_gradient_from_terms_is_bit_identical():
     """The audit's gradient of a linear combination, built from the cached
-    gradients of its terms, equals its own gradient bit for bit."""
+    gradients of its terms, equals its own gradient bit for bit, and the
+    cached value of every observable equals its value."""
     from curvedyn.dynamics import _GradientCache
 
     rng = np.random.default_rng(28)
@@ -960,6 +1024,9 @@ def test_scaled_sum_gradient_from_terms_is_bit_identical():
             cache = _GradientCache(y)
             for o in sums:
                 assert cache.entry(o)[1].tobytes() == o.gradient(y).tobytes(), (sid, o.name)
+            for o in [*obs.values(), *sums]:
+                assert np.float64(cache.value(o)).tobytes() == np.float64(o.value(y)).tobytes(), \
+                    (sid, o.name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from curvedyn.kappa_core import (
     d_cos_k,
     d_sin_k,
     d_tan_k,
+    sin_cos_k,
     sin_k,
     tan_k,
 )
@@ -152,3 +153,36 @@ def test_flat_kernels_at_infinity_are_non_finite(kernel, kap):
     result, not a ZeroDivisionError from dividing by sqrt(-0.0)."""
     for x in (math.inf, -math.inf, math.nan):
         assert not math.isfinite(kernel(kap, x)), (kernel.__name__, x)
+
+
+def _outcome(fn, *args):
+    """The float result of a call as bits, or the type and text of what it raised."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def test_bound_kernels_equal_sin_k_and_cos_k_bit_for_bit():
+    """sin_cos_k(kappa)(x) is (sin_k(kappa, x), cos_k(kappa, x)) bit for bit
+    on both branches of every sign of kappa, on either side of the series
+    threshold |kappa| x^2 = SMALL_KAPPA_X2, and for a non-finite or
+    overflowing x, where it raises what sin_k raises."""
+    rng = np.random.default_rng(17)
+    seam = math.sqrt(SMALL_KAPPA_X2)
+    for kap in (1.0, 2.5, 1e-7, -1.0, -0.3, -1e-7, 0.0, -0.0):
+        sc = sin_cos_k(kap)
+        xs = [0.0, -0.0, 1e-3, -0.7, 3.0, 800.0, math.inf, -math.inf, math.nan]
+        xs += rng.uniform(-5.0, 5.0, 200).tolist()
+        if kap != 0.0:
+            edge = seam / math.sqrt(abs(kap))
+            xs += [edge * f for f in (1.0 - 1e-12, 1.0 - 1e-16, 1.0, 1.0 + 1e-16, 1.0 + 1e-12)]
+            xs += (edge * rng.uniform(0.5, 1.5, 200)).tolist()
+        for x in xs:
+            want = (_outcome(sin_k, kap, x), _outcome(cos_k, kap, x))
+            try:
+                got = tuple(np.float64(v).tobytes() for v in sc(x))
+            except Exception as exc:  # noqa: BLE001
+                assert (type(exc), str(exc)) == want[0], (kap, x)
+            else:
+                assert got == want, (kap, x)

@@ -235,6 +235,21 @@ def test_value_path_matches_value_and_gradient():
             assert raised > 0, (sid, kap)
 
 
+def test_array_state_must_be_a_six_vector():
+    """A float64 array of another shape raises ValueError at once; a
+    5-vector used to raise IndexError and a 7-vector to be cut to six."""
+    obs = (angular_J(1), coordinate(3, 0.7), kinetic(0.7))
+    good = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
+    for bad in (good[:5], np.append(good, 1.0), good[None, :]):
+        for o in obs:
+            with pytest.raises(ValueError, match="6-vector"):
+                o.value(bad)
+            with pytest.raises(ValueError, match="6-vector"):
+                o.value_and_gradient(bad)
+    for o in obs:
+        assert o.value(good) == o.value(good.tolist()) == o.value(tuple(good.tolist()))
+
+
 def test_momentum_sum_closed_forms():
     """Sum of squared momenta and the radial contraction identities."""
     rng = np.random.default_rng(103)

@@ -246,6 +246,20 @@ def test_potential_profile_emits_sentinels():
     assert math.isnan(prof[1, 1])
 
 
+def test_potential_profile_rejects_non_finite_input():
+    """A NaN radius used to give a NaN row, a NaN theta NaN values, and an
+    infinite radius a bare "math domain error"."""
+    spec = make_system("sw", kappa=1.0, k1=0.1)
+    for r in ([0.5, math.nan], [math.inf], np.array([0.15, 1.0, -math.inf])):
+        with pytest.raises(ValueError, match="finite radii"):
+            potential_profile(spec, r)
+    for kwargs in ({"theta": math.nan}, {"phi": math.inf}, {"theta": -math.inf}):
+        with pytest.raises(ValueError, match="finite (theta|phi)"):
+            potential_profile(spec, [0.5], **kwargs)
+    with pytest.raises(ValueError, match="finite radii"):
+        potential_profile(make_system("free", kappa=1.0), [math.nan])
+
+
 def test_euclidean_limit_continuity():
     """H and each integral change by < 1e-6 relative between kappa=1e-8 and 0."""
     rng = np.random.default_rng(205)
