@@ -64,6 +64,14 @@ def _real(value) -> float:
     raise ValueError(f"must be a number, got {value!r}")
 
 
+def _finite(value) -> float:
+    """A number that is finite."""
+    x = _real(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
 def _positive(value) -> float:
     """A number that is positive and finite."""
     x = _real(value)
@@ -276,6 +284,10 @@ _AUDITS = {"conservation": _audit_conservation, "brackets": _audit_brackets,
 
 
 def _cmd_audit(args, spec: SystemSpec, opts: dict) -> int:
+    # --tol is every check's tolerance, and the rank audit's threshold must
+    # also lie below 1: checked before any audit runs.
+    if opts["kind"] in ("rank", "all") and opts["tol"] is not None and opts["tol"] >= 1.0:
+        raise ValueError(f"--tol must be below 1 for the rank audit, got {opts['tol']!r}")
     rng = np.random.default_rng(opts["seed"])
     if args.emit_config:
         return _emit_config(args, spec, opts)
@@ -337,12 +349,12 @@ _COMMANDS = {
         ("chart", _choice("base", "rho"), "base", "integrate in the base or the rho chart"),
     )),
     "potential": (_cmd_potential, "radial potential profile as CSV", (
-        ("r_min", _real, 0.15, None),
-        ("r_max", _real, lambda o: math.pi / math.sqrt(o["kappa"]) - 0.15
+        ("r_min", _finite, 0.15, None),
+        ("r_max", _finite, lambda o: math.pi / math.sqrt(o["kappa"]) - 0.15
          if o["kappa"] > 0.0 else 2.5, "default pi/sqrt(kappa) - 0.15, or 2.5"),
         ("n", _integer(1), 100, None),
-        ("theta", _real, math.pi / 2.0, None),
-        ("phi", _real, math.pi / 4.0, None),
+        ("theta", _finite, math.pi / 2.0, None),
+        ("phi", _finite, math.pi / 4.0, None),
     )),
     "audit": (_cmd_audit, "run verification audits", (
         _SEED,

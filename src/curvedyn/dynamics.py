@@ -214,9 +214,11 @@ class _Stages:
 
     K holds the stage derivatives; attempt expects K[0] = rhs(t, y).  The
     scaled tableau dtA = dt * A is filled when dt differs from the last
-    attempt's, and each row reads its fixed views (dtA[s, :s], K[:s]), so
-    a row costs one dot product and one addition, plus the rhs call of a
-    stage.  evals counts the rhs calls that returned.
+    attempt's, which spares the fixed-step methods a rescale per step (the
+    adaptive loop changes dt on every attempt), and each row reads its
+    fixed views (dtA[s, :s], K[:s]), so a row costs one dot product and one
+    addition, plus the rhs call of a stage.  evals counts the rhs calls
+    that returned.
     """
 
     def __init__(self, tableau: tuple, size: int):
@@ -238,14 +240,10 @@ class _Stages:
         K = self.K
         # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
         # costs about three times the product itself.
-        try:
-            for s, c, row, Ks in self.rows:
-                ys = y + row.dot(Ks)
-                K[s] = rhs(t + c * dt, ys)
-        except BaseException:
-            self.evals += s - 1  # the stages before s returned
-            raise
-        self.evals += len(self.rows)
+        for s, c, row, Ks in self.rows:
+            ys = y + row.dot(Ks)
+            K[s] = rhs(t + c * dt, ys)
+            self.evals += 1
         return ys if self.fsal else y + self.b.dot(self.Kb)
 
     def step(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:

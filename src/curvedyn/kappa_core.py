@@ -41,16 +41,34 @@ class DomainSingularity(ValueError):
     """Raised when an evaluation point sits on a genuine singularity."""
 
 
+# The kernels' formulas, shared by cos_k, sin_k and sin_cos_k.  In the
+# series branch u = kappa * x^2; the next terms, u^3/720 and x u^3/5040,
+# are below roundoff there.
+
+def _cos_series(u: float) -> float:
+    return 1.0 - u / 2.0 + u * u / 24.0
+
+
+def _sin_series(u: float, x: float) -> float:
+    return x * (1.0 - u / 6.0 + u * u / 120.0)
+
+
+def _closed(kap: float) -> tuple[float, Callable, Callable]:
+    """sqrt(|kappa|) and the circular or hyperbolic sine and cosine of a
+    nonzero kappa: sin_k(x) = sin(rk x) / rk and cos_k(x) = cos(rk x)."""
+    if kap > 0.0:
+        return math.sqrt(kap), math.sin, math.cos
+    return math.sqrt(-kap), math.sinh, math.cosh
+
+
 def cos_k(kappa, x: float) -> float:
     """cos(sqrt(kappa) x), continued through kappa <= 0."""
     kap = float(kappa)
     u = kap * x * x
     if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
-        # 1 - u/2 + u^2/24; next term u^3/720 is below roundoff here.
-        return 1.0 - u / 2.0 + u * u / 24.0
-    if kap > 0.0:
-        return math.cos(math.sqrt(kap) * x)
-    return math.cosh(math.sqrt(-kap) * x)
+        return _cos_series(u)
+    rk, _, cos = _closed(kap)
+    return cos(rk * x)
 
 
 def sin_k(kappa, x: float) -> float:
@@ -58,12 +76,9 @@ def sin_k(kappa, x: float) -> float:
     kap = float(kappa)
     u = kap * x * x
     if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
-        return x * (1.0 - u / 6.0 + u * u / 120.0)
-    if kap > 0.0:
-        rk = math.sqrt(kap)
-        return math.sin(rk * x) / rk
-    rk = math.sqrt(-kap)
-    return math.sinh(rk * x) / rk
+        return _sin_series(u, x)
+    rk, sin, _ = _closed(kap)
+    return sin(rk * x) / rk
 
 
 def sin_cos_k(kappa) -> Callable[[float], tuple[float, float]]:
@@ -76,16 +91,16 @@ def sin_cos_k(kappa) -> Callable[[float], tuple[float, float]]:
 
     def series(x: float) -> tuple[float, float]:
         u = kap * x * x
-        return x * (1.0 - u / 6.0 + u * u / 120.0), 1.0 - u / 2.0 + u * u / 24.0
+        return _sin_series(u, x), _cos_series(u)
 
     if kap == 0.0:
         return series
-    rk = math.sqrt(abs(kap))
-    sin, cos = (math.sin, math.cos) if kap > 0.0 else (math.sinh, math.cosh)
+    rk, sin, cos = _closed(kap)
 
     def sc(x: float) -> tuple[float, float]:
-        if abs(kap * x * x) < SMALL_KAPPA_X2:
-            return series(x)
+        u = kap * x * x
+        if abs(u) < SMALL_KAPPA_X2:
+            return _sin_series(u, x), _cos_series(u)
         a = rk * x
         return sin(a) / rk, cos(a)
 

@@ -64,16 +64,20 @@ _F64 = np.dtype(np.float64)
 
 
 def _as6(s) -> tuple[float, float, float, float, float, float]:
-    """A state as a 6-tuple of floats.  A float64 array takes one tolist;
-    indexing is faster than iterating for a list or tuple."""
-    if type(s) is np.ndarray and s.dtype is _F64:
-        try:
+    """A state as a 6-tuple of floats, from a PhaseState or six numbers in
+    any container; any other length or shape raises ValueError.  A float64
+    array takes one tolist; indexing is faster than iterating for a list
+    or tuple."""
+    if type(s) is np.ndarray:
+        if s.shape != (6,):
+            raise ValueError(f"a state must be a 6-vector, got shape {s.shape}")
+        if s.dtype is _F64:
             r, th, ph, pr, pth, pph = s.tolist()
-        except ValueError:
-            raise ValueError(f"a state must be a 6-vector, got shape {s.shape}") from None
-        return r, th, ph, pr, pth, pph
-    if isinstance(s, PhaseState):
+            return r, th, ph, pr, pth, pph
+    elif isinstance(s, PhaseState):
         return (s.q.r, s.q.theta, s.q.phi, s.p_r, s.p_theta, s.p_phi)
+    elif len(s) != 6:
+        raise ValueError(f"a state must be a 6-vector, got {len(s)} values")
     return (float(s[0]), float(s[1]), float(s[2]), float(s[3]), float(s[4]), float(s[5]))
 
 

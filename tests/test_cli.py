@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import curvedyn
-from curvedyn import dynamics, systems
+from curvedyn import cli, dynamics, systems
 from curvedyn.cli import main
 from curvedyn.dynamics import DEFAULT_METHOD, METHODS, integrate
 from curvedyn.geometry import PhaseState, to_rho_chart
@@ -479,16 +479,17 @@ def test_potential_non_finite_input(capsys):
     infinite radius only "error: math domain error"."""
     base = ["potential", "--n", "3"]
     cases = (
-        (["--system", "kepler", "--kappa", "1", "--r-min", "nan"], "finite radii, got nan"),
-        (["--system", "kepler", "--kappa", "1", "--r-max", "inf"], "finite radii"),
-        (["--system", "sw", "--k1", "0.1", "--theta", "nan"], "finite theta, got nan"),
-        (["--system", "oscillator", "--phi=-inf"], "finite phi, got -inf"),
+        (["--system", "kepler", "--kappa", "1", "--r-min", "nan"], "--r-min must be finite, got 'nan'"),
+        (["--system", "kepler", "--kappa", "1", "--r-max", "inf"], "--r-max must be finite, got 'inf'"),
+        (["--system", "sw", "--k1", "0.1", "--theta", "nan"], "--theta must be finite, got 'nan'"),
+        (["--system", "oscillator", "--phi=-inf"], "--phi must be finite, got '-inf'"),
     )
-    for argv, fragment in cases:
-        assert_cli_error(capsys, base + argv, fragment)
+    for argv, message in cases:
+        code, out, err = run(capsys, *(base + argv))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
-def test_audit_tol_must_be_positive_and_finite(tmp_path, capsys):
+def test_audit_tol_must_be_positive_and_finite(tmp_path, capsys, monkeypatch):
     """--tol -1 or 0 used to pass the rank audit, inf every audit."""
     base = ["audit", "--system", "free", "--kappa", "0.7", "--kind", "rank", "--states", "3"]
     for tol in ("-1", "0", "nan", "inf"):
@@ -497,8 +498,21 @@ def test_audit_tol_must_be_positive_and_finite(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"schema_version": 1, "system": "free", "audit": {"tol": -1}}))
     assert_cli_error(capsys, ["audit", "--config", str(cfg)], "--tol must be positive")
-    # A rank threshold must also lie below 1.
-    assert_cli_error(capsys, base + ["--tol", "2"], "0 < threshold < 1")
+    # A rank threshold must also lie below 1, which is checked before any
+    # audit runs: --kind all used to run the conservation and bracket
+    # audits to the end first.
+    ran = []
+    for kind, audit in list(cli._AUDITS.items()):
+        monkeypatch.setitem(cli._AUDITS, kind, lambda *a, kind=kind, audit=audit: ran.append(kind) or audit(*a))
+    for kind in ("rank", "all"):
+        argv = ["audit", "--system", "oscillator", "--kappa", "1", "--kind", kind, "--tol", "2"]
+        assert_cli_error(capsys, argv, "--tol must be below 1 for the rank audit, got 2.0")
+    assert ran == []
+    # Every other audit takes a tolerance of 1 or more.
+    code, out, _ = run(capsys, "audit", "--system", "oscillator", "--kappa", "1", "--kind", "fradkin",
+                       "--states", "3", "--tol", "2")
+    assert code == 0 and out.endswith("AUDIT PASS\n")
+    assert ran == ["fradkin"]
 
 
 def test_random_state_beyond_kappa_limit(capsys):

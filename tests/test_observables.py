@@ -235,19 +235,23 @@ def test_value_path_matches_value_and_gradient():
             assert raised > 0, (sid, kap)
 
 
-def test_array_state_must_be_a_six_vector():
-    """A float64 array of another shape raises ValueError at once; a
-    5-vector used to raise IndexError and a 7-vector to be cut to six."""
+def test_state_must_be_a_six_vector():
+    """A state of any other length or shape raises ValueError, whatever
+    its container; a 5-vector used to raise IndexError and a 7-vector to
+    be cut to six."""
     obs = (angular_J(1), coordinate(3, 0.7), kinetic(0.7))
     good = np.array([0.8, 1.2, 0.4, 0.15, 0.3, 0.35])
-    for bad in (good[:5], np.append(good, 1.0), good[None, :]):
+    bad = [good[:5], np.append(good, 1.0), good[None, :], np.array(0.8), good.astype(np.float32)[:5]]
+    bad += [np.arange(7), np.ones((6, 2)), good[:5].tolist(), tuple(np.append(good, 1.0).tolist()), []]
+    for s in bad:
         for o in obs:
             with pytest.raises(ValueError, match="6-vector"):
-                o.value(bad)
+                o.value(s)
             with pytest.raises(ValueError, match="6-vector"):
-                o.value_and_gradient(bad)
+                o.value_and_gradient(s)
     for o in obs:
         assert o.value(good) == o.value(good.tolist()) == o.value(tuple(good.tolist()))
+        assert o.value(good.astype(np.float32)) == o.value(good.astype(np.float32).tolist())
 
 
 def test_momentum_sum_closed_forms():
