@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import PhaseState, _central_difference
-from .kappa_core import DomainSingularity, cos_k, sin_k
+from .kappa_core import DomainSingularity, sin_cos_k
 from .observables import Observable, _dir_vg, angular_J, fradkin_matrix, kappa_cartesian, noether_P
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
@@ -44,6 +44,8 @@ METHODS = ("rk4_fixed", "rk45_adaptive", "dop853", "implicit_midpoint")
 DEFAULT_METHOD = "dop853"  # of integrate and of the CLI's trajectory
 FD_STEP = 1e-6  # central-difference step of poisson_bracket_fd
 DT_MIN = 1e-12  # smallest step the adaptive methods retry down to
+FP_TOL = 1e-13  # implicit_midpoint's fixed-point tolerance, relative to max(1, |y|)
+FP_MAX_ITER = 100  # fixed-point iterations per implicit_midpoint step
 ORBIT_TOL = 1e-12  # tolerance of the run behind closed_orbit_check
 
 
@@ -404,15 +406,15 @@ def _integrate_adaptive(rhs, pair: _Pair, y0, t0, t1, dt0, tol, max_steps, diag)
     return _trajectory(times, states, diag, reason)
 
 
-def _implicit_midpoint_step(rhs, stages, t, y, dt, fp_tol, max_iter=100):
+def _implicit_midpoint_step(rhs, stages, t, y, dt):
     """One implicit midpoint step by fixed-point iteration from an RK4
-    warm start, or None if the iteration does not reach fp_tol.  A
+    warm start, or None if FP_MAX_ITER iterations do not reach FP_TOL.  A
     non-finite iterate is returned at once, for the caller to reject."""
     ynew = stages.step(rhs, t, y, dt)
     tm = t + 0.5 * dt
     # y is finite, so its max-abs needs no NaN rule.
-    bound = fp_tol * max(1.0, *map(abs, y.tolist()))
-    for _ in range(max_iter):
+    bound = FP_TOL * max(1.0, *map(abs, y.tolist()))
+    for _ in range(FP_MAX_ITER):
         ynext = y + dt * rhs(tm, 0.5 * (y + ynew))
         delta = (ynext - ynew).tolist()
         ynew = ynext
@@ -434,7 +436,6 @@ def integrate(
     method: str = DEFAULT_METHOD,
     dt: Optional[float] = None,
     tol: float = 1e-10,
-    fp_tol: float = 1e-13,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) over t_span, storing every step.
@@ -442,13 +443,12 @@ def integrate(
     Bad input raises ValueError at once: a y0 that is not a finite 1-D
     vector, a t_span whose ends are not finite with t1 > t0, an unknown
     method, a missing or non-positive dt, a tol that is not positive and
-    finite, an fp_tol that is not finite and non-negative, or a max_steps
-    that is not an integer >= 1.  Every method treats a failure mid-run
-    alike: the run truncates at the last good state and sets the
-    truncated flag with a reason in the diagnostics.  The reasons are a
-    domain singularity (the adaptive methods first retry with smaller
-    steps down to DT_MIN, unless the rhs fails at the initial state
-    itself), "non-finite state" (also when the rhs overflows; the
+    finite, or a max_steps that is not an integer >= 1.  Every method
+    treats a failure mid-run alike: the run truncates at the last good
+    state and sets the truncated flag with a reason in the diagnostics.
+    The reasons are a domain singularity (the adaptive methods first
+    retry with smaller steps down to DT_MIN, unless the rhs fails at the
+    initial state itself), "non-finite state" (also when the rhs overflows; the
     adaptive methods check every stage and their error estimate too,
     implicit_midpoint every iterate), "implicit solve did not converge at
     t = ..." (implicit_midpoint), "max_steps exceeded" (every method; the
@@ -470,8 +470,6 @@ def integrate(
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not (math.isfinite(fp_tol) and fp_tol >= 0.0):
-        raise ValueError(f"fp_tol must be finite and non-negative, got {fp_tol!r}")
     if (isinstance(max_steps, bool) or not isinstance(max_steps, (int, np.integer))
             or max_steps < 1):
         raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
@@ -486,7 +484,7 @@ def integrate(
     if method == "rk4_fixed":
         stepper = lambda t, y, h: stages.step(rhs, t, y, h)
     else:
-        stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h, fp_tol)
+        stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h)
     return _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag)
 
 
@@ -511,7 +509,7 @@ def sample_state(
     range with sin_k(r) and |cos_k(r)| at least margin, and rules that
     100,000 draws fail to satisfy raise ValueError.
     """
-    kap = spec.kappa
+    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"sample_state needs 0 <= margin < 1, got {margin!r}")
     if not min_angular < 1.0:
@@ -535,8 +533,7 @@ def sample_state(
         th = rng.uniform(0.0, math.pi)
         ph = rng.uniform(0.0, 2.0 * math.pi)
         sth = math.sin(th)
-        sk = sin_k(kap, r)
-        ck = cos_k(kap, r)
+        sk, ck = sc(r)
         if sth < margin or sk < margin or abs(ck) < margin:
             continue
         dirs = [_dir_vg(axis, (r, th, ph), False)[0] for axis in range(3)]
@@ -612,14 +609,13 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     and the three full contractions with coordinates and momenta.  A
     state that is not a finite 6-vector raises ValueError.
     """
-    kap = float(kappa)
+    kap, sc = float(kappa), sin_cos_k(kappa)
     y = _audit_state(s)
     m = fradkin_matrix(kap, alpha, y).entries
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
     p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
     x = np.array(kappa_cartesian(kap, y))
-    ck = cos_k(kap, y[0])
-    sk = sin_k(kap, y[0])
+    sk, ck = sc(y[0])
     tk = sk / ck
     jsq = float(j @ j)
     psq = float(p @ p)

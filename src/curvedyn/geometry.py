@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kappa_core import (
-    DomainSingularity,
-    arcsin_k,
-    arctan_k,
-    cos_k,
-    sin_k,
-    tan_k,
-)
+from .kappa_core import DomainSingularity, arcsin_k, arctan_k, cos_k, sin_cos_k, sin_k
 
 __all__ = [
     "ConfigPoint",
@@ -148,12 +141,23 @@ def _sin_guard(x: float, what: str) -> None:
         raise DomainSingularity(f"{what} vanishes")
 
 
-def _p_vg(i: int, kap: float, y, grad: bool = True) -> _VG:
-    """Noether momentum P_i of the translation-like isometries."""
+def _planar_axis(axis: int, ph: float) -> tuple[float, float]:
+    """(a, b) = (cos phi, sin phi) for the x axis (axis 0) and, as the y
+    axis is the x axis turned by pi/2, (sin phi, -cos phi) for the y axis."""
+    sph, cph = math.sin(ph), math.cos(ph)
+    if axis == 0:
+        return cph, sph
+    if axis == 1:
+        return sph, -cph
+    raise ValueError(f"axis must be 0..2, got {axis}")
+
+
+def _p_vg(i: int, sc, y, grad: bool = True) -> _VG:
+    """Noether momentum P_i of the translation-like isometries, with sc
+    the kernels bound to kappa (kappa_core.sin_cos_k)."""
     r, th, ph, pr, pth, pph = y
-    sk = sin_k(kap, r)
+    sk, ck = sc(r)
     _sin_guard(sk, "sin_k(r)")
-    ck = cos_k(kap, r)
     ct = ck / sk
     dct = -1.0 / (sk * sk)
     sth, cth = math.sin(th), math.cos(th)
@@ -168,14 +172,7 @@ def _p_vg(i: int, kap: float, y, grad: bool = True) -> _VG:
         g[4] = -ct * sth
         return val, g
     _sin_guard(sth, "sin(theta)")
-    sph, cph = math.sin(ph), math.cos(ph)
-    # The y axis is the x axis turned by pi/2: (a, b) -> (sin, -cos).
-    if i == 1:
-        a, b = cph, sph
-    elif i == 2:
-        a, b = sph, -cph
-    else:
-        raise ValueError(f"momentum index must be 1..3, got {i}")
+    a, b = _planar_axis(i - 1, ph)
     ang = cth * a * pth - (b / sth) * pph
     val = sth * a * pr + ct * ang
     if not grad:
@@ -201,14 +198,8 @@ def _j_vg(i: int, y, grad: bool = True) -> _VG:
         return pph, g
     sth, cth = math.sin(th), math.cos(th)
     _sin_guard(sth, "sin(theta)")
-    sph, cph = math.sin(ph), math.cos(ph)
     cot = cth / sth
-    if i == 1:
-        a, b = cph, sph
-    elif i == 2:
-        a, b = sph, -cph
-    else:
-        raise ValueError(f"angular index must be 1..3, got {i}")
+    a, b = _planar_axis(i - 1, ph)
     val = -(b * pth + cot * a * pph)
     if not grad:
         return val, None
@@ -229,16 +220,16 @@ def killing_field(fid: str, kappa, q: ConfigPoint) -> TangentVector:
     X_i (Y_i) is the momentum part of the gradient of P_i (J_i).
     """
     x = (q.r, q.theta, q.phi)
-    return TangentVector(*_killing_components(fid, float(kappa), x).tolist())
+    return TangentVector(*_killing_components(fid, sin_cos_k(kappa), x).tolist())
 
 
-def _killing_components(fid: str, kap: float, x) -> np.ndarray:
+def _killing_components(fid: str, sc, x) -> np.ndarray:
     if fid not in KILLING_IDS:
         raise ValueError(f"unknown Killing field id {fid!r}")
     # The momentum part of the gradient of <p, X> is X whatever p is.
     y = (*x, 0.0, 0.0, 0.0)
     i = int(fid[1])
-    g = _p_vg(i, kap, y)[1] if fid[0] == "X" else _j_vg(i, y)[1]
+    g = _p_vg(i, sc, y)[1] if fid[0] == "X" else _j_vg(i, y)[1]
     return g[3:]
 
 
@@ -257,12 +248,12 @@ def _central_difference(fn, x, h: float) -> np.ndarray:
 
 def lie_bracket_numeric(fid_a: str, fid_b: str, kappa, q: ConfigPoint) -> TangentVector:
     """Commutator [A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
-    kap = float(kappa)
+    sc = sin_cos_k(kappa)
     x0 = (q.r, q.theta, q.phi)
-    a0 = _killing_components(fid_a, kap, x0)
-    b0 = _killing_components(fid_b, kap, x0)
-    da = _central_difference(lambda x: _killing_components(fid_a, kap, x), x0, FD_STEP)
-    db = _central_difference(lambda x: _killing_components(fid_b, kap, x), x0, FD_STEP)
+    a0 = _killing_components(fid_a, sc, x0)
+    b0 = _killing_components(fid_b, sc, x0)
+    da = _central_difference(lambda x: _killing_components(fid_a, sc, x), x0, FD_STEP)
+    db = _central_difference(lambda x: _killing_components(fid_b, sc, x), x0, FD_STEP)
     return TangentVector(*sum(a0[j] * db[j] - b0[j] * da[j] for j in range(3)))
 
 
@@ -272,16 +263,16 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint) -> np.ndarray:
     Returns the symmetric 3x3 matrix X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c,
     which vanishes exactly for isometry generators.
     """
-    kap = float(kappa)
+    sc = sin_cos_k(kappa)
     x0 = (q.r, q.theta, q.phi)
 
     def g_at(x):
-        return np.diag(metric_coeffs(kap, ConfigPoint(*x)))
+        return np.diag(metric_coeffs(kappa, ConfigPoint(*x)))
 
     g0 = g_at(x0)
-    x_field = _killing_components(fid, kap, x0)
+    x_field = _killing_components(fid, sc, x0)
     dg = _central_difference(g_at, x0, FD_STEP)
-    dx = _central_difference(lambda x: _killing_components(fid, kap, x), x0, FD_STEP)
+    dx = _central_difference(lambda x: _killing_components(fid, sc, x), x0, FD_STEP)
     out = np.zeros((3, 3))
     for a in range(3):
         for b in range(3):
@@ -294,24 +285,22 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint) -> np.ndarray:
 
 def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
     """Divergence of a Killing field with respect to the volume density."""
-    kap = float(kappa)
+    sc = sin_cos_k(kappa)
 
     def flux(x):
-        return volume_density(kap, ConfigPoint(*x)) * _killing_components(fid, kap, x)
+        return volume_density(kappa, ConfigPoint(*x)) * _killing_components(fid, sc, x)
 
     d = _central_difference(flux, (q.r, q.theta, q.phi), FD_STEP)
-    return sum(d[j, j] for j in range(3)) / volume_density(kap, q)
+    return sum(d[j, j] for j in range(3)) / volume_density(kappa, q)
 
 
 def geodesic_forces(kappa, s: VelocityState) -> tuple[float, float, float]:
     """Accelerations (f_r, f_theta, f_phi) of free geodesic motion."""
-    kap = float(kappa)
     r, th = s.q.r, s.q.theta
-    sk = sin_k(kap, r)
+    sk, ck = sin_cos_k(kappa)(r)
     sth = math.sin(th)
     if abs(sk) < _EPS or abs(sth) < _EPS:
         raise DomainSingularity("geodesic forces singular at sin_k(r) = 0 or sin(theta) = 0")
-    ck = cos_k(kap, r)
     cth = math.cos(th)
     inv_tk = ck / sk
     cot_th = cth / sth
@@ -348,10 +337,9 @@ def legendre_inv(kappa, s: PhaseState) -> VelocityState:
     return VelocityState(s.q, s.p_r / g1, s.p_theta / g2, s.p_phi / g3)
 
 
-def _cos_guard(kappa, r: float) -> float:
+def _cos_guard(c: float) -> float:
     # The radial charts use the principal branch cos_k(r) > 0; for
     # kappa > 0 that restricts them to the hemisphere r < pi/(2 sqrt(kappa)).
-    c = cos_k(kappa, r)
     if c < 1e-10:
         raise DomainSingularity("chart transform requires cos_k(r) > 0")
     return c
@@ -359,29 +347,29 @@ def _cos_guard(kappa, r: float) -> float:
 
 def to_rho_chart(kappa, s: PhaseState) -> PhaseState:
     """Radial chart rho = sin_k(r) with canonical p_rho = p_r / cos_k(r)."""
-    c = _cos_guard(kappa, s.q.r)
-    rho = sin_k(kappa, s.q.r)
+    rho, c = sin_cos_k(kappa)(s.q.r)
+    _cos_guard(c)
     return PhaseState(ConfigPoint(rho, s.q.theta, s.q.phi), s.p_r / c, s.p_theta, s.p_phi)
 
 
 def from_rho_chart(kappa, s: PhaseState) -> PhaseState:
     """Inverse of to_rho_chart on the principal branch cos_k(r) > 0."""
     r = arcsin_k(kappa, s.q.r)
-    c = _cos_guard(kappa, r)
+    c = _cos_guard(cos_k(kappa, r))
     return PhaseState(ConfigPoint(r, s.q.theta, s.q.phi), s.p_r * c, s.p_theta, s.p_phi)
 
 
 def to_R_chart(kappa, s: PhaseState) -> PhaseState:
     """Radial chart R = tan_k(r) with canonical p_R = p_r cos_k^2(r)."""
-    c = _cos_guard(kappa, s.q.r)
-    big_r = tan_k(kappa, s.q.r)
+    sk, c = sin_cos_k(kappa)(s.q.r)
+    big_r = sk / _cos_guard(c)
     return PhaseState(ConfigPoint(big_r, s.q.theta, s.q.phi), s.p_r * c * c, s.p_theta, s.p_phi)
 
 
 def from_R_chart(kappa, s: PhaseState) -> PhaseState:
     """Inverse of to_R_chart on the principal branch."""
     r = arctan_k(kappa, s.q.r)
-    c = _cos_guard(kappa, r)
+    c = _cos_guard(cos_k(kappa, r))
     return PhaseState(ConfigPoint(r, s.q.theta, s.q.phi), s.p_r / (c * c), s.p_theta, s.p_phi)
 
 

@@ -8,11 +8,16 @@ the closed forms lose digits to cancellation, so a truncated series in
 kappa is used instead; the switch is exact to double precision.  At
 kappa = 0 itself the series is always taken, so a non-finite x gives a
 non-finite result where the closed form would divide by sqrt(-0.0).
+
+sin_cos_k is the one implementation of sin_k and cos_k: it binds kappa
+once and returns x -> (sin_k, cos_k).  The other kernels read one call
+of it.  A kappa that is not finite raises ValueError when it is bound.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 __all__ = [
@@ -41,93 +46,74 @@ class DomainSingularity(ValueError):
     """Raised when an evaluation point sits on a genuine singularity."""
 
 
-# The kernels' formulas, shared by cos_k, sin_k and sin_cos_k.  In the
-# series branch u = kappa * x^2; the next terms, u^3/720 and x u^3/5040,
-# are below roundoff there.
-
-def _cos_series(u: float) -> float:
-    return 1.0 - u / 2.0 + u * u / 24.0
-
-
-def _sin_series(u: float, x: float) -> float:
-    return x * (1.0 - u / 6.0 + u * u / 120.0)
-
-
-def _closed(kap: float) -> tuple[float, Callable, Callable]:
-    """sqrt(|kappa|) and the circular or hyperbolic sine and cosine of a
-    nonzero kappa: sin_k(x) = sin(rk x) / rk and cos_k(x) = cos(rk x)."""
-    if kap > 0.0:
-        return math.sqrt(kap), math.sin, math.cos
-    return math.sqrt(-kap), math.sinh, math.cosh
-
-
-def cos_k(kappa, x: float) -> float:
-    """cos(sqrt(kappa) x), continued through kappa <= 0."""
+def _finite(kappa) -> float:
     kap = float(kappa)
-    u = kap * x * x
-    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
-        return _cos_series(u)
-    rk, _, cos = _closed(kap)
-    return cos(rk * x)
+    if not math.isfinite(kap):
+        raise ValueError(f"kappa must be finite, got {kap}")
+    return kap
 
 
-def sin_k(kappa, x: float) -> float:
-    """sin(sqrt(kappa) x)/sqrt(kappa), continued through kappa <= 0."""
-    kap = float(kappa)
+def _series(kap: float, x: float) -> tuple[float, float]:
+    """(sin_k, cos_k) by their series in u = kappa x^2.  The next terms,
+    x u^3/5040 and u^3/720, are below roundoff where it is taken."""
     u = kap * x * x
-    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
-        return _sin_series(u, x)
-    rk, sin, _ = _closed(kap)
-    return sin(rk * x) / rk
+    return x * (1.0 - u / 6.0 + u * u / 120.0), 1.0 - u / 2.0 + u * u / 24.0
 
 
 def sin_cos_k(kappa) -> Callable[[float], tuple[float, float]]:
-    """sc(x) = (sin_k(kappa, x), cos_k(kappa, x)), bit for bit, with kappa
-    bound once: sqrt(|kappa|), the circular or hyperbolic functions and,
-    at kappa = 0, the series branch are resolved here instead of on every
-    call.  A non-finite x gives what sin_k and cos_k give, or raises what
-    sin_k raises."""
-    kap = float(kappa)
-
-    def series(x: float) -> tuple[float, float]:
-        u = kap * x * x
-        return _sin_series(u, x), _cos_series(u)
-
+    """sc(x) = (sin_k(kappa, x), cos_k(kappa, x)) with kappa bound once:
+    sin_k(x) = sin(sqrt(kappa) x)/sqrt(kappa) and cos_k(x) = cos(sqrt(kappa) x),
+    continued through kappa <= 0, and their series where |kappa| x^2 is
+    below SMALL_KAPPA_X2 or kappa is zero.  A non-finite x gives a
+    non-finite result or raises what math.sin or math.sinh raises."""
+    kap = _finite(kappa)
     if kap == 0.0:
-        return series
-    rk, sin, cos = _closed(kap)
+        return partial(_series, kap)
+    if kap > 0.0:
+        rk, sin, cos = math.sqrt(kap), math.sin, math.cos
+    else:
+        rk, sin, cos = math.sqrt(-kap), math.sinh, math.cosh
 
     def sc(x: float) -> tuple[float, float]:
-        u = kap * x * x
-        if abs(u) < SMALL_KAPPA_X2:
-            return _sin_series(u, x), _cos_series(u)
+        if abs(kap * x * x) < SMALL_KAPPA_X2:
+            return _series(kap, x)
         a = rk * x
         return sin(a) / rk, cos(a)
 
     return sc
 
 
+def sin_k(kappa, x: float) -> float:
+    """sin(sqrt(kappa) x)/sqrt(kappa), continued through kappa <= 0."""
+    return sin_cos_k(kappa)(x)[0]
+
+
+def cos_k(kappa, x: float) -> float:
+    """cos(sqrt(kappa) x), continued through kappa <= 0."""
+    return sin_cos_k(kappa)(x)[1]
+
+
 def tan_k(kappa, x: float) -> float:
     """sin_k / cos_k, singular where |cos_k| < EPS_DOM."""
-    c = cos_k(kappa, x)
+    s, c = sin_cos_k(kappa)(x)
     if abs(c) < EPS_DOM:
         raise DomainSingularity(f"tan_k singular: |cos_k({float(kappa)}, {x})| < {EPS_DOM}")
-    return sin_k(kappa, x) / c
+    return s / c
 
 
 def d_sin_k(kappa, x: float) -> float:
     """Derivative of sin_k in x, equal to cos_k."""
-    return cos_k(kappa, x)
+    return sin_cos_k(kappa)(x)[1]
 
 
 def d_cos_k(kappa, x: float) -> float:
     """Derivative of cos_k in x, equal to -kappa sin_k."""
-    return -float(kappa) * sin_k(kappa, x)
+    return -float(kappa) * sin_cos_k(kappa)(x)[0]
 
 
 def d_tan_k(kappa, x: float) -> float:
     """Derivative of tan_k in x, equal to 1/cos_k^2."""
-    c = cos_k(kappa, x)
+    c = sin_cos_k(kappa)(x)[1]
     if abs(c) < EPS_DOM:
         raise DomainSingularity(f"d_tan_k singular: |cos_k({float(kappa)}, {x})| < {EPS_DOM}")
     return 1.0 / (c * c)
@@ -135,7 +121,7 @@ def d_tan_k(kappa, x: float) -> float:
 
 def arcsin_k(kappa, y: float) -> float:
     """Inverse of sin_k on the principal branch."""
-    kap = float(kappa)
+    kap = _finite(kappa)
     u = kap * y * y
     if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
         return y * (1.0 + u / 6.0 + 3.0 * u * u / 40.0)
@@ -151,7 +137,7 @@ def arcsin_k(kappa, y: float) -> float:
 
 def arctan_k(kappa, y: float) -> float:
     """Inverse of tan_k on the principal branch."""
-    kap = float(kappa)
+    kap = _finite(kappa)
     u = kap * y * y
     if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
         return y * (1.0 - u / 3.0 + u * u / 5.0)

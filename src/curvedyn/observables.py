@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _sin_guard
-from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_cos_k, sin_k
+from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard
+from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k, sin_k
 
 __all__ = [
     "Observable",
@@ -122,7 +122,9 @@ class ComplexObservable:
 # ---------------------------------------------------------------------------
 # Primitive value-and-gradient pieces.  Each returns (value, 6-gradient),
 # or (value, None) when called with grad false.  The momenta P_i and J_i
-# are geometry._p_vg and geometry._j_vg.
+# are geometry._p_vg and geometry._j_vg.  A piece that needs sin_k(r) or
+# cos_k(r) takes sc, the kernels bound to kappa (kappa_core.sin_cos_k),
+# which each constructor binds once.
 
 def _jsq_vg(y, grad: bool = True) -> _VG:
     _, th, _, _, pth, pph = y
@@ -147,14 +149,7 @@ def _dir_vg(axis: int, y, grad: bool = True) -> _VG:
         g = np.zeros(6)
         g[1] = -sth
         return cth, g
-    sph, cph = math.sin(ph), math.cos(ph)
-    # The y axis is the x axis turned by pi/2: (a, b) -> (sin, -cos).
-    if axis == 0:
-        a, b = cph, sph
-    elif axis == 1:
-        a, b = sph, -cph
-    else:
-        raise ValueError(f"axis must be 0..2, got {axis}")
+    a, b = _planar_axis(axis, ph)
     if not grad:
         return sth * a, None
     g = np.zeros(6)
@@ -163,28 +158,26 @@ def _dir_vg(axis: int, y, grad: bool = True) -> _VG:
     return sth * a, g
 
 
-def _coord_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
-    r = y[0]
-    sk = sin_k(kap, r)
+def _coord_vg(axis: int, sc, y, grad: bool = True) -> _VG:
+    sk, ck = sc(y[0])
     d, gd = _dir_vg(axis, y, grad)
     if not grad:
         return sk * d, None
     g = sk * gd
-    g[0] = cos_k(kap, r) * d
+    g[0] = ck * d
     return sk * d, g
 
 
-def _hamilton_flow(kap: float, terms: Callable | None = None) -> Callable:
+def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
     """Hamilton equations dy/dt = f(t, y) of T + V on a state array.
 
     terms(sin_k r, cos_k r, sin theta, cos theta, phi) gives
     (V, V_r, V_theta, V_phi), and f subtracts that force; with terms None
     f is geodesic motion, so (-f[3], -f[4], 0, f[0], f[1], f[2]) is the
-    gradient of T.  sin_k r and cos_k r come from one call of the kernels
-    bound to kappa, and the functions f calls are bound once too: on a
-    six-vector their lookups cost about a tenth of an evaluation.
+    gradient of T.  sin_k r and cos_k r come from one call of sc, the
+    kernels bound to kappa, and the functions f calls are bound once too:
+    on a six-vector their lookups cost about a tenth of an evaluation.
     """
-    sc = sin_cos_k(kap)
     sin, cos, array = math.sin, math.cos, np.array
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -212,12 +205,11 @@ def _hamilton_flow(kap: float, terms: Callable | None = None) -> Callable:
     return rhs
 
 
-def _az_vg(kap: float, y, grad: bool = True) -> _VG:
-    r, th = y[0], y[1]
-    ck = cos_k(kap, r)
+def _az_vg(kap: float, sc, y, grad: bool = True) -> _VG:
+    th = y[1]
+    sk, ck = sc(y[0])
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("axial anisotropy factor singular at cos_k(r) = 0")
-    sk = sin_k(kap, r)
     tk = sk / ck
     cth = math.cos(th)
     u = tk * cth
@@ -232,13 +224,12 @@ def _az_vg(kap: float, y, grad: bool = True) -> _VG:
     return u / den, g
 
 
-def _tan_dir_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
+def _tan_dir_vg(axis: int, sc, y, grad: bool = True) -> _VG:
     """tan_k(r) times a direction cosine, with gradient."""
-    r = y[0]
-    ck = cos_k(kap, r)
+    sk, ck = sc(y[0])
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("tan_k(r) singular at cos_k(r) = 0")
-    tk = sin_k(kap, r) / ck
+    tk = sk / ck
     d, gd = _dir_vg(axis, y, grad)
     if not grad:
         return tk * d, None
@@ -252,12 +243,15 @@ def _tan_dir_vg(axis: int, kap: float, y, grad: bool = True) -> _VG:
 
 def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
-    kap = float(kappa)
-    return Observable(f"P{i}", partial(_p_vg, i, kap))
+    if i not in (1, 2, 3):
+        raise ValueError(f"index must be 1..3, got {i}")
+    return Observable(f"P{i}", partial(_p_vg, i, sin_cos_k(kappa)))
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"index must be 1..3, got {i}")
     return Observable(f"J{i}", partial(_j_vg, i))
 
 
@@ -270,9 +264,8 @@ def coordinate(axis: int, kappa) -> Observable:
     """Curvature-scaled Cartesian coordinate sin_k(r) times a direction cosine."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
-    kap = float(kappa)
     name = ("xk", "yk", "zk")[axis - 1]
-    return Observable(name, partial(_coord_vg, axis - 1, kap))
+    return Observable(name, partial(_coord_vg, axis - 1, sin_cos_k(kappa)))
 
 
 def direction_cosine(axis: int) -> Observable:
@@ -288,9 +281,8 @@ def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
 
     q is a ConfigPoint or a phase-space state (PhaseState or 6-vector).
     """
-    kap = float(kappa)
     r, th, ph = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)[:3]
-    sk = sin_k(kap, r)
+    sk = sin_k(kappa, r)
     sth, cth = math.sin(th), math.cos(th)
     sph, cph = math.sin(ph), math.cos(ph)
     return sk * sth * cph, sk * sth * sph, sk * cth
@@ -301,12 +293,12 @@ def kinetic(kappa) -> Observable:
 
     Its gradient is read off the geodesic Hamilton equations.
     """
-    kap = float(kappa)
-    flow = _hamilton_flow(kap)
+    sc = sin_cos_k(kappa)
+    flow = _hamilton_flow(sc)
 
     def vg(y, grad=True):
         r, th, _, pr, pth, pph = y
-        sk = sin_k(kap, r)
+        sk = sc(r)[0]
         _sin_guard(sk, "sin_k(r)")
         sth = math.sin(th)
         _sin_guard(sth, "sin(theta)")
@@ -326,7 +318,7 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
     coupling terms; off-diagonal entries are defined only when all
     couplings vanish.
     """
-    kap = float(kappa)
+    sc = sin_cos_k(kappa)
     al = float(alpha)
     ks = (float(k1), float(k2), float(k3))
     if i != j and any(ks):
@@ -335,8 +327,8 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
     ki = ks[ia]
 
     def vg(y, grad=True):
-        pi, gpi = _p_vg(i, kap, y, grad)
-        wi, gwi = _tan_dir_vg(ia, kap, y, grad)
+        pi, gpi = _p_vg(i, sc, y, grad)
+        wi, gwi = _tan_dir_vg(ia, sc, y, grad)
         if i == j:
             val = pi * pi + (al * wi) ** 2
             if ki != 0.0:
@@ -348,8 +340,8 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
             if ki != 0.0:
                 g += (-4.0 * ki / wi**3) * gwi
             return val, g
-        pj, gpj = _p_vg(j, kap, y, grad)
-        wj, gwj = _tan_dir_vg(ja, kap, y, grad)
+        pj, gpj = _p_vg(j, sc, y, grad)
+        wj, gwj = _tan_dir_vg(ja, sc, y, grad)
         val = pi * pj + al * al * wi * wj
         if not grad:
             return val, None
@@ -382,12 +374,12 @@ def fradkin_matrix(kappa, alpha, s) -> FradkinMatrix:
 
 def complex_M(j: int, kappa, alpha) -> ComplexObservable:
     """Complex pairing P_j + i alpha tan_k(r) dir_j of the oscillator."""
-    kap = float(kappa)
+    sc = sin_cos_k(kappa)
     al = float(alpha)
-    re = noether_P(j, kap)
+    re = noether_P(j, kappa)
 
     def im_vg(y, grad=True):
-        v, g = _tan_dir_vg(j - 1, kap, y, grad)
+        v, g = _tan_dir_vg(j - 1, sc, y, grad)
         return al * v, (al * g if grad else None)
 
     im = Observable(f"ImM{j}", im_vg)
@@ -404,7 +396,7 @@ _KJ_TERMS = {
 
 def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Angular-momentum related integral J_i^2 plus two coupling ratios."""
-    kap = float(kappa)
+    sc = sin_cos_k(kappa)
     ks = (float(k1), float(k2), float(k3))
     ratios = [
         (ks[kidx - 1], num, den) for kidx, num, den in _KJ_TERMS[i] if ks[kidx - 1] != 0.0
@@ -415,8 +407,8 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
         val = ji * ji
         g = 2.0 * ji * gji if grad else None
         for kc, num_ax, den_ax in ratios:
-            a, ga = _coord_vg(num_ax, kap, y, grad)
-            b, gb = _coord_vg(den_ax, kap, y, grad)
+            a, ga = _coord_vg(num_ax, sc, y, grad)
+            b, gb = _coord_vg(den_ax, sc, y, grad)
             _sin_guard(b, "coordinate in coupling ratio")
             q = a / b
             val += 2.0 * kc * q * q
@@ -429,16 +421,15 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
 
 
 def _osc112_az(kappa) -> Observable:
-    kap = float(kappa)
-    return Observable("Az", partial(_az_vg, kap))
+    return Observable("Az", partial(_az_vg, float(kappa), sin_cos_k(kappa)))
 
 
 def _osc112_k3(kappa, alpha) -> Observable:
-    kap, al = float(kappa), float(alpha)
+    kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
 
     def vg(y, grad=True):
-        p3, gp3 = _p_vg(3, kap, y, grad)
-        a, ga = _az_vg(kap, y, grad)
+        p3, gp3 = _p_vg(3, sc, y, grad)
+        a, ga = _az_vg(kap, sc, y, grad)
         val = p3 * p3 + 4.0 * al * al * a * a
         if not grad:
             return val, None
@@ -448,16 +439,16 @@ def _osc112_k3(kappa, alpha) -> Observable:
 
 
 def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
-    kap, al = float(kappa), float(alpha)
+    kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
 
     def vg(y, grad=True):
-        p1, gp1 = _p_vg(1, kap, y, grad)
-        p2, gp2 = _p_vg(2, kap, y, grad)
+        p1, gp1 = _p_vg(1, sc, y, grad)
+        p2, gp2 = _p_vg(2, sc, y, grad)
         j1, gj1 = _j_vg(1, y, grad)
         j2, gj2 = _j_vg(2, y, grad)
-        x, gx = _coord_vg(0, kap, y, grad)
-        yy, gy = _coord_vg(1, kap, y, grad)
-        a, ga = _az_vg(kap, y, grad)
+        x, gx = _coord_vg(0, sc, y, grad)
+        yy, gy = _coord_vg(1, sc, y, grad)
+        a, ga = _az_vg(kap, sc, y, grad)
         w = x * x + yy * yy
         den = 1.0 - kap * w
         _sin_guard(den, "planar anisotropy denominator")
@@ -497,32 +488,31 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
     den = 1 - kappa (tan_k(r) cos(theta))^2, which stays regular on the
     equatorial plane where the naive tan(theta) factoring does not.
     """
-    kap, al = float(kappa), float(alpha)
+    kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
 
     def vg(y, grad=True):
-        r, th, ph = y[0], y[1], y[2]
+        th, ph = y[1], y[2]
         sth, cth = math.sin(th), math.cos(th)
         sph, cph = math.sin(ph), math.cos(ph)
-        ck = cos_k(kap, r)
+        sk, ck = sc(y[0])
         if abs(ck) < EPS_DOM:
             raise DomainSingularity("cos_k(r) vanishes")
-        sk = sin_k(kap, r)
         tk = sk / ck
         u = tk * cth
         den = 1.0 - kap * u * u
         _sin_guard(den, "axial anisotropy denominator")
-        a, ga = _az_vg(kap, y, grad)
-        z, gz = _coord_vg(2, kap, y, grad)
+        a, ga = _az_vg(kap, sc, y, grad)
+        z, gz = _coord_vg(2, sc, y, grad)
         if which == 1:
-            p, gp = _p_vg(1, kap, y, grad)
+            p, gp = _p_vg(1, sc, y, grad)
             j, gj = _j_vg(2, y, grad)
-            c, gc = _coord_vg(0, kap, y, grad)
+            c, gc = _coord_vg(0, sc, y, grad)
             trig, dtrig_ph = cph, -sph
             sign = -1.0
         else:
-            p, gp = _p_vg(2, kap, y, grad)
+            p, gp = _p_vg(2, sc, y, grad)
             j, gj = _j_vg(1, y, grad)
-            c, gc = _coord_vg(1, kap, y, grad)
+            c, gc = _coord_vg(1, sc, y, grad)
             trig, dtrig_ph = sph, cph
             sign = 1.0
         q = tk / ck
@@ -569,12 +559,12 @@ _CYCLE = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 def kepler_RL(i: int, kappa, k) -> Observable:
     """Runge-Lenz component P_j J_l - P_l J_j + k dir_i of the Kepler system."""
-    kap, kc = float(kappa), float(k)
+    sc, kc = sin_cos_k(kappa), float(k)
     j, l = _CYCLE[i]
 
     def vg(y, grad=True):
-        pj, gpj = _p_vg(j, kap, y, grad)
-        pl, gpl = _p_vg(l, kap, y, grad)
+        pj, gpj = _p_vg(j, sc, y, grad)
+        pl, gpl = _p_vg(l, sc, y, grad)
         jj, gjj = _j_vg(j, y, grad)
         jl, gjl = _j_vg(l, y, grad)
         d, gd = _dir_vg(i - 1, y, grad)
@@ -629,14 +619,14 @@ def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
 
 def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Runge-Lenz component corrected by the inverse-square couplings."""
-    kap = float(kappa)
+    kap, sc = float(kappa), sin_cos_k(kappa)
     ks = (float(k1), float(k2), float(k3))
     base = kepler_RL(i, kappa, k)
 
     def vg(y, grad=True):
         val, g = base._vg(y, grad)
         if any(ks):
-            sk, ck = sin_k(kap, y[0]), cos_k(kap, y[0])
+            sk, ck = sc(y[0])
             u, ur, uth, uph = _coupling_terms(ks, sk, ck, math.sin(y[1]), math.cos(y[1]), y[2])
             cs = ck * sk
             d, gd = _dir_vg(i - 1, y, grad)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ConfigPoint, PhaseState, R_chart_kinetic, rho_chart_kinetic
-from .kappa_core import DomainSingularity, EPS_DOM, cos_k, sin_cos_k, sin_k
+from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k
 from .observables import (
     _CYCLE,
     Observable,
@@ -285,7 +285,7 @@ def hamiltonian(spec: SystemSpec) -> Observable:
 def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Closed-form Hamilton equations dy/dt = f(t, y) for a system."""
     potential = _system(spec.system_id).potential
-    return _hamilton_flow(spec.kappa, None if potential is None else potential(spec))
+    return _hamilton_flow(sin_cos_k(spec.kappa), None if potential is None else potential(spec))
 
 
 def potential_profile(
@@ -430,7 +430,7 @@ def _pair_sums(kjs) -> tuple:
 
 
 def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
-    kap = spec.kappa
+    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
     jsq = angular_J_squared()
     p = {i: noether_P(i, kap) for i in (1, 2, 3)}
     j = {i: angular_J(i) for i in (1, 2, 3)}
@@ -443,7 +443,7 @@ def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
     def radial(at):
         total = sum(at.value(x[i]) * at.value(p[i]) for i in (1, 2, 3))
-        expect = at.y[3] * sin_k(kap, at.y[0])
+        expect = at.y[3] * sc(at.y[0])[0]
         return (total - expect) / max(1.0, abs(expect))
 
     ids = [Identity("alg:x.P-p_r*sin_k", residual=radial)]
@@ -453,14 +453,14 @@ def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], lambda at, c=c: at.value(j[c])))
     ids += _rotation_identities(j, p, "P")
     ids += [
-        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda at: cos_k(kap, at.y[0]))
+        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda at: sc(at.y[0])[1])
         for i in (1, 2, 3)
     ]
     return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
 
 
 def _oscillator_catalog(spec: SystemSpec, h: Observable) -> Catalog:
-    kap = spec.kappa
+    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
     jsq = angular_J_squared()
     al = spec.alpha
     integrals = {f"J{i}": angular_J(i) for i in (1, 2, 3)}
@@ -509,7 +509,7 @@ def _oscillator_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
     def phase(i):
         m = complexes[f"M{i}"]
-        lam = lambda at: 1.0 / cos_k(kap, at.y[0]) ** 2
+        lam = lambda at: 1.0 / sc(at.y[0])[1] ** 2
         return Identity(f"{{M{i},H}}-i*lambda*alpha*M{i}", (
             (m.re, h, lambda at: -lam(at) * al * at.value(m.im)),
             (m.im, h, lambda at: lam(at) * al * at.value(m.re)),

@@ -205,9 +205,6 @@ def test_integrate_validation():
         (CIRC_Y0, (0.0, 1.0), {"tol": -1e-10}),
         (CIRC_Y0, (0.0, 1.0), {"tol": math.nan}),
         (CIRC_Y0, (0.0, 1.0), {"tol": math.inf}),
-        (CIRC_Y0, (0.0, 1.0), {"method": "implicit_midpoint", "dt": 0.1, "fp_tol": math.nan}),
-        (CIRC_Y0, (0.0, 1.0), {"method": "implicit_midpoint", "dt": 0.1, "fp_tol": math.inf}),
-        (CIRC_Y0, (0.0, 1.0), {"method": "implicit_midpoint", "dt": 0.1, "fp_tol": -1e-13}),
         (CIRC_Y0, (0.0, 1.0), {"max_steps": 0}),
         (CIRC_Y0, (0.0, 1.0), {"max_steps": -5}),
         (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": 0.1, "max_steps": 0}),
@@ -216,7 +213,7 @@ def test_integrate_validation():
     ]
     for y0, t_span, kwargs in bad:
         counted = CountingRhs(rhs)
-        with pytest.raises(ValueError, match="^(y0|t_span|dt|tol|fp_tol|max_steps) must"):
+        with pytest.raises(ValueError, match="^(y0|t_span|dt|tol|max_steps) must"):
             integrate(counted, y0, t_span, **kwargs)
         assert counted.calls == [], kwargs
 
@@ -619,10 +616,11 @@ def test_closed_orbit_rejects_bad_state(monkeypatch):
             closed_orbit_check(spec, y0, 10.0)
 
 
-def test_implicit_midpoint_nonconvergence():
+def test_implicit_midpoint_nonconvergence(monkeypatch):
     """An unattainable fixed-point tolerance truncates instead of looping."""
+    monkeypatch.setattr(dynamics, "FP_TOL", 0.0)
     rhs = circ_rhs()
-    traj = integrate(rhs, ECC_Y0, (0.0, 1.0), method="implicit_midpoint", dt=0.1, fp_tol=0.0)
+    traj = integrate(rhs, ECC_Y0, (0.0, 1.0), method="implicit_midpoint", dt=0.1)
     assert traj.truncated
     assert traj.diagnostics["reason"] == "implicit solve did not converge at t = 0.0"
     assert len(traj.times) == 1 and traj.diagnostics["n_steps"] == 0
@@ -945,6 +943,23 @@ def test_fradkin_audit_rejects_bad_input():
     for state in (bad, good[:3]):
         with pytest.raises(ValueError, match="finite 6-vectors"):
             fradkin_audit(0.7, 1.3, state)
+
+
+@pytest.mark.parametrize("kap", [math.nan, math.inf, -math.inf])
+def test_non_finite_kappa_raises_where_it_is_bound(kap):
+    """A non-finite kappa used to give NaN values and residuals: it now
+    raises when an observable is built and when fradkin_audit starts."""
+    y = sample_state(make_system("oscillator", kappa=0.7), np.random.default_rng(5), margin=0.12)
+    for build in (lambda: noether_P(1, kap), lambda: kinetic(kap),
+                  lambda: fradkin_audit(kap, 1.0, y)):
+        with pytest.raises(ValueError, match=f"^kappa must be finite, got {kap}$"):
+            build()
+
+
+def test_momentum_constructors_reject_a_bad_index():
+    for build in (lambda: noether_P(4, 1.0), lambda: noether_P(0, 1.0), lambda: angular_J(4)):
+        with pytest.raises(ValueError, match="^index must be 1..3, got"):
+            build()
 
 
 def audit_states(sid, params, n, seed):

@@ -163,11 +163,33 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_bound_kernels_equal_sin_k_and_cos_k_bit_for_bit():
-    """sin_cos_k(kappa)(x) is (sin_k(kappa, x), cos_k(kappa, x)) bit for bit
-    on both branches of every sign of kappa, on either side of the series
-    threshold |kappa| x^2 = SMALL_KAPPA_X2, and for a non-finite or
-    overflowing x, where it raises what sin_k raises."""
+def _written_out(kap, x):
+    """(sin_k, cos_k) transcribed from their definition: the series in
+    u = kappa x^2 at kappa = 0 or |u| < SMALL_KAPPA_X2, else the closed
+    circular or hyperbolic forms."""
+    u = kap * x * x
+    if kap == 0.0 or abs(u) < SMALL_KAPPA_X2:
+        return x * (1.0 - u / 6.0 + u * u / 120.0), 1.0 - u / 2.0 + u * u / 24.0
+    if kap > 0.0:
+        rk = math.sqrt(kap)
+        return math.sin(rk * x) / rk, math.cos(rk * x)
+    rk = math.sqrt(-kap)
+    return math.sinh(rk * x) / rk, math.cosh(rk * x)
+
+
+def _written_out_tan(kap, x):
+    s, c = _written_out(kap, x)
+    if abs(c) < EPS_DOM:
+        raise DomainSingularity(f"tan_k singular: |cos_k({kap}, {x})| < {EPS_DOM}")
+    return s / c
+
+
+def test_kernels_equal_their_written_out_forms_bit_for_bit():
+    """sin_cos_k(kappa)(x), sin_k, cos_k and tan_k equal the series and
+    closed forms written out above, bit for bit, on both branches of every
+    sign of kappa, on either side of the series threshold
+    |kappa| x^2 = SMALL_KAPPA_X2, and for a non-finite or overflowing x,
+    where they raise what the written-out forms raise."""
     rng = np.random.default_rng(17)
     seam = math.sqrt(SMALL_KAPPA_X2)
     for kap in (1.0, 2.5, 1e-7, -1.0, -0.3, -1e-7, 0.0, -0.0):
@@ -179,10 +201,23 @@ def test_bound_kernels_equal_sin_k_and_cos_k_bit_for_bit():
             xs += [edge * f for f in (1.0 - 1e-12, 1.0 - 1e-16, 1.0, 1.0 + 1e-16, 1.0 + 1e-12)]
             xs += (edge * rng.uniform(0.5, 1.5, 200)).tolist()
         for x in xs:
-            want = (_outcome(sin_k, kap, x), _outcome(cos_k, kap, x))
-            try:
-                got = tuple(np.float64(v).tobytes() for v in sc(x))
-            except Exception as exc:  # noqa: BLE001
-                assert (type(exc), str(exc)) == want[0], (kap, x)
-            else:
-                assert got == want, (kap, x)
+            want_s = _outcome(lambda: _written_out(kap, x)[0])
+            want_c = _outcome(lambda: _written_out(kap, x)[1])
+            assert _outcome(lambda: sc(x)[0]) == want_s, (kap, x)
+            assert _outcome(lambda: sc(x)[1]) == want_c, (kap, x)
+            assert _outcome(sin_k, kap, x) == want_s, (kap, x)
+            assert _outcome(cos_k, kap, x) == want_c, (kap, x)
+            assert _outcome(tan_k, kap, x) == _outcome(_written_out_tan, kap, x), (kap, x)
+
+
+@pytest.mark.parametrize("kernel", [cos_k, sin_k, tan_k, d_cos_k, d_sin_k, d_tan_k,
+                                    arcsin_k, arctan_k])
+@pytest.mark.parametrize("kap", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_a_non_finite_kappa(kernel, kap):
+    """A non-finite kappa used to pass silently: sin_k(nan, x) gave nan,
+    cos_k(-inf, x) gave inf, and sin_k(inf, x) raised a bare math domain
+    error."""
+    with pytest.raises(ValueError, match=f"^kappa must be finite, got {kap}$"):
+        kernel(kap, 0.7)
+    with pytest.raises(ValueError, match=f"^kappa must be finite, got {kap}$"):
+        sin_cos_k(kap)
