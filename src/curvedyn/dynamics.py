@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import PhaseState, _central_difference
+from .geometry import PhaseState, _central_difference, _trig
 from .kappa_core import DomainSingularity, sin_cos_k
 from .observables import Observable, _dir_vg, angular_J, fradkin_matrix, kappa_cartesian, noether_P
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
@@ -532,11 +532,10 @@ def sample_state(
         r = rng.uniform(lo, hi)
         th = rng.uniform(0.0, math.pi)
         ph = rng.uniform(0.0, 2.0 * math.pi)
-        sth = math.sin(th)
-        sk, ck = sc(r)
+        sk, ck, sth, _, _, _ = t = _trig(sc, (r, th, ph))
         if sth < margin or sk < margin or abs(ck) < margin:
             continue
-        dirs = [_dir_vg(axis, (r, th, ph), False)[0] for axis in range(3)]
+        dirs = [_dir_vg(axis, t, None, False)[0] for axis in range(3)]
         if any(need and abs(sk * d) < margin for need, d in zip(needs_axis, dirs)):
             continue
         if axial:
@@ -691,7 +690,7 @@ class _GradientCache:
                     g = g + c * tg
             else:
                 v, g = obs.value_and_gradient(self.y)
-            entry = self.entries[id(obs)] = (obs, g, np.linalg.norm(g), v)
+            entry = self.entries[id(obs)] = (obs, g, math.sqrt(g.dot(g)), v)
         return entry
 
     def value(self, obs: Observable) -> float:

@@ -10,7 +10,8 @@ their canonical momentum transforms.
 The momenta live here because they define the fields: a momentum
 <p, X> is linear in p, so the Killing field X_i (Y_i) is the momentum
 part of the gradient of P_i (J_i).  The observables module builds its
-integrals on these momenta.
+integrals on these momenta, which read sin_k(r), cos_k(r) and the angle
+sines and cosines from one tuple that _with_trig takes once per evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kappa_core import DomainSingularity, arcsin_k, arctan_k, cos_k, sin_cos_k, sin_k
+from .kappa_core import DomainSingularity, _finite, arcsin_k, arctan_k, cos_k, sin_cos_k, sin_k
 
 __all__ = [
     "ConfigPoint",
@@ -141,10 +142,31 @@ def _sin_guard(x: float, what: str) -> None:
         raise DomainSingularity(f"{what} vanishes")
 
 
-def _planar_axis(axis: int, ph: float) -> tuple[float, float]:
+def _with_trig(piece, sc=None, phi: bool = True):
+    """vg(y, grad=True) = piece(t, y, grad), t = (sin_k r, cos_k r, sin theta,
+    cos theta, sin phi, cos phi) taken once per call at y = (r, theta, phi, ...),
+    sc the bound kernels; sc None leaves the first two None, phi false the last two."""
+    sin, cos = math.sin, math.cos
+
+    def vg(y, grad=True):
+        sk, ck = (None, None) if sc is None else sc(y[0])
+        th = y[1]
+        if phi:
+            return piece((sk, ck, sin(th), cos(th), sin(y[2]), cos(y[2])), y, grad)
+        return piece((sk, ck, sin(th), cos(th), None, None), y, grad)
+
+    return vg
+
+
+def _trig(sc, y, phi: bool = True) -> tuple:
+    """The tuple t that _with_trig hands its piece at y."""
+    return _with_trig(lambda t, y, grad: t, sc, phi)(y)
+
+
+def _planar_axis(axis: int, t) -> tuple[float, float]:
     """(a, b) = (cos phi, sin phi) for the x axis (axis 0) and, as the y
     axis is the x axis turned by pi/2, (sin phi, -cos phi) for the y axis."""
-    sph, cph = math.sin(ph), math.cos(ph)
+    sph, cph = t[4], t[5]
     if axis == 0:
         return cph, sph
     if axis == 1:
@@ -152,15 +174,13 @@ def _planar_axis(axis: int, ph: float) -> tuple[float, float]:
     raise ValueError(f"axis must be 0..2, got {axis}")
 
 
-def _p_vg(i: int, sc, y, grad: bool = True) -> _VG:
-    """Noether momentum P_i of the translation-like isometries, with sc
-    the kernels bound to kappa (kappa_core.sin_cos_k)."""
-    r, th, ph, pr, pth, pph = y
-    sk, ck = sc(r)
+def _p_vg(i: int, t, y, grad: bool = True) -> _VG:
+    """Noether momentum P_i of the translation-like isometries."""
+    _, _, _, pr, pth, pph = y
+    sk, ck, sth, cth, _, _ = t
     _sin_guard(sk, "sin_k(r)")
     ct = ck / sk
     dct = -1.0 / (sk * sk)
-    sth, cth = math.sin(th), math.cos(th)
     if i == 3:
         val = cth * pr - ct * sth * pth
         if not grad:
@@ -172,7 +192,7 @@ def _p_vg(i: int, sc, y, grad: bool = True) -> _VG:
         g[4] = -ct * sth
         return val, g
     _sin_guard(sth, "sin(theta)")
-    a, b = _planar_axis(i - 1, ph)
+    a, b = _planar_axis(i - 1, t)
     ang = cth * a * pth - (b / sth) * pph
     val = sth * a * pr + ct * ang
     if not grad:
@@ -187,19 +207,19 @@ def _p_vg(i: int, sc, y, grad: bool = True) -> _VG:
     return val, g
 
 
-def _j_vg(i: int, y, grad: bool = True) -> _VG:
-    """Angular momentum J_i of the rotations."""
-    _, th, ph, _, pth, pph = y
+def _j_vg(i: int, t, y, grad: bool = True) -> _VG:
+    """Angular momentum J_i of the rotations; J_3 reads nothing of t."""
+    pth, pph = y[4], y[5]
     if i == 3:
         if not grad:
             return pph, None
         g = np.zeros(6)
         g[5] = 1.0
         return pph, g
-    sth, cth = math.sin(th), math.cos(th)
+    sth, cth = t[2], t[3]
     _sin_guard(sth, "sin(theta)")
     cot = cth / sth
-    a, b = _planar_axis(i - 1, ph)
+    a, b = _planar_axis(i - 1, t)
     val = -(b * pth + cot * a * pph)
     if not grad:
         return val, None
@@ -228,8 +248,8 @@ def _killing_components(fid: str, sc, x) -> np.ndarray:
         raise ValueError(f"unknown Killing field id {fid!r}")
     # The momentum part of the gradient of <p, X> is X whatever p is.
     y = (*x, 0.0, 0.0, 0.0)
-    i = int(fid[1])
-    g = _p_vg(i, sc, y)[1] if fid[0] == "X" else _j_vg(i, y)[1]
+    i, t = int(fid[1]), _trig(sc, y)
+    g = _p_vg(i, t, y)[1] if fid[0] == "X" else _j_vg(i, t, y)[1]
     return g[3:]
 
 
@@ -296,12 +316,9 @@ def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
 
 def geodesic_forces(kappa, s: VelocityState) -> tuple[float, float, float]:
     """Accelerations (f_r, f_theta, f_phi) of free geodesic motion."""
-    r, th = s.q.r, s.q.theta
-    sk, ck = sin_cos_k(kappa)(r)
-    sth = math.sin(th)
+    sk, ck, sth, cth, _, _ = _trig(sin_cos_k(kappa), (s.q.r, s.q.theta), False)
     if abs(sk) < _EPS or abs(sth) < _EPS:
         raise DomainSingularity("geodesic forces singular at sin_k(r) = 0 or sin(theta) = 0")
-    cth = math.cos(th)
     inv_tk = ck / sk
     cot_th = cth / sth
     f_r = ck * sk * (s.v_theta**2 + sth * sth * s.v_phi**2)
@@ -375,7 +392,7 @@ def from_R_chart(kappa, s: PhaseState) -> PhaseState:
 
 def rho_chart_kinetic(kappa, s: PhaseState) -> float:
     """Kinetic energy in the rho chart: (1 - kappa rho^2) p_rho^2/2 + angular part."""
-    kap = float(kappa)
+    kap = _finite(kappa)
     rho, th = s.q.r, s.q.theta
     sth = math.sin(th)
     if abs(rho) < _EPS or abs(sth) < _EPS:
@@ -386,7 +403,7 @@ def rho_chart_kinetic(kappa, s: PhaseState) -> float:
 
 def R_chart_kinetic(kappa, s: PhaseState) -> float:
     """Kinetic energy in the R chart: (1 + kappa R^2)^2 p_R^2/2 + angular part."""
-    kap = float(kappa)
+    kap = _finite(kappa)
     big_r, th = s.q.r, s.q.theta
     sth = math.sin(th)
     if abs(big_r) < _EPS or abs(sth) < _EPS:

@@ -9,7 +9,9 @@ observable carries a hand-derived closed-form gradient with respect to
 (r, theta, phi, p_r, p_theta, p_phi); composites assemble primitive
 gradients through explicit product, quotient, and chain rules.  The
 formulas of the momenta P_i and J_i live in the geometry module, beside
-the Killing fields that are their momentum gradients.  A finite
+the Killing fields that are their momentum gradients.  An evaluation
+takes one trigonometry pass: one tuple of sin_k(r), cos_k(r) and the
+angle sines and cosines, which all of its pieces read.  A finite
 difference cross-check of every gradient lives in the test suite.
 """
 
@@ -18,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard
-from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k, sin_k
+from .geometry import (
+    _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig, _with_trig,
+)
+from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k
 
 __all__ = [
     "Observable",
@@ -63,17 +67,16 @@ class NegativeCoupling(ValueError):
 _F64 = np.dtype(np.float64)
 
 
-def _as6(s) -> tuple[float, float, float, float, float, float]:
-    """A state as a 6-tuple of floats, from a PhaseState or six numbers in
-    any container; any other length or shape raises ValueError.  A float64
-    array takes one tolist; indexing is faster than iterating for a list
-    or tuple."""
+def _as6(s) -> Sequence[float]:
+    """A state as six floats, from a PhaseState or six numbers in any
+    container; any other length or shape raises ValueError.  A float64
+    array gives its tolist, anything else a tuple; indexing is faster than
+    iterating for a list or tuple."""
     if type(s) is np.ndarray:
         if s.shape != (6,):
             raise ValueError(f"a state must be a 6-vector, got shape {s.shape}")
         if s.dtype is _F64:
-            r, th, ph, pr, pth, pph = s.tolist()
-            return r, th, ph, pr, pth, pph
+            return s.tolist()
     elif isinstance(s, PhaseState):
         return (s.q.r, s.q.theta, s.q.phi, s.p_r, s.p_theta, s.p_phi)
     elif len(s) != 6:
@@ -120,15 +123,16 @@ class ComplexObservable:
 
 
 # ---------------------------------------------------------------------------
-# Primitive value-and-gradient pieces.  Each returns (value, 6-gradient),
-# or (value, None) when called with grad false.  The momenta P_i and J_i
-# are geometry._p_vg and geometry._j_vg.  A piece that needs sin_k(r) or
-# cos_k(r) takes sc, the kernels bound to kappa (kappa_core.sin_cos_k),
-# which each constructor binds once.
+# Value-and-gradient pieces.  Each returns (value, 6-gradient), or
+# (value, None) when called with grad false.  The momenta P_i and J_i are
+# geometry._p_vg and geometry._j_vg.  Every piece reads sin_k(r), cos_k(r)
+# and the angle sines and cosines from one tuple t, which
+# geometry._with_trig(piece, sc, phi) builds once per evaluation; sc is
+# the kernels bound to kappa, which each constructor binds once.
 
-def _jsq_vg(y, grad: bool = True) -> _VG:
-    _, th, _, _, pth, pph = y
-    sth, cth = math.sin(th), math.cos(th)
+def _jsq_vg(t, y, grad: bool = True) -> _VG:
+    pth, pph = y[4], y[5]
+    sth, cth = t[2], t[3]
     _sin_guard(sth, "sin(theta)")
     val = pth * pth + (pph / sth) ** 2
     if not grad:
@@ -140,16 +144,15 @@ def _jsq_vg(y, grad: bool = True) -> _VG:
     return val, g
 
 
-def _dir_vg(axis: int, y, grad: bool = True) -> _VG:
-    _, th, ph = y[0], y[1], y[2]
-    sth, cth = math.sin(th), math.cos(th)
+def _dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
+    sth, cth = t[2], t[3]
     if axis == 2:
         if not grad:
             return cth, None
         g = np.zeros(6)
         g[1] = -sth
         return cth, g
-    a, b = _planar_axis(axis, ph)
+    a, b = _planar_axis(axis, t)
     if not grad:
         return sth * a, None
     g = np.zeros(6)
@@ -158,9 +161,9 @@ def _dir_vg(axis: int, y, grad: bool = True) -> _VG:
     return sth * a, g
 
 
-def _coord_vg(axis: int, sc, y, grad: bool = True) -> _VG:
-    sk, ck = sc(y[0])
-    d, gd = _dir_vg(axis, y, grad)
+def _coord_vg(axis: int, t, y, grad: bool = True) -> _VG:
+    sk, ck = t[0], t[1]
+    d, gd = _dir_vg(axis, t, y, grad)
     if not grad:
         return sk * d, None
     g = sk * gd
@@ -205,32 +208,36 @@ def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
     return rhs
 
 
-def _az_vg(kap: float, sc, y, grad: bool = True) -> _VG:
-    th = y[1]
-    sk, ck = sc(y[0])
+def _az_parts(kap: float, t) -> tuple[float, float, float]:
+    """(tan_k r, u, den) of A = u/den, u = tan_k(r) cos(theta), den = 1 - kappa u^2."""
+    sk, ck = t[0], t[1]
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("axial anisotropy factor singular at cos_k(r) = 0")
     tk = sk / ck
-    cth = math.cos(th)
-    u = tk * cth
+    u = tk * t[3]
     den = 1.0 - kap * u * u
     _sin_guard(den, "axial anisotropy factor denominator")
+    return tk, u, den
+
+
+def _az_vg(kap: float, t, y, grad: bool = True) -> _VG:
+    tk, u, den = _az_parts(kap, t)
     if not grad:
         return u / den, None
     dadu = (1.0 + kap * u * u) / (den * den)
     g = np.zeros(6)
-    g[0] = dadu * cth / (ck * ck)
-    g[1] = -dadu * tk * math.sin(th)
+    g[0] = dadu * t[3] / (t[1] * t[1])
+    g[1] = -dadu * tk * t[2]
     return u / den, g
 
 
-def _tan_dir_vg(axis: int, sc, y, grad: bool = True) -> _VG:
+def _tan_dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
     """tan_k(r) times a direction cosine, with gradient."""
-    sk, ck = sc(y[0])
+    sk, ck = t[0], t[1]
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("tan_k(r) singular at cos_k(r) = 0")
     tk = sk / ck
-    d, gd = _dir_vg(axis, y, grad)
+    d, gd = _dir_vg(axis, t, y, grad)
     if not grad:
         return tk * d, None
     g = tk * gd
@@ -245,19 +252,21 @@ def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"P{i}", partial(_p_vg, i, sin_cos_k(kappa)))
+    return Observable(f"P{i}", _with_trig(partial(_p_vg, i), sin_cos_k(kappa), i != 3))
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"J{i}", partial(_j_vg, i))
+    if i == 3:
+        return Observable("J3", partial(_j_vg, 3, None))
+    return Observable(f"J{i}", _with_trig(partial(_j_vg, i)))
 
 
 def angular_J_squared() -> Observable:
     """Total squared angular momentum J1^2 + J2^2 + J3^2."""
-    return Observable("Jsq", _jsq_vg)
+    return Observable("Jsq", _with_trig(_jsq_vg, phi=False))
 
 
 def coordinate(axis: int, kappa) -> Observable:
@@ -265,7 +274,7 @@ def coordinate(axis: int, kappa) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("xk", "yk", "zk")[axis - 1]
-    return Observable(name, partial(_coord_vg, axis - 1, sin_cos_k(kappa)))
+    return Observable(name, _with_trig(partial(_coord_vg, axis - 1), sin_cos_k(kappa), axis != 3))
 
 
 def direction_cosine(axis: int) -> Observable:
@@ -273,7 +282,7 @@ def direction_cosine(axis: int) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("dx", "dy", "dz")[axis - 1]
-    return Observable(name, partial(_dir_vg, axis - 1))
+    return Observable(name, _with_trig(partial(_dir_vg, axis - 1), phi=axis != 3))
 
 
 def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
@@ -281,10 +290,8 @@ def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
 
     q is a ConfigPoint or a phase-space state (PhaseState or 6-vector).
     """
-    r, th, ph = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)[:3]
-    sk = sin_k(kappa, r)
-    sth, cth = math.sin(th), math.cos(th)
-    sph, cph = math.sin(ph), math.cos(ph)
+    y = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)
+    sk, _, sth, cth, sph, cph = _trig(sin_cos_k(kappa), y)
     return sk * sth * cph, sk * sth * sph, sk * cth
 
 
@@ -326,9 +333,9 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
     ia, ja = i - 1, j - 1
     ki = ks[ia]
 
-    def vg(y, grad=True):
-        pi, gpi = _p_vg(i, sc, y, grad)
-        wi, gwi = _tan_dir_vg(ia, sc, y, grad)
+    def vg(t, y, grad=True):
+        pi, gpi = _p_vg(i, t, y, grad)
+        wi, gwi = _tan_dir_vg(ia, t, y, grad)
         if i == j:
             val = pi * pi + (al * wi) ** 2
             if ki != 0.0:
@@ -340,14 +347,14 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
             if ki != 0.0:
                 g += (-4.0 * ki / wi**3) * gwi
             return val, g
-        pj, gpj = _p_vg(j, sc, y, grad)
-        wj, gwj = _tan_dir_vg(ja, sc, y, grad)
+        pj, gpj = _p_vg(j, t, y, grad)
+        wj, gwj = _tan_dir_vg(ja, t, y, grad)
         val = pi * pj + al * al * wi * wj
         if not grad:
             return val, None
         return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
 
-    return Observable(f"K{i}{j}", vg)
+    return Observable(f"K{i}{j}", _with_trig(vg, sc, (i, j) != (3, 3)))
 
 
 @dataclass(frozen=True)
@@ -378,11 +385,11 @@ def complex_M(j: int, kappa, alpha) -> ComplexObservable:
     al = float(alpha)
     re = noether_P(j, kappa)
 
-    def im_vg(y, grad=True):
-        v, g = _tan_dir_vg(j - 1, sc, y, grad)
+    def im_vg(t, y, grad=True):
+        v, g = _tan_dir_vg(j - 1, t, y, grad)
         return al * v, (al * g if grad else None)
 
-    im = Observable(f"ImM{j}", im_vg)
+    im = Observable(f"ImM{j}", _with_trig(im_vg, sc, j != 3))
     return ComplexObservable(f"M{j}", re, im)
 
 
@@ -402,13 +409,13 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
         (ks[kidx - 1], num, den) for kidx, num, den in _KJ_TERMS[i] if ks[kidx - 1] != 0.0
     ]
 
-    def vg(y, grad=True):
-        ji, gji = _j_vg(i, y, grad)
+    def vg(t, y, grad=True):
+        ji, gji = _j_vg(i, t, y, grad)
         val = ji * ji
         g = 2.0 * ji * gji if grad else None
         for kc, num_ax, den_ax in ratios:
-            a, ga = _coord_vg(num_ax, sc, y, grad)
-            b, gb = _coord_vg(den_ax, sc, y, grad)
+            a, ga = _coord_vg(num_ax, t, y, grad)
+            b, gb = _coord_vg(den_ax, t, y, grad)
             _sin_guard(b, "coordinate in coupling ratio")
             q = a / b
             val += 2.0 * kc * q * q
@@ -417,38 +424,38 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
                 g = g + 4.0 * kc * q * gq
         return val, g
 
-    return Observable(f"KJ{i}", vg)
+    return Observable(f"KJ{i}", _with_trig(vg, sc if ratios else None))
 
 
 def _osc112_az(kappa) -> Observable:
-    return Observable("Az", partial(_az_vg, float(kappa), sin_cos_k(kappa)))
+    return Observable("Az", _with_trig(partial(_az_vg, float(kappa)), sin_cos_k(kappa), False))
 
 
 def _osc112_k3(kappa, alpha) -> Observable:
     kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
 
-    def vg(y, grad=True):
-        p3, gp3 = _p_vg(3, sc, y, grad)
-        a, ga = _az_vg(kap, sc, y, grad)
+    def vg(t, y, grad=True):
+        p3, gp3 = _p_vg(3, t, y, grad)
+        a, ga = _az_vg(kap, t, y, grad)
         val = p3 * p3 + 4.0 * al * al * a * a
         if not grad:
             return val, None
         return val, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
 
-    return Observable("K3", vg)
+    return Observable("K3", _with_trig(vg, sc, False))
 
 
 def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
     kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
 
-    def vg(y, grad=True):
-        p1, gp1 = _p_vg(1, sc, y, grad)
-        p2, gp2 = _p_vg(2, sc, y, grad)
-        j1, gj1 = _j_vg(1, y, grad)
-        j2, gj2 = _j_vg(2, y, grad)
-        x, gx = _coord_vg(0, sc, y, grad)
-        yy, gy = _coord_vg(1, sc, y, grad)
-        a, ga = _az_vg(kap, sc, y, grad)
+    def vg(t, y, grad=True):
+        p1, gp1 = _p_vg(1, t, y, grad)
+        p2, gp2 = _p_vg(2, t, y, grad)
+        j1, gj1 = _j_vg(1, t, y, grad)
+        j2, gj2 = _j_vg(2, t, y, grad)
+        x, gx = _coord_vg(0, t, y, grad)
+        yy, gy = _coord_vg(1, t, y, grad)
+        a, ga = _az_vg(kap, t, y, grad)
         w = x * x + yy * yy
         den = 1.0 - kap * w
         _sin_guard(den, "planar anisotropy denominator")
@@ -477,7 +484,7 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
                 )
         return val, g
 
-    return Observable("K12", vg)
+    return Observable("K12", _with_trig(vg, sc))
 
 
 def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
@@ -490,29 +497,21 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
     """
     kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
 
-    def vg(y, grad=True):
-        th, ph = y[1], y[2]
-        sth, cth = math.sin(th), math.cos(th)
-        sph, cph = math.sin(ph), math.cos(ph)
-        sk, ck = sc(y[0])
-        if abs(ck) < EPS_DOM:
-            raise DomainSingularity("cos_k(r) vanishes")
-        tk = sk / ck
-        u = tk * cth
-        den = 1.0 - kap * u * u
-        _sin_guard(den, "axial anisotropy denominator")
-        a, ga = _az_vg(kap, sc, y, grad)
-        z, gz = _coord_vg(2, sc, y, grad)
+    def vg(t, y, grad=True):
+        sk, ck, sth, cth, sph, cph = t
+        tk, u, den = _az_parts(kap, t)
+        a, ga = _az_vg(kap, t, y, grad)
+        z, gz = _coord_vg(2, t, y, grad)
         if which == 1:
-            p, gp = _p_vg(1, sc, y, grad)
-            j, gj = _j_vg(2, y, grad)
-            c, gc = _coord_vg(0, sc, y, grad)
+            p, gp = _p_vg(1, t, y, grad)
+            j, gj = _j_vg(2, t, y, grad)
+            c, gc = _coord_vg(0, t, y, grad)
             trig, dtrig_ph = cph, -sph
             sign = -1.0
         else:
-            p, gp = _p_vg(2, sc, y, grad)
-            j, gj = _j_vg(1, y, grad)
-            c, gc = _coord_vg(1, sc, y, grad)
+            p, gp = _p_vg(2, t, y, grad)
+            j, gj = _j_vg(1, t, y, grad)
+            c, gc = _coord_vg(1, t, y, grad)
             trig, dtrig_ph = sph, cph
             sign = 1.0
         q = tk / ck
@@ -538,7 +537,7 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
             g = g - 2.0 * kc * coup
         return val, g
 
-    return Observable(f"KRL{which}", vg)
+    return Observable(f"KRL{which}", _with_trig(vg, sc))
 
 
 def osc112_observables(kappa, alpha, k1=0.0, k2=0.0) -> dict:
@@ -557,24 +556,27 @@ def osc112_observables(kappa, alpha, k1=0.0, k2=0.0) -> dict:
 _CYCLE = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
-def kepler_RL(i: int, kappa, k) -> Observable:
-    """Runge-Lenz component P_j J_l - P_l J_j + k dir_i of the Kepler system."""
-    sc, kc = sin_cos_k(kappa), float(k)
-    j, l = _CYCLE[i]
+def _kepler_rl_piece(i: int, k) -> Callable:
+    (j, l), kc = _CYCLE[i], float(k)
 
-    def vg(y, grad=True):
-        pj, gpj = _p_vg(j, sc, y, grad)
-        pl, gpl = _p_vg(l, sc, y, grad)
-        jj, gjj = _j_vg(j, y, grad)
-        jl, gjl = _j_vg(l, y, grad)
-        d, gd = _dir_vg(i - 1, y, grad)
+    def vg(t, y, grad=True):
+        pj, gpj = _p_vg(j, t, y, grad)
+        pl, gpl = _p_vg(l, t, y, grad)
+        jj, gjj = _j_vg(j, t, y, grad)
+        jl, gjl = _j_vg(l, t, y, grad)
+        d, gd = _dir_vg(i - 1, t, y, grad)
         val = pj * jl - pl * jj + kc * d
         if not grad:
             return val, None
         g = jl * gpj + pj * gjl - jj * gpl - pl * gjj + kc * gd
         return val, g
 
-    return Observable(f"KRL{i}", vg)
+    return vg
+
+
+def kepler_RL(i: int, kappa, k) -> Observable:
+    """Runge-Lenz component P_j J_l - P_l J_j + k dir_i of the Kepler system."""
+    return Observable(f"KRL{i}", _with_trig(_kepler_rl_piece(i, k), sin_cos_k(kappa)))
 
 
 def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
@@ -617,19 +619,16 @@ def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
     return (u, ur, uth, uph) if grad else u
 
 
-def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
-    """Runge-Lenz component corrected by the inverse-square couplings."""
-    kap, sc = float(kappa), sin_cos_k(kappa)
-    ks = (float(k1), float(k2), float(k3))
-    base = kepler_RL(i, kappa, k)
+def _k123_r_piece(i: int, kappa, k, ks) -> Callable:
+    kap, base = float(kappa), _kepler_rl_piece(i, k)
 
-    def vg(y, grad=True):
-        val, g = base._vg(y, grad)
+    def vg(t, y, grad=True):
+        val, g = base(t, y, grad)
         if any(ks):
-            sk, ck = sc(y[0])
-            u, ur, uth, uph = _coupling_terms(ks, sk, ck, math.sin(y[1]), math.cos(y[1]), y[2])
+            sk, ck, sth, cth, _, _ = t
+            u, ur, uth, uph = _coupling_terms(ks, sk, ck, sth, cth, y[2])
             cs = ck * sk
-            d, gd = _dir_vg(i - 1, y, grad)
+            d, gd = _dir_vg(i - 1, t, y, grad)
             val += 2.0 * cs * d * u
             if grad:
                 gu = np.array((ur, uth, uph, 0.0, 0.0, 0.0))
@@ -637,7 +636,25 @@ def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
                 g[0] += 2.0 * (ck * ck - kap * sk * sk) * d * u
         return val, g
 
-    return Observable(f"R{i}", vg)
+    return vg
+
+
+def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
+    """Runge-Lenz component corrected by the inverse-square couplings."""
+    ks = (float(k1), float(k2), float(k3))
+    return Observable(f"R{i}", _with_trig(_k123_r_piece(i, kappa, k, ks), sin_cos_k(kappa)))
+
+
+def _k123_s_vg(i: int, t, y, grad: bool = True) -> _VG:
+    pr = y[3]
+    d, gd = _dir_vg(i - 1, t, y, grad)
+    _sin_guard(d, "direction cosine")
+    val = pr / d
+    if not grad:
+        return val, None
+    g = -pr * gd / (d * d)
+    g[3] += 1.0 / d
+    return val, g
 
 
 def k123_S(i: int, kappa) -> Observable:
@@ -646,19 +663,7 @@ def k123_S(i: int, kappa) -> Observable:
     That is p_r over the i-th direction cosine, so kappa drops out; the
     argument keeps the signature of the other kepler123 constructors.
     """
-
-    def vg(y, grad=True):
-        pr = y[3]
-        d, gd = _dir_vg(i - 1, y, grad)
-        _sin_guard(d, "direction cosine")
-        val = pr / d
-        if not grad:
-            return val, None
-        g = -pr * gd / (d * d)
-        g[3] += 1.0 / d
-        return val, g
-
-    return Observable(f"S{i}", vg)
+    return Observable(f"S{i}", _with_trig(partial(_k123_s_vg, i), phi=i != 3))
 
 
 def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
@@ -669,13 +674,12 @@ def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
         raise NegativeCoupling(f"k{i} must be nonnegative for the complex pairing")
     re = k123_R(i, kappa, k, *ks)
     root = math.sqrt(2.0 * ki)
-    s_obs = k123_S(i, kappa)
 
-    def im_vg(y, grad=True):
-        v, g = s_obs._vg(y, grad)
+    def im_vg(t, y, grad=True):
+        v, g = _k123_s_vg(i, t, y, grad)
         return root * v, (root * g if grad else None)
 
-    im = Observable(f"ImN{i}", im_vg)
+    im = Observable(f"ImN{i}", _with_trig(im_vg, phi=i != 3))
     return ComplexObservable(f"N{i}", re, im)
 
 
@@ -685,18 +689,17 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     ki = ks[i - 1]
     if ki < 0.0:
         raise NegativeCoupling(f"k{i} must be nonnegative for the quartic integral")
-    r_obs = k123_R(i, kappa, k, *ks)
-    s_obs = k123_S(i, kappa)
+    r_vg = _k123_r_piece(i, kappa, k, ks)
 
-    def vg(y, grad=True):
-        rv, rg = r_obs._vg(y, grad)
-        sv, sg = s_obs._vg(y, grad)
+    def vg(t, y, grad=True):
+        rv, rg = r_vg(t, y, grad)
+        sv, sg = _k123_s_vg(i, t, y, grad)
         val = rv * rv + 2.0 * ki * sv * sv
         if not grad:
             return val, None
         return val, 2.0 * rv * rg + 4.0 * ki * sv * sg
 
-    return Observable(f"KR{i}", vg)
+    return Observable(f"KR{i}", _with_trig(vg, sin_cos_k(kappa)))
 
 
 # ---------------------------------------------------------------------------

@@ -306,14 +306,13 @@ def potential_profile(
     for name, angle in (("theta", theta), ("phi", phi)):
         if not math.isfinite(angle):
             raise ValueError(f"potential_profile needs a finite {name}, got {angle!r}")
-    out = np.empty((rs.size, 2))
-    out[:, 0] = rs
-    for idx, r in enumerate(rs.tolist()):
+    vals = []
+    for r in rs.tolist():
         try:
-            out[idx, 1] = 0.0 if v is None else v.value((r, theta, phi, 0.0, 0.0, 0.0))
+            vals.append(0.0 if v is None else v._vg((r, theta, phi, 0.0, 0.0, 0.0), False)[0])
         except DomainSingularity:
-            out[idx, 1] = math.nan
-    return out
+            vals.append(math.nan)
+    return np.column_stack((rs, vals))
 
 
 # ---------------------------------------------------------------------------

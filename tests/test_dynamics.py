@@ -1021,7 +1021,8 @@ def test_bracket_table_audit_splits_over_states():
 def test_scaled_sum_gradient_from_terms_is_bit_identical():
     """The audit's gradient of a linear combination, built from the cached
     gradients of its terms, equals its own gradient bit for bit, and the
-    cached value of every observable equals its value."""
+    cached value of every observable equals its value, and its cached
+    gradient norm np.linalg.norm of its gradient."""
     from curvedyn.dynamics import _GradientCache
 
     rng = np.random.default_rng(28)
@@ -1042,6 +1043,8 @@ def test_scaled_sum_gradient_from_terms_is_bit_identical():
             for o in [*obs.values(), *sums]:
                 assert np.float64(cache.value(o)).tobytes() == np.float64(o.value(y)).tobytes(), \
                     (sid, o.name)
+                _, g, norm, _ = cache.entry(o)
+                assert np.float64(norm).tobytes() == np.linalg.norm(g).tobytes(), (sid, o.name)
 
 
 # ---------------------------------------------------------------------------

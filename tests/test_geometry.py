@@ -29,6 +29,7 @@ from curvedyn.geometry import (
     volume_divergence,
 )
 from curvedyn.kappa_core import DomainSingularity, cos_k, sin_k
+from curvedyn.systems import R_chart_hamiltonian_value, SystemSpec, rho_chart_hamiltonian_value
 
 KAPPAS = (1.0, 0.7, -0.3, -1.0)
 
@@ -231,3 +232,19 @@ def test_killing_fields_reject_axis():
         killing_field("X1", 1.0, ConfigPoint(0.5, 1e-14, 0.3))
     with pytest.raises(ValueError):
         killing_field("Z9", 1.0, ConfigPoint(0.5, 1.0, 0.3))
+
+
+def test_chart_kinetics_reject_a_non_finite_kappa():
+    """rho_chart_kinetic(nan, s) used to return nan and R_chart_kinetic(inf,
+    s) inf; they raise as the kernels do, and so do the chart Hamiltonians
+    of a hand-built spec, which make_system would have refused."""
+    s = PhaseState(ConfigPoint(0.5, 1.0, 0.3), 0.2, 0.3, 0.4)
+    for bad in (math.nan, math.inf, -math.inf):
+        for kinetic in (rho_chart_kinetic, R_chart_kinetic):
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                kinetic(bad, s)
+        for sid in ("oscillator", "kepler"):
+            spec = SystemSpec(sid, bad)
+            for hamiltonian in (rho_chart_hamiltonian_value, R_chart_hamiltonian_value):
+                with pytest.raises(ValueError, match="kappa must be finite"):
+                    hamiltonian(spec, s)

@@ -32,7 +32,7 @@ from curvedyn.observables import (
 )
 from curvedyn.dynamics import sample_state
 from curvedyn.geometry import ConfigPoint
-from curvedyn.systems import catalog, make_system, potential_observable
+from curvedyn.systems import SYSTEM_IDS, catalog, make_system, potential_observable
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3, 0.0)
 ALPHA, KC = 1.3, -1.0
@@ -359,3 +359,58 @@ def test_observable_metadata():
     m = complex_M(1, 0.7, ALPHA)
     assert m.name == "M1"
     assert m.re.name and m.im.name
+
+
+def test_one_kernel_call_per_evaluation(monkeypatch):
+    """An evaluation takes one trigonometry pass: every observable that is
+    not a scaled_sum calls its bound kernel at most once per value and per
+    value_and_gradient, J_i and Jsq never, and the 1:1:2 KRL_i exactly
+    once (its pieces used to take five calls)."""
+    from curvedyn import dynamics, geometry, kappa_core, observables, systems
+
+    params = {"sw": dict(k1=0.1, k2=0.2, k3=0.3), "osc112": dict(k1=0.1, k2=0.2),
+              "kepler123": dict(k1=0.1, k2=0.2, k3=0.3)}
+    calls = [0]
+    bind = kappa_core.sin_cos_k
+
+    def counting(kappa):
+        sc = bind(kappa)
+
+        def counted(x):
+            calls[0] += 1
+            return sc(x)
+
+        return counted
+
+    for mod in (kappa_core, geometry, observables, systems, dynamics):
+        monkeypatch.setattr(mod, "sin_cos_k", counting)
+    rng = np.random.default_rng(19)
+    seen = 0
+    for sid in SYSTEM_IDS:
+        for kap in (-1.0, 0.0, 1.0):
+            spec = make_system(sid, kap, **params.get(sid, {}))
+            cat = catalog(spec)
+            obs = dict(cat.observables)
+            for name, c in cat.complexes.items():
+                obs[f"{name}.re"], obs[f"{name}.im"] = c.re, c.im
+            y = sample_state(spec, rng, margin=0.05)
+            for name, o in obs.items():
+                if o.terms:
+                    continue
+                for call in (o.value, o.value_and_gradient):
+                    calls[0] = 0
+                    call(y)
+                    where = (sid, kap, name, call.__name__, calls[0])
+                    if name in ("J1", "J2", "J3", "Jsq"):
+                        assert calls[0] == 0, where
+                    elif sid == "osc112" and name in ("KRL1", "KRL2"):
+                        assert calls[0] == 1, where
+                    elif sid == "free" and name == "H" and call == o.value_and_gradient:
+                        # The free system's H is T, whose gradient is read
+                        # off the geodesic Hamilton equations, which take
+                        # their own kernel call.
+                        assert calls[0] <= 2, where
+                    else:
+                        assert calls[0] <= 1, where
+                    seen += calls[0]
+    assert seen > 0

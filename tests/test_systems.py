@@ -385,3 +385,18 @@ def test_chart_forms_reject_radii_outside_the_chart():
         # Inside the chart, just short of its edge, both forms evaluate.
         assert math.isfinite(chart_potential(canonical_spec(sid, 1.0), "rho")(0.999))
         assert math.isfinite(chart_potential(canonical_spec(sid, -1.0), "R")(0.999))
+
+
+def test_potential_profile_rows_and_free_system_far_out():
+    """A profile row is V.value at that radius, or NaN where V is singular;
+    the free system gives zeros without touching the kernels, so a radius
+    where sinh overflows at kappa = -1 still reads 0."""
+    spec = canonical_spec("kepler", -1.0)
+    rr = np.array([0.0, 0.5, 2.0])
+    prof = potential_profile(spec, rr, 1.0, 0.3)
+    assert prof.shape == (3, 2) and prof[:, 0].tolist() == rr.tolist()
+    assert math.isnan(prof[0, 1])
+    v = potential_observable(spec)
+    assert prof[1:, 1].tolist() == [v.value((r, 1.0, 0.3, 0.0, 0.0, 0.0)) for r in (0.5, 2.0)]
+    far = potential_profile(canonical_spec("free", -1.0), [1.0, 1000.0])
+    assert far[:, 1].tolist() == [0.0, 0.0]
