@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import PhaseState, _central_difference, _trig
-from .kappa_core import DomainSingularity, sin_cos_k
+from .kappa_core import DomainSingularity, _finite, sin_cos_k
 from .observables import Observable, _dir_vg, angular_J, fradkin_matrix, kappa_cartesian, noether_P
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
@@ -58,11 +58,14 @@ def _as_array(s) -> np.ndarray:
     return np.asarray(s, dtype=float)
 
 
+def _contract(gf: np.ndarray, gg: np.ndarray) -> float:
+    """{f, g} from the 6-gradients of f and g."""
+    return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
+
+
 def poisson_bracket(f: Observable, g: Observable, s) -> float:
     """Canonical bracket {f, g} contracted from analytic gradients."""
-    gf = f.gradient(s)
-    gg = g.gradient(s)
-    return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
+    return _contract(f.gradient(s), g.gradient(s))
 
 
 def poisson_bracket_fd(f, g, s) -> float:
@@ -70,7 +73,7 @@ def poisson_bracket_fd(f, g, s) -> float:
     y = _as_array(s)
     gf = _central_difference(lambda x: _call(f, x), y, FD_STEP)
     gg = _central_difference(lambda x: _call(g, x), y, FD_STEP)
-    return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
+    return _contract(gf, gg)
 
 
 def _audit_state(s) -> np.ndarray:
@@ -532,14 +535,14 @@ def sample_state(
         r = rng.uniform(lo, hi)
         th = rng.uniform(0.0, math.pi)
         ph = rng.uniform(0.0, 2.0 * math.pi)
-        sk, ck, sth, _, _, _ = t = _trig(sc, (r, th, ph))
+        sk, ck, sth, cth, _, _ = t = _trig(sc, (r, th, ph))
         if sth < margin or sk < margin or abs(ck) < margin:
             continue
         dirs = [_dir_vg(axis, t, None, False)[0] for axis in range(3)]
         if any(need and abs(sk * d) < margin for need, d in zip(needs_axis, dirs)):
             continue
         if axial:
-            u = (sk / ck) * math.cos(th)
+            u = (sk / ck) * cth
             if abs(1.0 - kap * u * u) < margin:
                 continue
         pr, pth, pph = rng.uniform(-1.0, 1.0, 3)
@@ -606,9 +609,10 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     Covers the trace identity, the vanishing determinant, the kernel
     relation K J = 0, the coordinate quadratic forms, the 2x2 minors,
     and the three full contractions with coordinates and momenta.  A
-    state that is not a finite 6-vector raises ValueError.
+    state that is not a finite 6-vector, or a non-finite alpha, raises
+    ValueError.
     """
-    kap, sc = float(kappa), sin_cos_k(kappa)
+    kap, sc, alpha = float(kappa), sin_cos_k(kappa), _finite(alpha, "alpha")
     y = _audit_state(s)
     m = fradkin_matrix(kap, alpha, y).entries
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
@@ -705,7 +709,7 @@ class _GradientCache:
             _, gf, nf, _ = self.entry(f)
             _, gg, ng, _ = self.entry(g)
             expect = 0.0 if e is None else e(self)
-            raw = float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3]) - expect
+            raw = _contract(gf, gg) - expect
             rel.append(raw / max(1.0, float(nf * ng), abs(expect)))
         return math.hypot(*rel)
 

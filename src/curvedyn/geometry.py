@@ -11,13 +11,15 @@ The momenta live here because they define the fields: a momentum
 <p, X> is linear in p, so the Killing field X_i (Y_i) is the momentum
 part of the gradient of P_i (J_i).  The observables module builds its
 integrals on these momenta, which read sin_k(r), cos_k(r) and the angle
-sines and cosines from one tuple that _with_trig takes once per evaluation.
+sines and cosines from one tuple: _with_trig builds it once per
+evaluation from an Observable's (piece, kappa, angles).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -142,25 +144,29 @@ def _sin_guard(x: float, what: str) -> None:
         raise DomainSingularity(f"{what} vanishes")
 
 
-def _with_trig(piece, sc=None, phi: bool = True):
+def _with_trig(piece, sc=None, angles: int = 2):
     """vg(y, grad=True) = piece(t, y, grad), t = (sin_k r, cos_k r, sin theta,
     cos theta, sin phi, cos phi) taken once per call at y = (r, theta, phi, ...),
-    sc the bound kernels; sc None leaves the first two None, phi false the last two."""
+    sc the bound kernels; sc None leaves the first two None, angles < 2 the phi
+    pair and angles 0 the theta pair too (and with sc None, t is None)."""
     sin, cos = math.sin, math.cos
+    if sc is None and angles == 0:
+        return partial(piece, None)
 
     def vg(y, grad=True):
         sk, ck = (None, None) if sc is None else sc(y[0])
-        th = y[1]
-        if phi:
-            return piece((sk, ck, sin(th), cos(th), sin(y[2]), cos(y[2])), y, grad)
-        return piece((sk, ck, sin(th), cos(th), None, None), y, grad)
+        if angles == 2:
+            return piece((sk, ck, sin(y[1]), cos(y[1]), sin(y[2]), cos(y[2])), y, grad)
+        if angles:
+            return piece((sk, ck, sin(y[1]), cos(y[1]), None, None), y, grad)
+        return piece((sk, ck, None, None, None, None), y, grad)
 
     return vg
 
 
-def _trig(sc, y, phi: bool = True) -> tuple:
+def _trig(sc, y, angles: int = 2) -> tuple:
     """The tuple t that _with_trig hands its piece at y."""
-    return _with_trig(lambda t, y, grad: t, sc, phi)(y)
+    return _with_trig(lambda t, y, grad: t, sc, angles)(y)
 
 
 def _planar_axis(axis: int, t) -> tuple[float, float]:
@@ -316,7 +322,7 @@ def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
 
 def geodesic_forces(kappa, s: VelocityState) -> tuple[float, float, float]:
     """Accelerations (f_r, f_theta, f_phi) of free geodesic motion."""
-    sk, ck, sth, cth, _, _ = _trig(sin_cos_k(kappa), (s.q.r, s.q.theta), False)
+    sk, ck, sth, cth, _, _ = _trig(sin_cos_k(kappa), (s.q.r, s.q.theta), 1)
     if abs(sk) < _EPS or abs(sth) < _EPS:
         raise DomainSingularity("geodesic forces singular at sin_k(r) = 0 or sin(theta) = 0")
     inv_tk = ck / sk

@@ -46,11 +46,12 @@ class DomainSingularity(ValueError):
     """Raised when an evaluation point sits on a genuine singularity."""
 
 
-def _finite(kappa) -> float:
-    kap = float(kappa)
-    if not math.isfinite(kap):
-        raise ValueError(f"kappa must be finite, got {kap}")
-    return kap
+def _finite(value, name: str = "kappa") -> float:
+    """value as a float; ValueError("<name> must be finite, got nan") if it is not finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
 
 
 def _series(kap: float, x: float) -> tuple[float, float]:

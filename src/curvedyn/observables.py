@@ -9,10 +9,13 @@ observable carries a hand-derived closed-form gradient with respect to
 (r, theta, phi, p_r, p_theta, p_phi); composites assemble primitive
 gradients through explicit product, quotient, and chain rules.  The
 formulas of the momenta P_i and J_i live in the geometry module, beside
-the Killing fields that are their momentum gradients.  An evaluation
-takes one trigonometry pass: one tuple of sin_k(r), cos_k(r) and the
-angle sines and cosines, which all of its pieces read.  A finite
-difference cross-check of every gradient lives in the test suite.
+the Killing fields that are their momentum gradients.  An observable is
+one piece with the kappa and the angle pairs it reads, so an evaluation,
+of a sum or square too, takes one trigonometry pass: one tuple of
+sin_k(r), cos_k(r) and the angle sines and cosines, which all of its
+pieces read.  A constructor given a kappa, alpha, k or k_i that is not
+finite raises ValueError.  A finite difference cross-check of every
+gradient lives in the test suite.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .geometry import (
     _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig, _with_trig,
 )
-from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k
+from .kappa_core import DomainSingularity, EPS_DOM, _finite, sin_cos_k
 
 __all__ = [
     "Observable",
@@ -88,17 +91,26 @@ def _as6(s) -> Sequence[float]:
 class Observable:
     """Real phase-space function with value and analytic gradient.
 
-    ``_vg(y, grad=True)`` maps a 6-tuple to ``(value, gradient)``.  With
-    ``grad`` false it computes the same value and runs the same domain
-    guards, but returns ``(value, None)`` without assembling the gradient.
-    A linear combination built by ``scaled_sum`` also lists its
-    ``(c, observable)`` terms, so that a caller holding the terms'
-    gradients can assemble its gradient from them.
+    ``piece(t, y, grad=True)`` maps a 6-tuple ``y`` to ``(value, gradient)``,
+    or ``(value, None)`` with ``grad`` false, which runs the same formulas
+    and domain guards.  It reads ``sin_k r`` and ``cos_k r`` of ``kappa``
+    (None: neither) and ``angles`` angle pairs (0 none, 1 theta, 2 theta and
+    phi) from one tuple ``t``; ``_vg(y, grad=True)``, which builds ``t``, is
+    derived once, at construction.  A linear combination built by
+    ``scaled_sum`` also lists its ``(c, observable)`` terms, so that a
+    caller holding the terms' gradients can assemble its gradient from them.
     """
 
     name: str
-    _vg: Callable = field(repr=False, compare=False)
+    piece: Callable = field(repr=False, compare=False)
+    kappa: float | None = field(default=None, repr=False, compare=False)
+    angles: int = field(default=2, repr=False, compare=False)
     terms: tuple = field(default=(), repr=False, compare=False)
+    _vg: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sc = None if self.kappa is None else sin_cos_k(self.kappa)
+        object.__setattr__(self, "_vg", _with_trig(self.piece, sc, self.angles))
 
     def value(self, s) -> float:
         return self._vg(_as6(s), False)[0]
@@ -126,9 +138,9 @@ class ComplexObservable:
 # Value-and-gradient pieces.  Each returns (value, 6-gradient), or
 # (value, None) when called with grad false.  The momenta P_i and J_i are
 # geometry._p_vg and geometry._j_vg.  Every piece reads sin_k(r), cos_k(r)
-# and the angle sines and cosines from one tuple t, which
-# geometry._with_trig(piece, sc, phi) builds once per evaluation; sc is
-# the kernels bound to kappa, which each constructor binds once.
+# and the angle sines and cosines from one tuple t, which the Observable
+# holding it builds once per evaluation; a constructor passes the piece
+# with the kappa and the angle pairs it reads.
 
 def _jsq_vg(t, y, grad: bool = True) -> _VG:
     pth, pph = y[4], y[5]
@@ -252,21 +264,19 @@ def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"P{i}", _with_trig(partial(_p_vg, i), sin_cos_k(kappa), i != 3))
+    return Observable(f"P{i}", partial(_p_vg, i), kappa, 2 if i != 3 else 1)
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1..3, got {i}")
-    if i == 3:
-        return Observable("J3", partial(_j_vg, 3, None))
-    return Observable(f"J{i}", _with_trig(partial(_j_vg, i)))
+    return Observable(f"J{i}", partial(_j_vg, i), None, 2 if i != 3 else 0)
 
 
 def angular_J_squared() -> Observable:
     """Total squared angular momentum J1^2 + J2^2 + J3^2."""
-    return Observable("Jsq", _with_trig(_jsq_vg, phi=False))
+    return Observable("Jsq", _jsq_vg, None, 1)
 
 
 def coordinate(axis: int, kappa) -> Observable:
@@ -274,7 +284,7 @@ def coordinate(axis: int, kappa) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("xk", "yk", "zk")[axis - 1]
-    return Observable(name, _with_trig(partial(_coord_vg, axis - 1), sin_cos_k(kappa), axis != 3))
+    return Observable(name, partial(_coord_vg, axis - 1), kappa, 2 if axis != 3 else 1)
 
 
 def direction_cosine(axis: int) -> Observable:
@@ -282,7 +292,7 @@ def direction_cosine(axis: int) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("dx", "dy", "dz")[axis - 1]
-    return Observable(name, _with_trig(partial(_dir_vg, axis - 1), phi=axis != 3))
+    return Observable(name, partial(_dir_vg, axis - 1), None, 2 if axis != 3 else 1)
 
 
 def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
@@ -300,14 +310,12 @@ def kinetic(kappa) -> Observable:
 
     Its gradient is read off the geodesic Hamilton equations.
     """
-    sc = sin_cos_k(kappa)
-    flow = _hamilton_flow(sc)
+    flow = _hamilton_flow(sin_cos_k(kappa))
 
-    def vg(y, grad=True):
-        r, th, _, pr, pth, pph = y
-        sk = sc(r)[0]
+    def vg(t, y, grad=True):
+        _, _, _, pr, pth, pph = y
+        sk, sth = t[0], t[2]
         _sin_guard(sk, "sin_k(r)")
-        sth = math.sin(th)
         _sin_guard(sth, "sin(theta)")
         val = 0.5 * (pr * pr + (pth * pth + (pph / sth) ** 2) / (sk * sk))
         if not grad:
@@ -315,7 +323,7 @@ def kinetic(kappa) -> Observable:
         f = flow(0.0, np.asarray(y)).tolist()
         return val, np.array((-f[3], -f[4], 0.0, f[0], f[1], f[2]))
 
-    return Observable("T", vg)
+    return Observable("T", vg, kappa, 1)
 
 
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -325,9 +333,8 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
     coupling terms; off-diagonal entries are defined only when all
     couplings vanish.
     """
-    sc = sin_cos_k(kappa)
-    al = float(alpha)
-    ks = (float(k1), float(k2), float(k3))
+    al = _finite(alpha, "alpha")
+    ks = _couplings(k1, k2, k3)
     if i != j and any(ks):
         raise UnsupportedEntry("off-diagonal entries require k1 = k2 = k3 = 0")
     ia, ja = i - 1, j - 1
@@ -354,7 +361,7 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
             return val, None
         return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
 
-    return Observable(f"K{i}{j}", _with_trig(vg, sc, (i, j) != (3, 3)))
+    return Observable(f"K{i}{j}", vg, kappa, 2 if (i, j) != (3, 3) else 1)
 
 
 @dataclass(frozen=True)
@@ -381,15 +388,14 @@ def fradkin_matrix(kappa, alpha, s) -> FradkinMatrix:
 
 def complex_M(j: int, kappa, alpha) -> ComplexObservable:
     """Complex pairing P_j + i alpha tan_k(r) dir_j of the oscillator."""
-    sc = sin_cos_k(kappa)
-    al = float(alpha)
+    al = _finite(alpha, "alpha")
     re = noether_P(j, kappa)
 
     def im_vg(t, y, grad=True):
         v, g = _tan_dir_vg(j - 1, t, y, grad)
         return al * v, (al * g if grad else None)
 
-    im = Observable(f"ImM{j}", _with_trig(im_vg, sc, j != 3))
+    im = Observable(f"ImM{j}", im_vg, kappa, 2 if j != 3 else 1)
     return ComplexObservable(f"M{j}", re, im)
 
 
@@ -403,8 +409,7 @@ _KJ_TERMS = {
 
 def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Angular-momentum related integral J_i^2 plus two coupling ratios."""
-    sc = sin_cos_k(kappa)
-    ks = (float(k1), float(k2), float(k3))
+    kap, ks = _finite(kappa), _couplings(k1, k2, k3)
     ratios = [
         (ks[kidx - 1], num, den) for kidx, num, den in _KJ_TERMS[i] if ks[kidx - 1] != 0.0
     ]
@@ -424,15 +429,16 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
                 g = g + 4.0 * kc * q * gq
         return val, g
 
-    return Observable(f"KJ{i}", _with_trig(vg, sc if ratios else None))
+    return Observable(f"KJ{i}", vg, kap if ratios else None)
 
 
-def _osc112_az(kappa) -> Observable:
-    return Observable("Az", _with_trig(partial(_az_vg, float(kappa)), sin_cos_k(kappa), False))
+def _couplings(*ks) -> tuple:
+    """The couplings k1, k2, ... as floats; a non-finite one raises ValueError."""
+    return tuple(_finite(k, f"k{n}") for n, k in enumerate(ks, 1))
 
 
 def _osc112_k3(kappa, alpha) -> Observable:
-    kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
+    kap, al = float(kappa), float(alpha)
 
     def vg(t, y, grad=True):
         p3, gp3 = _p_vg(3, t, y, grad)
@@ -442,11 +448,11 @@ def _osc112_k3(kappa, alpha) -> Observable:
             return val, None
         return val, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
 
-    return Observable("K3", _with_trig(vg, sc, False))
+    return Observable("K3", vg, kappa, 1)
 
 
 def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
-    kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
+    kap, al = float(kappa), float(alpha)
 
     def vg(t, y, grad=True):
         p1, gp1 = _p_vg(1, t, y, grad)
@@ -484,7 +490,7 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
                 )
         return val, g
 
-    return Observable("K12", _with_trig(vg, sc))
+    return Observable("K12", vg, kappa)
 
 
 def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
@@ -495,7 +501,7 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
     den = 1 - kappa (tan_k(r) cos(theta))^2, which stays regular on the
     equatorial plane where the naive tan(theta) factoring does not.
     """
-    kap, sc, al = float(kappa), sin_cos_k(kappa), float(alpha)
+    kap, al = float(kappa), float(alpha)
 
     def vg(t, y, grad=True):
         sk, ck, sth, cth, sph, cph = t
@@ -537,14 +543,14 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
             g = g - 2.0 * kc * coup
         return val, g
 
-    return Observable(f"KRL{which}", _with_trig(vg, sc))
+    return Observable(f"KRL{which}", vg, kappa)
 
 
 def osc112_observables(kappa, alpha, k1=0.0, k2=0.0) -> dict:
     """Named observables of the 1:1:2 oscillator with planar couplings."""
-    k1, k2 = float(k1), float(k2)
+    alpha, (k1, k2) = _finite(alpha, "alpha"), _couplings(k1, k2)
     return {
-        "Az": _osc112_az(kappa),
+        "Az": Observable("Az", partial(_az_vg, float(kappa)), kappa, 1),
         "K3": _osc112_k3(kappa, alpha),
         "KJ3": sw_KJ(3, kappa, k1=k1, k2=k2),
         "K12": _osc112_k12(kappa, alpha, k1, k2),
@@ -557,7 +563,7 @@ _CYCLE = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
 def _kepler_rl_piece(i: int, k) -> Callable:
-    (j, l), kc = _CYCLE[i], float(k)
+    (j, l), kc = _CYCLE[i], _finite(k, "k")
 
     def vg(t, y, grad=True):
         pj, gpj = _p_vg(j, t, y, grad)
@@ -576,7 +582,7 @@ def _kepler_rl_piece(i: int, k) -> Callable:
 
 def kepler_RL(i: int, kappa, k) -> Observable:
     """Runge-Lenz component P_j J_l - P_l J_j + k dir_i of the Kepler system."""
-    return Observable(f"KRL{i}", _with_trig(_kepler_rl_piece(i, k), sin_cos_k(kappa)))
+    return Observable(f"KRL{i}", _kepler_rl_piece(i, k), kappa)
 
 
 def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
@@ -641,8 +647,7 @@ def _k123_r_piece(i: int, kappa, k, ks) -> Callable:
 
 def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Runge-Lenz component corrected by the inverse-square couplings."""
-    ks = (float(k1), float(k2), float(k3))
-    return Observable(f"R{i}", _with_trig(_k123_r_piece(i, kappa, k, ks), sin_cos_k(kappa)))
+    return Observable(f"R{i}", _k123_r_piece(i, kappa, k, _couplings(k1, k2, k3)), kappa)
 
 
 def _k123_s_vg(i: int, t, y, grad: bool = True) -> _VG:
@@ -663,12 +668,12 @@ def k123_S(i: int, kappa) -> Observable:
     That is p_r over the i-th direction cosine, so kappa drops out; the
     argument keeps the signature of the other kepler123 constructors.
     """
-    return Observable(f"S{i}", _with_trig(partial(_k123_s_vg, i), phi=i != 3))
+    return Observable(f"S{i}", partial(_k123_s_vg, i), None, 2 if i != 3 else 1)
 
 
 def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
     """Complex pairing R_i + i sqrt(2 k_i) p_r sin_k(r)/coord_i."""
-    ks = (float(k1), float(k2), float(k3))
+    ks = _couplings(k1, k2, k3)
     ki = ks[i - 1]
     if ki < 0.0:
         raise NegativeCoupling(f"k{i} must be nonnegative for the complex pairing")
@@ -679,13 +684,13 @@ def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
         v, g = _k123_s_vg(i, t, y, grad)
         return root * v, (root * g if grad else None)
 
-    im = Observable(f"ImN{i}", _with_trig(im_vg, phi=i != 3))
+    im = Observable(f"ImN{i}", im_vg, None, 2 if i != 3 else 1)
     return ComplexObservable(f"N{i}", re, im)
 
 
 def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Quartic integral R_i^2 + 2 k_i (p_r sin_k(r)/coord_i)^2."""
-    ks = (float(k1), float(k2), float(k3))
+    ks = _couplings(k1, k2, k3)
     ki = ks[i - 1]
     if ki < 0.0:
         raise NegativeCoupling(f"k{i} must be nonnegative for the quartic integral")
@@ -699,33 +704,40 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
             return val, None
         return val, 2.0 * rv * rg + 4.0 * ki * sv * sg
 
-    return Observable(f"KR{i}", _with_trig(vg, sin_cos_k(kappa)))
+    return Observable(f"KR{i}", vg, kappa)
 
 
 # ---------------------------------------------------------------------------
 # Small assembly helpers for sums and squares of cataloged observables.
 
 def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
-    """Linear combination sum_j c_j f_j with the matching gradient."""
+    """Linear combination sum_j c_j f_j with the matching gradient, whose
+    terms' pieces read one tuple; terms of different kappa raise ValueError."""
+    kappas = {obs.kappa for _, obs in terms} - {None}
+    if len(kappas) > 1:
+        raise ValueError(f"scaled_sum {name!r} mixes terms of kappa {sorted(kappas)}")
+    pieces = [(c, obs.piece) for c, obs in terms]
 
-    def vg(y, grad=True):
+    def vg(t, y, grad=True):
         val = 0.0
         g = np.zeros(6) if grad else None
-        for c, obs in terms:
-            v, gv = obs._vg(y, grad)
+        for c, piece in pieces:
+            v, gv = piece(t, y, grad)
             val += c * v
             if grad:
                 g = g + c * gv
         return val, g
 
-    return Observable(name, vg, tuple(terms))
+    angles = max((obs.angles for _, obs in terms), default=0)
+    return Observable(name, vg, kappas.pop() if kappas else None, angles, tuple(terms))
 
 
 def square(obs: Observable, name: str | None = None) -> Observable:
     """Pointwise square f^2 with gradient 2 f grad f."""
+    piece = obs.piece
 
-    def vg(y, grad=True):
-        v, g = obs._vg(y, grad)
+    def vg(t, y, grad=True):
+        v, g = piece(t, y, grad)
         return v * v, (2.0 * v * g if grad else None)
 
-    return Observable(name or f"{obs.name}^2", vg)
+    return Observable(name or f"{obs.name}^2", vg, obs.kappa, obs.angles)

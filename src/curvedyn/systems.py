@@ -23,7 +23,7 @@ of T is read off the geodesic Hamilton equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -241,25 +241,20 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
     The value and the gradient (V_r, V_theta, V_phi, 0, 0, 0) both come
     from the potential's terms, whose force hamilton_rhs subtracts; a
     value alone does not compute the force.  A radial potential's terms
-    ignore theta, so its sine and cosine are not taken.
+    ignore the angles, so their sines and cosines are not taken.
     """
     entry = _system(spec.system_id)
     if entry.potential is None:
         return None
-    sc = sin_cos_k(spec.kappa)
     terms = entry.potential(spec)
-    radial = entry.radial
 
-    def vg(y, grad=True):
-        th = y[1]
-        sth, cth = (1.0, 0.0) if radial else (math.sin(th), math.cos(th))
-        sk, ck = sc(y[0])
+    def vg(t, y, grad=True):
         if not grad:
-            return terms(sk, ck, sth, cth, y[2], False), None
-        val, vr, vth, vph = terms(sk, ck, sth, cth, y[2])
+            return terms(t[0], t[1], t[2], t[3], y[2], False), None
+        val, vr, vth, vph = terms(t[0], t[1], t[2], t[3], y[2])
         return val, np.array((vr, vth, vph, 0.0, 0.0, 0.0))
 
-    return Observable("V", vg)
+    return Observable("V", vg, spec.kappa, 0 if entry.radial else 2)
 
 
 def potential_value(spec: SystemSpec, q: ConfigPoint) -> float:
@@ -275,7 +270,7 @@ def hamiltonian(spec: SystemSpec) -> Observable:
     t = kinetic(spec.kappa)
     v = potential_observable(spec)
     if v is None:
-        return Observable("H", t._vg)
+        return replace(t, name="H")
     return scaled_sum("H", [(1.0, t), (1.0, v)])
 
 
@@ -306,10 +301,11 @@ def potential_profile(
     for name, angle in (("theta", theta), ("phi", phi)):
         if not math.isfinite(angle):
             raise ValueError(f"potential_profile needs a finite {name}, got {angle!r}")
+    vg = None if v is None else v._vg
     vals = []
     for r in rs.tolist():
         try:
-            vals.append(0.0 if v is None else v._vg((r, theta, phi, 0.0, 0.0, 0.0), False)[0])
+            vals.append(0.0 if vg is None else vg((r, theta, phi, 0.0, 0.0, 0.0), False)[0])
         except DomainSingularity:
             vals.append(math.nan)
     return np.column_stack((rs, vals))

@@ -30,7 +30,7 @@ from curvedyn.observables import (
     square,
     sw_KJ,
 )
-from curvedyn.dynamics import sample_state
+from curvedyn.dynamics import fradkin_audit, sample_state
 from curvedyn.geometry import ConfigPoint
 from curvedyn.systems import SYSTEM_IDS, catalog, make_system, potential_observable
 
@@ -333,6 +333,46 @@ def test_negative_couplings_rejected():
     k123_S(1, 1.0)
 
 
+NAN, INF = math.nan, math.inf
+NONFINITE = [
+    (fradkin_K, (1, 1, 1.0, NAN), "alpha must be finite, got nan"),
+    (fradkin_K, (2, 2, 1.0, ALPHA, 0.0, INF), "k2 must be finite, got inf"),
+    (complex_M, (1, 1.0, NAN), "alpha must be finite, got nan"),
+    (sw_KJ, (1, 1.0, 0.0, NAN), "k2 must be finite, got nan"),
+    (sw_KJ, (1, NAN), "kappa must be finite, got nan"),
+    (osc112_observables, (1.0, NAN), "alpha must be finite, got nan"),
+    (osc112_observables, (1.0, ALPHA, 0.0, -INF), "k2 must be finite, got -inf"),
+    (kepler_RL, (1, 1.0, NAN), "k must be finite, got nan"),
+    (k123_R, (1, 1.0, -1, INF), "k1 must be finite, got inf"),
+    (k123_R, (1, 1.0, NAN), "k must be finite, got nan"),
+    (k123_N, (3, 1.0, KC, 0.0, 0.0, NAN), "k3 must be finite, got nan"),
+    (k123_KR, (2, 1.0, INF), "k must be finite, got inf"),
+    (noether_P, (1, NAN), "kappa must be finite, got nan"),
+    (fradkin_audit, (1.0, NAN, [0.8, 1.2, 0.4, 0.15, 0.3, 0.35]), "alpha must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("build, args, message", NONFINITE,
+                         ids=[f"{b.__name__}-{m.split()[0]}" for b, _, m in NONFINITE])
+def test_nonfinite_parameters_rejected(build, args, message):
+    """A non-finite alpha, k or k_i raises at construction, as a non-finite
+    kappa does, instead of an observable that evaluates to nan or inf."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*args)
+
+
+def test_scaled_sum_rejects_mixed_kappa():
+    """One tuple serves every term of a sum, so terms of different kappa
+    raise instead of one of them being evaluated at the wrong curvature;
+    terms that read no kernel join a sum of any kappa."""
+    with pytest.raises(ValueError, match="kappa"):
+        scaled_sum("mixed", [(1.0, noether_P(1, 1.0)), (1.0, noether_P(2, -1.0))])
+    with pytest.raises(ValueError, match="kappa"):
+        scaled_sum("mixed", [(1.0, angular_J(1)), (1.0, kinetic(1.0)), (1.0, coordinate(2, -1.0))])
+    mixed = scaled_sum("ok", [(1.0, angular_J(3)), (1.0, noether_P(3, 0.7))])
+    assert (mixed.kappa, mixed.angles) == (0.7, 1)
+
+
 def test_scaled_sum_and_square():
     rng = np.random.default_rng(106)
     kap = 0.7
@@ -362,10 +402,11 @@ def test_observable_metadata():
 
 
 def test_one_kernel_call_per_evaluation(monkeypatch):
-    """An evaluation takes one trigonometry pass: every observable that is
-    not a scaled_sum calls its bound kernel at most once per value and per
-    value_and_gradient, J_i and Jsq never, and the 1:1:2 KRL_i exactly
-    once (its pieces used to take five calls)."""
+    """An evaluation takes one trigonometry pass: every observable, the
+    sums and squares of the catalogs included, calls its bound kernel at
+    most once per value and per value_and_gradient, J_i and Jsq never, and
+    the 1:1:2 KRL_i and every H.value exactly once (the pieces of KRL_i
+    used to take five calls, and sw's W2.value four)."""
     from curvedyn import dynamics, geometry, kappa_core, observables, systems
 
     params = {"sw": dict(k1=0.1, k2=0.2, k3=0.3), "osc112": dict(k1=0.1, k2=0.2),
@@ -395,8 +436,6 @@ def test_one_kernel_call_per_evaluation(monkeypatch):
                 obs[f"{name}.re"], obs[f"{name}.im"] = c.re, c.im
             y = sample_state(spec, rng, margin=0.05)
             for name, o in obs.items():
-                if o.terms:
-                    continue
                 for call in (o.value, o.value_and_gradient):
                     calls[0] = 0
                     call(y)
@@ -405,11 +444,12 @@ def test_one_kernel_call_per_evaluation(monkeypatch):
                         assert calls[0] == 0, where
                     elif sid == "osc112" and name in ("KRL1", "KRL2"):
                         assert calls[0] == 1, where
-                    elif sid == "free" and name == "H" and call == o.value_and_gradient:
-                        # The free system's H is T, whose gradient is read
-                        # off the geodesic Hamilton equations, which take
-                        # their own kernel call.
+                    elif name == "H" and call == o.value_and_gradient:
+                        # The gradient of T is read off the geodesic
+                        # Hamilton equations, which take their own call.
                         assert calls[0] <= 2, where
+                    elif name == "H" or (sid == "sw" and name == "W2"):
+                        assert calls[0] == 1, where
                     else:
                         assert calls[0] <= 1, where
                     seen += calls[0]
