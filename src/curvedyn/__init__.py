@@ -11,7 +11,7 @@ from .kappa_core import (
     sin_k,
     tan_k,
 )
-from .geometry import ConfigPoint, PhaseState, VelocityState
+from .geometry import ConfigPoint, PhaseState
 from .observables import ComplexObservable, Observable
 from .systems import SystemSpec, catalog, hamilton_rhs, hamiltonian, make_system
 from .dynamics import (
@@ -33,7 +33,6 @@ __all__ = [
     "arctan_k",
     "ConfigPoint",
     "PhaseState",
-    "VelocityState",
     "Observable",
     "ComplexObservable",
     "SystemSpec",

@@ -15,8 +15,10 @@ back to the CURVEDYN_SEED environment variable, then a built-in
 default.  A JSON config file can supply any of the options, and its
 values pass the same checks as flags; explicit flags win over the file.
 --emit-config prints the resolved run as a config file whose every key
-is read back.  Audit subcommands exit nonzero when any check exceeds its
-tolerance, and trajectory prints "warning: trajectory truncated: <reason>"
+is read back, once the run has passed the checks it would fail at the
+start (trajectory builds its chart state and equations first).  Audit
+subcommands exit nonzero when any check exceeds its tolerance, and
+trajectory prints "warning: trajectory truncated: <reason>"
 (its only stderr line: numpy's RuntimeWarnings are silenced) and exits 1
 when the run stopped early, for any reason (a failed implicit solve
 included).  A bad option value, input rejected by the library (a
@@ -104,13 +106,13 @@ def _choice(*choices):
 
 
 def _y0(value):
-    """'random', or six floats from a comma-separated string or a JSON list."""
+    """'random', or six finite floats from a comma-separated string or a JSON list."""
     if value == "random":
         return value
     parts = value.split(",") if isinstance(value, str) else value
     if not isinstance(parts, list) or len(parts) != 6:
         raise ValueError(f"needs six comma-separated values or 'random', got {value!r}")
-    return [_real(v) for v in parts]
+    return [_finite(v) for v in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,6 @@ def _initial_state(spec: SystemSpec, opts: dict, rng) -> np.ndarray:
 
 def _cmd_trajectory(args, spec: SystemSpec, opts: dict) -> int:
     y0 = _initial_state(spec, opts, np.random.default_rng(opts["seed"]))
-    if args.emit_config:
-        return _emit_config(args, spec, opts)
     rho = opts["chart"] == "rho"
     if rho:
         # y0 is always given in the base chart and transformed here.
@@ -170,8 +170,13 @@ def _cmd_trajectory(args, spec: SystemSpec, opts: dict) -> int:
         rhs = systems.rho_chart_rhs(spec)
     else:
         rhs = systems.hamilton_rhs(spec)
-    traj = dynamics.integrate(rhs, y0, (0.0, opts["t_max"]), method=opts["method"],
-                              dt=opts["dt"], tol=opts["tol"])
+    span, method, dt, tol = (0.0, opts["t_max"]), opts["method"], opts["dt"], opts["tol"]
+    # integrate's own argument checks, so that --emit-config writes only a
+    # run that starts.
+    dynamics._integrate_args(y0, span, method, dt, tol)
+    if args.emit_config:
+        return _emit_config(args, spec, opts)
+    traj = dynamics.integrate(rhs, y0, span, method=method, dt=dt, tol=tol)
     labels = ("rho" if rho else "r", "theta", "phi",
               "p_rho" if rho else "p_r", "p_theta", "p_phi")
     every = opts["every"]
@@ -340,11 +345,11 @@ _COMMANDS = {
     "trajectory": (_cmd_trajectory, "integrate and emit states as CSV", (
         _SEED,
         ("y0", _y0, "random", _Y0_HELP),
-        ("t_max", _real, 10.0, None),
+        ("t_max", _positive, 10.0, None),
         ("method", _choice(*dynamics.METHODS), dynamics.DEFAULT_METHOD,
          ", ".join(dynamics.METHODS) + f" (default {dynamics.DEFAULT_METHOD})"),
-        ("tol", _real, 1e-10, None),
-        ("dt", _real, None, None),
+        ("tol", _positive, 1e-10, None),
+        ("dt", _positive, None, None),
         ("every", _integer(1), 1, "emit every N-th stored sample"),
         ("chart", _choice("base", "rho"), "base", "integrate in the base or the rho chart"),
     )),
@@ -361,14 +366,14 @@ _COMMANDS = {
         ("kind", _choice(*_AUDITS, "all"), "all", ", ".join((*_AUDITS, "all"))),
         ("states", _integer(1), 50, "number of random audit states"),
         ("ics", _integer(1), 3, "number of trajectories for the conservation audit"),
-        ("t_max", _real, 20.0, None),
+        ("t_max", _positive, 20.0, None),
         ("tol", _positive, None, "override the default tolerance of every check"),
     )),
     "closed-orbit": (_cmd_closed_orbit, "search for a periodic return", (
         _SEED,
         ("y0", _y0, "random", _Y0_HELP),
-        ("t_max", _real, 40.0, None),
-        ("return_tol", _real, 1e-4, None),
+        ("t_max", _positive, 40.0, None),
+        ("return_tol", _positive, 1e-4, None),
     )),
 }
 

@@ -47,6 +47,7 @@ DT_MIN = 1e-12  # smallest step the adaptive methods retry down to
 FP_TOL = 1e-13  # implicit_midpoint's fixed-point tolerance, relative to max(1, |y|)
 FP_MAX_ITER = 100  # fixed-point iterations per implicit_midpoint step
 ORBIT_TOL = 1e-12  # tolerance of the run behind closed_orbit_check
+MAX_STEPS = 2_000_000  # integrate's default cap on steps
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,14 @@ def _call(fn, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Integrators.
 
+def _count(value, name: str, least: int) -> int:
+    """value as an int; a bool, a non-integer or a value below least raises
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Trajectory:
     """Time grid, states, and run diagnostics of one integration."""
@@ -107,10 +116,10 @@ class Trajectory:
         return self.states[-1]
 
     def thin(self, max_points: int) -> "Trajectory":
-        """Evenly subsampled copy keeping the first and last states."""
+        """Evenly subsampled copy keeping the first and last states; a
+        max_points that is not an integer >= 2 raises ValueError."""
         n = len(self.times)
-        if max_points < 2:
-            raise ValueError("max_points must be at least 2")
+        max_points = _count(max_points, "max_points", 2)
         if n <= max_points:
             return self
         idx = np.unique(np.linspace(0, n - 1, max_points).round().astype(int))
@@ -439,7 +448,7 @@ def integrate(
     method: str = DEFAULT_METHOD,
     dt: Optional[float] = None,
     tol: float = 1e-10,
-    max_steps: int = 2_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) over t_span, storing every step.
 
@@ -461,6 +470,21 @@ def integrate(
     method, and n_rejected and n_rhs_evals (rhs calls that returned) for
     the adaptive methods.
     """
+    y0, t0, t1 = _integrate_args(y0, t_span, method, dt, tol, max_steps)
+    diag = {"method": method, "tol": tol, "dt": dt}
+    if method in _ADAPTIVE:
+        return _integrate_adaptive(rhs, _ADAPTIVE[method], y0, t0, t1, dt, tol, max_steps, diag)
+    stages = _Stages(_RK4, y0.size)
+    if method == "rk4_fixed":
+        stepper = lambda t, y, h: stages.step(rhs, t, y, h)
+    else:
+        stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h)
+    return _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag)
+
+
+def _integrate_args(y0, t_span, method, dt, tol, max_steps=MAX_STEPS) -> tuple:
+    """integrate's checks of its arguments, each bad one raising ValueError;
+    returns (y0 as a new float array, t0, t1)."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
@@ -473,22 +497,12 @@ def integrate(
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if (isinstance(max_steps, bool) or not isinstance(max_steps, (int, np.integer))
-            or max_steps < 1):
-        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+    _count(max_steps, "max_steps", 1)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    diag = {"method": method, "tol": tol, "dt": dt}
-    if method in _ADAPTIVE:
-        return _integrate_adaptive(rhs, _ADAPTIVE[method], y0, t0, t1, dt, tol, max_steps, diag)
-    if dt is None:
+    if dt is None and method not in _ADAPTIVE:
         raise ValueError(f"method {method!r} requires an explicit dt")
-    stages = _Stages(_RK4, y0.size)
-    if method == "rk4_fixed":
-        stepper = lambda t, y, h: stages.step(rhs, t, y, h)
-    else:
-        stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h)
-    return _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag)
+    return y0, t0, t1
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +628,7 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     """
     kap, sc, alpha = float(kappa), sin_cos_k(kappa), _finite(alpha, "alpha")
     y = _audit_state(s)
-    m = fradkin_matrix(kap, alpha, y).entries
+    m = fradkin_matrix(kap, alpha, y)
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
     p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
     x = np.array(kappa_cartesian(kap, y))

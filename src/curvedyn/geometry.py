@@ -2,10 +2,10 @@
 
 Covers the metric and volume density, the Noether momenta P_i and
 angular momenta J_i with their analytic 6-gradients, the six Killing
-vector fields with numeric Lie brackets, the forces of free geodesic
-motion, the Legendre map between velocity and momentum descriptions,
-and two alternative radial charts (rho = sin_k(r) and R = tan_k(r)) with
-their canonical momentum transforms.
+vector fields with numeric Lie brackets, and two alternative radial
+charts (rho = sin_k(r) and R = tan_k(r)) with their canonical momentum
+transforms.  Free motion is described once, in the Hamiltonian picture:
+its equations are the observables module's geodesic Hamilton flow.
 
 The momenta live here because they define the fields: a momentum
 <p, X> is linear in p, so the Killing field X_i (Y_i) is the momentum
@@ -28,7 +28,6 @@ from .kappa_core import DomainSingularity, _finite, arcsin_k, arctan_k, cos_k, s
 __all__ = [
     "ConfigPoint",
     "PhaseState",
-    "VelocityState",
     "TangentVector",
     "KILLING_IDS",
     "metric_coeffs",
@@ -37,17 +36,12 @@ __all__ = [
     "lie_bracket_numeric",
     "lie_derivative_metric",
     "volume_divergence",
-    "geodesic_forces",
-    "geodesic_rhs",
-    "legendre",
-    "legendre_inv",
     "to_rho_chart",
     "from_rho_chart",
     "to_R_chart",
     "from_R_chart",
     "rho_chart_kinetic",
     "R_chart_kinetic",
-    "kinetic_energy",
 ]
 
 # Below this, 1/sin(theta), 1/sin_k(r) and the like are treated as singular.
@@ -85,26 +79,6 @@ class PhaseState:
     def from_array(cls, y) -> "PhaseState":
         r, th, ph, pr, pth, pph = (float(v) for v in y)
         return cls(ConfigPoint(r, th, ph), pr, pth, pph)
-
-
-@dataclass(frozen=True)
-class VelocityState:
-    """Configuration point plus coordinate velocities."""
-
-    q: ConfigPoint
-    v_r: float
-    v_theta: float
-    v_phi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.q.r, self.q.theta, self.q.phi, self.v_r, self.v_theta, self.v_phi]
-        )
-
-    @classmethod
-    def from_array(cls, y) -> "VelocityState":
-        r, th, ph, vr, vth, vph = (float(v) for v in y)
-        return cls(ConfigPoint(r, th, ph), vr, vth, vph)
 
 
 @dataclass(frozen=True)
@@ -164,9 +138,9 @@ def _with_trig(piece, sc=None, angles: int = 2):
     return vg
 
 
-def _trig(sc, y, angles: int = 2) -> tuple:
-    """The tuple t that _with_trig hands its piece at y."""
-    return _with_trig(lambda t, y, grad: t, sc, angles)(y)
+def _trig(sc, y) -> tuple:
+    """The tuple t that _with_trig hands its piece at y, both angle pairs included."""
+    return _with_trig(lambda t, y, grad: t, sc)(y)
 
 
 def _planar_axis(axis: int, t) -> tuple[float, float]:
@@ -318,46 +292,6 @@ def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
 
     d = _central_difference(flux, (q.r, q.theta, q.phi), FD_STEP)
     return sum(d[j, j] for j in range(3)) / volume_density(kappa, q)
-
-
-def geodesic_forces(kappa, s: VelocityState) -> tuple[float, float, float]:
-    """Accelerations (f_r, f_theta, f_phi) of free geodesic motion."""
-    sk, ck, sth, cth, _, _ = _trig(sin_cos_k(kappa), (s.q.r, s.q.theta), 1)
-    if abs(sk) < _EPS or abs(sth) < _EPS:
-        raise DomainSingularity("geodesic forces singular at sin_k(r) = 0 or sin(theta) = 0")
-    inv_tk = ck / sk
-    cot_th = cth / sth
-    f_r = ck * sk * (s.v_theta**2 + sth * sth * s.v_phi**2)
-    f_th = -2.0 * inv_tk * s.v_r * s.v_theta + cth * sth * s.v_phi**2
-    f_ph = -2.0 * (inv_tk * s.v_r + cot_th * s.v_theta) * s.v_phi
-    return f_r, f_th, f_ph
-
-
-def geodesic_rhs(kappa, y: np.ndarray) -> np.ndarray:
-    """First-order form of geodesic motion on (r, theta, phi, v_r, v_theta, v_phi)."""
-    s = VelocityState.from_array(y)
-    f = geodesic_forces(kappa, s)
-    return np.array([s.v_r, s.v_theta, s.v_phi, f[0], f[1], f[2]])
-
-
-def kinetic_energy(kappa, s: VelocityState) -> float:
-    """Kinetic energy of a velocity state under the metric."""
-    g1, g2, g3 = metric_coeffs(kappa, s.q)
-    return 0.5 * (g1 * s.v_r**2 + g2 * s.v_theta**2 + g3 * s.v_phi**2)
-
-
-def legendre(kappa, s: VelocityState) -> PhaseState:
-    """Velocities to canonical momenta: p = g v."""
-    g1, g2, g3 = metric_coeffs(kappa, s.q)
-    return PhaseState(s.q, g1 * s.v_r, g2 * s.v_theta, g3 * s.v_phi)
-
-
-def legendre_inv(kappa, s: PhaseState) -> VelocityState:
-    """Canonical momenta to velocities: v = g^-1 p."""
-    g1, g2, g3 = metric_coeffs(kappa, s.q)
-    if g2 < _EPS**2 or g3 < _EPS**2:
-        raise DomainSingularity("degenerate metric: sin_k(r) or sin(theta) vanishes")
-    return VelocityState(s.q, s.p_r / g1, s.p_theta / g2, s.p_phi / g3)
 
 
 def _cos_guard(c: float) -> float:

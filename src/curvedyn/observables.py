@@ -35,7 +35,6 @@ from .kappa_core import DomainSingularity, EPS_DOM, _finite, sin_cos_k
 __all__ = [
     "Observable",
     "ComplexObservable",
-    "FradkinMatrix",
     "UnsupportedEntry",
     "NegativeCoupling",
     "noether_P",
@@ -364,18 +363,9 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
     return Observable(f"K{i}{j}", vg, kappa, 2 if (i, j) != (3, 3) else 1)
 
 
-@dataclass(frozen=True)
-class FradkinMatrix:
-    """Symmetric 3x3 matrix of oscillator quadratic-tensor entries at a state."""
-
-    entries: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries)
-
-
-def fradkin_matrix(kappa, alpha, s) -> FradkinMatrix:
-    """Evaluate all six K_ij entries of the pure oscillator at a state."""
+def fradkin_matrix(kappa, alpha, s) -> np.ndarray:
+    """The symmetric 3x3 matrix of the six K_ij entries of the pure
+    oscillator at a state."""
     m = np.empty((3, 3))
     for i in range(1, 4):
         m[i - 1, i - 1] = fradkin_K(i, i, kappa, alpha).value(s)
@@ -383,7 +373,7 @@ def fradkin_matrix(kappa, alpha, s) -> FradkinMatrix:
         v = fradkin_K(i, j, kappa, alpha).value(s)
         m[i - 1, j - 1] = v
         m[j - 1, i - 1] = v
-    return FradkinMatrix(m)
+    return m
 
 
 def complex_M(j: int, kappa, alpha) -> ComplexObservable:

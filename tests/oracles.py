@@ -93,6 +93,101 @@ def kinetic(kap, s):
     return 0.5 * (pr ** 2 + (pth ** 2 + pph ** 2 / math.sin(th) ** 2) / sk(kap, r) ** 2)
 
 
+# Free motion in the Lagrangian picture, on velocity states
+# v = (r, theta, phi, v_r, v_theta, v_phi).
+
+def metric(kap, r, th):
+    """Diagonal metric (g_rr, g_thth, g_phph) of dr^2 + sin_k(r)^2 dOmega^2."""
+    s2 = sk(kap, r) ** 2
+    return 1.0, s2, s2 * math.sin(th) ** 2
+
+
+def kinetic_velocity(kap, v):
+    g = metric(kap, v[0], v[1])
+    return 0.5 * (g[0] * v[3] ** 2 + g[1] * v[4] ** 2 + g[2] * v[5] ** 2)
+
+
+def legendre(kap, v):
+    """Velocity state to phase state: p = g v."""
+    g = metric(kap, v[0], v[1])
+    return (v[0], v[1], v[2], g[0] * v[3], g[1] * v[4], g[2] * v[5])
+
+
+def legendre_inv(kap, s):
+    """Phase state to velocity state: v = g^-1 p."""
+    g = metric(kap, s[0], s[1])
+    return (s[0], s[1], s[2], s[3] / g[0], s[4] / g[1], s[5] / g[2])
+
+
+def geodesic_rhs(kap, v):
+    """Geodesic equations x'' = -Gamma(x', x') of the metric, first order."""
+    r, th, ph, vr, vth, vph = v
+    s, c = sk(kap, r), ck(kap, r)
+    sth, cth = math.sin(th), math.cos(th)
+    return (vr, vth, vph,
+            s * c * (vth ** 2 + sth ** 2 * vph ** 2),
+            -2.0 * (c / s) * vr * vth + sth * cth * vph ** 2,
+            -2.0 * ((c / s) * vr + (cth / sth) * vth) * vph)
+
+
+def _frame(th, ph):
+    """Unit vectors n, e_theta and e_phi of the angles (theta, phi)."""
+    sth, cth, sph, cph = math.sin(th), math.cos(th), math.sin(ph), math.cos(ph)
+    return (sth * cph, sth * sph, cth), (cth * cph, cth * sph, -sth), (-sph, cph, 0.0)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def geodesic_exact(kap, s, t):
+    """The phase state reached from s after time t of free motion.
+
+    In ambient coordinates X = (C_k(r), S_k(r) n), with n the unit vector
+    of (theta, phi), a geodesic of speed v = sqrt(2 T) is
+    X(t) = C_k(v t) X(0) + S_k(v t) X'(0) / v, a great circle for kappa > 0,
+    a hyperbola for kappa < 0 and a straight line for kappa = 0.  Since
+    C_k(v t) = C_{k v^2}(t) and S_k(v t) / v = S_{k v^2}(t), one formula
+    serves every kappa, v = 0 included.  The velocity is
+    X' = (-kappa S_k r', C_k r' n + S_k n'), with
+    S_k n' = (p_theta / S_k) e_theta + (p_phi / (S_k sin theta)) e_phi;
+    back in polar form r' = C_k (n . X'_s) - S_k X'_0,
+    p_theta = S_k^2 theta' = S_k (e_theta . X'_s) and
+    p_phi = S_k^2 sin^2(theta) phi' = S_k sin(theta) (e_phi . X'_s).
+    """
+    r, th, ph, pr, pth, pph = s
+    kv = 2.0 * kinetic(kap, s) * kap
+    c, sn = ck(kap, r), sk(kap, r)
+    n, e_th, e_ph = _frame(th, ph)
+    a, b = pth / sn, pph / (sn * math.sin(th))
+    x = [c] + [sn * n[i] for i in range(3)]
+    xd = [-kap * sn * pr] + [c * pr * n[i] + a * e_th[i] + b * e_ph[i] for i in range(3)]
+    cv, sv = ck(kv, t), sk(kv, t)
+    xt = [cv * x[i] + sv * xd[i] for i in range(4)]
+    xdt = [-kv * sv * x[i] + cv * xd[i] for i in range(4)]
+    rho = math.sqrt(_dot(xt[1:], xt[1:]))
+    if kap > 0.0:
+        r1 = math.atan2(math.sqrt(kap) * rho, xt[0]) / math.sqrt(kap)
+    elif kap < 0.0:
+        r1 = math.asinh(math.sqrt(-kap) * rho) / math.sqrt(-kap)
+    else:
+        r1 = rho
+    th1, ph1 = math.acos(xt[3] / rho), math.atan2(xt[2], xt[1])
+    n1, e_th1, e_ph1 = _frame(th1, ph1)
+    c1, sn1 = ck(kap, r1), sk(kap, r1)
+    return (r1, th1, ph1,
+            c1 * _dot(n1, xdt[1:]) - sn1 * xdt[0],
+            sn1 * _dot(e_th1, xdt[1:]),
+            sn1 * math.sin(th1) * _dot(e_ph1, xdt[1:]))
+
+
+def state_gap(a, b):
+    """Largest difference of two phase states, phi compared mod 2 pi."""
+    d = [abs(x - y) for x, y in zip(a, b)]
+    d[2] = abs(math.remainder(a[2] - b[2], 2.0 * math.pi))
+    return max(d)
+
+
 # Potentials.
 
 def v_oscillator(kap, alpha, s):

@@ -489,6 +489,41 @@ def test_potential_non_finite_input(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
+# Configs --emit-config used to print with exit 0 although the run they
+# describe exits 2, and the error the run gives.
+_UNREPLAYABLE = (
+    (["trajectory", "--system", "sw", "--chart", "rho"],
+     "chart forms require a radial potential"),
+    (["trajectory", "--system", "free", "--method", "rk4_fixed"],
+     "method 'rk4_fixed' requires an explicit dt"),
+    (["trajectory", "--system", "oscillator", "--chart", "rho", "--kappa", "1",
+      "--y0", "2.0,1.2,0.4,0.15,0.3,0.35"], "chart transform requires cos_k(r) > 0"),
+    (["trajectory", "--system", "free", "--y0", "nan,1.2,0.4,0.15,0.3,0.35"],
+     "--y0 must be finite, got 'nan'"),
+    (["closed-orbit", "--system", "free", "--y0", "1.0,1.2,0.4,0.15,inf,0.35"],
+     "--y0 must be finite, got 'inf'"),
+    (["trajectory", "--system", "free", "--t-max", "-1"],
+     "--t-max must be positive and finite, got '-1'"),
+    (["trajectory", "--system", "free", "--tol", "0"], "--tol must be positive and finite"),
+    (["trajectory", "--system", "free", "--method", "rk4_fixed", "--dt", "-0.1"],
+     "--dt must be positive and finite"),
+    (["audit", "--system", "free", "--t-max", "0"], "--t-max must be positive and finite"),
+    (["closed-orbit", "--system", "free", "--t-max", "inf"],
+     "--t-max must be positive and finite"),
+    (["closed-orbit", "--system", "free", "--return-tol", "0"],
+     "--return-tol must be positive and finite"),
+)
+
+
+@pytest.mark.parametrize("argv, message", _UNREPLAYABLE,
+                         ids=[" ".join(argv[:1] + argv[3:]) for argv, _ in _UNREPLAYABLE])
+def test_emit_config_writes_only_a_run_that_starts(capsys, argv, message):
+    """The trajectory builds its chart state and rhs and passes integrate's
+    argument checks before it emits, and times and tolerances convert as
+    positive finite numbers, so --emit-config fails as the run would."""
+    assert_cli_error(capsys, argv + ["--emit-config"], message)
+
+
 def test_audit_tol_must_be_positive_and_finite(tmp_path, capsys, monkeypatch):
     """--tol -1 or 0 used to pass the rank audit, inf every audit."""
     base = ["audit", "--system", "free", "--kappa", "0.7", "--kind", "rank", "--states", "3"]

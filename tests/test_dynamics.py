@@ -209,6 +209,7 @@ def test_integrate_validation():
         (CIRC_Y0, (0.0, 1.0), {"max_steps": -5}),
         (CIRC_Y0, (0.0, 1.0), {"method": "rk4_fixed", "dt": 0.1, "max_steps": 0}),
         (CIRC_Y0, (0.0, 1.0), {"max_steps": 2.5}),
+        (CIRC_Y0, (0.0, 1.0), {"max_steps": np.float64(3)}),
         (CIRC_Y0, (0.0, 1.0), {"max_steps": True}),
     ]
     for y0, t_span, kwargs in bad:
@@ -570,6 +571,35 @@ def test_flat_radial_launch_is_linear():
     assert float(np.max(np.abs(traj.states[:, 1:] - y0[1:]))) < 1e-10
 
 
+# Worst gap to the exact geodesic measured with these states (the largest
+# is a momentum in every case), and the bound, about ten times that.
+EXACT_FREE_MOTION = (
+    ("dop853", {"tol": 1e-12}, 1e-10),  # 6.8e-12
+    ("rk45_adaptive", {"tol": 1e-12}, 2e-10),  # 1.4e-11
+    ("rk4_fixed", {"dt": 1e-3}, 3e-9),  # 3.2e-10
+    ("implicit_midpoint", {"dt": 1e-3}, 5e-4),  # 6.9e-5, second order
+)
+
+
+@pytest.mark.parametrize("method, opts, bound", EXACT_FREE_MOTION,
+                         ids=[row[0] for row in EXACT_FREE_MOTION])
+def test_free_motion_matches_exact_geodesic(method, opts, bound):
+    """Every method follows free motion to the exact state of the oracles'
+    ambient-coordinate geodesic, at every stored time of t in [0, 2], on
+    three states for each kappa of the acceptance suite."""
+    for kap in (-1.0, -0.3, 0.0, 0.7, 1.0):
+        spec = make_system("free", kap)
+        rng = np.random.default_rng(2024)
+        for _ in range(3):
+            y0 = sample_state(spec, rng, min_angular=0.3)
+            traj = integrate(hamilton_rhs(spec), y0, (0.0, 2.0), method=method, **opts)
+            assert not traj.truncated
+            start = y0.tolist()
+            worst = max(oracles.state_gap(y, oracles.geodesic_exact(kap, start, t))
+                        for t, y in zip(traj.times.tolist(), traj.states.tolist()))
+            assert worst < bound, (method, kap, worst)
+
+
 def test_flat_kepler_circular_period():
     spec = make_system(**CIRC_SPEC)
     result = closed_orbit_check(spec, CIRC_Y0, 10.0)
@@ -715,8 +745,12 @@ def test_trajectory_thin():
     assert sub.times[0] == times[0] and sub.times[-1] == times[-1]
     assert np.array_equal(sub.states[-1], states[-1])
     assert traj.thin(5000) is traj
-    with pytest.raises(ValueError):
-        traj.thin(1)
+    assert len(traj.thin(np.int64(3)).times) == 3
+    # thin(2.5) and thin(np.float64(3)) used to raise numpy's TypeError:
+    # max_points passes integrate's check of max_steps.
+    for bad in (1, 2.5, np.float64(3), True, "3"):
+        with pytest.raises(ValueError, match="max_points must be an integer >= 2"):
+            traj.thin(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,14 @@
-"""Metric, Killing fields, Legendre maps, geodesics, and radial charts."""
+"""Metric, Killing fields, radial charts, and free motion.
+
+Free motion is checked against the oracles' Lagrangian picture: their
+Legendre map and geodesic equations are written apart from the library,
+which describes free motion only through the Hamilton equations of the
+free system.  The oracles' own consistency and their independence of the
+library are checked here too.
+"""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +19,9 @@ from curvedyn.geometry import (
     KILLING_IDS,
     ConfigPoint,
     PhaseState,
-    VelocityState,
     from_R_chart,
     from_rho_chart,
-    geodesic_rhs,
     killing_field,
-    kinetic_energy,
-    legendre,
-    legendre_inv,
     lie_bracket_numeric,
     lie_derivative_metric,
     metric_coeffs,
@@ -28,8 +32,14 @@ from curvedyn.geometry import (
     volume_density,
     volume_divergence,
 )
-from curvedyn.kappa_core import DomainSingularity, cos_k, sin_k
-from curvedyn.systems import R_chart_hamiltonian_value, SystemSpec, rho_chart_hamiltonian_value
+from curvedyn.kappa_core import DomainSingularity
+from curvedyn.systems import (
+    R_chart_hamiltonian_value,
+    SystemSpec,
+    hamilton_rhs,
+    make_system,
+    rho_chart_hamiltonian_value,
+)
 
 KAPPAS = (1.0, 0.7, -0.3, -1.0)
 
@@ -129,53 +139,93 @@ def test_killing_contractions_give_momenta():
 
 
 def test_legendre_round_trip():
+    """Oracle self-check: the Legendre map and its inverse undo each other."""
     rng = np.random.default_rng(6)
     for kap in KAPPAS + (0.0,):
         for _ in range(100):
             q = rand_point(rng, kap)
-            v = VelocityState(q, *rng.uniform(-1.0, 1.0, 3))
-            back = legendre_inv(kap, legendre(kap, v))
-            assert np.max(np.abs(back.as_array() - v.as_array())) < 1e-13
+            v = (q.r, q.theta, q.phi, *rng.uniform(-1.0, 1.0, 3))
+            back = oracles.legendre_inv(kap, oracles.legendre(kap, v))
+            assert np.max(np.abs(np.subtract(back, v))) < 1e-13
 
 
 def test_legendre_energy_consistency():
-    """Kinetic energy of v equals the momentum form at legendre(v)."""
+    """Oracle self-check: the kinetic energy of v equals the momentum form
+    at legendre(v)."""
     rng = np.random.default_rng(7)
     for kap in KAPPAS:
         q = rand_point(rng, kap)
-        v = VelocityState(q, 0.3, -0.2, 0.5)
-        s = legendre(kap, v)
-        tup = tuple(s.as_array())
-        assert kinetic_energy(kap, v) == pytest.approx(oracles.kinetic(kap, tup), rel=1e-13)
+        v = (q.r, q.theta, q.phi, 0.3, -0.2, 0.5)
+        s = oracles.legendre(kap, v)
+        assert oracles.kinetic_velocity(kap, v) == pytest.approx(oracles.kinetic(kap, s), rel=1e-13)
 
 
 def test_geodesic_motion_conserves_energy_and_momenta():
-    """Second-order geodesic flow keeps T and all six momenta flat."""
+    """The oracles' second-order geodesic flow keeps T and all six momenta
+    flat, and through their Legendre map it is the library's Hamiltonian
+    flow of the free system: the two runs agree at every whole time."""
     rng = np.random.default_rng(8)
     for kap in (1.0, -1.0):
         q = rand_point(rng, kap)
         # Slow start in the hyperbolic case so the escaping orbit stays at
         # moderate r and accumulated step error stays well below the bar.
         scale = 1.0 if kap > 0 else 0.35
-        v0 = VelocityState(q, 0.2 * scale, 0.3 * scale, -0.25 * scale)
-        traj = integrate(
-            lambda t, y: geodesic_rhs(kap, y),
-            v0.as_array(),
-            (0.0, 10.0),
-            method="rk45_adaptive",
-            tol=1e-12,
-        )
-        t0 = kinetic_energy(kap, v0)
-        first = legendre(kap, v0).as_array()
-        for y in traj.states[:: max(1, len(traj.states) // 50)]:
-            v = VelocityState.from_array(y)
-            assert abs(kinetic_energy(kap, v) - t0) / max(1.0, abs(t0)) < 1e-9
-            s = tuple(legendre(kap, v).as_array())
-            for i in (1, 2, 3):
-                p0 = oracles.noether(i, kap, tuple(first))
-                j0 = oracles.angular(i, tuple(first))
-                assert abs(oracles.noether(i, kap, s) - p0) < 1e-9
-                assert abs(oracles.angular(i, s) - j0) < 1e-9
+        v0 = (q.r, q.theta, q.phi, 0.2 * scale, 0.3 * scale, -0.25 * scale)
+        lagrange = lambda t, v: np.array(oracles.geodesic_rhs(kap, v))
+        hamilton = hamilton_rhs(make_system("free", kap))
+        t0 = oracles.kinetic_velocity(kap, v0)
+        first = oracles.legendre(kap, v0)
+        v, y = np.array(v0), np.array(first)
+        # Runs restarted at each whole time share those times as samples.
+        for t_a in range(10):
+            span = (float(t_a), t_a + 1.0)
+            lag = integrate(lagrange, v, span, method="rk45_adaptive", tol=1e-12)
+            ham = integrate(hamilton, y, span, method="rk45_adaptive", tol=1e-12)
+            assert not (lag.truncated or ham.truncated)
+            v, y = lag.final_state, ham.final_state
+            assert np.max(np.abs(np.subtract(oracles.legendre(kap, v), y))) < 2e-11, (kap, span)
+            for u in lag.states[:: max(1, len(lag.states) // 5)]:
+                assert abs(oracles.kinetic_velocity(kap, u) - t0) / max(1.0, abs(t0)) < 1e-9
+                s = oracles.legendre(kap, u)
+                for i in (1, 2, 3):
+                    assert abs(oracles.noether(i, kap, s) - oracles.noether(i, kap, first)) < 1e-9
+                    assert abs(oracles.angular(i, s) - oracles.angular(i, first)) < 1e-9
+
+
+def test_exact_geodesic_oracle_self_check():
+    """Oracle self-check: the exact geodesic starts at its state and keeps
+    T and all six momenta, at every kappa, for t up to 2.  Far out on the
+    hyperbolic side polar momenta lose digits to cancellation (at kappa =
+    -1, about 3e-11 by t = 2 and 4e-5 by t = 4), so longer times would
+    test the chart rather than the orbit."""
+    rng = np.random.default_rng(12)
+    for kap in KAPPAS + (0.0,):
+        for _ in range(5):
+            s = tuple(rand_state(rng, kap).as_array())
+            start = oracles.geodesic_exact(kap, s, 0.0)
+            assert oracles.state_gap(start, s) < 1e-13
+            t0 = oracles.kinetic(kap, s)
+            for t in (0.3, 1.0, 2.0):
+                e = oracles.geodesic_exact(kap, s, t)
+                assert oracles.kinetic(kap, e) == pytest.approx(t0, rel=1e-10)
+                for i in (1, 2, 3):
+                    assert oracles.noether(i, kap, e) == pytest.approx(
+                        oracles.noether(i, kap, s), rel=1e-9, abs=1e-9)
+                    assert oracles.angular(i, e) == pytest.approx(
+                        oracles.angular(i, s), rel=1e-9, abs=1e-9)
+
+
+def test_oracles_import_nothing_but_math():
+    """tests/oracles.py stays a transcription apart from the library: it
+    imports math and nothing else, neither curvedyn nor numpy."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math"}
 
 
 def test_rho_chart_round_trip_and_example():
