@@ -4,11 +4,11 @@ The canonical bracket pairs (r, p_r), (theta, p_theta), (phi, p_phi).
 Brackets of cataloged observables contract their analytic gradients, so
 bracket identities can be audited to near machine precision without any
 finite differencing.  Four integrators cover the trade-offs: a fixed
-step classical Runge-Kutta, two embedded Dormand-Prince pairs run by one
-adaptive step loop (8(5,3), the default, and 5(4) with
-proportional-integral step control), and an implicit midpoint rule whose
-fixed-point iteration preserves quadratic invariants to iteration
-tolerance.
+step classical Runge-Kutta, two embedded Dormand-Prince pairs (8(5,3),
+the default, and 5(4) with proportional-integral step control), and an
+implicit midpoint rule whose fixed-point iteration preserves quadratic
+invariants to iteration tolerance.  Each yields its accepted steps to one
+consumer, which stores them, ends the run and counts it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import PhaseState, _central_difference, _trig
 from .kappa_core import DomainSingularity, _finite, sin_cos_k
-from .observables import Observable, _dir_vg, angular_J, fradkin_matrix, kappa_cartesian, noether_P
+from .observables import Observable, _cartesian, _dir_vg, angular_J, fradkin_matrix, noether_P
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
@@ -232,7 +232,8 @@ class _Stages:
     adaptive loop changes dt on every attempt), and each row reads its
     fixed views (dtA[s, :s], K[:s]), so a row costs one dot product and one
     addition, plus the rhs call of a stage.  evals counts the rhs calls
-    that returned.
+    that returned (the implicit midpoint's iterations too), and rejected
+    the attempts an adaptive run rejected.
     """
 
     def __init__(self, tableau: tuple, size: int):
@@ -244,7 +245,7 @@ class _Stages:
         # With fsal the weights row is the last stage; else it gives y_new.
         self.fsal = len(c) == len(self.A)
         self.b, self.Kb = self.dtA[-1, :-1], self.K[:-1]
-        self.evals = 0
+        self.evals = self.rejected = 0
 
     def attempt(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """The new state of a step of size dt from (t, y), a fresh array."""
@@ -272,43 +273,44 @@ class _Stages:
 _STOPS = (DomainSingularity, OverflowError)
 
 
-def _stop_reason(exc: Exception) -> str:
-    return "non-finite state" if isinstance(exc, OverflowError) else f"domain singularity: {exc}"
-
-
-def _trajectory(times: list, states: list, diag: dict, reason) -> Trajectory:
-    """The stored samples as a Trajectory, truncated when reason is given."""
-    diag["n_steps"] = len(times) - 1
+def _run(steps, t0: float, y0: np.ndarray, stages: _Stages, diag: dict) -> Trajectory:
+    """The one consumer of a method's steps: stores (t0, y0) and every
+    accepted (t, y) the generator yields, and ends the run with the reason
+    it returns (None at t1) or with an rhs failure in _STOPS that escapes
+    it.  The counts come from stages for every method."""
+    times, states = [t0], [y0]
+    try:
+        while True:
+            t, y = next(steps)
+            times.append(t)
+            states.append(y)
+    except StopIteration as end:
+        reason = end.value
+    except _STOPS as exc:
+        reason = "non-finite state" if isinstance(exc, OverflowError) else f"domain singularity: {exc}"
+    diag.update(n_steps=len(times) - 1, n_rejected=stages.rejected, n_rhs_evals=stages.evals)
     if reason is not None:
         diag["reason"] = reason
     return Trajectory(np.array(times), np.array(states), diag, reason is not None)
 
 
-def _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag):
-    """Steps of stepper(t, y, dt), which returns None if its solve fails;
-    at most max_steps of them."""
-    times, states = [t0], [y0]
+def _fixed_steps(rhs, step, stages, y0, t0, t1, dt, max_steps):
+    """Steps of step(stages, rhs, t, y, dt), which returns None if its
+    solve fails; at most max_steps of them."""
     t, y = t0, y0
     # n may be infinite when dt is subnormal.
     n = (t1 - t0) / dt - 1e-12
-    reason = "max_steps exceeded" if n > max_steps else None
-    for _ in range(max_steps if reason else max(1, math.ceil(n))):
-        step = min(dt, t1 - t)
-        try:
-            y = stepper(t, y, step)
-        except _STOPS as exc:
-            reason = _stop_reason(exc)
-            break
+    capped = n > max_steps
+    for _ in range(max_steps if capped else max(1, math.ceil(n))):
+        h = min(dt, t1 - t)
+        y = step(stages, rhs, t, y, h)
         if y is None:
-            reason = f"implicit solve did not converge at t = {t}"
-            break
+            return f"implicit solve did not converge at t = {t}"
         if not all(map(math.isfinite, y.tolist())):
-            reason = "non-finite state"
-            break
-        t = t + step
-        times.append(t)
-        states.append(y)
-    return _trajectory(times, states, diag, reason)
+            return "non-finite state"
+        t = t + h
+        yield t, y
+    return "max_steps exceeded" if capped else None
 
 
 def _dp54_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
@@ -337,7 +339,7 @@ def _dop853_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
 
 @dataclass(frozen=True)
 class _Pair:
-    """An embedded Runge-Kutta pair, as _integrate_adaptive runs it.
+    """An embedded Runge-Kutta pair, as _adaptive_steps runs it.
 
     error(K, y, y_new, dt, tol) is the scaled error of an attempt, which
     is accepted when it is at most 1.  After an accepted step dt grows by
@@ -360,65 +362,54 @@ _DOP853 = _Pair(_DOP853_TABLEAU, _dop853_error, (-0.125, 0.0), -0.125, (0.333, 6
 _ADAPTIVE = {"rk45_adaptive": _DP54, "dop853": _DOP853}
 
 
-def _integrate_adaptive(rhs, pair: _Pair, y0, t0, t1, dt0, tol, max_steps, diag):
+def _adaptive_steps(rhs, pair: _Pair, stages, y0, t0, t1, dt0, tol, max_steps):
+    """Accepted steps of an embedded pair; max_steps caps the attempts."""
     t, y, y_list = t0, y0, y0.tolist()
-    times, states = [t0], [y0]
-    stages = _Stages(pair.tableau, y0.size)
     K = stages.K
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
     (a_err, a_prev), lo, hi = pair.accept, *pair.bounds
     err_prev = 1.0
-    n_rejected = 0
-    reason = None
+    attempts = 0
     # K[0] depends on (t, y) alone: it survives a rejected attempt, is
     # handed on by FSAL, and a failure of it cannot be mended by a
-    # smaller step, so the run truncates at once.
-    try:
-        K[0] = rhs(t, y)
-        stages.evals = 1
-    except _STOPS as exc:
-        reason = _stop_reason(exc)
-    while reason is None and t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if len(times) - 1 + n_rejected >= max_steps:
-            reason = "max_steps exceeded"
-            break
+    # smaller step, so it ends the run at once.
+    K[0] = rhs(t, y)
+    stages.evals += 1
+    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+        if attempts >= max_steps:
+            return "max_steps exceeded"
+        attempts += 1
         dt = min(dt, t1 - t)
         try:
             y_new = stages.attempt(rhs, t, y, dt)
-        except _STOPS as exc:
+        except _STOPS:
             if dt <= DT_MIN:
-                reason = _stop_reason(exc)
-                break
+                raise
             dt = max(0.25 * dt, DT_MIN)
-            n_rejected += 1
+            stages.rejected += 1
             continue
         new_list = y_new.tolist()
         err = pair.error(K, y_list, new_list, dt, tol)
         if not (math.isfinite(err) and all(map(math.isfinite, new_list))):
-            reason = "non-finite state"
-            break
+            return "non-finite state"
         if err <= 1.0:
             t = t + dt
             y = y_new
             y_list = new_list
-            times.append(t)
-            states.append(y)
             K[0] = K[-1]  # first same as last
             fac = 0.9 * (err + 1e-300) ** a_err * err_prev**a_prev
             dt = dt * min(hi, max(lo, fac))
             err_prev = max(err, 1e-4)
+            yield t, y
         else:
-            n_rejected += 1
+            stages.rejected += 1
             if dt <= DT_MIN:
-                reason = "step size underflow"
-                break
+                return "step size underflow"
             fac = 0.9 * err**pair.reject
             dt = max(dt * max(lo, min(1.0, fac)), DT_MIN)
-    diag.update(n_rejected=n_rejected, n_rhs_evals=stages.evals)
-    return _trajectory(times, states, diag, reason)
 
 
-def _implicit_midpoint_step(rhs, stages, t, y, dt):
+def _implicit_midpoint_step(stages, rhs, t, y, dt):
     """One implicit midpoint step by fixed-point iteration from an RK4
     warm start, or None if FP_MAX_ITER iterations do not reach FP_TOL.  A
     non-finite iterate is returned at once, for the caller to reject."""
@@ -428,6 +419,7 @@ def _implicit_midpoint_step(rhs, stages, t, y, dt):
     bound = FP_TOL * max(1.0, *map(abs, y.tolist()))
     for _ in range(FP_MAX_ITER):
         ynext = y + dt * rhs(tm, 0.5 * (y + ynew))
+        stages.evals += 1
         delta = (ynext - ynew).tolist()
         ynew = ynext
         # A NaN in delta makes its sum NaN, but not always its max-abs.
@@ -455,31 +447,32 @@ def integrate(
     Bad input raises ValueError at once: a y0 that is not a finite 1-D
     vector, a t_span whose ends are not finite with t1 > t0, an unknown
     method, a missing or non-positive dt, a tol that is not positive and
-    finite, or a max_steps that is not an integer >= 1.  Every method
-    treats a failure mid-run alike: the run truncates at the last good
-    state and sets the truncated flag with a reason in the diagnostics.
-    The reasons are a domain singularity (the adaptive methods first
-    retry with smaller steps down to DT_MIN, unless the rhs fails at the
-    initial state itself), "non-finite state" (also when the rhs overflows; the
+    finite, or a max_steps that is not an integer >= 1.  Each method
+    yields its accepted steps to one consumer, so every method treats a
+    failure mid-run alike: the run truncates at the last good state and
+    sets the truncated flag with a reason in the diagnostics.  The reasons
+    are a domain singularity (the adaptive methods first retry with
+    smaller steps down to DT_MIN, unless the rhs fails at the initial
+    state itself), "non-finite state" (also when the rhs overflows; the
     adaptive methods check every stage and their error estimate too,
     implicit_midpoint every iterate), "implicit solve did not converge at
     t = ..." (implicit_midpoint), "max_steps exceeded" (every method; the
     adaptive methods count rejected attempts too) and "step size
-    underflow" (the adaptive methods, dop853 and rk45_adaptive).  The
-    diagnostics hold n_steps (accepted steps, len(times) - 1) for every
-    method, and n_rejected and n_rhs_evals (rhs calls that returned) for
-    the adaptive methods.
+    underflow" (dop853 and rk45_adaptive).  Every method's diagnostics
+    hold method, tol, dt, n_steps (accepted steps, len(times) - 1),
+    n_rejected (0 for the fixed-step methods) and n_rhs_evals (rhs calls
+    that returned, implicit_midpoint's fixed-point iterations included).
     """
     y0, t0, t1 = _integrate_args(y0, t_span, method, dt, tol, max_steps)
     diag = {"method": method, "tol": tol, "dt": dt}
-    if method in _ADAPTIVE:
-        return _integrate_adaptive(rhs, _ADAPTIVE[method], y0, t0, t1, dt, tol, max_steps, diag)
-    stages = _Stages(_RK4, y0.size)
-    if method == "rk4_fixed":
-        stepper = lambda t, y, h: stages.step(rhs, t, y, h)
+    pair = _ADAPTIVE.get(method)
+    stages = _Stages(pair.tableau if pair else _RK4, y0.size)
+    if pair:
+        steps = _adaptive_steps(rhs, pair, stages, y0, t0, t1, dt, tol, max_steps)
     else:
-        stepper = lambda t, y, h: _implicit_midpoint_step(rhs, stages, t, y, h)
-    return _integrate_fixed(y0, t0, t1, dt, max_steps, stepper, diag)
+        step = _Stages.step if method == "rk4_fixed" else _implicit_midpoint_step
+        steps = _fixed_steps(rhs, step, stages, y0, t0, t1, dt, max_steps)
+    return _run(steps, t0, y0, stages, diag)
 
 
 def _integrate_args(y0, t_span, method, dt, tol, max_steps=MAX_STEPS) -> tuple:
@@ -631,7 +624,7 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     m = fradkin_matrix(kap, alpha, y)
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
     p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
-    x = np.array(kappa_cartesian(kap, y))
+    x = np.array(_cartesian(sc, y.tolist()))
     sk, ck = sc(y[0])
     tk = sk / ck
     jsq = float(j @ j)

@@ -295,9 +295,9 @@ def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
 
 
 def _cos_guard(c: float) -> float:
-    # The radial charts use the principal branch cos_k(r) > 0; for
-    # kappa > 0 that restricts them to the hemisphere r < pi/(2 sqrt(kappa)).
-    if c < 1e-10:
+    # The radial charts use the principal branch cos_k(r) > 0, which a NaN
+    # fails too; for kappa > 0 it is the hemisphere r < pi/(2 sqrt(kappa)).
+    if not c >= 1e-10:
         raise DomainSingularity("chart transform requires cos_k(r) > 0")
     return c
 

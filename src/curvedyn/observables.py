@@ -300,7 +300,12 @@ def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
     q is a ConfigPoint or a phase-space state (PhaseState or 6-vector).
     """
     y = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)
-    sk, _, sth, cth, sph, cph = _trig(sin_cos_k(kappa), y)
+    return _cartesian(sin_cos_k(kappa), y)
+
+
+def _cartesian(sc, y) -> tuple[float, float, float]:
+    """kappa_cartesian at y[:3] = (r, theta, phi) with the kernel sc bound."""
+    sk, _, sth, cth, sph, cph = _trig(sc, y)
     return sk * sth * cph, sk * sth * sph, sk * cth
 
 

@@ -33,6 +33,7 @@ from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k
 from .observables import (
     _CYCLE,
     Observable,
+    _cartesian,
     _coupling_terms,
     _hamilton_flow,
     _sin_guard,
@@ -45,7 +46,6 @@ from .observables import (
     k123_N,
     k123_R,
     k123_S,
-    kappa_cartesian,
     kepler_RL,
     kinetic,
     noether_P,
@@ -585,7 +585,7 @@ def _kepler_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
 
 def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
-    kap = spec.kappa
+    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
     ks = (spec.k1, spec.k2, spec.k3)
     integrals = {f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)}
     complexes = {}
@@ -613,7 +613,7 @@ def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         r, s, ki = aux[f"R{i}"], aux[f"S{i}"], ks[i - 1]
 
         def lam(at):
-            x = kappa_cartesian(kap, at.y)[i - 1]
+            x = _cartesian(sc, at.y.tolist())[i - 1]
             _sin_guard(x, "coordinate in coupling factor")
             return 1.0 / (x * x)
 

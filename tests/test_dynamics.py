@@ -356,24 +356,44 @@ def test_rhs_eval_counts_match_a_call_counter():
         for t, y in zip(traj.times.tolist(), traj.states.tolist()):
             assert 1 <= calls[t, tuple(y)] <= max_calls[method], method
 
-    counted = CountingRhs(osc)
-    traj = integrate(counted, readme_y0, (0.0, 1.0), method="rk4_fixed", dt=0.01)
-    assert not traj.truncated
-    assert len(counted.calls) == 4 * traj.diagnostics["n_steps"]
-    assert traj.diagnostics["n_steps"] == len(traj.times) - 1 == 100
-
+    # rk4_fixed calls the rhs four times a step; implicit_midpoint adds a
+    # call per fixed-point iteration to its RK4 warm start.  The wall runs
+    # end on a call that raised, the dt = 0.9 run on an iteration that did
+    # not converge.
     runs = (
-        ("rk4_fixed", osc, readme_y0, 0.01),
-        ("rk4_fixed", nan_past_rhs, NAN_PAST_Y0, 0.01),
-        ("rk4_fixed", wall_rhs, NAN_PAST_Y0, 0.01),
-        ("rk4_fixed", wall_rhs, np.array([1.6, 1.0, 1.0, 0.0, 0.0, 0.0]), 0.01),
-        ("implicit_midpoint", osc, readme_y0, 0.01),
-        ("implicit_midpoint", wall_rhs, NAN_PAST_Y0, 0.01),
+        ("rk4_fixed", osc, readme_y0, 0.01, 1.0, None),
+        ("rk4_fixed", nan_past_rhs, NAN_PAST_Y0, 0.01, 2.0, "non-finite state"),
+        ("rk4_fixed", wall_rhs, NAN_PAST_Y0, 0.01, 2.0, "domain singularity: test wall"),
+        ("rk4_fixed", wall_rhs, np.array([1.6, 1.0, 1.0, 0.0, 0.0, 0.0]), 0.01, 2.0,
+         "domain singularity: test wall"),
+        ("implicit_midpoint", osc, readme_y0, 0.01, 1.0, None),
+        ("implicit_midpoint", osc, readme_y0, 0.9, 2.0,
+         "implicit solve did not converge at t = 0.0"),
+        ("implicit_midpoint", nan_past_rhs, NAN_PAST_Y0, 0.01, 2.0, "non-finite state"),
+        ("implicit_midpoint", wall_rhs, NAN_PAST_Y0, 0.01, 2.0, "domain singularity: test wall"),
     )
-    for method, rhs, y0, dt in runs:
-        traj = integrate(rhs, y0, (0.0, 2.0), method=method, dt=dt)
-        assert traj.diagnostics["n_steps"] == len(traj.times) - 1, (method, rhs)
-        assert len(traj.states) == len(traj.times)
+    for method, rhs, y0, dt, t1, reason in runs:
+        counted = CountingRhs(rhs)
+        traj = integrate(counted, y0, (0.0, t1), method=method, dt=dt)
+        d = traj.diagnostics
+        assert d.get("reason") == reason and traj.truncated == (reason is not None), (method, d)
+        assert d["n_rhs_evals"] == len(counted.calls), (method, d)
+        assert d["n_steps"] == len(traj.times) - 1 == len(traj.states) - 1, (method, d)
+        assert d["n_rejected"] == 0
+        if method == "rk4_fixed":
+            # Four per step, with those of a last step that failed.
+            failed = 4 if reason is not None else 0
+            assert 4 * d["n_steps"] <= d["n_rhs_evals"] <= 4 * d["n_steps"] + failed, d
+        else:
+            # At least one iteration per accepted step.
+            assert d["n_rhs_evals"] >= 5 * d["n_steps"], d
+        if reason is None:
+            assert d["n_steps"] == 100
+            assert set(d) == {"method", "tol", "dt", "n_steps", "n_rejected", "n_rhs_evals"}
+    # Every method reports the same diagnostics keys.
+    keys = {method: set(integrate(osc, readme_y0, (0.0, 1.0), method=method, dt=0.01).diagnostics)
+            for method in dynamics.METHODS}
+    assert len(set(map(frozenset, keys.values()))) == 1, keys
 
 
 def test_runge_kutta_tableaux_order_conditions():
@@ -1130,6 +1150,26 @@ def test_closed_orbit_return_just_after_turning_point():
     assert result.found
     assert abs(result.period - 2.0 * math.pi) < 1e-9
     assert result.distance < 1e-8
+
+
+@pytest.mark.parametrize("kap", [0.3, 0.7, 1.0, 2.0])
+def test_closed_orbit_finds_the_exact_great_circle(kap):
+    """Free motion of speed v on the sphere of curvature kappa runs on a
+    great circle of period 2 pi / (sqrt(kappa) v).  The search finds that
+    period, and its return state is the exact geodesic's state at the
+    period it reports."""
+    spec = make_system("free", kap)
+    for v in (0.5, 1.3):
+        y0 = np.array([0.9, 1.2, 0.7, 0.3, 0.25, 0.3])
+        y0[3:] *= v / math.sqrt(2.0 * oracles.kinetic(kap, y0.tolist()))
+        period = 2.0 * math.pi / (math.sqrt(kap) * v)
+        result = closed_orbit_check(spec, y0, 1.3 * period)
+        assert result.found, (kap, v)
+        # Measured: period errors up to 3.5e-11, state gaps up to 5.4e-12.
+        assert abs(result.period - period) < 1e-9, (kap, v, result.period - period)
+        exact = oracles.geodesic_exact(kap, y0.tolist(), result.period)
+        gap = oracles.state_gap(result.diagnostics["return_state"].tolist(), exact)
+        assert gap < 1e-10, (kap, v, gap)
 
 
 def test_closed_orbit_period_independent_of_t_max():

@@ -277,6 +277,16 @@ def test_charts_reject_far_hemisphere():
         to_R_chart(1.0, s)
 
 
+@pytest.mark.parametrize("kap", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("chart_map", [to_rho_chart, to_R_chart, from_rho_chart, from_R_chart])
+def test_chart_maps_reject_a_nan_radius(chart_map, kap):
+    """The chart maps returned a NaN state for a NaN radius, where an
+    off-chart radius raises: the cos_k(r) > 0 guard let NaN through."""
+    s = PhaseState(ConfigPoint(math.nan, 1.0, 1.0), 0.1, 0.1, 0.1)
+    with pytest.raises(DomainSingularity, match="cos_k"):
+        chart_map(kap, s)
+
+
 def test_killing_fields_reject_axis():
     with pytest.raises(DomainSingularity):
         killing_field("X1", 1.0, ConfigPoint(0.5, 1e-14, 0.3))
