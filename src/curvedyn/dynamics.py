@@ -567,19 +567,28 @@ def conservation_report(observables: dict, traj: Trajectory) -> dict:
     """Drift of each named observable along a trajectory.
 
     Relative drift is the maximum deviation from the initial value
-    divided by max(1, |initial value|).
+    divided by max(1, |initial value|).  Each state gets one tuple per
+    distinct kappa of the observables (one without a kappa reads only the
+    angles of any); states that are not 6-vectors raise ValueError.
     """
+    states = np.asarray(traj.states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 6:
+        raise ValueError(f"conservation_report needs states of 6 columns, got shape {states.shape}")
+    kernels = {o.kappa: o._sc for o in observables.values() if o.kappa is not None} or {None: None}
+    slots = list(kernels)
+    cols = [(o.piece, slots.index(o.kappa) if o.kappa in kernels else 0, [])
+            for o in observables.values()]
+    for y in states.tolist():
+        ts = [_trig(sc, y) for sc in kernels.values()]
+        for piece, k, values in cols:
+            values.append(piece(ts[k], y, False)[0])
     report = {}
-    states = traj.states.tolist()
-    for name, obs in observables.items():
-        values = np.array([obs.value(y) for y in states])
+    for name, (_, _, values) in zip(observables, cols):
+        values = np.array(values)
         v0 = values[0]
         drift = float(np.max(np.abs(values - v0)))
-        report[name] = {
-            "initial": float(v0),
-            "max_drift": drift,
-            "rel_drift": drift / max(1.0, abs(v0)),
-        }
+        report[name] = {"initial": float(v0), "max_drift": drift,
+                        "rel_drift": drift / max(1.0, abs(v0))}
     return report
 
 
@@ -624,8 +633,8 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     m = fradkin_matrix(kap, alpha, y)
     j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
     p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
-    x = np.array(_cartesian(sc, y.tolist()))
-    sk, ck = sc(y[0])
+    sk, ck, *_ = t = _trig(sc, y.tolist())
+    x = np.array(_cartesian(t))
     tk = sk / ck
     jsq = float(j @ j)
     psq = float(p @ p)
@@ -676,7 +685,8 @@ class BracketResidual:
 
 class _GradientCache:
     """Value, gradient and gradient norm of each observable seen at one
-    state: the state an identity's expect and residual read.
+    state y, read off its one tuple t (from sc, the kernels of the
+    observables' kappa); an identity's expect and residual read y and t.
 
     Entries are keyed by id(obs), because Observable equality compares
     names only, and each entry keeps its observable so that no id is
@@ -685,9 +695,9 @@ class _GradientCache:
     arithmetic, so they equal obs.value(y) and obs.gradient(y) bit for bit.
     """
 
-    def __init__(self, y: np.ndarray):
-        self.y = y
-        self.entries = {}
+    def __init__(self, y: np.ndarray, sc):
+        self.y, self._y, self.entries = y, y.tolist(), {}
+        self.t = _trig(sc, self._y)
 
     def entry(self, obs: Observable) -> tuple:
         """(obs, gradient, norm of the gradient, value) at this state."""
@@ -700,7 +710,7 @@ class _GradientCache:
                     v += c * tv
                     g = g + c * tg
             else:
-                v, g = obs.value_and_gradient(self.y)
+                v, g = obs.piece(self.t, self._y, True)
             entry = self.entries[id(obs)] = (obs, g, math.sqrt(g.dot(g)), v)
         return entry
 
@@ -758,7 +768,8 @@ def bracket_table_audit(
         Identity(f"conserve:{{{name},H}}", ((o, obs["H"], None),))
         for name, o in cat.integrals.items()
     ]
-    caches = [_GradientCache(y) for y in states]
+    sc = sin_cos_k(spec.kappa)
+    caches = [_GradientCache(y, sc) for y in states]
     out = []
     for row in table + list(cat.identities):
         brackets = row.brackets
@@ -848,8 +859,8 @@ def closed_orbit_check(
 ) -> ClosedOrbitResult:
     """Search for the first return of the trajectory to its initial state.
 
-    A y0 that is not a finite 6-vector, or a return_tol that is not
-    positive and finite, raises ValueError before any integration.  The
+    A y0 that is not a finite 6-vector, or a t_max or return_tol that is
+    not positive and finite, raises ValueError before any integration.  The
     candidate returns of a run over [0, t_max] are the local minima of the
     sample distance to y0 (with the run's end counted as infinitely far),
     normalized per component by the ranges the whole run explores, with
@@ -861,8 +872,9 @@ def closed_orbit_check(
     the reported candidate, coarse_distance and the state at its refined
     time (return_state).
     """
-    if not (math.isfinite(return_tol) and return_tol > 0.0):
-        raise ValueError(f"return_tol must be positive and finite, got {return_tol!r}")
+    for name, value in (("t_max", t_max), ("return_tol", return_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     y0 = _as_array(y0).copy()
     if y0.shape != (6,) or not np.isfinite(y0).all():
         raise ValueError(f"closed_orbit_check needs a finite 6-vector y0, got {y0!r}")

@@ -11,15 +11,15 @@ The momenta live here because they define the fields: a momentum
 <p, X> is linear in p, so the Killing field X_i (Y_i) is the momentum
 part of the gradient of P_i (J_i).  The observables module builds its
 integrals on these momenta, which read sin_k(r), cos_k(r) and the angle
-sines and cosines from one tuple: _with_trig builds it once per
-evaluation from an Observable's (piece, kappa, angles).
+sines and cosines from one tuple t; _trig is the one code that builds it,
+once per state, for whoever holds the state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from math import cos, sin
 
 import numpy as np
 
@@ -118,29 +118,11 @@ def _sin_guard(x: float, what: str) -> None:
         raise DomainSingularity(f"{what} vanishes")
 
 
-def _with_trig(piece, sc=None, angles: int = 2):
-    """vg(y, grad=True) = piece(t, y, grad), t = (sin_k r, cos_k r, sin theta,
-    cos theta, sin phi, cos phi) taken once per call at y = (r, theta, phi, ...),
-    sc the bound kernels; sc None leaves the first two None, angles < 2 the phi
-    pair and angles 0 the theta pair too (and with sc None, t is None)."""
-    sin, cos = math.sin, math.cos
-    if sc is None and angles == 0:
-        return partial(piece, None)
-
-    def vg(y, grad=True):
-        sk, ck = (None, None) if sc is None else sc(y[0])
-        if angles == 2:
-            return piece((sk, ck, sin(y[1]), cos(y[1]), sin(y[2]), cos(y[2])), y, grad)
-        if angles:
-            return piece((sk, ck, sin(y[1]), cos(y[1]), None, None), y, grad)
-        return piece((sk, ck, None, None, None, None), y, grad)
-
-    return vg
-
-
 def _trig(sc, y) -> tuple:
-    """The tuple t that _with_trig hands its piece at y, both angle pairs included."""
-    return _with_trig(lambda t, y, grad: t, sc)(y)
+    """The tuple every piece reads, t = (sin_k r, cos_k r, sin theta, cos theta,
+    sin phi, cos phi) at y = (r, theta, phi, ...); sc None leaves sin_k, cos_k None."""
+    sk, ck = (None, None) if sc is None else sc(y[0])
+    return sk, ck, sin(y[1]), cos(y[1]), sin(y[2]), cos(y[2])
 
 
 def _planar_axis(axis: int, t) -> tuple[float, float]:

@@ -10,12 +10,13 @@ observable carries a hand-derived closed-form gradient with respect to
 gradients through explicit product, quotient, and chain rules.  The
 formulas of the momenta P_i and J_i live in the geometry module, beside
 the Killing fields that are their momentum gradients.  An observable is
-one piece with the kappa and the angle pairs it reads, so an evaluation,
-of a sum or square too, takes one trigonometry pass: one tuple of
-sin_k(r), cos_k(r) and the angle sines and cosines, which all of its
-pieces read.  A constructor given a kappa, alpha, k or k_i that is not
-finite raises ValueError.  A finite difference cross-check of every
-gradient lives in the test suite.
+one piece with the kappa whose kernels it reads, so an evaluation, of a
+sum or square too, takes one trigonometry pass: one tuple of sin_k(r),
+cos_k(r) and the angle sines and cosines (geometry._trig), which all of
+its pieces read.  Code that holds many states builds that tuple once
+per state and calls each piece on it.  A constructor given a kappa,
+alpha, k or k_i that is not finite raises ValueError.  A finite
+difference cross-check of every gradient lives in the test suite.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (
-    _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig, _with_trig,
-)
+from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig
 from .kappa_core import DomainSingularity, EPS_DOM, _finite, sin_cos_k
 
 __all__ = [
@@ -93,32 +92,33 @@ class Observable:
     ``piece(t, y, grad=True)`` maps a 6-tuple ``y`` to ``(value, gradient)``,
     or ``(value, None)`` with ``grad`` false, which runs the same formulas
     and domain guards.  It reads ``sin_k r`` and ``cos_k r`` of ``kappa``
-    (None: neither) and ``angles`` angle pairs (0 none, 1 theta, 2 theta and
-    phi) from one tuple ``t``; ``_vg(y, grad=True)``, which builds ``t``, is
-    derived once, at construction.  A linear combination built by
-    ``scaled_sum`` also lists its ``(c, observable)`` terms, so that a
-    caller holding the terms' gradients can assemble its gradient from them.
+    (None: neither) and the angle sines and cosines from the tuple
+    ``t = geometry._trig(_sc, y)``, ``_sc`` being the kernels bound once, at
+    construction.  A linear combination built by ``scaled_sum`` also lists
+    its ``(c, observable)`` terms, so that a caller holding the terms'
+    gradients can assemble its gradient from them.
     """
 
     name: str
     piece: Callable = field(repr=False, compare=False)
     kappa: float | None = field(default=None, repr=False, compare=False)
-    angles: int = field(default=2, repr=False, compare=False)
     terms: tuple = field(default=(), repr=False, compare=False)
-    _vg: Callable = field(init=False, repr=False, compare=False)
+    _sc: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sc = None if self.kappa is None else sin_cos_k(self.kappa)
-        object.__setattr__(self, "_vg", _with_trig(self.piece, sc, self.angles))
+        object.__setattr__(self, "_sc", None if self.kappa is None else sin_cos_k(self.kappa))
 
     def value(self, s) -> float:
-        return self._vg(_as6(s), False)[0]
+        y = _as6(s)
+        return self.piece(_trig(self._sc, y), y, False)[0]
 
     def gradient(self, s) -> np.ndarray:
-        return self._vg(_as6(s))[1]
+        y = _as6(s)
+        return self.piece(_trig(self._sc, y), y, True)[1]
 
     def value_and_gradient(self, s) -> tuple[float, np.ndarray]:
-        return self._vg(_as6(s))
+        y = _as6(s)
+        return self.piece(_trig(self._sc, y), y, True)
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,7 @@ class ComplexObservable:
 # Value-and-gradient pieces.  Each returns (value, 6-gradient), or
 # (value, None) when called with grad false.  The momenta P_i and J_i are
 # geometry._p_vg and geometry._j_vg.  Every piece reads sin_k(r), cos_k(r)
-# and the angle sines and cosines from one tuple t, which the Observable
-# holding it builds once per evaluation; a constructor passes the piece
-# with the kappa and the angle pairs it reads.
+# and the angle sines and cosines from one tuple t (geometry._trig).
 
 def _jsq_vg(t, y, grad: bool = True) -> _VG:
     pth, pph = y[4], y[5]
@@ -263,19 +261,19 @@ def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"P{i}", partial(_p_vg, i), kappa, 2 if i != 3 else 1)
+    return Observable(f"P{i}", partial(_p_vg, i), kappa)
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"J{i}", partial(_j_vg, i), None, 2 if i != 3 else 0)
+    return Observable(f"J{i}", partial(_j_vg, i))
 
 
 def angular_J_squared() -> Observable:
     """Total squared angular momentum J1^2 + J2^2 + J3^2."""
-    return Observable("Jsq", _jsq_vg, None, 1)
+    return Observable("Jsq", _jsq_vg)
 
 
 def coordinate(axis: int, kappa) -> Observable:
@@ -283,7 +281,7 @@ def coordinate(axis: int, kappa) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("xk", "yk", "zk")[axis - 1]
-    return Observable(name, partial(_coord_vg, axis - 1), kappa, 2 if axis != 3 else 1)
+    return Observable(name, partial(_coord_vg, axis - 1), kappa)
 
 
 def direction_cosine(axis: int) -> Observable:
@@ -291,7 +289,7 @@ def direction_cosine(axis: int) -> Observable:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1..3, got {axis}")
     name = ("dx", "dy", "dz")[axis - 1]
-    return Observable(name, partial(_dir_vg, axis - 1), None, 2 if axis != 3 else 1)
+    return Observable(name, partial(_dir_vg, axis - 1))
 
 
 def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
@@ -300,12 +298,12 @@ def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
     q is a ConfigPoint or a phase-space state (PhaseState or 6-vector).
     """
     y = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)
-    return _cartesian(sin_cos_k(kappa), y)
+    return _cartesian(_trig(sin_cos_k(kappa), y))
 
 
-def _cartesian(sc, y) -> tuple[float, float, float]:
-    """kappa_cartesian at y[:3] = (r, theta, phi) with the kernel sc bound."""
-    sk, _, sth, cth, sph, cph = _trig(sc, y)
+def _cartesian(t) -> tuple[float, float, float]:
+    """kappa_cartesian from the tuple t of a state."""
+    sk, _, sth, cth, sph, cph = t
     return sk * sth * cph, sk * sth * sph, sk * cth
 
 
@@ -327,7 +325,7 @@ def kinetic(kappa) -> Observable:
         f = flow(0.0, np.asarray(y)).tolist()
         return val, np.array((-f[3], -f[4], 0.0, f[0], f[1], f[2]))
 
-    return Observable("T", vg, kappa, 1)
+    return Observable("T", vg, kappa)
 
 
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -365,7 +363,7 @@ def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observabl
             return val, None
         return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
 
-    return Observable(f"K{i}{j}", vg, kappa, 2 if (i, j) != (3, 3) else 1)
+    return Observable(f"K{i}{j}", vg, kappa)
 
 
 def fradkin_matrix(kappa, alpha, s) -> np.ndarray:
@@ -390,7 +388,7 @@ def complex_M(j: int, kappa, alpha) -> ComplexObservable:
         v, g = _tan_dir_vg(j - 1, t, y, grad)
         return al * v, (al * g if grad else None)
 
-    im = Observable(f"ImM{j}", im_vg, kappa, 2 if j != 3 else 1)
+    im = Observable(f"ImM{j}", im_vg, kappa)
     return ComplexObservable(f"M{j}", re, im)
 
 
@@ -443,7 +441,7 @@ def _osc112_k3(kappa, alpha) -> Observable:
             return val, None
         return val, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
 
-    return Observable("K3", vg, kappa, 1)
+    return Observable("K3", vg, kappa)
 
 
 def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
@@ -545,7 +543,7 @@ def osc112_observables(kappa, alpha, k1=0.0, k2=0.0) -> dict:
     """Named observables of the 1:1:2 oscillator with planar couplings."""
     alpha, (k1, k2) = _finite(alpha, "alpha"), _couplings(k1, k2)
     return {
-        "Az": Observable("Az", partial(_az_vg, float(kappa)), kappa, 1),
+        "Az": Observable("Az", partial(_az_vg, float(kappa)), kappa),
         "K3": _osc112_k3(kappa, alpha),
         "KJ3": sw_KJ(3, kappa, k1=k1, k2=k2),
         "K12": _osc112_k12(kappa, alpha, k1, k2),
@@ -663,7 +661,7 @@ def k123_S(i: int, kappa) -> Observable:
     That is p_r over the i-th direction cosine, so kappa drops out; the
     argument keeps the signature of the other kepler123 constructors.
     """
-    return Observable(f"S{i}", partial(_k123_s_vg, i), None, 2 if i != 3 else 1)
+    return Observable(f"S{i}", partial(_k123_s_vg, i))
 
 
 def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
@@ -679,7 +677,7 @@ def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
         v, g = _k123_s_vg(i, t, y, grad)
         return root * v, (root * g if grad else None)
 
-    im = Observable(f"ImN{i}", im_vg, None, 2 if i != 3 else 1)
+    im = Observable(f"ImN{i}", im_vg)
     return ComplexObservable(f"N{i}", re, im)
 
 
@@ -723,8 +721,7 @@ def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
                 g = g + c * gv
         return val, g
 
-    angles = max((obs.angles for _, obs in terms), default=0)
-    return Observable(name, vg, kappas.pop() if kappas else None, angles, tuple(terms))
+    return Observable(name, vg, kappas.pop() if kappas else None, tuple(terms))
 
 
 def square(obs: Observable, name: str | None = None) -> Observable:
@@ -735,4 +732,4 @@ def square(obs: Observable, name: str | None = None) -> Observable:
         v, g = piece(t, y, grad)
         return v * v, (2.0 * v * g if grad else None)
 
-    return Observable(name or f"{obs.name}^2", vg, obs.kappa, obs.angles)
+    return Observable(name or f"{obs.name}^2", vg, obs.kappa)

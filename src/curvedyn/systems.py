@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import ConfigPoint, PhaseState, R_chart_kinetic, rho_chart_kinetic
+from .geometry import ConfigPoint, PhaseState, R_chart_kinetic, _trig, rho_chart_kinetic
 from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k
 from .observables import (
     _CYCLE,
@@ -241,7 +241,7 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
     The value and the gradient (V_r, V_theta, V_phi, 0, 0, 0) both come
     from the potential's terms, whose force hamilton_rhs subtracts; a
     value alone does not compute the force.  A radial potential's terms
-    ignore the angles, so their sines and cosines are not taken.
+    ignore the angle sines and cosines of the tuple they read.
     """
     entry = _system(spec.system_id)
     if entry.potential is None:
@@ -254,7 +254,7 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
         val, vr, vth, vph = terms(t[0], t[1], t[2], t[3], y[2])
         return val, np.array((vr, vth, vph, 0.0, 0.0, 0.0))
 
-    return Observable("V", vg, spec.kappa, 0 if entry.radial else 2)
+    return Observable("V", vg, spec.kappa)
 
 
 def potential_value(spec: SystemSpec, q: ConfigPoint) -> float:
@@ -291,21 +291,28 @@ def potential_profile(
 ) -> np.ndarray:
     """Potential sampled along a fixed ray; singular radii yield NaN rows.
 
-    A radius, theta or phi that is not finite raises ValueError.
+    r_values that are not a 1-D sequence, or a radius, theta or phi that
+    is not finite, raise ValueError.  The angle sines and cosines are
+    taken once per ray and the kernels once per radius.
     """
     v = potential_observable(spec)
     rs = np.asarray(r_values, dtype=float)
+    if rs.ndim != 1:
+        raise ValueError(f"potential_profile needs a 1-D sequence of radii, got shape {rs.shape}")
     bad = rs[~np.isfinite(rs)]
     if bad.size:
         raise ValueError(f"potential_profile needs finite radii, got {float(bad[0])!r}")
     for name, angle in (("theta", theta), ("phi", phi)):
         if not math.isfinite(angle):
             raise ValueError(f"potential_profile needs a finite {name}, got {angle!r}")
-    vg = None if v is None else v._vg
+    if v is None:
+        return np.column_stack((rs, np.zeros_like(rs)))
+    piece, sc = v.piece, v._sc
+    ray = _trig(None, (0.0, theta, phi))[2:]
     vals = []
     for r in rs.tolist():
         try:
-            vals.append(0.0 if vg is None else vg((r, theta, phi, 0.0, 0.0, 0.0), False)[0])
+            vals.append(piece(sc(r) + ray, (r, theta, phi, 0.0, 0.0, 0.0), False)[0])
         except DomainSingularity:
             vals.append(math.nan)
     return np.column_stack((rs, vals))
@@ -323,11 +330,11 @@ class Identity:
     each triple relative to its gradient scale and joins several, such
     as the real and imaginary parts of {M_j, H}, with hypot.  An
     algebraic identity gives residual(at) instead, normalized by its own
-    terms.  Both read the audit's state as at.y and an observable's
-    value there as at.value(obs), which the audit evaluates once per
-    state beside the gradient.  An identity that holds for every
-    coefficient vector c declares n_coeffs, and its brackets is then a
-    function of c that returns the triples.
+    terms.  Both read the audit's state as at.y, its tuple (geometry._trig)
+    as at.t and an observable's value there as at.value(obs), which the
+    audit evaluates once per state beside the gradient.  An identity that
+    holds for every coefficient vector c declares n_coeffs, and its
+    brackets is then a function of c that returns the triples.
     """
 
     name: str
@@ -425,7 +432,7 @@ def _pair_sums(kjs) -> tuple:
 
 
 def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
-    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
+    kap = spec.kappa
     jsq = angular_J_squared()
     p = {i: noether_P(i, kap) for i in (1, 2, 3)}
     j = {i: angular_J(i) for i in (1, 2, 3)}
@@ -438,7 +445,7 @@ def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
     def radial(at):
         total = sum(at.value(x[i]) * at.value(p[i]) for i in (1, 2, 3))
-        expect = at.y[3] * sc(at.y[0])[0]
+        expect = at.y[3] * at.t[0]
         return (total - expect) / max(1.0, abs(expect))
 
     ids = [Identity("alg:x.P-p_r*sin_k", residual=radial)]
@@ -448,14 +455,14 @@ def _free_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         ids.append(_bracket(f"{{J{a},J{b}}}-J{c}", j[a], j[b], lambda at, c=c: at.value(j[c])))
     ids += _rotation_identities(j, p, "P")
     ids += [
-        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda at: sc(at.y[0])[1])
+        _bracket(f"{{{x[i].name},P{i}}}-cos_k", x[i], p[i], lambda at: at.t[1])
         for i in (1, 2, 3)
     ]
     return Catalog(integrals, aux, {}, invol, indep, tuple(ids))
 
 
 def _oscillator_catalog(spec: SystemSpec, h: Observable) -> Catalog:
-    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
+    kap = spec.kappa
     jsq = angular_J_squared()
     al = spec.alpha
     integrals = {f"J{i}": angular_J(i) for i in (1, 2, 3)}
@@ -504,7 +511,7 @@ def _oscillator_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
     def phase(i):
         m = complexes[f"M{i}"]
-        lam = lambda at: 1.0 / sc(at.y[0])[1] ** 2
+        lam = lambda at: 1.0 / at.t[1] ** 2
         return Identity(f"{{M{i},H}}-i*lambda*alpha*M{i}", (
             (m.re, h, lambda at: -lam(at) * al * at.value(m.im)),
             (m.im, h, lambda at: lam(at) * al * at.value(m.re)),
@@ -585,7 +592,7 @@ def _kepler_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
 
 def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
-    kap, sc = spec.kappa, sin_cos_k(spec.kappa)
+    kap = spec.kappa
     ks = (spec.k1, spec.k2, spec.k3)
     integrals = {f"KJ{i}": sw_KJ(i, kap, *ks) for i in (1, 2, 3)}
     complexes = {}
@@ -613,7 +620,7 @@ def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
         r, s, ki = aux[f"R{i}"], aux[f"S{i}"], ks[i - 1]
 
         def lam(at):
-            x = _cartesian(sc, at.y.tolist())[i - 1]
+            x = _cartesian(at.t)[i - 1]
             _sin_guard(x, "coordinate in coupling factor")
             return 1.0 / (x * x)
 

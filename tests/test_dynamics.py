@@ -23,7 +23,7 @@ from curvedyn.dynamics import (
     poisson_bracket_fd,
     sample_state,
 )
-from curvedyn.kappa_core import DomainSingularity, cos_k
+from curvedyn.kappa_core import DomainSingularity, cos_k, sin_cos_k
 from curvedyn.observables import (
     angular_J,
     coordinate,
@@ -655,8 +655,10 @@ def test_closed_orbit_rejects_bad_return_tol(monkeypatch):
 
 
 def test_closed_orbit_rejects_bad_state(monkeypatch):
-    """A y0 that is not a finite 6-vector raises, naming the function,
-    before the rhs is built or the run starts."""
+    """A y0 that is not a finite 6-vector raises, naming the function, and
+    a t_max that is not positive and finite raises, naming t_max (not the
+    t_span of the run it would start), both before the rhs is built or
+    the run starts."""
     monkeypatch.setattr(dynamics, "integrate", None)
     monkeypatch.setattr(dynamics, "hamilton_rhs", None)
     spec = make_system("free", kappa=1.0)
@@ -664,6 +666,9 @@ def test_closed_orbit_rejects_bad_state(monkeypatch):
                np.where(np.arange(6) == 4, math.inf, ECC_Y0)):
         with pytest.raises(ValueError, match="closed_orbit_check needs a finite 6-vector y0"):
             closed_orbit_check(spec, y0, 10.0)
+    for t_max in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^t_max must be positive and finite, got"):
+            closed_orbit_check(spec, ECC_Y0, t_max)
 
 
 def test_implicit_midpoint_nonconvergence(monkeypatch):
@@ -860,6 +865,84 @@ def test_conservation_report_examples():
     assert rep["KR1"]["rel_drift"] < 1e-7
 
 
+def test_conservation_report_reads_each_observable_at_its_own_kappa():
+    """Observables of several kappas, and of none, in one report: each
+    entry equals the drift of that observable's own values bit for bit."""
+    spec = make_system("oscillator", kappa=1.0, alpha=1.0)
+    traj = integrate(hamilton_rhs(spec), ECC_Y0, (0.0, 2.0))
+    mixed = {"P1": noether_P(1, 1.0), "P1 at -0.5": noether_P(1, -0.5),
+             "z at 0": coordinate(3, 0.0), "J3": angular_J(3), "T at -0.5": kinetic(-0.5),
+             "H": hamiltonian(spec)}
+    for watch in ({"J3": angular_J(3), "J1": angular_J(1)}, mixed):
+        rep = conservation_report(watch, traj)
+        assert list(rep) == list(watch)
+        for name, obs in watch.items():
+            values = np.array([obs.value(y) for y in traj.states])
+            drift = float(np.max(np.abs(values - values[0])))
+            want = {"initial": float(values[0]), "max_drift": drift,
+                    "rel_drift": drift / max(1.0, abs(values[0]))}
+            assert rep[name] == want, name
+    assert rep["P1"] != rep["P1 at -0.5"]
+
+
+def test_conservation_report_rejects_states_that_are_not_6_vectors():
+    for states in (np.ones((3, 5)), np.ones((3, 7)), np.ones(6)):
+        traj = Trajectory(np.arange(len(states), dtype=float), states)
+        with pytest.raises(ValueError, match="^conservation_report needs states of 6 columns"):
+            conservation_report({"J3": angular_J(3)}, traj)
+
+
+def test_one_trig_tuple_per_state(monkeypatch):
+    """Whoever holds the states builds one tuple per state: one _trig and
+    one kernel call per state (per distinct kappa) in conservation_report
+    and in bracket_table_audit, whose identities read the audit's tuple,
+    and in potential_profile one _trig call per ray for the angle sines and
+    cosines and one kernel call per radius (none for the free system)."""
+    from curvedyn import geometry, kappa_core, observables, systems
+
+    kernel, trig = [0], [0]
+    bind, build = kappa_core.sin_cos_k, geometry._trig
+
+    def counting_bind(kappa):
+        sc = bind(kappa)
+
+        def counted(x):
+            kernel[0] += 1
+            return sc(x)
+
+        return counted
+
+    def counting_trig(sc, y):
+        trig[0] += 1
+        return build(sc, y)
+
+    for mod in (kappa_core, geometry, observables, systems, dynamics):
+        monkeypatch.setattr(mod, "sin_cos_k", counting_bind)
+    for mod in (systems, dynamics):
+        monkeypatch.setattr(mod, "_trig", counting_trig)
+
+    def counts(run):
+        kernel[0] = trig[0] = 0
+        run()
+        return kernel[0], trig[0]
+
+    rng = np.random.default_rng(31)
+    rs = np.linspace(0.1, 3.0, 17)
+    for sid, (params, *_) in AUDIT_TABLES.items():
+        spec = make_system(sid, kappa=0.7, **params)
+        states = [sample_state(spec, rng, margin=0.12) for _ in range(3)]
+        # The gradient of T (in H) takes a second kernel call per state,
+        # inside the geodesic Hamilton equations it is read from.
+        assert counts(lambda: bracket_table_audit(spec, states)) == (6, 3), sid
+        cat = catalog(spec)
+        traj = Trajectory(np.arange(3.0), np.array(states))
+        assert counts(lambda: conservation_report(cat.observables, traj)) == (3, 3), sid
+        watch = {**cat.observables, "P1 at -1": noether_P(1, -1.0)}
+        assert counts(lambda: conservation_report(watch, traj)) == (6, 6), sid
+        want = (0, 0) if sid == "free" else (len(rs), 1)
+        assert counts(lambda: systems.potential_profile(spec, rs, 1.1, 0.4)) == want, sid
+
+
 def test_independence_rank_cases():
     rng = np.random.default_rng(18)
     kap = 0.7
@@ -1023,28 +1106,41 @@ def audit_states(sid, params, n, seed):
 
 
 def test_bracket_table_audit_one_gradient_per_observable_per_state(monkeypatch):
-    """Per state, no observable's gradient is evaluated twice in one call.
-
-    The audit takes each value with its gradient from value_and_gradient,
-    so it calls neither value nor gradient on its own.
-    """
+    """Per state, each distinct observable's piece runs once with its
+    gradient, and never without it: the audit takes each value with its
+    gradient, so it neither calls a piece with grad false nor value,
+    gradient or value_and_gradient of an Observable."""
     from curvedyn.observables import Observable
 
     calls = Counter()
     alone = Counter()
+    post_init = Observable.__post_init__
+    depth = [0]
 
-    def counting(name, counter, key):
-        method = getattr(Observable, name)
+    def counting_post_init(obs):
+        post_init(obs)
+        piece = obs.piece
 
-        def counted(obs, s):
-            counter[key(obs, s)] += 1
+        def counted(t, y, grad=True):
+            # Only the audit's own calls count, not those of a square's
+            # piece to the piece of the observable it squares.
+            if not depth[0]:
+                (calls if grad else alone)[(id(obs), tuple(y))] += 1
+            depth[0] += 1
+            try:
+                return piece(t, y, grad)
+            finally:
+                depth[0] -= 1
+
+        object.__setattr__(obs, "piece", counted)
+
+    monkeypatch.setattr(Observable, "__post_init__", counting_post_init)
+    for name in ("value", "gradient", "value_and_gradient"):
+        def counted_call(obs, s, name=name, method=getattr(Observable, name)):
+            alone[name] += 1
             return method(obs, s)
 
-        monkeypatch.setattr(Observable, name, counted)
-
-    counting("value_and_gradient", calls, lambda obs, s: (id(obs), tuple(np.asarray(s).tolist())))
-    for name in ("value", "gradient"):
-        counting(name, alone, lambda obs, s, name=name: name)
+        monkeypatch.setattr(Observable, name, counted_call)
     for sid, (params, *_) in AUDIT_TABLES.items():
         calls.clear()
         spec, states = audit_states(sid, params, 3, 25)
@@ -1091,7 +1187,7 @@ def test_scaled_sum_gradient_from_terms_is_bit_identical():
         if sid != "free":
             assert obs["H"].terms, sid
         for y in states:
-            cache = _GradientCache(y)
+            cache = _GradientCache(y, sin_cos_k(spec.kappa))
             for o in sums:
                 assert cache.entry(o)[1].tobytes() == o.gradient(y).tobytes(), (sid, o.name)
             for o in [*obs.values(), *sums]:

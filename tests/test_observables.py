@@ -367,7 +367,7 @@ def test_scaled_sum_rejects_mixed_kappa():
     with pytest.raises(ValueError, match="kappa"):
         scaled_sum("mixed", [(1.0, angular_J(1)), (1.0, kinetic(1.0)), (1.0, coordinate(2, -1.0))])
     mixed = scaled_sum("ok", [(1.0, angular_J(3)), (1.0, noether_P(3, 0.7))])
-    assert (mixed.kappa, mixed.angles) == (0.7, 1)
+    assert mixed.kappa == 0.7
 
 
 def test_scaled_sum_and_square():

@@ -260,6 +260,17 @@ def test_potential_profile_rejects_non_finite_input():
         potential_profile(make_system("free", kappa=1.0), [math.nan])
 
 
+def test_potential_profile_rejects_radii_that_are_not_1d():
+    """A nested list used to fail with "can't multiply sequence by
+    non-int of type 'float'" and a bare number with "'float' object is not
+    iterable"; the free system, which reads no potential, checks too."""
+    for sid in ("sw", "free"):
+        spec = make_system(sid, kappa=1.0)
+        for r in ([[0.5, 0.6]], 0.5, np.ones((2, 2)), np.float64(0.5)):
+            with pytest.raises(ValueError, match="^potential_profile needs a 1-D sequence"):
+                potential_profile(spec, r)
+
+
 def test_euclidean_limit_continuity():
     """H and each integral change by < 1e-6 relative between kappa=1e-8 and 0."""
     rng = np.random.default_rng(205)
@@ -388,15 +399,25 @@ def test_chart_forms_reject_radii_outside_the_chart():
 
 
 def test_potential_profile_rows_and_free_system_far_out():
-    """A profile row is V.value at that radius, or NaN where V is singular;
-    the free system gives zeros without touching the kernels, so a radius
-    where sinh overflows at kappa = -1 still reads 0."""
-    spec = canonical_spec("kepler", -1.0)
-    rr = np.array([0.0, 0.5, 2.0])
-    prof = potential_profile(spec, rr, 1.0, 0.3)
-    assert prof.shape == (3, 2) and prof[:, 0].tolist() == rr.tolist()
-    assert math.isnan(prof[0, 1])
-    v = potential_observable(spec)
-    assert prof[1:, 1].tolist() == [v.value((r, 1.0, 0.3, 0.0, 0.0, 0.0)) for r in (0.5, 2.0)]
+    """A profile row is V.value at that radius bit for bit, or NaN where V
+    raises DomainSingularity, for every system at theta and phi off their
+    defaults; the free system gives zeros without touching the kernels, so
+    a radius where sinh overflows at kappa = -1 still reads 0."""
+    rs = np.array([0.0, 0.3, 1.0, math.pi / 2.0, 2.0, math.pi, 3.5])
+    nan_rows = 0
+    for sid in SYSTEM_IDS:
+        for kap in (-1.0, 0.0, 1.0):
+            spec = canonical_spec(sid, kap)
+            v = potential_observable(spec)
+            prof = potential_profile(spec, rs, 1.1, 0.4)
+            assert prof.shape == (len(rs), 2) and prof[:, 0].tobytes() == rs.tobytes()
+            for r, got in zip(rs.tolist(), prof[:, 1].tolist()):
+                try:
+                    want = 0.0 if v is None else v.value((r, 1.1, 0.4, 0.0, 0.0, 0.0))
+                except DomainSingularity:
+                    want = math.nan
+                    nan_rows += 1
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (sid, kap, r)
+    assert nan_rows > 0
     far = potential_profile(canonical_spec("free", -1.0), [1.0, 1000.0])
     assert far[:, 1].tolist() == [0.0, 0.0]
