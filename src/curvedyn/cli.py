@@ -17,12 +17,13 @@ values pass the same checks as flags; explicit flags win over the file.
 --emit-config prints the resolved run as a config file whose every key
 is read back, once the run has passed the checks it would fail at the
 start (trajectory builds its chart state and equations first).  Audit
-subcommands exit nonzero when any check exceeds its tolerance, and
+subcommands exit nonzero when any check exceeds its tolerance or is NaN, and
 trajectory prints "warning: trajectory truncated: <reason>"
 (its only stderr line: numpy's RuntimeWarnings are silenced) and exits 1
 when the run stopped early, for any reason (a failed implicit solve
 included).  A bad option value, input rejected by the library (a
-ValueError, which includes DomainSingularity), a missing, unreadable or
+ValueError, which includes DomainSingularity), a parameter so large that
+float arithmetic overflows (OverflowError), a missing, unreadable or
 malformed config file, a missing --system and an unwritable --output
 print "error: <message>" on stderr and exit 2.
 """
@@ -270,13 +271,12 @@ def _audit_fradkin(spec, rng, opts, lines) -> bool:
     if spec.system_id != "oscillator":
         lines.append("SKIP fradkin (oscillator only)")
         return True
-    worst: dict = {}
-    for _ in range(opts["states"]):
-        y = dynamics.sample_state(spec, rng)
-        for name, val in dynamics.fradkin_audit(spec.kappa, spec.alpha, y).items():
-            worst[name] = max(worst.get(name, 0.0), val)
+    runs = [dynamics.fradkin_audit(spec.kappa, spec.alpha, dynamics.sample_state(spec, rng))
+            for _ in range(opts["states"])]
     ok = True
-    for name, val in worst.items():
+    for name in runs[0]:
+        # A NaN residual at any state is the worst one, and fails.
+        val = dynamics._worst([run[name] for run in runs])
         good = val < tol
         ok &= good
         lines.append(f"{'PASS' if good else 'FAIL'} fradkin {name} "
@@ -498,7 +498,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return _COMMANDS[args.command][0](args, _build_spec(opts), opts)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,9 +20,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import PhaseState, _central_difference, _trig
+from .geometry import PhaseState, _central_difference, _j_vg, _p_vg, _trig
 from .kappa_core import DomainSingularity, _finite, sin_cos_k
-from .observables import Observable, _cartesian, _dir_vg, angular_J, fradkin_matrix, noether_P
+from .observables import Observable, _cartesian, _dir_vg, _fradkin_m
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
@@ -624,16 +624,17 @@ def fradkin_audit(kappa, alpha, s) -> dict:
 
     Covers the trace identity, the vanishing determinant, the kernel
     relation K J = 0, the coordinate quadratic forms, the 2x2 minors,
-    and the three full contractions with coordinates and momenta.  A
+    and the three full contractions with coordinates and momenta, all
+    read off one tuple of the state, with the kernels bound once.  A
     state that is not a finite 6-vector, or a non-finite alpha, raises
     ValueError.
     """
     kap, sc, alpha = float(kappa), sin_cos_k(kappa), _finite(alpha, "alpha")
-    y = _audit_state(s)
-    m = fradkin_matrix(kap, alpha, y)
-    j = np.array([angular_J(i).value(y) for i in (1, 2, 3)])
-    p = np.array([noether_P(i, kap).value(y) for i in (1, 2, 3)])
-    sk, ck, *_ = t = _trig(sc, y.tolist())
+    y = _audit_state(s).tolist()
+    sk, ck, *_ = t = _trig(sc, y)
+    m = _fradkin_m(alpha, t, y)
+    j = np.array([_j_vg(i, t, y, False)[0] for i in (1, 2, 3)])
+    p = np.array([_p_vg(i, t, y, False)[0] for i in (1, 2, 3)])
     x = np.array(_cartesian(t))
     tk = sk / ck
     jsq = float(j @ j)
@@ -741,16 +742,16 @@ def bracket_table_audit(
     The table holds {f, g} = 0 for each pair of every involution set,
     {I, H} = 0 for each integral, then the identities the catalog
     displays (systems.Catalog.identities), in that order.  Returns one
-    residual per identity, maximized over the given states and
-    normalized as described on BracketResidual.  An identity with free
-    coefficients draws one random vector from rng (defaulting to a fixed
-    seed), in table order, and uses it at every state.  Each distinct
-    observable's value and gradient are evaluated once per state and
-    shared by every row, the values read by the expected sides and the
-    algebraic rows; a linear combination (scaled_sum, such as H = T + V
-    or a row's random combination) takes them from those of its terms.
-    An empty state list, or a state that is not a finite 6-vector,
-    raises ValueError.
+    residual per identity, maximized over the given states (NaN if it is
+    NaN at any) and normalized as described on BracketResidual.  An
+    identity with free coefficients draws one random vector from rng
+    (defaulting to a fixed seed), in table order, and uses it at every
+    state.  Each distinct observable's value and gradient are evaluated
+    once per state and shared by every row, the values read by the
+    expected sides and the algebraic rows; a linear combination
+    (scaled_sum, such as H = T + V or a row's random combination) takes
+    them from those of its terms.  An empty state list, or a state that
+    is not a finite 6-vector, raises ValueError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -776,11 +777,17 @@ def bracket_table_audit(
         if row.n_coeffs:
             brackets = brackets(rng.uniform(-1.0, 1.0, row.n_coeffs))
         if row.residual is not None:
-            worst = max(abs(row.residual(cache)) for cache in caches)
+            worst = _worst([abs(row.residual(cache)) for cache in caches])
         else:
-            worst = max(abs(cache.brackets_residual(brackets)) for cache in caches)
+            worst = _worst([abs(cache.brackets_residual(brackets)) for cache in caches])
         out.append(BracketResidual(row.name, worst))
     return out
+
+
+def _worst(values: list) -> float:
+    """The largest of the values, or NaN if any is NaN: the builtin max keeps
+    a NaN only when it comes first, so a NaN state would pass an audit."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 # ---------------------------------------------------------------------------

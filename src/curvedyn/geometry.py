@@ -23,7 +23,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .kappa_core import DomainSingularity, _finite, arcsin_k, arctan_k, cos_k, sin_cos_k, sin_k
+from .kappa_core import DomainSingularity, _finite, arcsin_k, arctan_k, cos_k, sin_cos_k
 
 __all__ = [
     "ConfigPoint",
@@ -95,15 +95,25 @@ class TangentVector:
 
 def metric_coeffs(kappa, q: ConfigPoint) -> tuple[float, float, float]:
     """Diagonal metric coefficients (g_rr, g_thth, g_phph)."""
-    s = sin_k(kappa, q.r)
-    sth = math.sin(q.theta)
+    return _metric(sin_cos_k(kappa), (q.r, q.theta))
+
+
+def _metric(sc, x) -> tuple[float, float, float]:
+    """metric_coeffs at x = (r, theta, ...) from the bound kernels sc."""
+    s = sc(x[0])[0]
+    sth = math.sin(x[1])
     return 1.0, s * s, s * s * sth * sth
 
 
 def volume_density(kappa, q: ConfigPoint) -> float:
     """Riemannian volume density sin_k^2(r) sin(theta)."""
-    s = sin_k(kappa, q.r)
-    return s * s * math.sin(q.theta)
+    return _volume(sin_cos_k(kappa), (q.r, q.theta))
+
+
+def _volume(sc, x) -> float:
+    """volume_density at x = (r, theta, ...) from the bound kernels sc."""
+    s = sc(x[0])[0]
+    return s * s * math.sin(x[1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +253,13 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint) -> np.ndarray:
     """Lie derivative of the metric along a Killing field, by central differences.
 
     Returns the symmetric 3x3 matrix X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c,
-    which vanishes exactly for isometry generators.
+    which vanishes exactly for isometry generators.  The kernels are bound once.
     """
     sc = sin_cos_k(kappa)
     x0 = (q.r, q.theta, q.phi)
 
     def g_at(x):
-        return np.diag(metric_coeffs(kappa, ConfigPoint(*x)))
+        return np.diag(_metric(sc, x))
 
     g0 = g_at(x0)
     x_field = _killing_components(fid, sc, x0)
@@ -266,14 +276,16 @@ def lie_derivative_metric(fid: str, kappa, q: ConfigPoint) -> np.ndarray:
 
 
 def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
-    """Divergence of a Killing field with respect to the volume density."""
+    """Divergence of a Killing field with respect to the volume density,
+    with the kernels bound once."""
     sc = sin_cos_k(kappa)
 
     def flux(x):
-        return volume_density(kappa, ConfigPoint(*x)) * _killing_components(fid, sc, x)
+        return _volume(sc, x) * _killing_components(fid, sc, x)
 
-    d = _central_difference(flux, (q.r, q.theta, q.phi), FD_STEP)
-    return sum(d[j, j] for j in range(3)) / volume_density(kappa, q)
+    x0 = (q.r, q.theta, q.phi)
+    d = _central_difference(flux, x0, FD_STEP)
+    return sum(d[j, j] for j in range(3)) / _volume(sc, x0)
 
 
 def _cos_guard(c: float) -> float:

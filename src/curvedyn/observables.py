@@ -328,54 +328,51 @@ def kinetic(kappa) -> Observable:
     return Observable("T", vg, kappa)
 
 
-def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
-    """Quadratic-tensor entry K_ij of the oscillator family.
+def _fradkin_vg(i: int, j: int, al: float, ki: float, t, y, grad: bool = True) -> _VG:
+    """K_ij = P_i P_j + alpha^2 w_i w_j, w_i = tan_k(r) dir_i, plus 2 ki / w_i^2 if i = j."""
+    pi, gpi = _p_vg(i, t, y, grad)
+    wi, gwi = _tan_dir_vg(i - 1, t, y, grad)
+    if i == j:
+        val = pi * pi + (al * wi) ** 2
+        if ki != 0.0:
+            _sin_guard(wi, "tan_k(r) dir_i")
+            val += 2.0 * ki / (wi * wi)
+        if not grad:
+            return val, None
+        g = 2.0 * pi * gpi + 2.0 * al * al * wi * gwi
+        if ki != 0.0:
+            g += (-4.0 * ki / wi**3) * gwi
+        return val, g
+    pj, gpj = _p_vg(j, t, y, grad)
+    wj, gwj = _tan_dir_vg(j - 1, t, y, grad)
+    val = pi * pj + al * al * wi * wj
+    if not grad:
+        return val, None
+    return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
 
-    Diagonal entries optionally carry the 2 k_i / (tan_k(r) dir_i)^2
-    coupling terms; off-diagonal entries are defined only when all
-    couplings vanish.
-    """
+
+def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
+    """Quadratic-tensor entry K_ij of the oscillator family, whose diagonal
+    entries carry the couplings; off-diagonal ones need k1 = k2 = k3 = 0."""
     al = _finite(alpha, "alpha")
     ks = _couplings(k1, k2, k3)
     if i != j and any(ks):
         raise UnsupportedEntry("off-diagonal entries require k1 = k2 = k3 = 0")
-    ia, ja = i - 1, j - 1
-    ki = ks[ia]
-
-    def vg(t, y, grad=True):
-        pi, gpi = _p_vg(i, t, y, grad)
-        wi, gwi = _tan_dir_vg(ia, t, y, grad)
-        if i == j:
-            val = pi * pi + (al * wi) ** 2
-            if ki != 0.0:
-                _sin_guard(wi, "tan_k(r) dir_i")
-                val += 2.0 * ki / (wi * wi)
-            if not grad:
-                return val, None
-            g = 2.0 * pi * gpi + 2.0 * al * al * wi * gwi
-            if ki != 0.0:
-                g += (-4.0 * ki / wi**3) * gwi
-            return val, g
-        pj, gpj = _p_vg(j, t, y, grad)
-        wj, gwj = _tan_dir_vg(ja, t, y, grad)
-        val = pi * pj + al * al * wi * wj
-        if not grad:
-            return val, None
-        return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
-
-    return Observable(f"K{i}{j}", vg, kappa)
+    return Observable(f"K{i}{j}", partial(_fradkin_vg, i, j, al, ks[i - 1]), kappa)
 
 
 def fradkin_matrix(kappa, alpha, s) -> np.ndarray:
     """The symmetric 3x3 matrix of the six K_ij entries of the pure
     oscillator at a state."""
+    al, sc, y = _finite(alpha, "alpha"), sin_cos_k(kappa), _as6(s)
+    return _fradkin_m(al, _trig(sc, y), y)
+
+
+def _fradkin_m(al: float, t, y) -> np.ndarray:
+    """fradkin_matrix read off the tuple t of the state y."""
     m = np.empty((3, 3))
-    for i in range(1, 4):
-        m[i - 1, i - 1] = fradkin_K(i, i, kappa, alpha).value(s)
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        v = fradkin_K(i, j, kappa, alpha).value(s)
-        m[i - 1, j - 1] = v
-        m[j - 1, i - 1] = v
+    for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)):
+        m[i - 1, j - 1] = m[j - 1, i - 1] = _fradkin_vg(i, j, al, 0.0, t, y, False)[0]
     return m
 
 

@@ -353,6 +353,37 @@ def test_potential_nan_sentinel(capsys):
     assert not lines[2].endswith(",nan")
 
 
+def test_parameter_overflow_prints_error_line(capsys):
+    """A finite parameter so large that its square overflows (alpha**2 in
+    the oscillator potential, (alpha w_i)**2 in K_ij) used to end in an
+    OverflowError traceback; it exits 2 with one error line."""
+    cases = (
+        ("trajectory", "--system", "oscillator", "--alpha", "1e200", "--t-max", "1"),
+        ("potential", "--system", "oscillator", "--alpha", "1e200", "--n", "3"),
+        ("audit", "--system", "oscillator", "--alpha", "1e200"),
+        ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e160",
+         "--kind", "fradkin", "--states", "2"),
+    )
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_audit_fradkin_nan_residual_fails(capsys):
+    """At alpha = 1e153 some tensor residuals are NaN; the worst over the
+    states keeps them, so their lines read FAIL and the audit exits 1
+    (the maximum started from 0.0 and dropped every NaN, so it passed)."""
+    code, out, _ = run(capsys, "audit", "--system", "oscillator", "--kappa", "1",
+                       "--alpha", "1e153", "--kind", "fradkin", "--states", "5")
+    assert code == 1
+    lines = out.splitlines()
+    for name in ("det", "kernel", "minor1", "minor2", "minor3"):
+        assert f"FAIL fradkin {name} residual=nan tol=1.0e-10" in lines, name
+    assert lines[-1] == "AUDIT FAIL"
+
+
 def test_audit_pass_exit_zero(capsys):
     code, out, _ = run(
         capsys, "audit", "--system", "free", "--kappa", "0.7",

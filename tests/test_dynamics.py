@@ -897,13 +897,22 @@ def test_one_trig_tuple_per_state(monkeypatch):
     one kernel call per state (per distinct kappa) in conservation_report
     and in bracket_table_audit, whose identities read the audit's tuple,
     and in potential_profile one _trig call per ray for the angle sines and
-    cosines and one kernel call per radius (none for the free system)."""
+    cosines and one kernel call per radius (none for the free system).
+    fradkin_audit and fradkin_matrix take one kernel bind, one _trig and
+    one kernel call per call and build no Observable; the two Killing-field
+    checks bind the kernels once per call."""
     from curvedyn import geometry, kappa_core, observables, systems
 
-    kernel, trig = [0], [0]
+    kernel, trig, binds, built = [0], [0], [0], [0]
     bind, build = kappa_core.sin_cos_k, geometry._trig
+    post_init = observables.Observable.__post_init__
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
 
     def counting_bind(kappa):
+        binds[0] += 1
         sc = bind(kappa)
 
         def counted(x):
@@ -918,11 +927,12 @@ def test_one_trig_tuple_per_state(monkeypatch):
 
     for mod in (kappa_core, geometry, observables, systems, dynamics):
         monkeypatch.setattr(mod, "sin_cos_k", counting_bind)
-    for mod in (systems, dynamics):
+    for mod in (observables, systems, dynamics):
         monkeypatch.setattr(mod, "_trig", counting_trig)
+    monkeypatch.setattr(observables.Observable, "__post_init__", counting_post_init)
 
     def counts(run):
-        kernel[0] = trig[0] = 0
+        kernel[0] = trig[0] = binds[0] = built[0] = 0
         run()
         return kernel[0], trig[0]
 
@@ -941,6 +951,16 @@ def test_one_trig_tuple_per_state(monkeypatch):
         assert counts(lambda: conservation_report(watch, traj)) == (6, 6), sid
         want = (0, 0) if sid == "free" else (len(rs), 1)
         assert counts(lambda: systems.potential_profile(spec, rs, 1.1, 0.4)) == want, sid
+    for kap in (-1.0, 0.0, 0.7):
+        spec = make_system("oscillator", kappa=kap, alpha=1.3)
+        y = sample_state(spec, rng, margin=0.12)
+        for run in (fradkin_audit, observables.fradkin_matrix):
+            assert counts(lambda: run(kap, 1.3, y)) == (1, 1), (run, kap)
+            assert (binds[0], built[0]) == (1, 0), (run, kap)
+        q = geometry.ConfigPoint(*y[:3])
+        for check in (geometry.lie_derivative_metric, geometry.volume_divergence):
+            counts(lambda: check("X1", kap, q))
+            assert binds[0] == 1, (check, kap)
 
 
 def test_independence_rank_cases():
@@ -1051,6 +1071,24 @@ def test_bracket_table_audit_rejects_nonfinite_states():
     # An empty list used to end in "max() arg is an empty sequence".
     with pytest.raises(ValueError, match="at least one state"):
         bracket_table_audit(spec, [])
+
+
+def test_bracket_table_audit_keeps_a_nan_residual_wherever_its_state_falls():
+    """A state whose momenta overflow gives NaN rows; the maximum over the
+    states keeps them also after a good state (the builtin max dropped a
+    NaN that did not come first, so [good, big] passed)."""
+    spec = make_system("oscillator", kappa=1.0, alpha=1.0)
+    good = sample_state(spec, np.random.default_rng(24), margin=0.12)
+    big = good.copy()
+    big[3:] = 1e140
+    with np.errstate(all="ignore"):
+        rows = {order: [r.residual for r in bracket_table_audit(spec, states)]
+                for order, states in (("big", [big]), ("good,big", [good, big]),
+                                      ("big,good", [big, good]))}
+    nan_rows = [math.isnan(v) for v in rows["big"]]
+    assert any(nan_rows)
+    for order in ("good,big", "big,good"):
+        assert [math.isnan(v) for v in rows[order]] == nan_rows, order
 
 
 def test_independence_rank_rejects_bad_input():
