@@ -7,7 +7,9 @@ finite differencing.  Four integrators cover the trade-offs: a fixed
 step classical Runge-Kutta, two embedded Dormand-Prince pairs (8(5,3),
 the default, and 5(4) with proportional-integral step control), and an
 implicit midpoint rule whose fixed-point iteration preserves quadratic
-invariants to iteration tolerance.  Each yields its accepted steps to one
+invariants to iteration tolerance.  They step on tuples of Python floats
+through one stage function per tableau and state length, generated from
+the tableau on first use, and each yields its accepted steps to one
 consumer, which stores them, ends the run and counts it.
 """
 
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -223,49 +226,107 @@ _DOP853_E = np.array([
 ])
 
 
-class _Stages:
-    """Stage buffer and stage loop of the explicit Runge-Kutta steps.
+# The tableau and error rows of each explicit method, by method name;
+# implicit_midpoint takes its warm start from RK4.
+_TABLEAUX = {
+    "rk4_fixed": (_RK4, ()),
+    "rk45_adaptive": (_DP54_TABLEAU, (_DP_E,)),
+    "dop853": (_DOP853_TABLEAU, tuple(_DOP853_E)),
+}
 
-    K holds the stage derivatives; attempt expects K[0] = rhs(t, y).  The
-    scaled tableau dtA = dt * A is filled when dt differs from the last
-    attempt's, which spares the fixed-step methods a rescale per step (the
-    adaptive loop changes dt on every attempt), and each row reads its
-    fixed views (dtA[s, :s], K[:s]), so a row costs one dot product and one
-    addition, plus the rhs call of a stage.  evals counts the rhs calls
-    that returned (the implicit midpoint's iterations too), and rejected
-    the attempts an adaptive run rejected.
-    """
 
-    def __init__(self, tableau: tuple, size: int):
-        c, self.A = tableau
-        self.K = np.empty((len(self.A), size))
-        self.dtA = np.empty_like(self.A)
-        self.dt = None  # the step dtA is scaled to
-        self.rows = tuple((s, c[s], self.dtA[s, :s], self.K[:s]) for s in range(1, len(c)))
-        # With fsal the weights row is the last stage; else it gives y_new.
-        self.fsal = len(c) == len(self.A)
-        self.b, self.Kb = self.dtA[-1, :-1], self.K[:-1]
+class _Counts:
+    """evals counts the rhs calls of a run that returned (implicit_midpoint's
+    iterations too), rejected the attempts an adaptive run rejected."""
+
+    __slots__ = ("evals", "rejected")
+
+    def __init__(self):
         self.evals = self.rejected = 0
 
-    def attempt(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """The new state of a step of size dt from (t, y), a fresh array."""
-        if dt != self.dt:
-            np.multiply(self.A, dt, out=self.dtA)
-            self.dt = dt
-        K = self.K
-        # ndarray.dot, not @: at these sizes the matmul ufunc dispatch
-        # costs about three times the product itself.
-        for s, c, row, Ks in self.rows:
-            ys = y + row.dot(Ks)
-            K[s] = rhs(t + c * dt, ys)
-            self.evals += 1
-        return ys if self.fsal else y + self.b.dot(self.Kb)
 
-    def step(self, rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """attempt after evaluating its first stage at (t, y)."""
-        self.K[0] = rhs(t, y)
-        self.evals += 1
-        return self.attempt(rhs, t, y, dt)
+def _stage_source(tableau: tuple, errors: tuple, n: int) -> str:
+    """Source of one step of the tableau over n floats, unrolled from its
+    nonzero entries.
+
+    f maps (t, a tuple of n floats) to n floats, and each stage s > 0 is
+    f at t + c[s] * h and y + h * (A[s] . K).  The calls that returned
+    are added to counts.evals, also when a stage raises.  Without FSAL
+    the function is step(f, counts, t, y, h), which evaluates the first
+    stage f(t, y) too and returns the new state.  With FSAL (the weights
+    row is the last stage, at the new state) it is attempt(f, counts, t,
+    y, h, k0), given k0 = f(t, y), and returns (new state, last stage,
+    the products of the error rows with K).
+    """
+    c, A = tableau
+    fsal = len(c) == len(A)
+    comps = range(n)
+
+    def names(s):
+        return ", ".join(f"k{s}_{i}" for i in comps)
+
+    def dot(row, i):
+        return " + ".join(f"{a!r} * k{j}_{i}" for j, a in enumerate(row.tolist()) if a)
+
+    def state(row):
+        return "(" + "".join(f"y{i} + h * ({dot(row, i)}), " for i in comps) + ")"
+
+    last = len(c) - 1
+    stages = [(s, f"t + {c[s]!r} * h", state(A[s])) for s in range(1, last + 1)]
+    if fsal:
+        head = ["def attempt(f, counts, t, y, h, k0):", f"    {names(0)}, = k0"]
+    else:
+        head = ["def step(f, counts, t, y, h):"]
+        stages.insert(0, (0, "t", "y"))
+    lines = head + [f"    {', '.join(f'y{i}' for i in comps)}, = y", "    done = 0", "    try:"]
+    for done, (s, at, arg) in enumerate(stages, 1):
+        if fsal and s == last:
+            lines.append(f"        y_new = {arg}")
+            arg = "y_new"
+        lines += [f"        {names(s)}, = f({at}, {arg})", f"        done = {done}"]
+    lines += ["    finally:", "        counts.evals += done"]
+    if fsal:
+        errs = "".join("(" + "".join(f"{dot(e, i)}, " for i in comps) + "), " for e in errors)
+        lines.append(f"    return y_new, ({names(last)},), ({errs})")
+    else:
+        lines.append(f"    return {state(A[-1])}")
+    return "\n".join(lines) + "\n"
+
+
+def _midpoint_source(n: int) -> str:
+    """Source of iterate(f, tm, y, z, h), one fixed-point iteration of the
+    implicit midpoint rule over n floats: w = y + h * f(tm, (y + z) / 2),
+    returned with the max-abs and the sum of w - z."""
+    comps = range(n)
+    ws = ", ".join(f"w{i}" for i in comps)
+    ds = [f"d{i}" for i in comps]
+    big = f"max({', '.join(f'abs({d})' for d in ds)})" if n > 1 else f"abs({ds[0]})"
+    return "\n".join([
+        "def iterate(f, tm, y, z, h):",
+        f"    {', '.join(f'y{i}' for i in comps)}, = y",
+        f"    {', '.join(f'z{i}' for i in comps)}, = z",
+        f"    {', '.join(f'k{i}' for i in comps)}, = "
+        f"f(tm, ({''.join(f'0.5 * (y{i} + z{i}), ' for i in comps)}))",
+        f"    {ws}, = {''.join(f'y{i} + h * k{i}, ' for i in comps)}",
+        f"    {', '.join(ds)}, = {''.join(f'w{i} - z{i}, ' for i in comps)}",
+        f"    return ({ws},), {big}, {' + '.join(ds)}",
+    ]) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _stage_function(method: str, n: int) -> Callable:
+    """The compiled step of a method's tableau (_stage_source) over n
+    floats, or implicit_midpoint's iterate (_midpoint_source); generated
+    on first use, so importing the module compiles nothing."""
+    if method == "implicit_midpoint":
+        source = _midpoint_source(n)
+    else:
+        source = _stage_source(*_TABLEAUX[method], n)
+    namespace = {}
+    exec(compile(source, f"<{method} stages over {n} floats>", "exec"), namespace)
+    del namespace["__builtins__"]
+    (function,) = namespace.values()  # the one function the source defines
+    return function
 
 
 # An rhs call that raises one of these ends a run: at a domain singularity,
@@ -273,11 +334,26 @@ class _Stages:
 _STOPS = (DomainSingularity, OverflowError)
 
 
-def _run(steps, t0: float, y0: np.ndarray, stages: _Stages, diag: dict) -> Trajectory:
+def _float_form(rhs, n: int) -> Callable:
+    """rhs on tuples of floats, as every method steps it.  The library's
+    Hamilton equations carry their float form (rhs._float_form), over
+    6-vectors, so a y0 of another length n raises ValueError; any other
+    rhs is adapted once, an ndarray in and the tolist of its result out."""
+    form = getattr(rhs, "_float_form", None)
+    if form is not None:
+        if n != 6:
+            raise ValueError(f"y0 must have 6 entries for the library's Hamilton equations, got {n}")
+        return form
+    array, asarray = np.array, np.asarray
+    return lambda t, y: asarray(rhs(t, array(y)), dtype=float).tolist()
+
+
+def _run(steps, t0: float, y0: tuple, counts: _Counts, diag: dict) -> Trajectory:
     """The one consumer of a method's steps: stores (t0, y0) and every
-    accepted (t, y) the generator yields, and ends the run with the reason
-    it returns (None at t1) or with an rhs failure in _STOPS that escapes
-    it.  The counts come from stages for every method."""
+    accepted (t, y) the generator yields, y a tuple of floats, and ends
+    the run with the reason it returns (None at t1) or with an rhs
+    failure in _STOPS that escapes it.  The Trajectory is built once,
+    at the end; the counts come from counts for every method."""
     times, states = [t0], [y0]
     try:
         while True:
@@ -288,48 +364,52 @@ def _run(steps, t0: float, y0: np.ndarray, stages: _Stages, diag: dict) -> Traje
         reason = end.value
     except _STOPS as exc:
         reason = "non-finite state" if isinstance(exc, OverflowError) else f"domain singularity: {exc}"
-    diag.update(n_steps=len(times) - 1, n_rejected=stages.rejected, n_rhs_evals=stages.evals)
+    diag.update(n_steps=len(times) - 1, n_rejected=counts.rejected, n_rhs_evals=counts.evals)
     if reason is not None:
         diag["reason"] = reason
-    return Trajectory(np.array(times), np.array(states), diag, reason is not None)
+    n = len(y0)
+    flat = np.fromiter(chain.from_iterable(states), float, len(states) * n)
+    return Trajectory(np.array(times), flat.reshape(len(states), n), diag, reason is not None)
 
 
-def _fixed_steps(rhs, step, stages, y0, t0, t1, dt, max_steps):
-    """Steps of step(stages, rhs, t, y, dt), which returns None if its
-    solve fails; at most max_steps of them."""
+def _fixed_steps(step, y0, t0, t1, dt, max_steps):
+    """Steps of step(t, y, dt), which returns None if its solve fails; at
+    most max_steps of them."""
     t, y = t0, y0
+    isfinite = math.isfinite
     # n may be infinite when dt is subnormal.
     n = (t1 - t0) / dt - 1e-12
     capped = n > max_steps
     for _ in range(max_steps if capped else max(1, math.ceil(n))):
         h = min(dt, t1 - t)
-        y = step(stages, rhs, t, y, h)
+        y = step(t, y, h)
         if y is None:
             return f"implicit solve did not converge at t = {t}"
-        if not all(map(math.isfinite, y.tolist())):
+        # Non-finite entries make the sum non-finite (and so may an overflow).
+        if not isfinite(sum(y)) and not all(map(isfinite, y)):
             return "non-finite state"
         t = t + h
         yield t, y
     return "max_steps exceeded" if capped else None
 
 
-def _dp54_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
-    """RMS of the error estimate dt * (E @ K) relative to
-    tol * (1 + max(|y|, |y_new|)), on floats rather than temporaries."""
+def _dp54_error(errs, y, y_new, dt: float, tol: float) -> float:
+    """RMS of the error estimate dt * (E @ K), errs = (E @ K,), relative
+    to tol * (1 + max(|y|, |y_new|))."""
     acc = 0.0
     # b if b > a else a is max(a, b), with its order on a NaN.
-    for e, a, b in zip(_DP_E.dot(K).tolist(), map(abs, y), map(abs, y_new)):
+    for e, a, b in zip(errs[0], map(abs, y), map(abs, y_new)):
         w = e / (1.0 + (b if b > a else a))
         acc += w * w
     return dt / tol * math.sqrt(acc / len(y_new))
 
 
-def _dop853_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
+def _dop853_error(errs, y, y_new, dt: float, tol: float) -> float:
     """err5^2 / sqrt(err5^2 + 0.01 err3^2) / sqrt(n) * dt / tol, where err5
-    and err3 are the norms of the estimates E5 @ K and E3 @ K on the
+    and err3 are the norms of the estimates errs = (E5 @ K, E3 @ K) on the
     weights 1 + max(|y|, |y_new|) (dop853.f; both zero gives zero)."""
     acc5 = acc3 = 0.0
-    e5, e3 = _DOP853_E.dot(K).tolist()
+    e5, e3 = errs
     for a, b, u, v in zip(e5, e3, map(abs, y), map(abs, y_new)):
         w = 1.0 + (v if v > u else u)  # max(u, v), as in _dp54_error
         acc5 += (a / w) ** 2
@@ -339,16 +419,16 @@ def _dop853_error(K, y: list, y_new: list, dt: float, tol: float) -> float:
 
 @dataclass(frozen=True)
 class _Pair:
-    """An embedded Runge-Kutta pair, as _adaptive_steps runs it.
+    """An embedded Runge-Kutta pair's step control, as _adaptive_steps runs it.
 
-    error(K, y, y_new, dt, tol) is the scaled error of an attempt, which
-    is accepted when it is at most 1.  After an accepted step dt grows by
+    error(errs, y, y_new, dt, tol) is the scaled error of an attempt, errs
+    the products of its error rows with the stages, and the attempt is
+    accepted when it is at most 1.  After an accepted step dt grows by
     0.9 * err**accept[0] * err_prev**accept[1] (err_prev is the last
     accepted error, at least 1e-4), after a rejection by 0.9 *
     err**reject but at most 1, each factor clipped to bounds.
     """
 
-    tableau: tuple
     error: Callable
     accept: tuple
     reject: float
@@ -357,78 +437,77 @@ class _Pair:
 
 # DP5(4) with proportional-integral control; DOP853 with dop853.f's
 # control, err**(-1/8) with factors in [0.333, 6].
-_DP54 = _Pair(_DP54_TABLEAU, _dp54_error, (-0.14, 0.08), -0.2, (0.2, 5.0))
-_DOP853 = _Pair(_DOP853_TABLEAU, _dop853_error, (-0.125, 0.0), -0.125, (0.333, 6.0))
+_DP54 = _Pair(_dp54_error, (-0.14, 0.08), -0.2, (0.2, 5.0))
+_DOP853 = _Pair(_dop853_error, (-0.125, 0.0), -0.125, (0.333, 6.0))
 _ADAPTIVE = {"rk45_adaptive": _DP54, "dop853": _DOP853}
 
 
-def _adaptive_steps(rhs, pair: _Pair, stages, y0, t0, t1, dt0, tol, max_steps):
-    """Accepted steps of an embedded pair; max_steps caps the attempts."""
-    t, y, y_list = t0, y0, y0.tolist()
-    K = stages.K
+def _adaptive_steps(f, attempt, pair: _Pair, counts: _Counts, y0, t0, t1, dt0, tol, max_steps):
+    """Accepted steps of an embedded pair, attempt its stage function;
+    max_steps caps the attempts."""
+    t, y = t0, y0
+    isfinite = math.isfinite
     dt = dt0 if dt0 is not None else min(0.01 * (t1 - t0), 0.1)
     (a_err, a_prev), lo, hi = pair.accept, *pair.bounds
+    error = pair.error
     err_prev = 1.0
     attempts = 0
-    # K[0] depends on (t, y) alone: it survives a rejected attempt, is
+    # k0 depends on (t, y) alone: it survives a rejected attempt, is
     # handed on by FSAL, and a failure of it cannot be mended by a
     # smaller step, so it ends the run at once.
-    K[0] = rhs(t, y)
-    stages.evals += 1
+    k0 = f(t, y)
+    counts.evals += 1
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if attempts >= max_steps:
             return "max_steps exceeded"
         attempts += 1
         dt = min(dt, t1 - t)
         try:
-            y_new = stages.attempt(rhs, t, y, dt)
+            y_new, k_new, errs = attempt(f, counts, t, y, dt, k0)
         except _STOPS:
             if dt <= DT_MIN:
                 raise
             dt = max(0.25 * dt, DT_MIN)
-            stages.rejected += 1
+            counts.rejected += 1
             continue
-        new_list = y_new.tolist()
-        err = pair.error(K, y_list, new_list, dt, tol)
-        if not (math.isfinite(err) and all(map(math.isfinite, new_list))):
+        err = error(errs, y, y_new, dt, tol)
+        if not (isfinite(err) and all(map(isfinite, y_new))):
             return "non-finite state"
         if err <= 1.0:
             t = t + dt
             y = y_new
-            y_list = new_list
-            K[0] = K[-1]  # first same as last
+            k0 = k_new  # first same as last
             fac = 0.9 * (err + 1e-300) ** a_err * err_prev**a_prev
             dt = dt * min(hi, max(lo, fac))
             err_prev = max(err, 1e-4)
             yield t, y
         else:
-            stages.rejected += 1
+            counts.rejected += 1
             if dt <= DT_MIN:
                 return "step size underflow"
             fac = 0.9 * err**pair.reject
             dt = max(dt * max(lo, min(1.0, fac)), DT_MIN)
 
 
-def _implicit_midpoint_step(stages, rhs, t, y, dt):
-    """One implicit midpoint step by fixed-point iteration from an RK4
-    warm start, or None if FP_MAX_ITER iterations do not reach FP_TOL.  A
-    non-finite iterate is returned at once, for the caller to reject."""
-    ynew = stages.step(rhs, t, y, dt)
+def _implicit_midpoint_step(f, rk4, iterate, counts: _Counts, t, y, dt):
+    """One implicit midpoint step by fixed-point iteration from the RK4
+    warm start rk4(t, y, dt), or None if FP_MAX_ITER iterations do not
+    reach FP_TOL.  A non-finite iterate is returned at once, for the
+    caller to reject."""
+    ynew = rk4(t, y, dt)
     tm = t + 0.5 * dt
     # y is finite, so its max-abs needs no NaN rule.
-    bound = FP_TOL * max(1.0, *map(abs, y.tolist()))
+    bound = FP_TOL * max(1.0, *map(abs, y))
+    isfinite, isnan = math.isfinite, math.isnan
     for _ in range(FP_MAX_ITER):
-        ynext = y + dt * rhs(tm, 0.5 * (y + ynew))
-        stages.evals += 1
-        delta = (ynext - ynew).tolist()
-        ynew = ynext
-        # A NaN in delta makes its sum NaN, but not always its max-abs.
-        total = sum(delta)
-        if max(map(abs, delta)) < bound and not math.isnan(total):
+        ynew, big, total = iterate(f, tm, y, ynew, dt)
+        counts.evals += 1
+        # A NaN difference makes their sum NaN, but not always their max-abs.
+        if big < bound and not isnan(total):
             return ynew
         # A non-finite iterate makes the sum non-finite, and so does a
         # non-finite warm start, from which the iteration may still recover.
-        if not math.isfinite(total) and not np.isfinite(ynew).all():
+        if not isfinite(total) and not all(map(isfinite, ynew)):
             return ynew
     return None
 
@@ -445,18 +524,21 @@ def integrate(
     """Integrate dy/dt = rhs(t, y) over t_span, storing every step.
 
     Bad input raises ValueError at once: a y0 that is not a finite 1-D
-    vector, a t_span whose ends are not finite with t1 > t0, an unknown
-    method, a missing or non-positive dt, a tol that is not positive and
-    finite, or a max_steps that is not an integer >= 1.  Each method
-    yields its accepted steps to one consumer, so every method treats a
-    failure mid-run alike: the run truncates at the last good state and
-    sets the truncated flag with a reason in the diagnostics.  The reasons
-    are a domain singularity (the adaptive methods first retry with
-    smaller steps down to DT_MIN, unless the rhs fails at the initial
-    state itself), "non-finite state" (also when the rhs overflows; the
-    adaptive methods check every stage and their error estimate too,
-    implicit_midpoint every iterate), "implicit solve did not converge at
-    t = ..." (implicit_midpoint), "max_steps exceeded" (every method; the
+    vector (or, for the library's Hamilton equations, not a 6-vector), a
+    t_span whose ends are not finite with t1 > t0, an unknown method, a
+    missing or non-positive dt, a tol that is not positive and finite, or
+    a max_steps that is not an integer >= 1.  The library's rhs is stepped
+    on its float form; any other rhs is called with a float array and its
+    result read back as floats.  Each method yields its accepted steps to
+    one consumer, so every method treats a failure mid-run alike: the run
+    truncates at the last good state and sets the truncated flag with a
+    reason in the diagnostics.  The reasons are a domain singularity (the
+    adaptive methods first retry with smaller steps down to DT_MIN, unless
+    the rhs fails at the initial state itself), "non-finite state" (also
+    when the rhs overflows or the library's rhs meets an infinite
+    coordinate; the adaptive methods check every stage and their error
+    estimate too, implicit_midpoint every iterate), "implicit solve did
+    not converge at t = ..." (implicit_midpoint), "max_steps exceeded" (every method; the
     adaptive methods count rejected attempts too) and "step size
     underflow" (dop853 and rk45_adaptive).  Every method's diagnostics
     hold method, tol, dt, n_steps (accepted steps, len(times) - 1),
@@ -464,15 +546,21 @@ def integrate(
     that returned, implicit_midpoint's fixed-point iterations included).
     """
     y0, t0, t1 = _integrate_args(y0, t_span, method, dt, tol, max_steps)
+    f = _float_form(rhs, y0.size)
+    y0 = tuple(y0.tolist())
     diag = {"method": method, "tol": tol, "dt": dt}
+    counts = _Counts()
     pair = _ADAPTIVE.get(method)
-    stages = _Stages(pair.tableau if pair else _RK4, y0.size)
     if pair:
-        steps = _adaptive_steps(rhs, pair, stages, y0, t0, t1, dt, tol, max_steps)
+        attempt = _stage_function(method, len(y0))
+        steps = _adaptive_steps(f, attempt, pair, counts, y0, t0, t1, dt, tol, max_steps)
     else:
-        step = _Stages.step if method == "rk4_fixed" else _implicit_midpoint_step
-        steps = _fixed_steps(rhs, step, stages, y0, t0, t1, dt, max_steps)
-    return _run(steps, t0, y0, stages, diag)
+        step = partial(_stage_function("rk4_fixed", len(y0)), f, counts)
+        if method == "implicit_midpoint":
+            iterate = _stage_function(method, len(y0))
+            step = partial(_implicit_midpoint_step, f, step, iterate, counts)
+        steps = _fixed_steps(step, y0, t0, t1, dt, max_steps)
+    return _run(steps, t0, y0, counts, diag)
 
 
 def _integrate_args(y0, t_span, method, dt, tol, max_steps=MAX_STEPS) -> tuple:
@@ -484,7 +572,7 @@ def _integrate_args(y0, t_span, method, dt, tol, max_steps=MAX_STEPS) -> tuple:
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     y0 = _as_array(y0).copy()
-    if y0.ndim != 1 or not np.isfinite(y0).all():
+    if y0.ndim != 1 or not y0.size or not np.isfinite(y0).all():
         raise ValueError(f"y0 must be a finite 1-D state vector, got {y0!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -821,18 +909,20 @@ def _normalized_distance(y: np.ndarray, y0: np.ndarray, scales: np.ndarray):
     return np.sqrt((d * d).sum(axis=-1)) / math.sqrt(6.0)
 
 
-def _refine_return(rhs, stages: _Stages, traj: Trajectory, k: int, y0, scales) -> tuple:
+def _refine_return(f, traj: Trajectory, k: int, y0, scales) -> tuple:
     """(t, state, distance) closest to y0 between the samples k - 1 and
     k + 1 (or k, the last), by golden section.  The bracket spans at most
-    two accepted steps, so each probe is one DP5 step from sample k - 1,
-    with an error at the level of ORBIT_TOL, and shares K[0] there."""
-    base_t, base_y = float(traj.times[k - 1]), traj.states[k - 1]
-    stages.K[0] = rhs(base_t, base_y)
+    two accepted steps, so each probe is one DP5 step of the float core
+    from sample k - 1, with an error at the level of ORBIT_TOL, and
+    shares its first stage there; f is the rhs's float form."""
+    base_t, base_y = float(traj.times[k - 1]), tuple(traj.states[k - 1].tolist())
+    attempt, counts = _stage_function("rk45_adaptive", len(base_y)), _Counts()
+    k0 = f(base_t, base_y)
 
     def state_at(t: float) -> np.ndarray:
         if t <= base_t + 1e-15:
-            return base_y
-        return stages.attempt(rhs, base_t, base_y, t - base_t)
+            return np.array(base_y)
+        return np.array(attempt(f, counts, base_t, base_y, t - base_t, k0)[0])
 
     def d_at(t: float) -> float:
         return _normalized_distance(state_at(t), y0, scales)
@@ -893,10 +983,10 @@ def closed_orbit_check(
     # in its last step is a candidate too.
     dist = np.append(_normalized_distance(traj.states, y0, scales), math.inf)
     minima = np.nonzero((dist[:-2] > dist[1:-1]) & (dist[1:-1] <= dist[2:]))[0] + 1
-    stages = _Stages(_DP54.tableau, y0.size)
+    f = _float_form(rhs, y0.size)
     best = None
     for k in minima.tolist():
-        t, y, d = _refine_return(rhs, stages, traj, k, y0, scales)
+        t, y, d = _refine_return(f, traj, k, y0, scales)
         diag["n_candidates"] += 1
         if best is None or d < best[2]:
             best = (t, y, d, k)

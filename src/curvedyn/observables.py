@@ -181,39 +181,70 @@ def _coord_vg(axis: int, t, y, grad: bool = True) -> _VG:
 
 
 def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
-    """Hamilton equations dy/dt = f(t, y) of T + V on a state array.
+    """Hamilton equations dy/dt = f(t, y) of T + V on six floats.
 
-    terms(sin_k r, cos_k r, sin theta, cos theta, phi) gives
+    f takes y as a tuple (or list) of six floats and returns a tuple, the
+    float form that integrate steps on; _on_arrays wraps it for ndarray
+    callers.  terms(sin_k r, cos_k r, sin theta, cos theta, phi) gives
     (V, V_r, V_theta, V_phi), and f subtracts that force; with terms None
     f is geodesic motion, so (-f[3], -f[4], 0, f[0], f[1], f[2]) is the
     gradient of T.  sin_k r and cos_k r come from one call of sc, the
     kernels bound to kappa, and the functions f calls are bound once too:
     on a six-vector their lookups cost about a tenth of an evaluation.
+    A math domain error at a non-finite state becomes OverflowError
+    (_stop_if_non_finite).
     """
-    sin, cos, array = math.sin, math.cos, np.array
+    sin, cos = math.sin, math.cos
+
+    def flow(t: float, y) -> tuple:
+        r, th, ph, pr, pth, pph = y
+        try:
+            sk, ck = sc(r)
+            if abs(sk) < 1e-12:
+                raise DomainSingularity("sin_k(r) vanishes along trajectory")
+            sth = sin(th)
+            if abs(sth) < 1e-12:
+                raise DomainSingularity("sin(theta) vanishes along trajectory")
+            cth = cos(th)
+            sk2 = sk * sk
+            sth2 = sth * sth
+            ang = pth * pth + pph * pph / sth2
+            dpr = ck * ang / (sk2 * sk)
+            dpth = cth * pph * pph / (sk2 * sth2 * sth)
+            dpph = 0.0
+            if terms is not None:
+                _, vr, vth, vph = terms(sk, ck, sth, cth, ph)
+                dpr -= vr
+                dpth -= vth
+                dpph -= vph
+        except ValueError as exc:
+            _stop_if_non_finite(exc, y)
+            raise
+        return (pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph)
+
+    return flow
+
+
+def _stop_if_non_finite(exc: ValueError, y) -> None:
+    """For a float-form rhs that caught exc at state y: math.sin and
+    math.cos raise ValueError (math domain error) on an infinite argument,
+    so at a y with a non-finite entry anything but a DomainSingularity
+    becomes OverflowError, the error of a state out of the float range, on
+    which a run stops.  Otherwise this returns, for the caller to re-raise."""
+    if not isinstance(exc, DomainSingularity) and not all(map(math.isfinite, y)):
+        raise OverflowError(f"non-finite state {tuple(y)}") from None
+
+
+def _on_arrays(flow: Callable) -> Callable:
+    """The public form of a float-form rhs: rhs(t, y) takes a float array
+    y and returns an array, and carries flow as rhs._float_form, on which
+    integrate steps without the array round trip."""
+    array = np.array
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        r, th, ph, pr, pth, pph = y.tolist()
-        sk, ck = sc(r)
-        if abs(sk) < 1e-12:
-            raise DomainSingularity("sin_k(r) vanishes along trajectory")
-        sth = sin(th)
-        if abs(sth) < 1e-12:
-            raise DomainSingularity("sin(theta) vanishes along trajectory")
-        cth = cos(th)
-        sk2 = sk * sk
-        sth2 = sth * sth
-        ang = pth * pth + pph * pph / sth2
-        dpr = ck * ang / (sk2 * sk)
-        dpth = cth * pph * pph / (sk2 * sth2 * sth)
-        dpph = 0.0
-        if terms is not None:
-            _, vr, vth, vph = terms(sk, ck, sth, cth, ph)
-            dpr -= vr
-            dpth -= vth
-            dpph -= vph
-        return array((pr, pth / sk2, pph / (sk2 * sth2), dpr, dpth, dpph))
+        return array(flow(t, y.tolist()))
 
+    rhs._float_form = flow
     return rhs
 
 
@@ -310,7 +341,8 @@ def _cartesian(t) -> tuple[float, float, float]:
 def kinetic(kappa) -> Observable:
     """Kinetic energy of the canonical momenta under the metric.
 
-    Its gradient is read off the geodesic Hamilton equations.
+    Its gradient is read off the float form of the geodesic Hamilton
+    equations, called on the state's six floats.
     """
     flow = _hamilton_flow(sin_cos_k(kappa))
 
@@ -322,7 +354,7 @@ def kinetic(kappa) -> Observable:
         val = 0.5 * (pr * pr + (pth * pth + (pph / sth) ** 2) / (sk * sk))
         if not grad:
             return val, None
-        f = flow(0.0, np.asarray(y)).tolist()
+        f = flow(0.0, y)
         return val, np.array((-f[3], -f[4], 0.0, f[0], f[1], f[2]))
 
     return Observable("T", vg, kappa)

@@ -36,7 +36,9 @@ from .observables import (
     _cartesian,
     _coupling_terms,
     _hamilton_flow,
+    _on_arrays,
     _sin_guard,
+    _stop_if_non_finite,
     angular_J,
     angular_J_squared,
     complex_M,
@@ -122,7 +124,9 @@ def _system(system_id) -> _System:
 
 def make_system(system_id: str, kappa, **params) -> SystemSpec:
     """Build a validated system specification; an unknown system or
-    parameter, or a non-finite kappa or parameter, raises ValueError."""
+    parameter, a non-finite kappa or parameter, or an alpha whose square
+    overflows the floats (the oscillators take alpha**2) raises
+    ValueError."""
     allowed = _system(system_id).defaults
     unknown = set(params) - set(allowed)
     if unknown:
@@ -133,6 +137,10 @@ def make_system(system_id: str, kappa, **params) -> SystemSpec:
     bad = {k: v for k, v in filled.items() if not math.isfinite(v)}
     if bad:
         raise ValueError(f"kappa and the system parameters must be finite, got {bad}")
+    try:
+        filled.get("alpha", 0.0) ** 2  # as the oscillator potentials take it
+    except OverflowError:
+        raise ValueError(f"alpha = {filled['alpha']!r} is too large: alpha**2 overflows") from None
     return SystemSpec(system_id=system_id, **filled)
 
 
@@ -280,7 +288,8 @@ def hamiltonian(spec: SystemSpec) -> Observable:
 def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Closed-form Hamilton equations dy/dt = f(t, y) for a system."""
     potential = _system(spec.system_id).potential
-    return _hamilton_flow(sin_cos_k(spec.kappa), None if potential is None else potential(spec))
+    return _on_arrays(_hamilton_flow(sin_cos_k(spec.kappa),
+                                     None if potential is None else potential(spec)))
 
 
 def potential_profile(
@@ -696,34 +705,42 @@ def R_chart_hamiltonian_value(spec: SystemSpec, s: PhaseState) -> float:
 def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Hamilton equations in the rho chart for radial systems.
 
-    dV/drho is V_r / cos_k(r) from the potential's terms.
+    dV/drho is V_r / cos_k(r) from the potential's terms.  Like
+    hamilton_rhs, it wraps a float form, on which a math domain error at
+    a non-finite state becomes OverflowError (_stop_if_non_finite).
     """
     at = _chart_terms(spec, "rho")
     kap = spec.kappa
+    sin, cos = math.sin, math.cos
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho, th, _, prho, pth, pph = y.tolist()
-        if abs(rho) < 1e-12:
-            raise DomainSingularity("rho vanishes along trajectory")
-        sth = math.sin(th)
-        if abs(sth) < 1e-12:
-            raise DomainSingularity("sin(theta) vanishes along trajectory")
-        rho2 = rho * rho
-        if kap > 0.0 and 1.0 - kap * rho2 < 1e-12:
-            raise DomainSingularity("rho chart boundary reached")
-        sth2 = sth * sth
-        ang = pth * pth + pph * pph / sth2
-        (_, vr, _, _), ck = at(rho)
-        return np.array((
+    def flow(t: float, y) -> tuple:
+        rho, th, _, prho, pth, pph = y
+        try:
+            if abs(rho) < 1e-12:
+                raise DomainSingularity("rho vanishes along trajectory")
+            sth = sin(th)
+            if abs(sth) < 1e-12:
+                raise DomainSingularity("sin(theta) vanishes along trajectory")
+            rho2 = rho * rho
+            if kap > 0.0 and 1.0 - kap * rho2 < 1e-12:
+                raise DomainSingularity("rho chart boundary reached")
+            sth2 = sth * sth
+            ang = pth * pth + pph * pph / sth2
+            (_, vr, _, _), ck = at(rho)
+            cth = cos(th)
+        except ValueError as exc:
+            _stop_if_non_finite(exc, y)
+            raise
+        return (
             (1.0 - kap * rho2) * prho,
             pth / rho2,
             pph / (rho2 * sth2),
             kap * rho * prho * prho + ang / (rho2 * rho) - vr / ck,
-            math.cos(th) * pph * pph / (rho2 * sth2 * sth),
+            cth * pph * pph / (rho2 * sth2 * sth),
             0.0,
-        ))
+        )
 
-    return rhs
+    return _on_arrays(flow)
 
 
 # ---------------------------------------------------------------------------

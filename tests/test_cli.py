@@ -369,6 +369,23 @@ def test_parameter_overflow_prints_error_line(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        # make_system rejects an alpha whose square overflows, by name.
+        assert err.startswith(f"error: alpha = {float(argv[argv.index('--alpha') + 1])!r} "
+                              "is too large"), err
+
+
+def test_infinite_coordinate_truncates_with_warning(capsys):
+    """A momentum of 1e200 drives the radius of a stage to infinity, where
+    math.sin raises ValueError; every method truncates with the warning
+    line and exits 1 (it printed "error: math domain error" and exited 2)."""
+    y0 = "0.8,1.2,0.4,0.15,1e200,0.35"
+    for method in METHODS:
+        dt = () if method in dynamics._ADAPTIVE else ("--dt", "0.01")
+        code, out, err = run(capsys, "trajectory", "--system", "free", "--kappa", "1",
+                             "--y0", y0, "--t-max", "1", "--method", method, *dt)
+        assert code == 1, method
+        assert err == "warning: trajectory truncated: non-finite state\n", (method, err)
+        assert out.startswith("t,r")
 
 
 def test_audit_fradkin_nan_residual_fails(capsys):

@@ -33,7 +33,14 @@ from curvedyn.observables import (
     scaled_sum,
     square,
 )
-from curvedyn.systems import SYSTEM_IDS, catalog, hamilton_rhs, hamiltonian, make_system
+from curvedyn.systems import (
+    SYSTEM_IDS,
+    catalog,
+    hamilton_rhs,
+    hamiltonian,
+    make_system,
+    rho_chart_rhs,
+)
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3)
 ADAPTIVE = ("dop853", "rk45_adaptive")
@@ -195,6 +202,7 @@ def test_integrate_validation():
         (np.where(np.arange(6) == 3, math.nan, CIRC_Y0), (0.0, 1.0), {}),
         (np.where(np.arange(6) == 5, math.inf, CIRC_Y0), (0.0, 1.0), {}),
         (np.tile(CIRC_Y0, (2, 1)), (0.0, 1.0), {}),
+        (np.empty(0), (0.0, 1.0), {}),
         (CIRC_Y0, (0.0, math.inf), {}),
         (CIRC_Y0, (0.0, math.nan), {}),
         (CIRC_Y0, (-math.inf, 1.0), {}),
@@ -349,7 +357,7 @@ def test_rhs_eval_counts_match_a_call_counter():
             continue
         if not truncated:
             # Each attempt costs a stage per row of A but the first.
-            per_attempt = len(dynamics._ADAPTIVE[method].tableau[0]) - 1
+            per_attempt = len(dynamics._TABLEAUX[method][0][0]) - 1
             assert d["n_rhs_evals"] == per_attempt * (d["n_steps"] + d["n_rejected"]) + 1
         assert d["n_rejected"] > 0, method
         calls = Counter(counted.calls)
@@ -401,8 +409,8 @@ def test_runge_kutta_tableaux_order_conditions():
     A) meet sum b_i c_i^(k-1) = 1/k up to the order of the method; the
     embedded Dormand-Prince 5(4) weights b - e meet it up to order 4 only,
     and the 8(5,3) weights b, b - E5 and b - E3 up to orders 8, 5 and 3."""
-    tableaux = ((dynamics._RK4, 4, False), (dynamics._DP54.tableau, 5, True),
-                (dynamics._DOP853.tableau, 8, True))
+    tableaux = ((dynamics._RK4, 4, False), (dynamics._DP54_TABLEAU, 5, True),
+                (dynamics._DOP853_TABLEAU, 8, True))
     for (c, A), order, fsal in tableaux:
         c = np.array(c)
         n = len(c)
@@ -413,13 +421,13 @@ def test_runge_kutta_tableaux_order_conditions():
         assert b[n:].size == int(not fsal) and not b[n:].any()
         for k in range(1, order + 1):
             assert abs(b[:n] @ c ** (k - 1) - 1.0 / k) < 1e-15, k
-    c, A = dynamics._DP54.tableau
+    c, A = dynamics._DP54_TABLEAU
     assert c[-1] == 1.0  # the weights row is the FSAL stage, at t + dt
     embedded = A[-1] - dynamics._DP_E
     for k in range(1, 5):
         assert abs(embedded @ np.array(c) ** (k - 1) - 1.0 / k) < 1e-15, k
     assert abs(embedded @ np.array(c) ** 4 - 1.0 / 5.0) > 1e-4
-    c, A = dynamics._DOP853.tableau
+    c, A = dynamics._DOP853_TABLEAU
     c = np.array(c)
     assert c[-1] == 1.0
     e5, e3 = dynamics._DOP853_E
@@ -429,55 +437,51 @@ def test_runge_kutta_tableaux_order_conditions():
         assert abs(weights @ c**order - 1.0 / (order + 1)) > 1e-5, order
 
 
-def test_stages_reused_across_step_sizes_match_fresh_stages():
-    """One stage buffer rescales its tableau only when dt changes; steps of
-    dt1, dt2, dt1, dt1 from it equal those of fresh buffers bit for bit."""
-    rhs = circ_rhs()
-    tableaux = (dynamics._RK4, dynamics._DP54.tableau, dynamics._DOP853.tableau)
-    for tableau in tableaux:
-        reused = dynamics._Stages(tableau, 6)
-        y, t = ECC_Y0, 0.0
-        for dt in (0.1, 0.037, 0.1, 0.1, 1.0 / 3.0):
-            want = dynamics._Stages(tableau, 6).step(rhs, t, y, dt)
-            got = reused.step(rhs, t, y, dt)
-            assert got.tobytes() == want.tobytes(), (len(tableau[0]), dt)
-            y, t = got, t + dt
-        assert reused.evals == 5 * len(tableau[0])
-
-
 def test_stage_evals_count_the_calls_that_returned():
-    """An rhs that raises mid-attempt leaves evals at the calls before it."""
-    rhs = circ_rhs()
-    for tableau in (dynamics._RK4, dynamics._DP54.tableau, dynamics._DOP853.tableau):
-        n_rows = len(tableau[0]) - 1
-        for fail_at in range(1, n_rows + 1):
+    """An rhs that raises mid-step leaves evals at the calls before it.
+    RK4's step evaluates its first stage too; an embedded pair's attempt
+    is handed it."""
+    f = dynamics._float_form(circ_rhs(), 6)
+    y0 = tuple(ECC_Y0.tolist())
+    for method, (tableau, _) in dynamics._TABLEAUX.items():
+        fsal = len(tableau[0]) == len(tableau[1])
+        stage_function = dynamics._stage_function(method, 6)
+
+        def step(rhs, counts):
+            if fsal:
+                return stage_function(rhs, counts, 0.0, y0, 0.1, f(0.0, y0))
+            return stage_function(rhs, counts, 0.0, y0, 0.1)
+
+        n_calls = len(tableau[0]) - fsal
+        for fail_at in range(1, n_calls + 1):
             calls = []
 
             def failing(t, y):
                 if len(calls) + 1 == fail_at:
                     raise DomainSingularity("test stage")
                 calls.append(t)
-                return rhs(t, y)
+                return f(t, y)
 
-            stages = dynamics._Stages(tableau, 6)
-            stages.K[0] = rhs(0.0, ECC_Y0)
+            counts = dynamics._Counts()
             with pytest.raises(DomainSingularity, match="test stage"):
-                stages.attempt(failing, 0.0, ECC_Y0, 0.1)
-            assert stages.evals == len(calls) == fail_at - 1
-            stages.attempt(rhs, 0.0, ECC_Y0, 0.1)
-            assert stages.evals == fail_at - 1 + n_rows
+                step(failing, counts)
+            assert counts.evals == len(calls) == fail_at - 1
+            step(f, counts)
+            assert counts.evals == fail_at - 1 + n_calls
 
 
 def test_dop853_eighth_order_convergence():
     """Fixed Dormand-Prince 8(5,3) steps: the endpoint error falls as dt^8."""
-    rhs = circ_rhs()
-    stages = dynamics._Stages(dynamics._DOP853.tableau, 6)
+    f = dynamics._float_form(circ_rhs(), 6)
+    attempt = dynamics._stage_function("dop853", 6)
+    counts = dynamics._Counts()
 
     def endpoint(n):
-        y = ECC_Y0
+        y = tuple(ECC_Y0.tolist())
         for i in range(n):
-            y = stages.step(rhs, 3.0 * i / n, y, 3.0 / n)
-        return y
+            t = 3.0 * i / n
+            y = attempt(f, counts, t, y, 3.0 / n, f(t, y))[0]
+        return np.array(y)
 
     ref = endpoint(200)
     ns = (8, 12, 16)
@@ -759,6 +763,57 @@ def test_rhs_overflow_truncates_or_is_retried():
         overflows.clear()
         traj = integrate(noted, y0, (0.0, t1), method=method, dt=t1)
         assert overflows and not traj.truncated, method
+
+
+@pytest.mark.parametrize("method", dynamics.METHODS)
+def test_infinite_coordinate_truncates_as_non_finite_state(method):
+    """A finite y0 whose stages reach an infinite radius made math.sin
+    raise ValueError (math domain error) inside the library's Hamilton
+    equations, which escaped integrate; now the run truncates with reason
+    "non-finite state".  A caller's own rhs that raises ValueError, the
+    same math domain error included, still gets it back."""
+    y0 = [0.8, 1.2, 0.4, 0.15, 1e200, 0.35]
+    traj = integrate(hamilton_rhs(make_system("free", kappa=1.0)), y0, (0.0, 1.0),
+                     method=method, dt=0.01)
+    assert traj.truncated and traj.diagnostics["reason"] == "non-finite state"
+    assert np.isfinite(traj.states).all() and traj.diagnostics["n_steps"] == len(traj.times) - 1
+
+    def own(t, y):
+        return np.full(6, math.sin(math.inf if y[0] > 1.5 else y[0]))
+
+    with pytest.raises(ValueError, match="math domain error"):
+        integrate(own, [2.0, 1.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0), method=method, dt=0.01)
+
+
+def test_library_rhs_rejects_y0_of_another_length():
+    """The library's Hamilton equations take 6-vectors, which integrate
+    knows from their float form: a y0 of another length raises ValueError
+    at once, naming its length, instead of failing to unpack in the rhs."""
+    spec = make_system("oscillator", kappa=1.0)
+    for rhs in (hamilton_rhs(spec), rho_chart_rhs(spec)):
+        for n in (5, 7):
+            for method in dynamics.METHODS:
+                with pytest.raises(ValueError, match=f"^y0 must have 6 entries .*, got {n}$"):
+                    integrate(rhs, np.full(n, 0.5), (0.0, 1.0), method=method, dt=0.1)
+
+
+def test_array_wrapper_of_library_rhs_steps_bit_identically():
+    """integrate steps the library rhs on its float form and adapts any
+    other rhs onto the same stage functions, so a plain ndarray wrapper of
+    hamilton_rhs gives the same times, states and counts bit for bit on
+    every method, on a full run and on one that truncates."""
+    rhs = hamilton_rhs(make_system("oscillator", kappa=1.0))
+
+    def wrapped(t, y):
+        return rhs(t, y)
+
+    for y0 in ([0.8, 1.2, 0.4, 0.15, 0.3, 0.35], [0.8, 1.2, 0.4, 0.15, 1e200, 0.35]):
+        for method in dynamics.METHODS:
+            a = integrate(rhs, y0, (0.0, 2.0), method=method, dt=0.01, tol=1e-12)
+            b = integrate(wrapped, y0, (0.0, 2.0), method=method, dt=0.01, tol=1e-12)
+            assert a.times.tobytes() == b.times.tobytes(), method
+            assert a.states.tobytes() == b.states.tobytes(), method
+            assert a.diagnostics == b.diagnostics and a.truncated == b.truncated, method
 
 
 def test_trajectory_thin():

@@ -1,5 +1,6 @@
 """System catalogs, conservation brackets, potentials, and chart forms."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_make_system_validation():
             make_system("sw", kappa=kappa, **params)
     spec = make_system("sw", kappa=0.5)
     assert spec.alpha == 1.0 and spec.k1 == 0.0
+    # alpha enters the oscillators squared (alpha**2): a finite alpha whose
+    # square overflows raises at once, naming it, instead of an
+    # OverflowError in the first rhs call that names neither.
+    for sid in ("oscillator", "sw", "osc112"):
+        for alpha in (1e200, -1.4e154):
+            with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r} is too large")):
+                make_system(sid, kappa=1.0, alpha=alpha)
+        assert make_system(sid, kappa=1.0, alpha=-1.3e154).alpha == -1.3e154
     spec = make_system("kepler123", kappa=-1.0, k=-2.0, k2=0.4)
     assert spec.k == -2.0 and spec.k2 == 0.4 and spec.k1 == 0.0
     assert set(system_summaries()) == set(SYSTEM_IDS)
