@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from typing import Optional
@@ -378,8 +379,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token of "-" and then a digit, a point
+    and a digit, inf or nan as a value: argparse by itself takes only the
+    forms -1 and -1.5 for values, so "--kappa -1e-3" or a --y0 list led by
+    a negative entry failed with "expected one argument".  No option name
+    of this CLI has such a form."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvedyn",
         description="curvature-parametrized Hamiltonian systems toolkit",
     )

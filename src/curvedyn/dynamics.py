@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import PhaseState, _central_difference, _j_vg, _p_vg, _trig
+from .geometry import PhaseState, _j_vg, _p_vg, _trig
 from .kappa_core import DomainSingularity, _finite, sin_cos_k
 from .observables import Observable, _cartesian, _dir_vg, _fradkin_m
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
@@ -31,7 +31,6 @@ from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 __all__ = [
     "Trajectory",
     "poisson_bracket",
-    "poisson_bracket_fd",
     "integrate",
     "sample_state",
     "conservation_report",
@@ -45,7 +44,6 @@ __all__ = [
 
 METHODS = ("rk4_fixed", "rk45_adaptive", "dop853", "implicit_midpoint")
 DEFAULT_METHOD = "dop853"  # of integrate and of the CLI's trajectory
-FD_STEP = 1e-6  # central-difference step of poisson_bracket_fd
 DT_MIN = 1e-12  # smallest step the adaptive methods retry down to
 FP_TOL = 1e-13  # implicit_midpoint's fixed-point tolerance, relative to max(1, |y|)
 FP_MAX_ITER = 100  # fixed-point iterations per implicit_midpoint step
@@ -72,26 +70,12 @@ def poisson_bracket(f: Observable, g: Observable, s) -> float:
     return _contract(f.gradient(s), g.gradient(s))
 
 
-def poisson_bracket_fd(f, g, s) -> float:
-    """Central finite-difference bracket of two state functions, step FD_STEP."""
-    y = _as_array(s)
-    gf = _central_difference(lambda x: _call(f, x), y, FD_STEP)
-    gg = _central_difference(lambda x: _call(g, x), y, FD_STEP)
-    return _contract(gf, gg)
-
-
 def _audit_state(s) -> np.ndarray:
     """The state as a float array; anything but a finite 6-vector raises."""
     y = _as_array(s)
     if y.shape != (6,) or not np.isfinite(y).all():
         raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
     return y
-
-
-def _call(fn, y: np.ndarray) -> float:
-    if isinstance(fn, Observable):
-        return fn.value(y)
-    return float(fn(y))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +438,8 @@ def _adaptive_steps(f, attempt, pair: _Pair, counts: _Counts, y0, t0, t1, dt0, t
     attempts = 0
     # k0 depends on (t, y) alone: it survives a rejected attempt, is
     # handed on by FSAL, and a failure of it cannot be mended by a
-    # smaller step, so it ends the run at once.
+    # smaller step, so it ends the run at once; so does a non-finite k0,
+    # checked only once an attempt from it has failed.
     k0 = f(t, y)
     counts.evals += 1
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
@@ -465,6 +450,8 @@ def _adaptive_steps(f, attempt, pair: _Pair, counts: _Counts, y0, t0, t1, dt0, t
         try:
             y_new, k_new, errs = attempt(f, counts, t, y, dt, k0)
         except _STOPS:
+            if not all(map(isfinite, k0)):
+                return "non-finite state"
             if dt <= DT_MIN:
                 raise
             dt = max(0.25 * dt, DT_MIN)

@@ -1,18 +1,17 @@
 """Riemannian structure in geodesic polar coordinates (r, theta, phi).
 
-Covers the metric and volume density, the Noether momenta P_i and
-angular momenta J_i with their analytic 6-gradients, the six Killing
-vector fields with numeric Lie brackets, and two alternative radial
-charts (rho = sin_k(r) and R = tan_k(r)) with their canonical momentum
-transforms.  Free motion is described once, in the Hamiltonian picture:
-its equations are the observables module's geodesic Hamilton flow.
+Covers the Noether momenta P_i and angular momenta J_i with their
+analytic 6-gradients, and two alternative radial charts (rho = sin_k(r)
+and R = tan_k(r)) with their canonical momentum transforms.  Free motion
+is described once, in the Hamiltonian picture: its equations are the
+observables module's geodesic Hamilton flow.
 
-The momenta live here because they define the fields: a momentum
-<p, X> is linear in p, so the Killing field X_i (Y_i) is the momentum
-part of the gradient of P_i (J_i).  The observables module builds its
-integrals on these momenta, which read sin_k(r), cos_k(r) and the angle
-sines and cosines from one tuple t; _trig is the one code that builds it,
-once per state, for whoever holds the state.
+The momenta define the six Killing vector fields: a momentum <p, X> is
+linear in p, so the Killing field X_i (Y_i) is the momentum part of the
+gradient of P_i (J_i), which is where the tests read the fields off.  The
+observables module builds its integrals on these momenta, which read
+sin_k(r), cos_k(r) and the angle sines and cosines from one tuple t; _trig
+is the one code that builds it, once per state, for whoever holds the state.
 """
 
 from __future__ import annotations
@@ -28,14 +27,6 @@ from .kappa_core import DomainSingularity, _finite, arcsin_k, arctan_k, cos_k, s
 __all__ = [
     "ConfigPoint",
     "PhaseState",
-    "TangentVector",
-    "KILLING_IDS",
-    "metric_coeffs",
-    "volume_density",
-    "killing_field",
-    "lie_bracket_numeric",
-    "lie_derivative_metric",
-    "volume_divergence",
     "to_rho_chart",
     "from_rho_chart",
     "to_R_chart",
@@ -46,10 +37,6 @@ __all__ = [
 
 # Below this, 1/sin(theta), 1/sin_k(r) and the like are treated as singular.
 _EPS = 1e-12
-# Central-difference step of the numeric Lie brackets and derivatives.
-FD_STEP = 1e-5
-
-KILLING_IDS = ("X1", "X2", "X3", "Y1", "Y2", "Y3")
 
 
 @dataclass(frozen=True)
@@ -79,41 +66,6 @@ class PhaseState:
     def from_array(cls, y) -> "PhaseState":
         r, th, ph, pr, pth, pph = (float(v) for v in y)
         return cls(ConfigPoint(r, th, ph), pr, pth, pph)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Vector components (a_r, a_theta, a_phi) at a configuration point."""
-
-    a_r: float
-    a_theta: float
-    a_phi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a_r, self.a_theta, self.a_phi])
-
-
-def metric_coeffs(kappa, q: ConfigPoint) -> tuple[float, float, float]:
-    """Diagonal metric coefficients (g_rr, g_thth, g_phph)."""
-    return _metric(sin_cos_k(kappa), (q.r, q.theta))
-
-
-def _metric(sc, x) -> tuple[float, float, float]:
-    """metric_coeffs at x = (r, theta, ...) from the bound kernels sc."""
-    s = sc(x[0])[0]
-    sth = math.sin(x[1])
-    return 1.0, s * s, s * s * sth * sth
-
-
-def volume_density(kappa, q: ConfigPoint) -> float:
-    """Riemannian volume density sin_k^2(r) sin(theta)."""
-    return _volume(sin_cos_k(kappa), (q.r, q.theta))
-
-
-def _volume(sc, x) -> float:
-    """volume_density at x = (r, theta, ...) from the bound kernels sc."""
-    s = sc(x[0])[0]
-    return s * s * math.sin(x[1])
 
 
 # ---------------------------------------------------------------------------
@@ -201,91 +153,6 @@ def _j_vg(i: int, t, y, grad: bool = True) -> _VG:
     g[4] = -b
     g[5] = -cot * a
     return val, g
-
-
-# ---------------------------------------------------------------------------
-# Killing fields.
-
-def killing_field(fid: str, kappa, q: ConfigPoint) -> TangentVector:
-    """One of the six Killing vector fields X1..X3, Y1..Y3 at q.
-
-    X_i (Y_i) is the momentum part of the gradient of P_i (J_i).
-    """
-    x = (q.r, q.theta, q.phi)
-    return TangentVector(*_killing_components(fid, sin_cos_k(kappa), x).tolist())
-
-
-def _killing_components(fid: str, sc, x) -> np.ndarray:
-    if fid not in KILLING_IDS:
-        raise ValueError(f"unknown Killing field id {fid!r}")
-    # The momentum part of the gradient of <p, X> is X whatever p is.
-    y = (*x, 0.0, 0.0, 0.0)
-    i, t = int(fid[1]), _trig(sc, y)
-    g = _p_vg(i, t, y)[1] if fid[0] == "X" else _j_vg(i, t, y)[1]
-    return g[3:]
-
-
-def _central_difference(fn, x, h: float) -> np.ndarray:
-    """Rows (fn(x + h e_j) - fn(x - h e_j)) / 2h, one per coordinate j of x."""
-    x = np.asarray(x, dtype=float)
-    rows = []
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        rows.append((fn(xp) - fn(xm)) / (2.0 * h))
-    return np.array(rows)
-
-
-def lie_bracket_numeric(fid_a: str, fid_b: str, kappa, q: ConfigPoint) -> TangentVector:
-    """Commutator [A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
-    sc = sin_cos_k(kappa)
-    x0 = (q.r, q.theta, q.phi)
-    a0 = _killing_components(fid_a, sc, x0)
-    b0 = _killing_components(fid_b, sc, x0)
-    da = _central_difference(lambda x: _killing_components(fid_a, sc, x), x0, FD_STEP)
-    db = _central_difference(lambda x: _killing_components(fid_b, sc, x), x0, FD_STEP)
-    return TangentVector(*sum(a0[j] * db[j] - b0[j] * da[j] for j in range(3)))
-
-
-def lie_derivative_metric(fid: str, kappa, q: ConfigPoint) -> np.ndarray:
-    """Lie derivative of the metric along a Killing field, by central differences.
-
-    Returns the symmetric 3x3 matrix X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c,
-    which vanishes exactly for isometry generators.  The kernels are bound once.
-    """
-    sc = sin_cos_k(kappa)
-    x0 = (q.r, q.theta, q.phi)
-
-    def g_at(x):
-        return np.diag(_metric(sc, x))
-
-    g0 = g_at(x0)
-    x_field = _killing_components(fid, sc, x0)
-    dg = _central_difference(g_at, x0, FD_STEP)
-    dx = _central_difference(lambda x: _killing_components(fid, sc, x), x0, FD_STEP)
-    out = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(3):
-            term = sum(x_field[c] * dg[c, a, b] for c in range(3))
-            term += sum(g0[c, b] * dx[a, c] for c in range(3))
-            term += sum(g0[a, c] * dx[b, c] for c in range(3))
-            out[a, b] = term
-    return out
-
-
-def volume_divergence(fid: str, kappa, q: ConfigPoint) -> float:
-    """Divergence of a Killing field with respect to the volume density,
-    with the kernels bound once."""
-    sc = sin_cos_k(kappa)
-
-    def flux(x):
-        return _volume(sc, x) * _killing_components(fid, sc, x)
-
-    x0 = (q.r, q.theta, q.phi)
-    d = _central_difference(flux, x0, FD_STEP)
-    return sum(d[j, j] for j in range(3)) / _volume(sc, x0)
 
 
 def _cos_guard(c: float) -> float:

@@ -365,7 +365,13 @@ def _fradkin_vg(i: int, j: int, al: float, ki: float, t, y, grad: bool = True) -
     pi, gpi = _p_vg(i, t, y, grad)
     wi, gwi = _tan_dir_vg(i - 1, t, y, grad)
     if i == j:
-        val = pi * pi + (al * wi) ** 2
+        try:
+            val = pi * pi + (al * wi) ** 2
+        except OverflowError:
+            # make_system admits any alpha whose square fits; this one's
+            # product with w_i does not.
+            raise OverflowError(f"alpha = {al!r} is too large: (alpha w_{i})**2 "
+                                f"overflows in K_{i}{i}") from None
         if ki != 0.0:
             _sin_guard(wi, "tan_k(r) dir_i")
             val += 2.0 * ki / (wi * wi)

@@ -412,3 +412,14 @@ def radial_period(system, kap, coupling, s, nodes=400):
         t_r += w
         dphi += w * math.sqrt(lsq) / sk(kap, r) ** 2
     return 2.0 * math.pi / nodes * t_r, 2.0 * math.pi / nodes * dphi
+
+
+# Finite differences.
+
+def central_difference(fn, x, h):
+    """Rows (fn(x + h e_j) - fn(x - h e_j)) / 2h, one per entry j of the
+    tuple x, for fn returning a sequence of floats."""
+    def shifted(j, d):
+        return fn(tuple(v + d if i == j else v for i, v in enumerate(x)))
+    return [[(a - b) / (2.0 * h) for a, b in zip(shifted(j, h), shifted(j, -h))]
+            for j in range(len(x))]

@@ -356,22 +356,28 @@ def test_potential_nan_sentinel(capsys):
 def test_parameter_overflow_prints_error_line(capsys):
     """A finite parameter so large that its square overflows (alpha**2 in
     the oscillator potential, (alpha w_i)**2 in K_ij) used to end in an
-    OverflowError traceback; it exits 2 with one error line."""
+    OverflowError traceback; it exits 2 with one error line.  An alpha of
+    1e154 passes make_system, but (alpha w_i)**2 overflows where w_i >
+    1.34, and the error read "(34, 'Numerical result out of range')"."""
     cases = (
         ("trajectory", "--system", "oscillator", "--alpha", "1e200", "--t-max", "1"),
         ("potential", "--system", "oscillator", "--alpha", "1e200", "--n", "3"),
         ("audit", "--system", "oscillator", "--alpha", "1e200"),
         ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e160",
          "--kind", "fradkin", "--states", "2"),
+        ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e154",
+         "--kind", "fradkin", "--states", "5"),
     )
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        # make_system rejects an alpha whose square overflows, by name.
+        # make_system and K_ii reject an alpha too large, by name.
         assert err.startswith(f"error: alpha = {float(argv[argv.index('--alpha') + 1])!r} "
                               "is too large"), err
+    with pytest.raises(OverflowError, match=r"^alpha = 1e\+154 is too large: .* in K_11$"):
+        dynamics.fradkin_audit(1.0, 1e154, [1.2, 1.5, 0.1, 0.1, 0.2, 0.3])
 
 
 def test_infinite_coordinate_truncates_with_warning(capsys):
@@ -623,18 +629,19 @@ _CHOICE_JUNK = (5, True, ["free"])
 # The valid values keep every run short.
 _SPACE = {
     "system": (st.sampled_from(SYSTEM_IDS), ("harmonic",), _CHOICE_JUNK),
-    "kappa": (st.sampled_from((-1.0, -0.3, 0.0, 0.7, 1.0)), (200.0, math.inf, math.nan),
-              _FLOAT_JUNK),
+    "kappa": (st.sampled_from((-1.0, -0.3, 0.0, 0.7, 1.0, -1e-05, "-1E-5")),
+              (200.0, math.inf, -math.inf, math.nan), _FLOAT_JUNK),
     "alpha": (st.floats(0.5, 2.0), (math.nan,), _FLOAT_JUNK),
     "k": (st.floats(-2.0, -0.5), (math.nan,), _FLOAT_JUNK),
     **{name: (st.floats(0.05, 0.3), (math.nan,), _FLOAT_JUNK) for name in ("k1", "k2", "k3")},
     "seed": (st.integers(0, 2**32 - 1), (-1,), _INT_JUNK),
-    "y0": (st.sampled_from(("random", [0.8, 1.2, 0.4, 0.15, 0.3, 0.35])),
+    "y0": (st.sampled_from(("random", [-0.8, 1.2, 0.4, 0.15, 0.3, 0.35],
+                            [0.8, 1.2, 0.4, 0.15, 0.3, 0.35])),
            ([0.7, 1.1], [math.nan] * 6), (True, 5, "abc", {"x": 1})),
-    "t_max": (st.floats(0.01, 0.05), (-1.0, 0.0, math.nan), _FLOAT_JUNK),
+    "t_max": (st.floats(0.01, 0.05), (-1.0, 0.0, math.nan, -1e300), _FLOAT_JUNK),
     "method": (st.sampled_from(METHODS), ("euler",), _CHOICE_JUNK),
-    "tol": (st.floats(1e-10, 1e-6), (0.0, -1.0, math.inf), _FLOAT_JUNK),
-    "dt": (st.floats(0.01, 0.05), (0.0, -0.01), _FLOAT_JUNK),
+    "tol": (st.floats(1e-10, 1e-6), (0.0, -1.0, math.inf, -1e-07), _FLOAT_JUNK),
+    "dt": (st.floats(0.01, 0.05), (0.0, -0.01, -1e-05), _FLOAT_JUNK),
     "every": (st.integers(1, 4), (0, -3), _INT_JUNK),
     "chart": (st.sampled_from(("base", "rho")), ("bogus",), _CHOICE_JUNK),
     "r_min": (st.floats(0.1, 1.0), (math.nan, -1.0), _FLOAT_JUNK),
@@ -680,7 +687,10 @@ def _cli_run(draw, command):
         elif flag != "missing":
             value = draw(valid if flag == "valid" else st.sampled_from(out_of_range))
             text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
-            argv.append(f"--{name.replace('_', '-')}={text}")
+            # "--name value" reads a negative value in any float form, -1e-05,
+            # -1E-5, -inf or a --y0 list led by one, as "--name=value" does.
+            option = f"--{name.replace('_', '-')}"
+            argv += draw(st.sampled_from(([f"{option}={text}"], [option, text])))
         if entry != "missing":
             value = draw({"valid": valid, "out of range": st.sampled_from(out_of_range),
                           "wrong type": st.sampled_from(junk)}[entry])

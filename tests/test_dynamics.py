@@ -20,7 +20,6 @@ from curvedyn.dynamics import (
     independence_rank,
     integrate,
     poisson_bracket,
-    poisson_bracket_fd,
     sample_state,
 )
 from curvedyn.kappa_core import DomainSingularity, cos_k, sin_cos_k
@@ -67,6 +66,16 @@ def ecc_reference(rhs, t_end):
 
 # ---------------------------------------------------------------------------
 # Bracket engine.
+
+FD_STEP = 1e-6  # central-difference step of bracket_fd
+
+
+def bracket_fd(f, g, s):
+    """{f, g} of two functions of the state by central differences."""
+    y = tuple(map(float, s))
+    df, dg = (oracles.central_difference(lambda x, fn=fn: (fn(x),), y, FD_STEP) for fn in (f, g))
+    return sum(df[j][0] * dg[j + 3][0] - df[j + 3][0] * dg[j][0] for j in range(3))
+
 
 def test_bracket_antisymmetry_and_bilinearity():
     rng = np.random.default_rng(10)
@@ -140,9 +149,9 @@ def test_jacobi_identity_spot_checks():
             return lambda z: poisson_bracket(a, b, z)
 
         return (
-            poisson_bracket_fd(f, inner(g, h), y)
-            + poisson_bracket_fd(g, inner(h, f), y)
-            + poisson_bracket_fd(h, inner(f, g), y)
+            bracket_fd(f.value, inner(g, h), y)
+            + bracket_fd(g.value, inner(h, f), y)
+            + bracket_fd(h.value, inner(f, g), y)
         )
 
     for kap in KAPPAS:
@@ -167,9 +176,9 @@ def test_fd_bracket_agreement():
             s = sample_state(spec, rng, margin=0.1)
             for f in obs:
                 a = poisson_bracket(f, h, s)
-                b = poisson_bracket_fd(f, h, s)
+                b = bracket_fd(f.value, h.value, s)
                 assert abs(a - b) < 1e-6, (kap, f.name)
-            assert abs(poisson_bracket_fd(angular_J(3), angular_J(3), s)) < 1e-10
+            assert abs(bracket_fd(angular_J(3).value, angular_J(3).value, s)) < 1e-10
 
 
 def test_fd_bracket_coordinate_momentum():
@@ -182,7 +191,7 @@ def test_fd_bracket_coordinate_momentum():
         for _ in range(20):
             s = sample_state(spec, rng, margin=0.1)
             want = cos_k(kap, s[0])
-            assert abs(poisson_bracket_fd(x1, p1, s) - want) < 1e-6
+            assert abs(bracket_fd(x1.value, p1.value, s) - want) < 1e-6
             assert abs(poisson_bracket(x1, p1, s) - want) < 1e-12
 
 
@@ -770,13 +779,19 @@ def test_infinite_coordinate_truncates_as_non_finite_state(method):
     """A finite y0 whose stages reach an infinite radius made math.sin
     raise ValueError (math domain error) inside the library's Hamilton
     equations, which escaped integrate; now the run truncates with reason
-    "non-finite state".  A caller's own rhs that raises ValueError, the
-    same math domain error included, still gets it back."""
+    "non-finite state".  The rhs at this y0 is itself infinite (dp_r/dt),
+    which no smaller step can mend, so the adaptive methods stop at their
+    first failed attempt (they retried down to DT_MIN: 17 rejections, 19
+    rhs calls).  A caller's own rhs that raises ValueError, the same math
+    domain error included, still gets it back."""
     y0 = [0.8, 1.2, 0.4, 0.15, 1e200, 0.35]
     traj = integrate(hamilton_rhs(make_system("free", kappa=1.0)), y0, (0.0, 1.0),
                      method=method, dt=0.01)
-    assert traj.truncated and traj.diagnostics["reason"] == "non-finite state"
-    assert np.isfinite(traj.states).all() and traj.diagnostics["n_steps"] == len(traj.times) - 1
+    d = traj.diagnostics
+    assert traj.truncated and d["reason"] == "non-finite state"
+    assert np.isfinite(traj.states).all() and d["n_steps"] == len(traj.times) - 1
+    if method in ADAPTIVE:
+        assert d["n_rejected"] == 0 and d["n_rhs_evals"] <= 2
 
     def own(t, y):
         return np.full(6, math.sin(math.inf if y[0] > 1.5 else y[0]))
@@ -954,8 +969,7 @@ def test_one_trig_tuple_per_state(monkeypatch):
     and in potential_profile one _trig call per ray for the angle sines and
     cosines and one kernel call per radius (none for the free system).
     fradkin_audit and fradkin_matrix take one kernel bind, one _trig and
-    one kernel call per call and build no Observable; the two Killing-field
-    checks bind the kernels once per call."""
+    one kernel call per call and build no Observable."""
     from curvedyn import geometry, kappa_core, observables, systems
 
     kernel, trig, binds, built = [0], [0], [0], [0]
@@ -1012,10 +1026,6 @@ def test_one_trig_tuple_per_state(monkeypatch):
         for run in (fradkin_audit, observables.fradkin_matrix):
             assert counts(lambda: run(kap, 1.3, y)) == (1, 1), (run, kap)
             assert (binds[0], built[0]) == (1, 0), (run, kap)
-        q = geometry.ConfigPoint(*y[:3])
-        for check in (geometry.lie_derivative_metric, geometry.volume_divergence):
-            counts(lambda: check("X1", kap, q))
-            assert binds[0] == 1, (check, kap)
 
 
 def test_independence_rank_cases():

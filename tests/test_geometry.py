@@ -1,5 +1,9 @@
 """Metric, Killing fields, radial charts, and free motion.
 
+The Killing fields are read off the library's momenta, X_i (Y_i) as the
+momentum part of the gradient of P_i (J_i), and checked by central
+differences against the oracles' metric, its volume and the Lie algebra.
+
 Free motion is checked against the oracles' Lagrangian picture: their
 Legendre map and geodesic equations are written apart from the library,
 which describes free motion only through the Hamilton equations of the
@@ -16,23 +20,17 @@ import pytest
 import oracles
 from curvedyn.dynamics import integrate
 from curvedyn.geometry import (
-    KILLING_IDS,
     ConfigPoint,
     PhaseState,
     from_R_chart,
     from_rho_chart,
-    killing_field,
-    lie_bracket_numeric,
-    lie_derivative_metric,
-    metric_coeffs,
     R_chart_kinetic,
     rho_chart_kinetic,
     to_R_chart,
     to_rho_chart,
-    volume_density,
-    volume_divergence,
 )
 from curvedyn.kappa_core import DomainSingularity
+from curvedyn.observables import angular_J, kinetic, noether_P
 from curvedyn.systems import (
     R_chart_hamiltonian_value,
     SystemSpec,
@@ -58,36 +56,81 @@ def rand_state(rng, kap):
     return PhaseState(q, *rng.uniform(-1.0, 1.0, 3))
 
 
+FD_STEP = 1e-5  # central-difference step of the field checks
+
+
+def killing_fields(kap):
+    """The six fields at kap, each a function of x = (r, theta, phi): the
+    momentum part of the gradient of P_i (X_i) or J_i (Y_i) at p = 0."""
+    momenta = {**{f"X{i}": noether_P(i, kap) for i in (1, 2, 3)},
+               **{f"Y{i}": angular_J(i) for i in (1, 2, 3)}}
+    return {fid: (lambda x, m=m: m.gradient((*x, 0.0, 0.0, 0.0))[3:].tolist())
+            for fid, m in momenta.items()}
+
+
+def volume(kap, x):
+    """Volume density sqrt(det g) of oracles.metric at x = (r, theta, ...)."""
+    g1, g2, g3 = oracles.metric(kap, x[0], x[1])
+    return math.sqrt(g1 * g2 * g3)
+
+
+def lie_derivative_metric(field, kap, x):
+    """X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c of the diagonal oracles.metric."""
+    g, v = oracles.metric(kap, x[0], x[1]), field(x)
+    dg = oracles.central_difference(lambda z: oracles.metric(kap, z[0], z[1]), x, FD_STEP)
+    dv = oracles.central_difference(field, x, FD_STEP)
+    return [[(a == b) * sum(v[c] * dg[c][a] for c in range(3)) + g[b] * dv[a][b] + g[a] * dv[b][a]
+             for b in range(3)] for a in range(3)]
+
+
+def volume_divergence(field, kap, x):
+    """d_j (vol X^j) / vol, vol the volume density."""
+    d = oracles.central_difference(lambda z: [volume(kap, z) * c for c in field(z)], x, FD_STEP)
+    return sum(d[j][j] for j in range(3)) / volume(kap, x)
+
+
+def lie_bracket(field_a, field_b, x):
+    """Commutator [A, B]^i = A^j d_j B^i - B^j d_j A^i."""
+    a, b = field_a(x), field_b(x)
+    da, db = (oracles.central_difference(f, x, FD_STEP) for f in (field_a, field_b))
+    return [sum(a[j] * db[j][i] - b[j] * da[j][i] for j in range(3)) for i in range(3)]
+
+
 def test_metric_and_volume():
+    """The library's metric where it uses it, in T: the momentum part of
+    the gradient of T is p / g.  The volume density is sin_k^2(r) sin(theta)."""
     rng = np.random.default_rng(1)
     for kap in KAPPAS + (0.0,):
         q = rand_point(rng, kap)
         s = oracles.sk(kap, q.r)
-        g1, g2, g3 = metric_coeffs(kap, q)
-        assert g1 == 1.0
-        assert g2 == pytest.approx(s * s, rel=1e-14)
-        assert g3 == pytest.approx(s * s * math.sin(q.theta) ** 2, rel=1e-14)
-        assert volume_density(kap, q) == pytest.approx(s * s * math.sin(q.theta), rel=1e-14)
+        p = (0.3, -0.2, 0.5)
+        got = kinetic(kap).gradient((q.r, q.theta, q.phi, *p))[3:]
+        for v, pi, gi in zip(got, p, oracles.metric(kap, q.r, q.theta)):
+            assert v == pytest.approx(pi / gi, rel=1e-14)
+        assert volume(kap, (q.r, q.theta)) == pytest.approx(s * s * math.sin(q.theta), rel=1e-14)
 
 
 def test_killing_fields_preserve_metric():
     """Lie derivative of the metric along each field vanishes."""
     rng = np.random.default_rng(2)
     for kap in KAPPAS:
+        fields = killing_fields(kap)
         for _ in range(50):
             q = rand_point(rng, kap)
-            for fid in KILLING_IDS:
-                ld = lie_derivative_metric(fid, kap, q)
+            for fid, field in fields.items():
+                ld = lie_derivative_metric(field, kap, (q.r, q.theta, q.phi))
                 assert np.max(np.abs(ld)) < 1e-8, (fid, kap)
 
 
 def test_killing_fields_preserve_volume():
     rng = np.random.default_rng(3)
     for kap in KAPPAS:
+        fields = killing_fields(kap)
         for _ in range(20):
             q = rand_point(rng, kap)
-            for fid in KILLING_IDS:
-                assert abs(volume_divergence(fid, kap, q)) < 1e-8, (fid, kap)
+            for fid, field in fields.items():
+                div = volume_divergence(field, kap, (q.r, q.theta, q.phi))
+                assert abs(div) < 1e-8, (fid, kap)
 
 
 # The 15 distinct field commutators.  The momentum-side table has the
@@ -114,13 +157,15 @@ LIE_TABLE = [
 def test_lie_algebra_table():
     rng = np.random.default_rng(4)
     for kap in KAPPAS:
+        fields = killing_fields(kap)
         for _ in range(5):
             q = rand_point(rng, kap)
+            x = (q.r, q.theta, q.phi)
             for fa, fb, expect in LIE_TABLE:
-                got = lie_bracket_numeric(fa, fb, kap, q).as_array()
+                got = np.array(lie_bracket(fields[fa], fields[fb], x))
                 want = np.zeros(3)
                 for coef, fid in expect(kap):
-                    want += coef * killing_field(fid, kap, q).as_array()
+                    want += coef * np.array(fields[fid](x))
                 assert np.max(np.abs(got - want)) < 1e-6, (fa, fb, kap)
 
 
@@ -131,9 +176,10 @@ def test_killing_contractions_give_momenta():
         s = rand_state(rng, kap)
         p = np.array([s.p_r, s.p_theta, s.p_phi])
         tup = tuple(s.as_array())
+        fields = killing_fields(kap)
         for i in (1, 2, 3):
-            x = killing_field(f"X{i}", kap, s.q).as_array()
-            y = killing_field(f"Y{i}", kap, s.q).as_array()
+            x = fields[f"X{i}"](tup[:3])
+            y = fields[f"Y{i}"](tup[:3])
             assert p @ x == pytest.approx(oracles.noether(i, kap, tup), rel=1e-12, abs=1e-12)
             assert p @ y == pytest.approx(oracles.angular(i, tup), rel=1e-12, abs=1e-12)
 
@@ -288,10 +334,9 @@ def test_chart_maps_reject_a_nan_radius(chart_map, kap):
 
 
 def test_killing_fields_reject_axis():
+    """X_1 is read off the gradient of P_1, which raises on the axis."""
     with pytest.raises(DomainSingularity):
-        killing_field("X1", 1.0, ConfigPoint(0.5, 1e-14, 0.3))
-    with pytest.raises(ValueError):
-        killing_field("Z9", 1.0, ConfigPoint(0.5, 1.0, 0.3))
+        noether_P(1, 1.0).gradient((0.5, 1e-14, 0.3, 0.0, 0.0, 0.0))
 
 
 def test_chart_kinetics_reject_a_non_finite_kappa():
