@@ -11,7 +11,6 @@ from .kappa_core import (
     sin_k,
     tan_k,
 )
-from .geometry import ConfigPoint, PhaseState
 from .observables import ComplexObservable, Observable
 from .systems import SystemSpec, catalog, hamilton_rhs, hamiltonian, make_system
 from .dynamics import (
@@ -31,8 +30,6 @@ __all__ = [
     "tan_k",
     "arcsin_k",
     "arctan_k",
-    "ConfigPoint",
-    "PhaseState",
     "Observable",
     "ComplexObservable",
     "SystemSpec",

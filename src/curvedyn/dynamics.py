@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import PhaseState, _j_vg, _p_vg, _trig
+from .geometry import _j_vg, _p_vg, _trig
 from .kappa_core import DomainSingularity, _finite, sin_cos_k
 from .observables import Observable, _cartesian, _dir_vg, _fradkin_m
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
@@ -54,12 +54,6 @@ MAX_STEPS = 2_000_000  # integrate's default cap on steps
 # ---------------------------------------------------------------------------
 # Poisson brackets.
 
-def _as_array(s) -> np.ndarray:
-    if isinstance(s, PhaseState):
-        return s.as_array()
-    return np.asarray(s, dtype=float)
-
-
 def _contract(gf: np.ndarray, gg: np.ndarray) -> float:
     """{f, g} from the 6-gradients of f and g."""
     return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
@@ -72,7 +66,7 @@ def poisson_bracket(f: Observable, g: Observable, s) -> float:
 
 def _audit_state(s) -> np.ndarray:
     """The state as a float array; anything but a finite 6-vector raises."""
-    y = _as_array(s)
+    y = np.asarray(s, dtype=float)
     if y.shape != (6,) or not np.isfinite(y).all():
         raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
     return y
@@ -318,20 +312,6 @@ def _stage_function(method: str, n: int) -> Callable:
 _STOPS = (DomainSingularity, OverflowError)
 
 
-def _float_form(rhs, n: int) -> Callable:
-    """rhs on tuples of floats, as every method steps it.  The library's
-    Hamilton equations carry their float form (rhs._float_form), over
-    6-vectors, so a y0 of another length n raises ValueError; any other
-    rhs is adapted once, an ndarray in and the tolist of its result out."""
-    form = getattr(rhs, "_float_form", None)
-    if form is not None:
-        if n != 6:
-            raise ValueError(f"y0 must have 6 entries for the library's Hamilton equations, got {n}")
-        return form
-    array, asarray = np.array, np.asarray
-    return lambda t, y: asarray(rhs(t, array(y)), dtype=float).tolist()
-
-
 def _run(steps, t0: float, y0: tuple, counts: _Counts, diag: dict) -> Trajectory:
     """The one consumer of a method's steps: stores (t0, y0) and every
     accepted (t, y) the generator yields, y a tuple of floats, and ends
@@ -500,7 +480,7 @@ def _implicit_midpoint_step(f, rk4, iterate, counts: _Counts, t, y, dt):
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple], Sequence[float]],
     y0,
     t_span,
     method: str = DEFAULT_METHOD,
@@ -510,42 +490,44 @@ def integrate(
 ) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) over t_span, storing every step.
 
-    Bad input raises ValueError at once: a y0 that is not a finite 1-D
-    vector (or, for the library's Hamilton equations, not a 6-vector), a
+    Every method calls rhs(t, y) on a tuple y of len(y0) floats and reads
+    its result as a sequence of len(y) numbers: a tuple or list, as the
+    library's Hamilton equations return, or an ndarray, stepped as numpy
+    scalars, bit for bit alike but about three times as slow.  Bad input
+    raises ValueError at once: a y0 that is not a finite 1-D vector (the
+    library's rhs raises at its first call if it is not a 6-vector), a
     t_span whose ends are not finite with t1 > t0, an unknown method, a
     missing or non-positive dt, a tol that is not positive and finite, or
-    a max_steps that is not an integer >= 1.  The library's rhs is stepped
-    on its float form; any other rhs is called with a float array and its
-    result read back as floats.  Each method yields its accepted steps to
-    one consumer, so every method treats a failure mid-run alike: the run
-    truncates at the last good state and sets the truncated flag with a
-    reason in the diagnostics.  The reasons are a domain singularity (the
-    adaptive methods first retry with smaller steps down to DT_MIN, unless
-    the rhs fails at the initial state itself), "non-finite state" (also
-    when the rhs overflows or the library's rhs meets an infinite
-    coordinate; the adaptive methods check every stage and their error
-    estimate too, implicit_midpoint every iterate), "implicit solve did
-    not converge at t = ..." (implicit_midpoint), "max_steps exceeded" (every method; the
-    adaptive methods count rejected attempts too) and "step size
-    underflow" (dop853 and rk45_adaptive).  Every method's diagnostics
-    hold method, tol, dt, n_steps (accepted steps, len(times) - 1),
-    n_rejected (0 for the fixed-step methods) and n_rhs_evals (rhs calls
-    that returned, implicit_midpoint's fixed-point iterations included).
+    a max_steps that is not an integer >= 1.  Each method yields its
+    accepted steps to one consumer, so every method treats a failure
+    mid-run alike: the run truncates at the last good state and sets the
+    truncated flag with a reason in the diagnostics.  The reasons are a
+    domain singularity (the adaptive methods first retry with smaller
+    steps down to DT_MIN, unless the rhs fails at the initial state
+    itself), "non-finite state" (also when the rhs overflows or the
+    library's rhs meets an infinite coordinate; the adaptive methods check
+    every stage and their error estimate too, implicit_midpoint every
+    iterate), "implicit solve did not converge at t = ..."
+    (implicit_midpoint), "max_steps exceeded" (every method; the adaptive
+    methods count rejected attempts too) and "step size underflow" (dop853
+    and rk45_adaptive).  Every method's diagnostics hold method, tol, dt,
+    n_steps (accepted steps, len(times) - 1), n_rejected (0 for the
+    fixed-step methods) and n_rhs_evals (rhs calls that returned,
+    implicit_midpoint's fixed-point iterations included).
     """
     y0, t0, t1 = _integrate_args(y0, t_span, method, dt, tol, max_steps)
-    f = _float_form(rhs, y0.size)
     y0 = tuple(y0.tolist())
     diag = {"method": method, "tol": tol, "dt": dt}
     counts = _Counts()
     pair = _ADAPTIVE.get(method)
     if pair:
         attempt = _stage_function(method, len(y0))
-        steps = _adaptive_steps(f, attempt, pair, counts, y0, t0, t1, dt, tol, max_steps)
+        steps = _adaptive_steps(rhs, attempt, pair, counts, y0, t0, t1, dt, tol, max_steps)
     else:
-        step = partial(_stage_function("rk4_fixed", len(y0)), f, counts)
+        step = partial(_stage_function("rk4_fixed", len(y0)), rhs, counts)
         if method == "implicit_midpoint":
             iterate = _stage_function(method, len(y0))
-            step = partial(_implicit_midpoint_step, f, step, iterate, counts)
+            step = partial(_implicit_midpoint_step, rhs, step, iterate, counts)
         steps = _fixed_steps(step, y0, t0, t1, dt, max_steps)
     return _run(steps, t0, y0, counts, diag)
 
@@ -558,7 +540,7 @@ def _integrate_args(y0, t_span, method, dt, tol, max_steps=MAX_STEPS) -> tuple:
         raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
-    y0 = _as_array(y0).copy()
+    y0 = np.array(y0, dtype=float)
     if y0.ndim != 1 or not y0.size or not np.isfinite(y0).all():
         raise ValueError(f"y0 must be a finite 1-D state vector, got {y0!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
@@ -702,11 +684,27 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     and the three full contractions with coordinates and momenta, all
     read off one tuple of the state, with the kernels bound once.  A
     state that is not a finite 6-vector, or a non-finite alpha, raises
-    ValueError.
+    ValueError.  An alpha (or momenta) so large that an entry of K or a
+    product of entries overflows raises OverflowError naming it, and
+    numpy warns of nothing.
     """
     kap, sc, alpha = float(kappa), sin_cos_k(kappa), _finite(alpha, "alpha")
     y = _audit_state(s).tolist()
-    sk, ck, *_ = t = _trig(sc, y)
+    t = _trig(sc, y)
+    try:
+        return _fradkin_residuals(kap, alpha, t, y)
+    except FloatingPointError:
+        # K = P P^T + alpha^2 w w^T with |w| = |tan_k r|: the larger part overflowed.
+        p = math.hypot(*(_p_vg(i, t, y, False)[0] for i in (1, 2, 3)))
+        what = f"alpha = {alpha!r} is" if abs(alpha * t[0] / t[1]) >= p else f"momenta {y[3:]} are"
+        raise OverflowError(f"{what} too large: the products of K's entries overflow") from None
+
+
+@np.errstate(over="raise", invalid="raise")
+def _fradkin_residuals(kap: float, alpha: float, t, y) -> dict:
+    """fradkin_audit at y with tuple t; a numpy product that overflows, or
+    a NaN from an entry of K that overflowed to inf, raises FloatingPointError."""
+    sk, ck = t[0], t[1]
     m = _fradkin_m(alpha, t, y)
     j = np.array([_j_vg(i, t, y, False)[0] for i in (1, 2, 3)])
     p = np.array([_p_vg(i, t, y, False)[0] for i in (1, 2, 3)])
@@ -761,8 +759,9 @@ class BracketResidual:
 
 class _GradientCache:
     """Value, gradient and gradient norm of each observable seen at one
-    state y, read off its one tuple t (from sc, the kernels of the
-    observables' kappa); an identity's expect and residual read y and t.
+    state y, held as a list of six floats, read off its one tuple t (from
+    sc, the kernels of the observables' kappa); an identity's expect and
+    residual read y and t.
 
     Entries are keyed by id(obs), because Observable equality compares
     names only, and each entry keeps its observable so that no id is
@@ -772,8 +771,8 @@ class _GradientCache:
     """
 
     def __init__(self, y: np.ndarray, sc):
-        self.y, self._y, self.entries = y, y.tolist(), {}
-        self.t = _trig(sc, self._y)
+        self.y, self.entries = y.tolist(), {}
+        self.t = _trig(sc, self.y)
 
     def entry(self, obs: Observable) -> tuple:
         """(obs, gradient, norm of the gradient, value) at this state."""
@@ -786,7 +785,7 @@ class _GradientCache:
                     v += c * tv
                     g = g + c * tg
             else:
-                v, g = obs.piece(self.t, self._y, True)
+                v, g = obs.piece(self.t, self.y, True)
             entry = self.entries[id(obs)] = (obs, g, math.sqrt(g.dot(g)), v)
         return entry
 
@@ -901,7 +900,7 @@ def _refine_return(f, traj: Trajectory, k: int, y0, scales) -> tuple:
     k + 1 (or k, the last), by golden section.  The bracket spans at most
     two accepted steps, so each probe is one DP5 step of the float core
     from sample k - 1, with an error at the level of ORBIT_TOL, and
-    shares its first stage there; f is the rhs's float form."""
+    shares its first stage there; f is the run's rhs."""
     base_t, base_y = float(traj.times[k - 1]), tuple(traj.states[k - 1].tolist())
     attempt, counts = _stage_function("rk45_adaptive", len(base_y)), _Counts()
     k0 = f(base_t, base_y)
@@ -959,7 +958,7 @@ def closed_orbit_check(
     for name, value in (("t_max", t_max), ("return_tol", return_tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    y0 = _as_array(y0).copy()
+    y0 = np.array(y0, dtype=float)
     if y0.shape != (6,) or not np.isfinite(y0).all():
         raise ValueError(f"closed_orbit_check needs a finite 6-vector y0, got {y0!r}")
     rhs = hamilton_rhs(spec)
@@ -970,10 +969,9 @@ def closed_orbit_check(
     # in its last step is a candidate too.
     dist = np.append(_normalized_distance(traj.states, y0, scales), math.inf)
     minima = np.nonzero((dist[:-2] > dist[1:-1]) & (dist[1:-1] <= dist[2:]))[0] + 1
-    f = _float_form(rhs, y0.size)
     best = None
     for k in minima.tolist():
-        t, y, d = _refine_return(f, traj, k, y0, scales)
+        t, y, d = _refine_return(rhs, traj, k, y0, scales)
         diag["n_candidates"] += 1
         if best is None or d < best[2]:
             best = (t, y, d, k)

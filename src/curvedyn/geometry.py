@@ -22,7 +22,8 @@ from math import cos, sin
 
 import numpy as np
 
-from .kappa_core import DomainSingularity, _finite, arcsin_k, arctan_k, cos_k, sin_cos_k
+from .kappa_core import (EPS_DOM, EPS_SING, DomainSingularity, _finite, arcsin_k, arctan_k,
+                         cos_k, sin_cos_k)
 
 __all__ = [
     "ConfigPoint",
@@ -34,9 +35,6 @@ __all__ = [
     "rho_chart_kinetic",
     "R_chart_kinetic",
 ]
-
-# Below this, 1/sin(theta), 1/sin_k(r) and the like are treated as singular.
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ _VG = tuple[float, np.ndarray | None]
 
 
 def _sin_guard(x: float, what: str) -> None:
-    if abs(x) < _EPS:
+    if abs(x) < EPS_SING:
         raise DomainSingularity(f"{what} vanishes")
 
 
@@ -158,7 +156,7 @@ def _j_vg(i: int, t, y, grad: bool = True) -> _VG:
 def _cos_guard(c: float) -> float:
     # The radial charts use the principal branch cos_k(r) > 0, which a NaN
     # fails too; for kappa > 0 it is the hemisphere r < pi/(2 sqrt(kappa)).
-    if not c >= 1e-10:
+    if not c >= EPS_DOM:
         raise DomainSingularity("chart transform requires cos_k(r) > 0")
     return c
 
@@ -196,7 +194,7 @@ def rho_chart_kinetic(kappa, s: PhaseState) -> float:
     kap = _finite(kappa)
     rho, th = s.q.r, s.q.theta
     sth = math.sin(th)
-    if abs(rho) < _EPS or abs(sth) < _EPS:
+    if abs(rho) < EPS_SING or abs(sth) < EPS_SING:
         raise DomainSingularity("rho chart kinetic singular")
     ang = s.p_theta**2 + (s.p_phi / sth) ** 2
     return 0.5 * ((1.0 - kap * rho * rho) * s.p_r**2 + ang / (rho * rho))
@@ -207,7 +205,7 @@ def R_chart_kinetic(kappa, s: PhaseState) -> float:
     kap = _finite(kappa)
     big_r, th = s.q.r, s.q.theta
     sth = math.sin(th)
-    if abs(big_r) < _EPS or abs(sth) < _EPS:
+    if abs(big_r) < EPS_SING or abs(sth) < EPS_SING:
         raise DomainSingularity("R chart kinetic singular")
     lam = 1.0 + kap * big_r * big_r
     ang = s.p_theta**2 + (s.p_phi / sth) ** 2

@@ -23,6 +23,7 @@ from typing import Callable
 __all__ = [
     "DomainSingularity",
     "EPS_DOM",
+    "EPS_SING",
     "SMALL_KAPPA_X2",
     "cos_k",
     "sin_k",
@@ -35,8 +36,8 @@ __all__ = [
     "arctan_k",
 ]
 
-# Guard on |cos_k| below which tan_k is treated as singular.
-EPS_DOM = 1e-10
+EPS_DOM = 1e-10  # guard on |cos_k| below which tan_k is treated as singular
+EPS_SING = 1e-12  # below it, 1/sin(theta), 1/sin_k(r) and the like are singular
 
 # Series branch threshold on |kappa| * x^2.
 SMALL_KAPPA_X2 = 1e-6

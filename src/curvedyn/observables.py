@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import _VG, ConfigPoint, PhaseState, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig
-from .kappa_core import DomainSingularity, EPS_DOM, _finite, sin_cos_k
+from .geometry import _VG, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig
+from .kappa_core import DomainSingularity, EPS_DOM, EPS_SING, _finite, sin_cos_k
 
 __all__ = [
     "Observable",
@@ -69,17 +69,14 @@ _F64 = np.dtype(np.float64)
 
 
 def _as6(s) -> Sequence[float]:
-    """A state as six floats, from a PhaseState or six numbers in any
-    container; any other length or shape raises ValueError.  A float64
-    array gives its tolist, anything else a tuple; indexing is faster than
-    iterating for a list or tuple."""
+    """A state as six floats, from six numbers in any container; any other
+    length or shape raises ValueError.  A float64 array gives its tolist,
+    anything else a tuple (indexing beats iterating on a list or tuple)."""
     if type(s) is np.ndarray:
         if s.shape != (6,):
             raise ValueError(f"a state must be a 6-vector, got shape {s.shape}")
         if s.dtype is _F64:
             return s.tolist()
-    elif isinstance(s, PhaseState):
-        return (s.q.r, s.q.theta, s.q.phi, s.p_r, s.p_theta, s.p_phi)
     elif len(s) != 6:
         raise ValueError(f"a state must be a 6-vector, got {len(s)} values")
     return (float(s[0]), float(s[1]), float(s[2]), float(s[3]), float(s[4]), float(s[5]))
@@ -183,27 +180,26 @@ def _coord_vg(axis: int, t, y, grad: bool = True) -> _VG:
 def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
     """Hamilton equations dy/dt = f(t, y) of T + V on six floats.
 
-    f takes y as a tuple (or list) of six floats and returns a tuple, the
-    float form that integrate steps on; _on_arrays wraps it for ndarray
-    callers.  terms(sin_k r, cos_k r, sin theta, cos theta, phi) gives
-    (V, V_r, V_theta, V_phi), and f subtracts that force; with terms None
-    f is geodesic motion, so (-f[3], -f[4], 0, f[0], f[1], f[2]) is the
-    gradient of T.  sin_k r and cos_k r come from one call of sc, the
-    kernels bound to kappa, and the functions f calls are bound once too:
-    on a six-vector their lookups cost about a tenth of an evaluation.
-    A math domain error at a non-finite state becomes OverflowError
-    (_stop_if_non_finite).
+    f takes any sequence of six numbers and returns a tuple of six floats;
+    integrate steps on it as it is.  terms(sin_k r, cos_k r, sin theta,
+    cos theta, phi) gives (V, V_r, V_theta, V_phi), and f subtracts that
+    force; with terms None f is geodesic motion, so (-f[3], -f[4], 0, f[0],
+    f[1], f[2]) is the gradient of T.  sin_k r and cos_k r come from one
+    call of sc, the kernels bound to kappa, and the names f reads are bound
+    once too: on a six-vector their lookups cost about a tenth of an
+    evaluation.  A y of another length, or a math domain error at a
+    non-finite state, raises as _stop_if_non_finite says.
     """
-    sin, cos = math.sin, math.cos
+    sin, cos, eps = math.sin, math.cos, EPS_SING
 
     def flow(t: float, y) -> tuple:
-        r, th, ph, pr, pth, pph = y
         try:
+            r, th, ph, pr, pth, pph = y
             sk, ck = sc(r)
-            if abs(sk) < 1e-12:
+            if abs(sk) < eps:
                 raise DomainSingularity("sin_k(r) vanishes along trajectory")
             sth = sin(th)
-            if abs(sth) < 1e-12:
+            if abs(sth) < eps:
                 raise DomainSingularity("sin(theta) vanishes along trajectory")
             cth = cos(th)
             sk2 = sk * sk
@@ -226,26 +222,15 @@ def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
 
 
 def _stop_if_non_finite(exc: ValueError, y) -> None:
-    """For a float-form rhs that caught exc at state y: math.sin and
-    math.cos raise ValueError (math domain error) on an infinite argument,
-    so at a y with a non-finite entry anything but a DomainSingularity
-    becomes OverflowError, the error of a state out of the float range, on
-    which a run stops.  Otherwise this returns, for the caller to re-raise."""
+    """For an rhs that caught exc at state y: a y that is not six numbers
+    raises ValueError naming its length, and at a y with a non-finite entry
+    anything but a DomainSingularity (math.sin raises ValueError on an
+    infinite argument) becomes OverflowError, on which a run stops.
+    Otherwise this returns, for the caller to re-raise."""
+    if len(y) != 6:
+        raise ValueError(f"a state must be a 6-vector, got {len(y)} values") from None
     if not isinstance(exc, DomainSingularity) and not all(map(math.isfinite, y)):
         raise OverflowError(f"non-finite state {tuple(y)}") from None
-
-
-def _on_arrays(flow: Callable) -> Callable:
-    """The public form of a float-form rhs: rhs(t, y) takes a float array
-    y and returns an array, and carries flow as rhs._float_form, on which
-    integrate steps without the array round trip."""
-    array = np.array
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return array(flow(t, y.tolist()))
-
-    rhs._float_form = flow
-    return rhs
 
 
 def _az_parts(kap: float, t) -> tuple[float, float, float]:
@@ -323,13 +308,10 @@ def direction_cosine(axis: int) -> Observable:
     return Observable(name, partial(_dir_vg, axis - 1))
 
 
-def kappa_cartesian(kappa, q) -> tuple[float, float, float]:
-    """Values (x_k, y_k, z_k) of the curvature-scaled Cartesian coordinates.
-
-    q is a ConfigPoint or a phase-space state (PhaseState or 6-vector).
-    """
-    y = (q.r, q.theta, q.phi) if isinstance(q, ConfigPoint) else _as6(q)
-    return _cartesian(_trig(sin_cos_k(kappa), y))
+def kappa_cartesian(kappa, s) -> tuple[float, float, float]:
+    """Values (x_k, y_k, z_k) of the curvature-scaled Cartesian coordinates
+    at a 6-vector state."""
+    return _cartesian(_trig(sin_cos_k(kappa), _as6(s)))
 
 
 def _cartesian(t) -> tuple[float, float, float]:
@@ -339,11 +321,8 @@ def _cartesian(t) -> tuple[float, float, float]:
 
 
 def kinetic(kappa) -> Observable:
-    """Kinetic energy of the canonical momenta under the metric.
-
-    Its gradient is read off the float form of the geodesic Hamilton
-    equations, called on the state's six floats.
-    """
+    """Kinetic energy of the canonical momenta under the metric, whose
+    gradient is read off the geodesic Hamilton equations at the state."""
     flow = _hamilton_flow(sin_cos_k(kappa))
 
     def vg(t, y, grad=True):
@@ -623,7 +602,7 @@ def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
         sph, cph = math.sin(ph), math.cos(ph)
     if k1 != 0.0:
         x = sk * sth * cph
-        if abs(x) < 1e-12:
+        if abs(x) < EPS_SING:
             raise DomainSingularity("x coordinate vanishes under coupling")
         u += k1 / (x * x)
         if grad:
@@ -633,7 +612,7 @@ def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
             uph += c * (-sk * sth * sph)
     if k2 != 0.0:
         yy = sk * sth * sph
-        if abs(yy) < 1e-12:
+        if abs(yy) < EPS_SING:
             raise DomainSingularity("y coordinate vanishes under coupling")
         u += k2 / (yy * yy)
         if grad:
@@ -643,7 +622,7 @@ def _coupling_terms(ks, sk, ck, sth, cth, ph, grad=True):
             uph += c * sk * sth * cph
     if k3 != 0.0:
         z = sk * cth
-        if abs(z) < 1e-12:
+        if abs(z) < EPS_SING:
             raise DomainSingularity("z coordinate vanishes under coupling")
         u += k3 / (z * z)
         if grad:

@@ -24,19 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import ConfigPoint, PhaseState, R_chart_kinetic, _trig, rho_chart_kinetic
-from .kappa_core import DomainSingularity, EPS_DOM, sin_cos_k
+from .geometry import PhaseState, R_chart_kinetic, _trig, rho_chart_kinetic
+from .kappa_core import DomainSingularity, EPS_DOM, EPS_SING, sin_cos_k
 from .observables import (
     _CYCLE,
     Observable,
     _cartesian,
     _coupling_terms,
     _hamilton_flow,
-    _on_arrays,
     _sin_guard,
     _stop_if_non_finite,
     angular_J,
@@ -176,7 +175,7 @@ def _kepler(spec: SystemSpec) -> Callable:
     kc = spec.k
 
     def terms(sk, ck, sth, cth, ph, grad=True):
-        if abs(sk) < 1e-12:
+        if abs(sk) < EPS_SING:
             raise DomainSingularity("Kepler potential singular at sin_k(r) = 0")
         if not grad:
             return kc * ck / sk
@@ -216,12 +215,12 @@ def _osc112(spec: SystemSpec) -> Callable:
             raise DomainSingularity("cos_k(r) vanishes along trajectory")
         w = sk * sk * sth * sth
         den = 1.0 - kap * w
-        if abs(den) < 1e-12:
+        if abs(den) < EPS_SING:
             raise DomainSingularity("planar anisotropy denominator vanishes")
         tk = sk / ck
         u = tk * cth
         uden = 1.0 - kap * u * u
-        if abs(uden) < 1e-12:
+        if abs(uden) < EPS_SING:
             raise DomainSingularity("axial anisotropy denominator vanishes")
         a = u / uden
         n = w + 4.0 * a * a
@@ -265,12 +264,10 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
     return Observable("V", vg, spec.kappa)
 
 
-def potential_value(spec: SystemSpec, q: ConfigPoint) -> float:
-    """Potential energy at a configuration point."""
+def potential_value(spec: SystemSpec, s) -> float:
+    """Potential energy at a 6-vector state."""
     v = potential_observable(spec)
-    if v is None:
-        return 0.0
-    return v.value(np.array([q.r, q.theta, q.phi, 0.0, 0.0, 0.0]))
+    return 0.0 if v is None else v.value(s)
 
 
 def hamiltonian(spec: SystemSpec) -> Observable:
@@ -285,11 +282,11 @@ def hamiltonian(spec: SystemSpec) -> Observable:
 # ---------------------------------------------------------------------------
 # Equations of motion.
 
-def hamilton_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Closed-form Hamilton equations dy/dt = f(t, y) for a system."""
+def hamilton_rhs(spec: SystemSpec) -> Callable[[float, Sequence[float]], tuple]:
+    """Closed-form Hamilton equations dy/dt = f(t, y) for a system: f takes
+    any sequence of six numbers and returns a tuple of six floats."""
     potential = _system(spec.system_id).potential
-    return _on_arrays(_hamilton_flow(sin_cos_k(spec.kappa),
-                                     None if potential is None else potential(spec)))
+    return _hamilton_flow(sin_cos_k(spec.kappa), None if potential is None else potential(spec))
 
 
 def potential_profile(
@@ -702,27 +699,28 @@ def R_chart_hamiltonian_value(spec: SystemSpec, s: PhaseState) -> float:
     return R_chart_kinetic(spec.kappa, s) + v(s.q.r)
 
 
-def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
+def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, Sequence[float]], tuple]:
     """Hamilton equations in the rho chart for radial systems.
 
     dV/drho is V_r / cos_k(r) from the potential's terms.  Like
-    hamilton_rhs, it wraps a float form, on which a math domain error at
-    a non-finite state becomes OverflowError (_stop_if_non_finite).
+    hamilton_rhs, it takes any sequence of six numbers and returns a tuple
+    of six floats; a y of another length, or a math domain error at a
+    non-finite state, raises as observables._stop_if_non_finite says.
     """
     at = _chart_terms(spec, "rho")
     kap = spec.kappa
-    sin, cos = math.sin, math.cos
+    sin, cos, eps = math.sin, math.cos, EPS_SING
 
     def flow(t: float, y) -> tuple:
-        rho, th, _, prho, pth, pph = y
         try:
-            if abs(rho) < 1e-12:
+            rho, th, _, prho, pth, pph = y
+            if abs(rho) < eps:
                 raise DomainSingularity("rho vanishes along trajectory")
             sth = sin(th)
-            if abs(sth) < 1e-12:
+            if abs(sth) < eps:
                 raise DomainSingularity("sin(theta) vanishes along trajectory")
             rho2 = rho * rho
-            if kap > 0.0 and 1.0 - kap * rho2 < 1e-12:
+            if kap > 0.0 and 1.0 - kap * rho2 < eps:
                 raise DomainSingularity("rho chart boundary reached")
             sth2 = sth * sth
             ang = pth * pth + pph * pph / sth2
@@ -740,7 +738,7 @@ def rho_chart_rhs(spec: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]
             0.0,
         )
 
-    return _on_arrays(flow)
+    return flow
 
 
 # ---------------------------------------------------------------------------

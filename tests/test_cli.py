@@ -358,7 +358,9 @@ def test_parameter_overflow_prints_error_line(capsys):
     the oscillator potential, (alpha w_i)**2 in K_ij) used to end in an
     OverflowError traceback; it exits 2 with one error line.  An alpha of
     1e154 passes make_system, but (alpha w_i)**2 overflows where w_i >
-    1.34, and the error read "(34, 'Numerical result out of range')"."""
+    1.34, and the error read "(34, 'Numerical result out of range')"; at
+    a state where every K_ii fits, the products of K's entries overflowed
+    into NaN residuals and FAIL lines, with exit status 1."""
     cases = (
         ("trajectory", "--system", "oscillator", "--alpha", "1e200", "--t-max", "1"),
         ("potential", "--system", "oscillator", "--alpha", "1e200", "--n", "3"),
@@ -366,6 +368,11 @@ def test_parameter_overflow_prints_error_line(capsys):
         ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e160",
          "--kind", "fradkin", "--states", "2"),
         ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e154",
+         "--kind", "fradkin", "--states", "5"),
+        # Every K_ii fits at these states, but K's products overflow.
+        ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e154",
+         "--kind", "fradkin", "--states", "1", "--seed", "1"),
+        ("audit", "--system", "oscillator", "--kappa", "1", "--alpha", "1e153",
          "--kind", "fradkin", "--states", "5"),
     )
     for argv in cases:
@@ -394,16 +401,29 @@ def test_infinite_coordinate_truncates_with_warning(capsys):
         assert out.startswith("t,r")
 
 
-def test_audit_fradkin_nan_residual_fails(capsys):
-    """At alpha = 1e153 some tensor residuals are NaN; the worst over the
-    states keeps them, so their lines read FAIL and the audit exits 1
-    (the maximum started from 0.0 and dropped every NaN, so it passed)."""
+def test_audit_fradkin_nan_residual_fails(capsys, monkeypatch):
+    """A NaN residual at any state is the worst one, so its line reads FAIL
+    and the audit exits 1 (the maximum started from 0.0 and dropped every
+    NaN, so it passed).  Overflow no longer gives one (alpha = 1e153 now
+    exits 2 naming alpha, test_parameter_overflow_prints_error_line), so
+    the NaN comes from the real audit with its det set to NaN at the third
+    of five states."""
+    real, calls = dynamics.fradkin_audit, []
+
+    def audit(kappa, alpha, s):
+        calls.append(s)
+        res = real(kappa, alpha, s)
+        if len(calls) == 3:
+            res["det"] = math.nan
+        return res
+
+    monkeypatch.setattr(dynamics, "fradkin_audit", audit)
     code, out, _ = run(capsys, "audit", "--system", "oscillator", "--kappa", "1",
-                       "--alpha", "1e153", "--kind", "fradkin", "--states", "5")
-    assert code == 1
+                       "--alpha", "1.3", "--kind", "fradkin", "--states", "5")
+    assert code == 1 and len(calls) == 5
     lines = out.splitlines()
-    for name in ("det", "kernel", "minor1", "minor2", "minor3"):
-        assert f"FAIL fradkin {name} residual=nan tol=1.0e-10" in lines, name
+    assert "FAIL fradkin det residual=nan tol=1.0e-10" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
     assert lines[-1] == "AUDIT FAIL"
 
 

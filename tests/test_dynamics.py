@@ -1,7 +1,9 @@
 """Bracket engine, integrators, sampling, audits, and orbit detection."""
 import itertools
 import math
+import re
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -327,7 +329,7 @@ class CountingRhs:
 
     def __call__(self, t, y):
         out = self.rhs(t, y)
-        self.calls.append((t, tuple(y.tolist())))
+        self.calls.append((t, tuple(y)))
         return out
 
 
@@ -450,7 +452,7 @@ def test_stage_evals_count_the_calls_that_returned():
     """An rhs that raises mid-step leaves evals at the calls before it.
     RK4's step evaluates its first stage too; an embedded pair's attempt
     is handed it."""
-    f = dynamics._float_form(circ_rhs(), 6)
+    f = circ_rhs()
     y0 = tuple(ECC_Y0.tolist())
     for method, (tableau, _) in dynamics._TABLEAUX.items():
         fsal = len(tableau[0]) == len(tableau[1])
@@ -481,7 +483,7 @@ def test_stage_evals_count_the_calls_that_returned():
 
 def test_dop853_eighth_order_convergence():
     """Fixed Dormand-Prince 8(5,3) steps: the endpoint error falls as dt^8."""
-    f = dynamics._float_form(circ_rhs(), 6)
+    f = circ_rhs()
     attempt = dynamics._stage_function("dop853", 6)
     counts = dynamics._Counts()
 
@@ -801,34 +803,46 @@ def test_infinite_coordinate_truncates_as_non_finite_state(method):
 
 
 def test_library_rhs_rejects_y0_of_another_length():
-    """The library's Hamilton equations take 6-vectors, which integrate
-    knows from their float form: a y0 of another length raises ValueError
-    at once, naming its length, instead of failing to unpack in the rhs."""
+    """The library's Hamilton equations take 6-vectors: a y0 of another
+    length raises ValueError at their first call, naming its length,
+    instead of "not enough values to unpack"."""
     spec = make_system("oscillator", kappa=1.0)
     for rhs in (hamilton_rhs(spec), rho_chart_rhs(spec)):
         for n in (5, 7):
             for method in dynamics.METHODS:
-                with pytest.raises(ValueError, match=f"^y0 must have 6 entries .*, got {n}$"):
+                with pytest.raises(ValueError, match=f"^a state must be a 6-vector, got {n} values$"):
                     integrate(rhs, np.full(n, 0.5), (0.0, 1.0), method=method, dt=0.1)
 
 
 def test_array_wrapper_of_library_rhs_steps_bit_identically():
-    """integrate steps the library rhs on its float form and adapts any
-    other rhs onto the same stage functions, so a plain ndarray wrapper of
-    hamilton_rhs gives the same times, states and counts bit for bit on
-    every method, on a full run and on one that truncates."""
+    """integrate calls every rhs on tuples of floats, the library's too, and
+    reads any sequence back: a plain pass-through wrapper of hamilton_rhs
+    (as a tracer wraps it) and a wrapper that returns an ndarray give the
+    bare rhs's times, states and counts bit for bit on every method, on a
+    full run and on one that truncates."""
     rhs = hamilton_rhs(make_system("oscillator", kappa=1.0))
+    seen = set()
 
-    def wrapped(t, y):
+    def passed(t, y):
+        seen.add(type(y))
         return rhs(t, y)
+
+    def as_array(t, y):
+        seen.add(type(y))
+        return np.array(rhs(t, y))
 
     for y0 in ([0.8, 1.2, 0.4, 0.15, 0.3, 0.35], [0.8, 1.2, 0.4, 0.15, 1e200, 0.35]):
         for method in dynamics.METHODS:
             a = integrate(rhs, y0, (0.0, 2.0), method=method, dt=0.01, tol=1e-12)
-            b = integrate(wrapped, y0, (0.0, 2.0), method=method, dt=0.01, tol=1e-12)
-            assert a.times.tobytes() == b.times.tobytes(), method
-            assert a.states.tobytes() == b.states.tobytes(), method
-            assert a.diagnostics == b.diagnostics and a.truncated == b.truncated, method
+            for wrapped in (passed, as_array):
+                # numpy scalars warn where floats overflow to inf silently.
+                with np.errstate(over="ignore"):
+                    b = integrate(wrapped, y0, (0.0, 2.0), method=method, dt=0.01, tol=1e-12)
+                assert a.times.tobytes() == b.times.tobytes(), (method, wrapped)
+                assert a.states.tobytes() == b.states.tobytes(), (method, wrapped)
+                assert a.diagnostics == b.diagnostics, (method, wrapped)
+                assert a.truncated == b.truncated, (method, wrapped)
+    assert seen == {tuple}
 
 
 def test_trajectory_thin():
@@ -1185,6 +1199,26 @@ def test_fradkin_audit_rejects_bad_input():
             fradkin_audit(0.7, 1.3, state)
 
 
+def test_fradkin_audit_names_an_overflow_of_k_products():
+    """At this state (the CLI's seed-1 draw) every K_ii fits at alpha =
+    1e154, but the determinant, kernel and minors multiply entries near
+    1e308: the audit returned NaN residuals with numpy RuntimeWarnings,
+    where at a state with a larger w_i the same alpha raised OverflowError
+    naming it.  Both raise it now, with no warning, and momenta that make
+    K overflow are named instead; a tame alpha there stays finite."""
+    y = [2.845675299817211, 0.9796473987943792, 2.659838524324996,
+         0.6554051876408835, -0.18160172726167745, 0.09918737534611899]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e154, 1e100):
+            with pytest.raises(OverflowError, match=rf"^alpha = {re.escape(repr(alpha))} is too large: .*K's"):
+                fradkin_audit(1.0, alpha, y)
+        with pytest.raises(OverflowError, match=r"^momenta \[1e\+150, 1e\+150, 0\.3\] are too large"):
+            fradkin_audit(1.0, 1.0, [1.2, 1.5, 0.1, 1e150, 1e150, 0.3])
+        res = fradkin_audit(1.0, 1e50, y)
+    assert all(math.isfinite(v) for v in res.values()), res
+
+
 @pytest.mark.parametrize("kap", [math.nan, math.inf, -math.inf])
 def test_non_finite_kappa_raises_where_it_is_bound(kap):
     """A non-finite kappa used to give NaN values and residuals: it now
@@ -1392,10 +1426,10 @@ def rk4_reference(rhs, y0, t_end, dt=1e-4):
     y = np.array(y0, dtype=float)
     for i in range(n):
         t = i * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = np.array(rhs(t, y))
+        k2 = np.array(rhs(t + 0.5 * h, y + 0.5 * h * k1))
+        k3 = np.array(rhs(t + 0.5 * h, y + 0.5 * h * k2))
+        k4 = np.array(rhs(t + h, y + h * k3))
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
 

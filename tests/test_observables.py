@@ -30,7 +30,6 @@ from curvedyn.observables import (
     sw_KJ,
 )
 from curvedyn.dynamics import fradkin_audit, sample_state
-from curvedyn.geometry import ConfigPoint
 from curvedyn.systems import SYSTEM_IDS, catalog, make_system, potential_observable
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3, 0.0)
@@ -303,10 +302,9 @@ def test_fradkin_matrix_structure():
 
 
 def test_kappa_cartesian_matches_coordinates():
-    q = ConfigPoint(0.8, 1.1, 2.3)
     s = (0.8, 1.1, 2.3, 0.0, 0.0, 0.0)
     for kap in KAPPAS:
-        x, y, z = kappa_cartesian(kap, q)
+        x, y, z = kappa_cartesian(kap, s)
         assert x == pytest.approx(oracles.coord(1, kap, s), rel=1e-14)
         assert y == pytest.approx(oracles.coord(2, kap, s), rel=1e-14)
         assert z == pytest.approx(oracles.coord(3, kap, s), rel=1e-14)

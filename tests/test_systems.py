@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from curvedyn.dynamics import poisson_bracket, sample_state
-from curvedyn.geometry import ConfigPoint, PhaseState, to_R_chart, to_rho_chart
+from curvedyn.geometry import PhaseState, to_R_chart, to_rho_chart
 from curvedyn.kappa_core import DomainSingularity
 from curvedyn.observables import scaled_sum
 from curvedyn.systems import (
@@ -228,7 +228,7 @@ def test_rhs_raises_on_axis():
 
 
 def test_potential_reference_values():
-    q = lambda r: ConfigPoint(r, math.pi / 2, math.pi / 4)
+    q = lambda r: (r, math.pi / 2, math.pi / 4, 0.0, 0.0, 0.0)
     # Flat oscillator: V(r) = r^2 / 2 at alpha = 1.
     spec = make_system("oscillator", kappa=0.0, alpha=1.0)
     assert potential_value(spec, q(2.0)) == 2.0
