@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import _j_vg, _p_vg, _trig
+from .geometry import _ZERO, _j_vg, _lin, _p_vg, _trig
 from .kappa_core import DomainSingularity, _finite, sin_cos_k
 from .observables import Observable, _cartesian, _dir_vg, _fradkin_m
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
@@ -659,15 +659,20 @@ def independence_rank(
     different magnitudes that quadratic and quartic integrals can have.
     Functional independence is invariant under this row scaling, and
     genuine dependencies still manifest many orders below the
-    threshold.  An empty observable list, a state that is not a finite
-    6-vector, or a threshold outside (0, 1) raises ValueError.
+    threshold.  The gradients read one tuple per distinct kappa of the
+    observables, as in conservation_report.  An empty observable list, a
+    state that is not a finite 6-vector, or a threshold outside (0, 1)
+    raises ValueError.
     """
-    y = _audit_state(s)
+    y = _audit_state(s).tolist()
     if not observables:
         raise ValueError("independence_rank needs at least one observable")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"independence_rank needs 0 < threshold < 1, got {threshold!r}")
-    g = np.array([o.gradient(y) for o in observables])
+    kernels = {o.kappa: o._sc for o in observables if o.kappa is not None} or {None: None}
+    ts = {kap: _trig(sc, y) for kap, sc in kernels.items()}
+    any_t = next(iter(ts.values()))
+    g = np.array([o.piece(ts.get(o.kappa, any_t), y, True)[1] for o in observables], float)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     g = g / np.where(norms > 0.0, norms, 1.0)
     sv = np.linalg.svd(g, compute_uv=False)
@@ -759,15 +764,16 @@ class BracketResidual:
 
 class _GradientCache:
     """Value, gradient and gradient norm of each observable seen at one
-    state y, held as a list of six floats, read off its one tuple t (from
-    sc, the kernels of the observables' kappa); an identity's expect and
-    residual read y and t.
+    state y (a list of six floats), read off its one tuple t (from sc, the
+    kernels of the observables' kappa); an identity's expect and residual
+    read y and t.
 
     Entries are keyed by id(obs), because Observable equality compares
     names only, and each entry keeps its observable so that no id is
     reused while the cache lives.  A scaled_sum's value and gradient are
     assembled from the cached ones of its terms with scaled_sum's own
     arithmetic, so they equal obs.value(y) and obs.gradient(y) bit for bit.
+    The gradients are combined as lists and held as arrays.
     """
 
     def __init__(self, y: np.ndarray, sc):
@@ -779,13 +785,14 @@ class _GradientCache:
         entry = self.entries.get(id(obs))
         if entry is None:
             if obs.terms:
-                v, g = 0.0, np.zeros(6)
+                v, g = 0.0, _ZERO
                 for c, term in obs.terms:
                     _, tg, _, tv = self.entry(term)
                     v += c * tv
-                    g = g + c * tg
+                    g = _lin(1.0, g, c, tg.tolist())
             else:
                 v, g = obs.piece(self.t, self.y, True)
+            g = np.array(g, float)
             entry = self.entries[id(obs)] = (obs, g, math.sqrt(g.dot(g)), v)
         return entry
 

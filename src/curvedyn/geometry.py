@@ -67,10 +67,31 @@ class PhaseState:
 
 
 # ---------------------------------------------------------------------------
-# Momenta.  Each returns (value, 6-gradient) on a 6-tuple state, or
-# (value, None) when called with grad false.
+# Momenta.  Each returns (value, gradient) on a 6-tuple state, the gradient
+# a tuple of six floats, or (value, None) when called with grad false.
 
-_VG = tuple[float, np.ndarray | None]
+_VG = tuple[float, tuple | None]
+_ZERO = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _scale(c: float, g) -> tuple:
+    """c g entry by entry."""
+    return c * g[0], c * g[1], c * g[2], c * g[3], c * g[4], c * g[5]
+
+
+def _lin(a: float, g, b: float, h) -> tuple:
+    """a g + b h entry by entry.  A longer sum chains it, _lin(1.0, sum, c, k),
+    as 1.0 x is x: with each coefficient formed before it meets an entry and
+    each sum taken left to right, every entry is the float numpy's array
+    arithmetic gives for the same expression."""
+    return (a * g[0] + b * h[0], a * g[1] + b * h[1], a * g[2] + b * h[2],
+            a * g[3] + b * h[3], a * g[4] + b * h[4], a * g[5] + b * h[5])
+
+
+def _quot(c: float, g, d: float) -> tuple:
+    """c g / d entry by entry: the product, then a division (which a product
+    with 1/d is not)."""
+    return c * g[0] / d, c * g[1] / d, c * g[2] / d, c * g[3] / d, c * g[4] / d, c * g[5] / d
 
 
 def _sin_guard(x: float, what: str) -> None:
@@ -107,37 +128,24 @@ def _p_vg(i: int, t, y, grad: bool = True) -> _VG:
         val = cth * pr - ct * sth * pth
         if not grad:
             return val, None
-        g = np.zeros(6)
-        g[0] = -dct * sth * pth
-        g[1] = -sth * pr - ct * cth * pth
-        g[3] = cth
-        g[4] = -ct * sth
-        return val, g
+        return val, (-dct * sth * pth, -sth * pr - ct * cth * pth, 0.0, cth, -ct * sth, 0.0)
     _sin_guard(sth, "sin(theta)")
     a, b = _planar_axis(i - 1, t)
     ang = cth * a * pth - (b / sth) * pph
     val = sth * a * pr + ct * ang
     if not grad:
         return val, None
-    g = np.zeros(6)
-    g[0] = dct * ang
-    g[1] = cth * a * pr + ct * (-sth * a * pth + (cth / (sth * sth)) * b * pph)
-    g[2] = -sth * b * pr + ct * (-cth * b * pth - (a / sth) * pph)
-    g[3] = sth * a
-    g[4] = ct * cth * a
-    g[5] = -ct * b / sth
-    return val, g
+    return val, (dct * ang,
+                 cth * a * pr + ct * (-sth * a * pth + (cth / (sth * sth)) * b * pph),
+                 -sth * b * pr + ct * (-cth * b * pth - (a / sth) * pph),
+                 sth * a, ct * cth * a, -ct * b / sth)
 
 
 def _j_vg(i: int, t, y, grad: bool = True) -> _VG:
     """Angular momentum J_i of the rotations; J_3 reads nothing of t."""
     pth, pph = y[4], y[5]
     if i == 3:
-        if not grad:
-            return pph, None
-        g = np.zeros(6)
-        g[5] = 1.0
-        return pph, g
+        return pph, ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0) if grad else None)
     sth, cth = t[2], t[3]
     _sin_guard(sth, "sin(theta)")
     cot = cth / sth
@@ -145,12 +153,7 @@ def _j_vg(i: int, t, y, grad: bool = True) -> _VG:
     val = -(b * pth + cot * a * pph)
     if not grad:
         return val, None
-    g = np.zeros(6)
-    g[1] = a * pph / (sth * sth)
-    g[2] = -a * pth + cot * b * pph
-    g[4] = -b
-    g[5] = -cot * a
-    return val, g
+    return val, (0.0, a * pph / (sth * sth), -a * pth + cot * b * pph, 0.0, -b, -cot * a)
 
 
 def _cos_guard(c: float) -> float:

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import _VG, _j_vg, _p_vg, _planar_axis, _sin_guard, _trig
+from .geometry import (_VG, _ZERO, _j_vg, _lin, _p_vg, _planar_axis, _quot, _scale, _sin_guard,
+                       _trig)
 from .kappa_core import DomainSingularity, EPS_DOM, EPS_SING, _finite, sin_cos_k
 
 __all__ = [
@@ -87,13 +88,16 @@ class Observable:
     """Real phase-space function with value and analytic gradient.
 
     ``piece(t, y, grad=True)`` maps a 6-tuple ``y`` to ``(value, gradient)``,
-    or ``(value, None)`` with ``grad`` false, which runs the same formulas
-    and domain guards.  It reads ``sin_k r`` and ``cos_k r`` of ``kappa``
-    (None: neither) and the angle sines and cosines from the tuple
-    ``t = geometry._trig(_sc, y)``, ``_sc`` being the kernels bound once, at
-    construction.  A linear combination built by ``scaled_sum`` also lists
-    its ``(c, observable)`` terms, so that a caller holding the terms'
-    gradients can assemble its gradient from them.
+    the gradient a tuple of six floats, or ``(value, None)`` with ``grad``
+    false, which runs the same formulas and domain guards.  It reads
+    ``sin_k r`` and ``cos_k r`` of ``kappa`` (None: neither) and the angle
+    sines and cosines from the tuple ``t = geometry._trig(_sc, y)``, ``_sc``
+    being the kernels bound once, at construction.  A piece of one's own may
+    return any six-entry sequence, a numpy array too: composites index it.
+    ``gradient`` and ``value_and_gradient`` return a new float64 array.  A
+    linear combination built by ``scaled_sum`` also lists its
+    ``(c, observable)`` terms, so that a caller holding the terms' gradients
+    can assemble its gradient from them.
     """
 
     name: str
@@ -111,11 +115,12 @@ class Observable:
 
     def gradient(self, s) -> np.ndarray:
         y = _as6(s)
-        return self.piece(_trig(self._sc, y), y, True)[1]
+        return np.array(self.piece(_trig(self._sc, y), y, True)[1], float)
 
     def value_and_gradient(self, s) -> tuple[float, np.ndarray]:
         y = _as6(s)
-        return self.piece(_trig(self._sc, y), y, True)
+        v, g = self.piece(_trig(self._sc, y), y, True)
+        return v, np.array(g, float)
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,8 @@ class ComplexObservable:
 
 
 # ---------------------------------------------------------------------------
-# Value-and-gradient pieces.  Each returns (value, 6-gradient), or
+# Value-and-gradient pieces.  Each returns (value, gradient), the gradient
+# a tuple of six floats that geometry._scale, _lin and _quot combine, or
 # (value, None) when called with grad false.  The momenta P_i and J_i are
 # geometry._p_vg and geometry._j_vg.  Every piece reads sin_k(r), cos_k(r)
 # and the angle sines and cosines from one tuple t (geometry._trig).
@@ -143,28 +149,16 @@ def _jsq_vg(t, y, grad: bool = True) -> _VG:
     val = pth * pth + (pph / sth) ** 2
     if not grad:
         return val, None
-    g = np.zeros(6)
-    g[1] = -2.0 * pph * pph * cth / sth**3
-    g[4] = 2.0 * pth
-    g[5] = 2.0 * pph / (sth * sth)
-    return val, g
+    return val, (0.0, -2.0 * pph * pph * cth / sth**3, 0.0, 0.0,
+                 2.0 * pth, 2.0 * pph / (sth * sth))
 
 
 def _dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
     sth, cth = t[2], t[3]
     if axis == 2:
-        if not grad:
-            return cth, None
-        g = np.zeros(6)
-        g[1] = -sth
-        return cth, g
+        return cth, ((0.0, -sth, 0.0, 0.0, 0.0, 0.0) if grad else None)
     a, b = _planar_axis(axis, t)
-    if not grad:
-        return sth * a, None
-    g = np.zeros(6)
-    g[1] = cth * a
-    g[2] = -sth * b
-    return sth * a, g
+    return sth * a, ((0.0, cth * a, -sth * b, 0.0, 0.0, 0.0) if grad else None)
 
 
 def _coord_vg(axis: int, t, y, grad: bool = True) -> _VG:
@@ -172,9 +166,7 @@ def _coord_vg(axis: int, t, y, grad: bool = True) -> _VG:
     d, gd = _dir_vg(axis, t, y, grad)
     if not grad:
         return sk * d, None
-    g = sk * gd
-    g[0] = ck * d
-    return sk * d, g
+    return sk * d, (ck * d, sk * gd[1], sk * gd[2], sk * gd[3], sk * gd[4], sk * gd[5])
 
 
 def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
@@ -250,10 +242,7 @@ def _az_vg(kap: float, t, y, grad: bool = True) -> _VG:
     if not grad:
         return u / den, None
     dadu = (1.0 + kap * u * u) / (den * den)
-    g = np.zeros(6)
-    g[0] = dadu * t[3] / (t[1] * t[1])
-    g[1] = -dadu * tk * t[2]
-    return u / den, g
+    return u / den, (dadu * t[3] / (t[1] * t[1]), -dadu * tk * t[2], 0.0, 0.0, 0.0, 0.0)
 
 
 def _tan_dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
@@ -265,9 +254,7 @@ def _tan_dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
     d, gd = _dir_vg(axis, t, y, grad)
     if not grad:
         return tk * d, None
-    g = tk * gd
-    g[0] = d / (ck * ck)
-    return tk * d, g
+    return tk * d, (d / (ck * ck), tk * gd[1], tk * gd[2], tk * gd[3], tk * gd[4], tk * gd[5])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +321,7 @@ def kinetic(kappa) -> Observable:
         if not grad:
             return val, None
         f = flow(0.0, y)
-        return val, np.array((-f[3], -f[4], 0.0, f[0], f[1], f[2]))
+        return val, (-f[3], -f[4], 0.0, f[0], f[1], f[2])
 
     return Observable("T", vg, kappa)
 
@@ -356,16 +343,16 @@ def _fradkin_vg(i: int, j: int, al: float, ki: float, t, y, grad: bool = True) -
             val += 2.0 * ki / (wi * wi)
         if not grad:
             return val, None
-        g = 2.0 * pi * gpi + 2.0 * al * al * wi * gwi
+        g = _lin(2.0 * pi, gpi, 2.0 * al * al * wi, gwi)
         if ki != 0.0:
-            g += (-4.0 * ki / wi**3) * gwi
+            g = _lin(1.0, g, -4.0 * ki / wi**3, gwi)
         return val, g
     pj, gpj = _p_vg(j, t, y, grad)
     wj, gwj = _tan_dir_vg(j - 1, t, y, grad)
     val = pi * pj + al * al * wi * wj
     if not grad:
         return val, None
-    return val, pi * gpj + pj * gpi + al * al * (wi * gwj + wj * gwi)
+    return val, _lin(1.0, _lin(pi, gpj, pj, gpi), al * al, _lin(wi, gwj, wj, gwi))
 
 
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
@@ -400,7 +387,7 @@ def complex_M(j: int, kappa, alpha) -> ComplexObservable:
 
     def im_vg(t, y, grad=True):
         v, g = _tan_dir_vg(j - 1, t, y, grad)
-        return al * v, (al * g if grad else None)
+        return al * v, (_scale(al, g) if grad else None)
 
     im = Observable(f"ImM{j}", im_vg, kappa)
     return ComplexObservable(f"M{j}", re, im)
@@ -424,7 +411,7 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     def vg(t, y, grad=True):
         ji, gji = _j_vg(i, t, y, grad)
         val = ji * ji
-        g = 2.0 * ji * gji if grad else None
+        g = _scale(2.0 * ji, gji) if grad else None
         for kc, num_ax, den_ax in ratios:
             a, ga = _coord_vg(num_ax, t, y, grad)
             b, gb = _coord_vg(den_ax, t, y, grad)
@@ -432,8 +419,8 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
             q = a / b
             val += 2.0 * kc * q * q
             if grad:
-                gq = (ga * b - a * gb) / (b * b)
-                g = g + 4.0 * kc * q * gq
+                gq = _quot(1.0, _lin(b, ga, -a, gb), b * b)
+                g = _lin(1.0, g, 4.0 * kc * q, gq)
         return val, g
 
     return Observable(f"KJ{i}", vg, kap if ratios else None)
@@ -453,7 +440,7 @@ def _osc112_k3(kappa, alpha) -> Observable:
         val = p3 * p3 + 4.0 * al * al * a * a
         if not grad:
             return val, None
-        return val, 2.0 * p3 * gp3 + 8.0 * al * al * a * ga
+        return val, _lin(2.0 * p3, gp3, 8.0 * al * al * a, ga)
 
     return Observable("K3", vg, kappa)
 
@@ -477,13 +464,10 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
         val = (p1 * p1 + kap * j1 * j1) + (p2 * p2 + kap * j2 * j2) + al * al * coef * t
         g = None
         if grad:
-            gt = (2.0 * x * gx + 2.0 * yy * gy) / (den * den)
-            g = (
-                2.0 * p1 * gp1
-                + 2.0 * p2 * gp2
-                + 2.0 * kap * (j1 * gj1 + j2 * gj2)
-                + al * al * (8.0 * kap * a * t * ga + coef * gt)
-            )
+            gt = _quot(1.0, _lin(2.0 * x, gx, 2.0 * yy, gy), den * den)
+            g = _lin(2.0 * p1, gp1, 2.0 * p2, gp2)
+            g = _lin(1.0, g, 2.0 * kap, _lin(j1, gj1, j2, gj2))
+            g = _lin(1.0, g, al * al, _lin(8.0 * kap * a * t, ga, coef, gt))
         # 2 k (1 - kappa o^2) / c^2 for the coordinate c under the coupling
         # and the other one o, the k2 term first.
         for kc, c, gc, o, go, what in ((k2, yy, gy, x, gx, "y_k"), (k1, x, gx, yy, gy, "x_k")):
@@ -492,9 +476,9 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
             _sin_guard(c, what)
             val += 2.0 * kc * (1.0 - kap * o * o) / (c * c)
             if grad:
-                g = g + 2.0 * kc * (
-                    -2.0 * kap * o * go / (c * c) - 2.0 * (1.0 - kap * o * o) * gc / c**3
-                )
+                dc = _lin(1.0, _quot(-2.0 * kap * o, go, c * c),
+                          -1.0, _quot(2.0 * (1.0 - kap * o * o), gc, c**3))
+                g = _lin(1.0, g, 2.0 * kc, dc)
         return val, g
 
     return Observable("K12", vg, kappa)
@@ -536,18 +520,15 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
         if not grad:
             return val, None
         dqdr = (ck * ck + 2.0 * kap * sk * sk) / ck**3
-        gfac = np.zeros(6)
-        gfac[0] = sth * trig * (
-            dqdr / den + 2.0 * kap * u * q * cth / (ck * ck * den * den)
-        )
-        gfac[1] = q * trig * (cth / den - 2.0 * kap * u * tk * sth * sth / (den * den))
-        gfac[2] = q * sth * dtrig_ph / den
-        g = sign * (j * gp + p * gj)
-        g = g + al * al * (fac * c * ga + a * c * gfac + a * fac * gc)
+        gfac = (sth * trig * (dqdr / den + 2.0 * kap * u * q * cth / (ck * ck * den * den)),
+                q * trig * (cth / den - 2.0 * kap * u * tk * sth * sth / (den * den)),
+                q * sth * dtrig_ph / den, 0.0, 0.0, 0.0)
+        g = _scale(sign, _lin(j, gp, p, gj))
+        g = _lin(1.0, g, al * al, _lin(1.0, _lin(fac * c, ga, a * c, gfac), a * fac, gc))
         if kc != 0.0:
-            coup = ck * (gz / (c * c) - 2.0 * z * gc / c**3)
-            coup[0] += -kap * sk * z / (c * c)
-            g = g - 2.0 * kc * coup
+            coup = _scale(ck, _lin(1.0, _quot(1.0, gz, c * c), -1.0, _quot(2.0 * z, gc, c**3)))
+            coup = (coup[0] - kap * sk * z / (c * c),) + coup[1:]
+            g = _lin(1.0, g, -2.0 * kc, coup)
         return val, g
 
     return Observable(f"KRL{which}", vg, kappa)
@@ -581,8 +562,8 @@ def _kepler_rl_piece(i: int, k) -> Callable:
         val = pj * jl - pl * jj + kc * d
         if not grad:
             return val, None
-        g = jl * gpj + pj * gjl - jj * gpl - pl * gjj + kc * gd
-        return val, g
+        g = _lin(1.0, _lin(jl, gpj, pj, gjl), -jj, gpl)
+        return val, _lin(1.0, _lin(1.0, g, -pl, gjj), kc, gd)
 
     return vg
 
@@ -644,9 +625,8 @@ def _k123_r_piece(i: int, kappa, k, ks) -> Callable:
             d, gd = _dir_vg(i - 1, t, y, grad)
             val += 2.0 * cs * d * u
             if grad:
-                gu = np.array((ur, uth, uph, 0.0, 0.0, 0.0))
-                g = g + 2.0 * (cs * u * gd + cs * d * gu)
-                g[0] += 2.0 * (ck * ck - kap * sk * sk) * d * u
+                g = _lin(1.0, g, 2.0, _lin(cs * u, gd, cs * d, (ur, uth, uph, 0.0, 0.0, 0.0)))
+                g = (g[0] + 2.0 * (ck * ck - kap * sk * sk) * d * u,) + g[1:]
         return val, g
 
     return vg
@@ -664,9 +644,8 @@ def _k123_s_vg(i: int, t, y, grad: bool = True) -> _VG:
     val = pr / d
     if not grad:
         return val, None
-    g = -pr * gd / (d * d)
-    g[3] += 1.0 / d
-    return val, g
+    g = _quot(-pr, gd, d * d)
+    return val, (g[0], g[1], g[2], g[3] + 1.0 / d, g[4], g[5])
 
 
 def k123_S(i: int, kappa) -> Observable:
@@ -689,7 +668,7 @@ def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:
 
     def im_vg(t, y, grad=True):
         v, g = _k123_s_vg(i, t, y, grad)
-        return root * v, (root * g if grad else None)
+        return root * v, (_scale(root, g) if grad else None)
 
     im = Observable(f"ImN{i}", im_vg)
     return ComplexObservable(f"N{i}", re, im)
@@ -709,7 +688,7 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
         val = rv * rv + 2.0 * ki * sv * sv
         if not grad:
             return val, None
-        return val, 2.0 * rv * rg + 4.0 * ki * sv * sg
+        return val, _lin(2.0 * rv, rg, 4.0 * ki * sv, sg)
 
     return Observable(f"KR{i}", vg, kappa)
 
@@ -726,14 +705,13 @@ def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
     pieces = [(c, obs.piece) for c, obs in terms]
 
     def vg(t, y, grad=True):
-        val = 0.0
-        g = np.zeros(6) if grad else None
+        val, g = 0.0, _ZERO
         for c, piece in pieces:
             v, gv = piece(t, y, grad)
             val += c * v
             if grad:
-                g = g + c * gv
-        return val, g
+                g = _lin(1.0, g, c, gv)
+        return val, (g if grad else None)
 
     return Observable(name, vg, kappas.pop() if kappas else None, tuple(terms))
 
@@ -744,6 +722,6 @@ def square(obs: Observable, name: str | None = None) -> Observable:
 
     def vg(t, y, grad=True):
         v, g = piece(t, y, grad)
-        return v * v, (2.0 * v * g if grad else None)
+        return v * v, (_scale(2.0 * v, g) if grad else None)
 
     return Observable(name or f"{obs.name}^2", vg, obs.kappa)

@@ -259,7 +259,7 @@ def potential_observable(spec: SystemSpec) -> Optional[Observable]:
         if not grad:
             return terms(t[0], t[1], t[2], t[3], y[2], False), None
         val, vr, vth, vph = terms(t[0], t[1], t[2], t[3], y[2])
-        return val, np.array((vr, vth, vph, 0.0, 0.0, 0.0))
+        return val, (vr, vth, vph, 0.0, 0.0, 0.0)
 
     return Observable("V", vg, spec.kappa)
 

@@ -1,5 +1,6 @@
 """Observable values against reference formulas, analytic gradients, errors."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from curvedyn.observables import (
     square,
     sw_KJ,
 )
-from curvedyn.dynamics import fradkin_audit, sample_state
+from curvedyn.dynamics import fradkin_audit, independence_rank, poisson_bracket, sample_state
+from curvedyn.geometry import _trig
 from curvedyn.systems import SYSTEM_IDS, catalog, make_system, potential_observable
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3, 0.0)
@@ -449,3 +451,87 @@ def test_one_kernel_call_per_evaluation(monkeypatch):
                         assert calls[0] <= 1, where
                     seen += calls[0]
     assert seen > 0
+
+
+def test_gradient_path_at_huge_momenta_warns_nothing():
+    """At momenta whose squares overflow, value_and_gradient of every
+    catalog entry ends as value does, in the same float (finite or not) or
+    the same exception, and emits no RuntimeWarning: the gradients are
+    float arithmetic, which overflows to inf silently where numpy's array
+    arithmetic used to warn of overflow and invalid values."""
+    seen = 0
+    for p in (1e160, 1e200):
+        y = (0.8, 1.2, 0.4, p, p, p)
+        for sid in SYSTEM_IDS:
+            for name, obs in catalog_table(make_system(sid, 1.0)).items():
+                want = outcome(lambda: repr(obs.value(y)))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = outcome(lambda: repr(obs.value_and_gradient(y)[0]))
+                assert got == want, (sid, p, name)
+                assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+                    (sid, p, name, [str(w.message) for w in caught])
+                seen += 1
+    assert seen > 100
+
+
+def test_hand_built_ndarray_piece():
+    """A piece of one's own may return its gradient as an ndarray: the
+    observable, its scaled sums and squares, brackets and ranks give the
+    same floats, bit for bit, as from the library's tuple piece."""
+    rng = np.random.default_rng(108)
+    kap = 0.7
+
+    def as_array(obs):
+        def piece(t, y, grad=True):
+            v, g = obs.piece(t, y, grad)
+            return v, (np.array(g) if grad else None)
+
+        return Observable(f"{obs.name}.arr", piece, obs.kappa)
+
+    spec = make_system("kepler123", kap, **CATALOG_PARAMS["kepler123"])
+    cat = catalog(spec)
+    tuples = [cat.observables[name] for name in cat.independence_sets["primary"]]
+    arrays = [as_array(o) for o in tuples]
+    j = angular_J(3)
+    for _ in range(5):
+        y = sample_state(spec, rng, margin=0.12)
+        for a, b in zip(arrays, tuples):
+            pairs = [
+                (a, b),
+                (scaled_sum("S", [(0.3, a), (-1.7, j)]), scaled_sum("S", [(0.3, b), (-1.7, j)])),
+                (square(a), square(b)),
+                (square(scaled_sum("S", [(1.1, j), (0.6, a)])),
+                 square(scaled_sum("S", [(1.1, j), (0.6, b)]))),
+            ]
+            for got, want in pairs:
+                assert got.gradient(y).tobytes() == want.gradient(y).tobytes(), got.name
+                gv, gg = got.value_and_gradient(y)
+                wv, wg = want.value_and_gradient(y)
+                assert (gv, gg.tobytes()) == (wv, wg.tobytes()), got.name
+                assert gg.dtype == np.float64 and gg.shape == (6,)
+                assert poisson_bracket(got, j, y) == poisson_bracket(want, j, y), got.name
+        assert independence_rank(arrays, y) == independence_rank(tuples, y)
+
+
+def test_catalog_pieces_return_tuples_of_six_floats():
+    """With grad true every library piece, those of the catalogs and the
+    constructors' own, gives its gradient as a tuple of six Python floats;
+    gradient and value_and_gradient give a new float64 array of it, which
+    the caller may overwrite."""
+    rng = np.random.default_rng(109)
+    for kap in (-1.0, 0.0, 0.7):
+        table = {f"lib:{name}": obs for name, (obs, _) in library_observables(kap).items()}
+        for sid, params in CATALOG_PARAMS.items():
+            spec = make_system(sid, kap, **params)
+            table.update({f"{sid}:{name}": obs for name, obs in catalog_table(spec).items()})
+        y = tuple(map(float, rand_state(rng, kap)))
+        for name, obs in table.items():
+            v, g = obs.piece(_trig(obs._sc, y), y, True)
+            assert type(v) is float, (kap, name)
+            assert type(g) is tuple and len(g) == 6, (kap, name, type(g))
+            assert all(type(x) is float for x in g), (kap, name)
+            arr = obs.gradient(y)
+            assert arr.dtype == np.float64 and arr.tolist() == list(g), (kap, name)
+            arr[:] = np.nan
+            assert obs.value_and_gradient(y)[1].tolist() == list(g), (kap, name)
