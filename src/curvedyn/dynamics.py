@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import _ZERO, _j_vg, _lin, _p_vg, _trig
+from .geometry import _j_vg, _p_vg, _trig
 from .kappa_core import DomainSingularity, _finite, sin_cos_k
-from .observables import Observable, _cartesian, _dir_vg, _fradkin_m
+from .observables import Observable, _as6, _cartesian, _dir_vg, _fradkin_m
 from .systems import Identity, SystemSpec, _system, catalog, hamilton_rhs
 
 __all__ = [
@@ -54,22 +54,26 @@ MAX_STEPS = 2_000_000  # integrate's default cap on steps
 # ---------------------------------------------------------------------------
 # Poisson brackets.
 
-def _contract(gf: np.ndarray, gg: np.ndarray) -> float:
-    """{f, g} from the 6-gradients of f and g."""
-    return float(gf[:3] @ gg[3:] - gf[3:] @ gg[:3])
+def _contract(gf, gg) -> float:
+    """{f, g} from the six-entry gradients of f and g."""
+    return (gf[0] * gg[3] + gf[1] * gg[4] + gf[2] * gg[5]
+            - (gf[3] * gg[0] + gf[4] * gg[1] + gf[5] * gg[2]))
 
 
 def poisson_bracket(f: Observable, g: Observable, s) -> float:
-    """Canonical bracket {f, g} contracted from analytic gradients."""
-    return _contract(f.gradient(s), g.gradient(s))
+    """Canonical bracket {f, g} contracted from the analytic gradients
+    that the pieces of f and g give at s, as bracket_table_audit does."""
+    y = _as6(s)
+    return float(_contract(f.piece(_trig(f._sc, y), y, True)[1],
+                           g.piece(_trig(g._sc, y), y, True)[1]))
 
 
-def _audit_state(s) -> np.ndarray:
-    """The state as a float array; anything but a finite 6-vector raises."""
+def _audit_state(s) -> list:
+    """The state as a list of six floats; anything but a finite 6-vector raises."""
     y = np.asarray(s, dtype=float)
     if y.shape != (6,) or not np.isfinite(y).all():
         raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
-    return y
+    return y.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +624,11 @@ def sample_state(
 # ---------------------------------------------------------------------------
 # Audits.
 
+def _kernels(observables) -> dict:
+    """Kernels by distinct kappa of the observables; {None: None} if none has one."""
+    return {o.kappa: o._sc for o in observables if o.kappa is not None} or {None: None}
+
+
 def conservation_report(observables: dict, traj: Trajectory) -> dict:
     """Drift of each named observable along a trajectory.
 
@@ -631,7 +640,7 @@ def conservation_report(observables: dict, traj: Trajectory) -> dict:
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 6:
         raise ValueError(f"conservation_report needs states of 6 columns, got shape {states.shape}")
-    kernels = {o.kappa: o._sc for o in observables.values() if o.kappa is not None} or {None: None}
+    kernels = _kernels(observables.values())
     slots = list(kernels)
     cols = [(o.piece, slots.index(o.kappa) if o.kappa in kernels else 0, [])
             for o in observables.values()]
@@ -664,13 +673,12 @@ def independence_rank(
     state that is not a finite 6-vector, or a threshold outside (0, 1)
     raises ValueError.
     """
-    y = _audit_state(s).tolist()
+    y = _audit_state(s)
     if not observables:
         raise ValueError("independence_rank needs at least one observable")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"independence_rank needs 0 < threshold < 1, got {threshold!r}")
-    kernels = {o.kappa: o._sc for o in observables if o.kappa is not None} or {None: None}
-    ts = {kap: _trig(sc, y) for kap, sc in kernels.items()}
+    ts = {kap: _trig(sc, y) for kap, sc in _kernels(observables).items()}
     any_t = next(iter(ts.values()))
     g = np.array([o.piece(ts.get(o.kappa, any_t), y, True)[1] for o in observables], float)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -694,7 +702,7 @@ def fradkin_audit(kappa, alpha, s) -> dict:
     numpy warns of nothing.
     """
     kap, sc, alpha = float(kappa), sin_cos_k(kappa), _finite(alpha, "alpha")
-    y = _audit_state(s).tolist()
+    y = _audit_state(s)
     t = _trig(sc, y)
     try:
         return _fradkin_residuals(kap, alpha, t, y)
@@ -770,30 +778,21 @@ class _GradientCache:
 
     Entries are keyed by id(obs), because Observable equality compares
     names only, and each entry keeps its observable so that no id is
-    reused while the cache lives.  A scaled_sum's value and gradient are
-    assembled from the cached ones of its terms with scaled_sum's own
-    arithmetic, so they equal obs.value(y) and obs.gradient(y) bit for bit.
-    The gradients are combined as lists and held as arrays.
+    reused while the cache lives.  Every observable, a scaled_sum too, is
+    evaluated by its own piece, once, so its value and gradient are
+    obs.value(y) and the floats of obs.gradient(y) bit for bit; the
+    gradient is kept as the piece gives it, with its norm math.hypot.
     """
 
-    def __init__(self, y: np.ndarray, sc):
-        self.y, self.entries = y.tolist(), {}
-        self.t = _trig(sc, self.y)
+    def __init__(self, y: list, sc):
+        self.y, self.t, self.entries = y, _trig(sc, y), {}
 
     def entry(self, obs: Observable) -> tuple:
         """(obs, gradient, norm of the gradient, value) at this state."""
         entry = self.entries.get(id(obs))
         if entry is None:
-            if obs.terms:
-                v, g = 0.0, _ZERO
-                for c, term in obs.terms:
-                    _, tg, _, tv = self.entry(term)
-                    v += c * tv
-                    g = _lin(1.0, g, c, tg.tolist())
-            else:
-                v, g = obs.piece(self.t, self.y, True)
-            g = np.array(g, float)
-            entry = self.entries[id(obs)] = (obs, g, math.sqrt(g.dot(g)), v)
+            v, g = obs.piece(self.t, self.y, True)
+            entry = self.entries[id(obs)] = (obs, g, math.hypot(*g), v)
         return entry
 
     def value(self, obs: Observable) -> float:
@@ -809,7 +808,7 @@ class _GradientCache:
             _, gg, ng, _ = self.entry(g)
             expect = 0.0 if e is None else e(self)
             raw = _contract(gf, gg) - expect
-            rel.append(raw / max(1.0, float(nf * ng), abs(expect)))
+            rel.append(raw / max(1.0, nf * ng, abs(expect)))
         return math.hypot(*rel)
 
 
@@ -829,10 +828,8 @@ def bracket_table_audit(
     (defaulting to a fixed seed), in table order, and uses it at every
     state.  Each distinct observable's value and gradient are evaluated
     once per state and shared by every row, the values read by the
-    expected sides and the algebraic rows; a linear combination
-    (scaled_sum, such as H = T + V or a row's random combination) takes
-    them from those of its terms.  An empty state list, or a state that
-    is not a finite 6-vector, raises ValueError.
+    expected sides and the algebraic rows.  An empty state list, or a
+    state that is not a finite 6-vector, raises ValueError.
     """
     if rng is None:
         rng = np.random.default_rng(0)

@@ -199,8 +199,9 @@ def rho_chart_kinetic(kappa, s: PhaseState) -> float:
     sth = math.sin(th)
     if abs(rho) < EPS_SING or abs(sth) < EPS_SING:
         raise DomainSingularity("rho chart kinetic singular")
-    ang = s.p_theta**2 + (s.p_phi / sth) ** 2
-    return 0.5 * ((1.0 - kap * rho * rho) * s.p_r**2 + ang / (rho * rho))
+    q = s.p_phi / sth
+    ang = s.p_theta * s.p_theta + q * q
+    return 0.5 * ((1.0 - kap * rho * rho) * (s.p_r * s.p_r) + ang / (rho * rho))
 
 
 def R_chart_kinetic(kappa, s: PhaseState) -> float:
@@ -211,5 +212,6 @@ def R_chart_kinetic(kappa, s: PhaseState) -> float:
     if abs(big_r) < EPS_SING or abs(sth) < EPS_SING:
         raise DomainSingularity("R chart kinetic singular")
     lam = 1.0 + kap * big_r * big_r
-    ang = s.p_theta**2 + (s.p_phi / sth) ** 2
-    return 0.5 * (lam * lam * s.p_r**2 + lam * ang / (big_r * big_r))
+    q = s.p_phi / sth
+    ang = s.p_theta * s.p_theta + q * q
+    return 0.5 * (lam * lam * (s.p_r * s.p_r) + lam * ang / (big_r * big_r))

@@ -94,16 +94,12 @@ class Observable:
     sines and cosines from the tuple ``t = geometry._trig(_sc, y)``, ``_sc``
     being the kernels bound once, at construction.  A piece of one's own may
     return any six-entry sequence, a numpy array too: composites index it.
-    ``gradient`` and ``value_and_gradient`` return a new float64 array.  A
-    linear combination built by ``scaled_sum`` also lists its
-    ``(c, observable)`` terms, so that a caller holding the terms' gradients
-    can assemble its gradient from them.
+    ``gradient`` and ``value_and_gradient`` return a new float64 array.
     """
 
     name: str
     piece: Callable = field(repr=False, compare=False)
     kappa: float | None = field(default=None, repr=False, compare=False)
-    terms: tuple = field(default=(), repr=False, compare=False)
     _sc: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,7 +142,8 @@ def _jsq_vg(t, y, grad: bool = True) -> _VG:
     pth, pph = y[4], y[5]
     sth, cth = t[2], t[3]
     _sin_guard(sth, "sin(theta)")
-    val = pth * pth + (pph / sth) ** 2
+    q = pph / sth
+    val = pth * pth + q * q
     if not grad:
         return val, None
     return val, (0.0, -2.0 * pph * pph * cth / sth**3, 0.0, 0.0,
@@ -308,16 +305,14 @@ def _cartesian(t) -> tuple[float, float, float]:
 
 
 def kinetic(kappa) -> Observable:
-    """Kinetic energy of the canonical momenta under the metric, whose
-    gradient is read off the geodesic Hamilton equations at the state."""
+    """Kinetic energy (p_r^2 + J^2 / sin_k(r)^2) / 2, J^2 as Jsq gives it,
+    whose gradient is read off the geodesic Hamilton equations at the state."""
     flow = _hamilton_flow(sin_cos_k(kappa))
 
     def vg(t, y, grad=True):
-        _, _, _, pr, pth, pph = y
-        sk, sth = t[0], t[2]
+        sk, pr = t[0], y[3]
         _sin_guard(sk, "sin_k(r)")
-        _sin_guard(sth, "sin(theta)")
-        val = 0.5 * (pr * pr + (pth * pth + (pph / sth) ** 2) / (sk * sk))
+        val = 0.5 * (pr * pr + _jsq_vg(t, y, False)[0] / (sk * sk))
         if not grad:
             return val, None
         f = flow(0.0, y)
@@ -620,7 +615,9 @@ def _k123_r_piece(i: int, kappa, k, ks) -> Callable:
         val, g = base(t, y, grad)
         if any(ks):
             sk, ck, sth, cth, _, _ = t
-            u, ur, uth, uph = _coupling_terms(ks, sk, ck, sth, cth, y[2])
+            u = _coupling_terms(ks, sk, ck, sth, cth, y[2], grad)
+            if grad:
+                u, ur, uth, uph = u
             cs = ck * sk
             d, gd = _dir_vg(i - 1, t, y, grad)
             val += 2.0 * cs * d * u
@@ -697,8 +694,9 @@ def k123_KR(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
 # Small assembly helpers for sums and squares of cataloged observables.
 
 def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
-    """Linear combination sum_j c_j f_j with the matching gradient, whose
-    terms' pieces read one tuple; terms of different kappa raise ValueError."""
+    """Linear combination sum_j c_j f_j with the matching gradient.  Its
+    piece runs the terms' pieces on one tuple and sums their values and
+    gradients in order; terms of different kappa raise ValueError."""
     kappas = {obs.kappa for _, obs in terms} - {None}
     if len(kappas) > 1:
         raise ValueError(f"scaled_sum {name!r} mixes terms of kappa {sorted(kappas)}")
@@ -713,7 +711,7 @@ def scaled_sum(name: str, terms: list[tuple[float, Observable]]) -> Observable:
                 g = _lin(1.0, g, c, gv)
         return val, (g if grad else None)
 
-    return Observable(name, vg, kappas.pop() if kappas else None, tuple(terms))
+    return Observable(name, vg, kappas.pop() if kappas else None)
 
 
 def square(obs: Observable, name: str | None = None) -> Observable:

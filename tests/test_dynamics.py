@@ -969,6 +969,31 @@ def test_conservation_report_reads_each_observable_at_its_own_kappa():
     assert rep["P1"] != rep["P1 at -0.5"]
 
 
+def test_conservation_report_computes_no_coupling_partials(monkeypatch):
+    """conservation_report takes values alone, so on kepler123, whose R_i,
+    KR_i and H carry the couplings U = sum k_i / coord_i^2, each value
+    computes U once and no piece asks _coupling_terms for its partials."""
+    from curvedyn import observables, systems
+
+    spec = make_system("kepler123", kappa=0.7, k=-1.0, k1=0.1, k2=0.2, k3=0.3)
+    y0 = sample_state(spec, np.random.default_rng(31), min_angular=0.3, margin=0.12)
+    traj = integrate(hamilton_rhs(spec), y0, (0.0, 0.5))
+    cat = catalog(spec)
+    watch = {name: cat.get(name) for name in ("H", "R1", "R2", "R3", "KR1", "KR2", "KR3")}
+    calls = Counter()
+    real = observables._coupling_terms
+
+    def counted(ks, sk, ck, sth, cth, ph, grad=True):
+        calls[grad] += 1
+        return real(ks, sk, ck, sth, cth, ph, grad)
+
+    monkeypatch.setattr(observables, "_coupling_terms", counted)
+    monkeypatch.setattr(systems, "_coupling_terms", counted)
+    conservation_report(watch, traj)
+    assert calls[False] == len(watch) * len(traj.times), calls
+    assert not calls[True], calls
+
+
 def test_conservation_report_rejects_states_that_are_not_6_vectors():
     for states in (np.ones((3, 5)), np.ones((3, 7)), np.ones(6)):
         traj = Trajectory(np.arange(len(states), dtype=float), states)
@@ -1246,7 +1271,9 @@ def test_bracket_table_audit_one_gradient_per_observable_per_state(monkeypatch):
     """Per state, each distinct observable's piece runs once with its
     gradient, and never without it: the audit takes each value with its
     gradient, so it neither calls a piece with grad false nor value,
-    gradient or value_and_gradient of an Observable."""
+    gradient or value_and_gradient of an Observable.  A linear combination
+    (H = T + V, a row's random combination) runs its terms' pieces inside
+    its own; only the audit's own calls are counted."""
     from curvedyn.observables import Observable
 
     calls = Counter()
@@ -1305,33 +1332,51 @@ def test_bracket_table_audit_splits_over_states():
             assert row.residual == max(r1.residual, r2.residual), (sid, row.name)
 
 
-def test_scaled_sum_gradient_from_terms_is_bit_identical():
-    """The audit's gradient of a linear combination, built from the cached
-    gradients of its terms, equals its own gradient bit for bit, and the
-    cached value of every observable equals its value, and its cached
-    gradient norm np.linalg.norm of its gradient."""
+def test_gradient_cache_entries_are_the_observables_own():
+    """The audit's cached value and gradient of every catalog observable,
+    complex parts and linear combinations (nested ones too) included,
+    are obs.value(y) and obs.gradient(y) bit for bit, and its cached
+    gradient norm is math.hypot of that gradient."""
     from curvedyn.dynamics import _GradientCache
 
     rng = np.random.default_rng(28)
     for sid, (params, *_) in AUDIT_TABLES.items():
         spec, states = audit_states(sid, params, 4, 29)
-        obs = catalog(spec).observables
-        sums = [o for o in obs.values() if o.terms]
+        cat = catalog(spec)
+        obs = [*cat.observables.values()]
+        obs += [part for c in cat.complexes.values() for part in (c.re, c.im)]
         c = rng.uniform(-1.0, 1.0, 3)
-        plain = [o for o in obs.values() if not o.terms][:2]
-        combo = scaled_sum("combo", [(c[0], plain[0]), (c[1], plain[1])])
-        sums += [combo, scaled_sum("nested", [(c[2], combo), (c[0], obs["H"])])]
-        if sid != "free":
-            assert obs["H"].terms, sid
+        combo = scaled_sum("combo", [(c[0], obs[0]), (c[1], obs[1])])
+        obs += [combo, scaled_sum("nested", [(c[2], combo), (c[0], cat.observables["H"])])]
         for y in states:
-            cache = _GradientCache(y, sin_cos_k(spec.kappa))
-            for o in sums:
-                assert cache.entry(o)[1].tobytes() == o.gradient(y).tobytes(), (sid, o.name)
-            for o in [*obs.values(), *sums]:
-                assert np.float64(cache.value(o)).tobytes() == np.float64(o.value(y)).tobytes(), \
-                    (sid, o.name)
-                _, g, norm, _ = cache.entry(o)
-                assert np.float64(norm).tobytes() == np.linalg.norm(g).tobytes(), (sid, o.name)
+            cache = _GradientCache(y.tolist(), sin_cos_k(spec.kappa))
+            for o in obs:
+                _, g, norm, v = cache.entry(o)
+                want = o.gradient(y)
+                assert np.array(g, float).tobytes() == want.tobytes(), (sid, o.name)
+                assert np.float64(v).tobytes() == np.float64(o.value(y)).tobytes(), (sid, o.name)
+                assert norm == math.hypot(*want.tolist()), (sid, o.name)
+
+
+def test_bracket_rows_contract_as_poisson_bracket():
+    """A bracket row with no expected side, an involution pair or an
+    integral against H, audited at one state reads |poisson_bracket(f, g,
+    y)| over max(1, |grad f| |grad g|) bit for bit: both contract the same
+    gradients with one expression."""
+    rows = 0
+    for sid, (params, *_) in AUDIT_TABLES.items():
+        spec, states = audit_states(sid, params, 2, 30)
+        obs = catalog(spec).observables
+        for y in states:
+            for row in bracket_table_audit(spec, [y]):
+                if not row.name.startswith(("invol:", "conserve:")):
+                    continue
+                f, g = (obs[n] for n in row.name.rsplit(":", 1)[1][1:-1].split(","))
+                scale = math.hypot(*f.gradient(y).tolist()) * math.hypot(*g.gradient(y).tolist())
+                want = abs(poisson_bracket(f, g, y)) / max(1.0, scale)
+                assert row.residual == want, (sid, row.name)
+                rows += 1
+    assert rows > 100
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from curvedyn.observables import (
     sw_KJ,
 )
 from curvedyn.dynamics import fradkin_audit, independence_rank, poisson_bracket, sample_state
-from curvedyn.geometry import _trig
+from curvedyn.geometry import ConfigPoint, PhaseState, R_chart_kinetic, _trig, rho_chart_kinetic
 from curvedyn.systems import SYSTEM_IDS, catalog, make_system, potential_observable
 
 KAPPAS = (1.0, -1.0, 0.7, -0.3, 0.0)
@@ -458,13 +458,18 @@ def test_gradient_path_at_huge_momenta_warns_nothing():
     catalog entry ends as value does, in the same float (finite or not) or
     the same exception, and emits no RuntimeWarning: the gradients are
     float arithmetic, which overflows to inf silently where numpy's array
-    arithmetic used to warn of overflow and invalid values."""
+    arithmetic used to warn of overflow and invalid values.  No value
+    raises OverflowError: the squares of momenta are products, which
+    overflow to inf, in the catalog and in the chart kinetics alike."""
     seen = 0
     for p in (1e160, 1e200):
         y = (0.8, 1.2, 0.4, p, p, p)
+        s = PhaseState(ConfigPoint(*y[:3]), *y[3:])
+        assert rho_chart_kinetic(1.0, s) == R_chart_kinetic(1.0, s) == math.inf
         for sid in SYSTEM_IDS:
             for name, obs in catalog_table(make_system(sid, 1.0)).items():
                 want = outcome(lambda: repr(obs.value(y)))
+                assert want is not OverflowError, (sid, p, name)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     got = outcome(lambda: repr(obs.value_and_gradient(y)[0]))
