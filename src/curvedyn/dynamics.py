@@ -70,10 +70,12 @@ def poisson_bracket(f: Observable, g: Observable, s) -> float:
 
 def _audit_state(s) -> list:
     """The state as a list of six floats; anything but a finite 6-vector raises."""
-    y = np.asarray(s, dtype=float)
-    if y.shape != (6,) or not np.isfinite(y).all():
-        raise ValueError(f"audit states must be finite 6-vectors, got {y!r}")
-    return y.tolist()
+    a = np.asarray(s, dtype=float)
+    if a.shape == (6,):
+        y = a.tolist()
+        if all(map(math.isfinite, y)):
+            return y
+    raise ValueError(f"audit states must be finite 6-vectors, got {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +652,9 @@ def conservation_report(observables: dict, traj: Trajectory) -> dict:
             values.append(piece(ts[k], y, False)[0])
     report = {}
     for name, (_, _, values) in zip(observables, cols):
-        values = np.array(values)
-        v0 = values[0]
-        drift = float(np.max(np.abs(values - v0)))
-        report[name] = {"initial": float(v0), "max_drift": drift,
+        v0 = float(values[0])
+        drift = float(_worst([abs(v - v0) for v in values]))
+        report[name] = {"initial": v0, "max_drift": drift,
                         "rel_drift": drift / max(1.0, abs(v0))}
     return report
 
@@ -671,7 +672,9 @@ def independence_rank(
     threshold.  The gradients read one tuple per distinct kappa of the
     observables, as in conservation_report.  An empty observable list, a
     state that is not a finite 6-vector, or a threshold outside (0, 1)
-    raises ValueError.
+    raises ValueError.  A gradient with an entry that is not finite (at
+    momenta or parameters so large that it overflowed) raises
+    OverflowError naming its observable.
     """
     y = _audit_state(s)
     if not observables:
@@ -680,13 +683,38 @@ def independence_rank(
         raise ValueError(f"independence_rank needs 0 < threshold < 1, got {threshold!r}")
     ts = {kap: _trig(sc, y) for kap, sc in _kernels(observables).items()}
     any_t = next(iter(ts.values()))
-    g = np.array([o.piece(ts.get(o.kappa, any_t), y, True)[1] for o in observables], float)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    g = g / np.where(norms > 0.0, norms, 1.0)
-    sv = np.linalg.svd(g, compute_uv=False)
+    rows = []
+    for o in observables:
+        g0, g1, g2, g3, g4, g5 = g = o.piece(ts.get(o.kappa, any_t), y, True)[1]
+        # The sum of squares in numpy's order, so each norm is np.linalg.norm's.
+        sq = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5
+        if 0.0 < sq < math.inf:
+            n = math.sqrt(sq)
+            rows.append([g0 / n, g1 / n, g2 / n, g3 / n, g4 / n, g5 / n])
+        else:
+            rows.append(_unit_row(o, g, y))
+    sv = np.linalg.svd(np.array(rows, float), compute_uv=False).tolist()
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    cut = threshold * sv[0]
+    return sum(v > cut for v in sv)
+
+
+def _unit_row(o: Observable, g, y) -> list:
+    """g over its norm, for a gradient whose sum of squares overflowed or
+    underflowed: the entries are scaled by the largest first, so that the
+    norm fits.  A zero gradient stays as it is, and one with an entry that
+    is not finite raises OverflowError naming o."""
+    g = [float(v) for v in g]
+    if not all(map(math.isfinite, g)):
+        raise OverflowError(f"the gradient of {o.name} is not finite at {tuple(y)}: "
+                            "momenta or parameters too large")
+    big = max(map(abs, g))
+    if big == 0.0:
+        return g
+    g = [v / big for v in g]
+    n = math.hypot(*g)
+    return [v / n for v in g]
 
 
 def fradkin_audit(kappa, alpha, s) -> dict:

@@ -94,11 +94,6 @@ def _quot(c: float, g, d: float) -> tuple:
     return c * g[0] / d, c * g[1] / d, c * g[2] / d, c * g[3] / d, c * g[4] / d, c * g[5] / d
 
 
-def _sin_guard(x: float, what: str) -> None:
-    if abs(x) < EPS_SING:
-        raise DomainSingularity(f"{what} vanishes")
-
-
 def _trig(sc, y) -> tuple:
     """The tuple every piece reads, t = (sin_k r, cos_k r, sin theta, cos theta,
     sin phi, cos phi) at y = (r, theta, phi, ...); sc None leaves sin_k, cos_k None."""
@@ -106,35 +101,34 @@ def _trig(sc, y) -> tuple:
     return sk, ck, sin(y[1]), cos(y[1]), sin(y[2]), cos(y[2])
 
 
-def _planar_axis(axis: int, t) -> tuple[float, float]:
-    """(a, b) = (cos phi, sin phi) for the x axis (axis 0) and, as the y
-    axis is the x axis turned by pi/2, (sin phi, -cos phi) for the y axis."""
-    sph, cph = t[4], t[5]
-    if axis == 0:
-        return cph, sph
-    if axis == 1:
-        return sph, -cph
-    raise ValueError(f"axis must be 0..2, got {axis}")
-
+# For i = 1, 2 the momenta read the planar pair (a, b) straight from t:
+# (cos phi, sin phi) = (t[5], t[4]) for the x axis and, as the y axis is
+# the x axis turned by pi/2, (sin phi, -cos phi) for the y axis.
 
 def _p_vg(i: int, t, y, grad: bool = True) -> _VG:
     """Noether momentum P_i of the translation-like isometries."""
     _, _, _, pr, pth, pph = y
     sk, ck, sth, cth, _, _ = t
-    _sin_guard(sk, "sin_k(r)")
+    if abs(sk) < EPS_SING:
+        raise DomainSingularity("sin_k(r) vanishes")
     ct = ck / sk
-    dct = -1.0 / (sk * sk)
     if i == 3:
         val = cth * pr - ct * sth * pth
         if not grad:
             return val, None
+        dct = -1.0 / (sk * sk)
         return val, (-dct * sth * pth, -sth * pr - ct * cth * pth, 0.0, cth, -ct * sth, 0.0)
-    _sin_guard(sth, "sin(theta)")
-    a, b = _planar_axis(i - 1, t)
+    if abs(sth) < EPS_SING:
+        raise DomainSingularity("sin(theta) vanishes")
+    if i == 1:
+        a, b = t[5], t[4]
+    else:
+        a, b = t[4], -t[5]
     ang = cth * a * pth - (b / sth) * pph
     val = sth * a * pr + ct * ang
     if not grad:
         return val, None
+    dct = -1.0 / (sk * sk)
     return val, (dct * ang,
                  cth * a * pr + ct * (-sth * a * pth + (cth / (sth * sth)) * b * pph),
                  -sth * b * pr + ct * (-cth * b * pth - (a / sth) * pph),
@@ -147,9 +141,13 @@ def _j_vg(i: int, t, y, grad: bool = True) -> _VG:
     if i == 3:
         return pph, ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0) if grad else None)
     sth, cth = t[2], t[3]
-    _sin_guard(sth, "sin(theta)")
+    if abs(sth) < EPS_SING:
+        raise DomainSingularity("sin(theta) vanishes")
     cot = cth / sth
-    a, b = _planar_axis(i - 1, t)
+    if i == 1:
+        a, b = t[5], t[4]
+    else:
+        a, b = t[4], -t[5]
     val = -(b * pth + cot * a * pph)
     if not grad:
         return val, None

@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (_VG, _ZERO, _j_vg, _lin, _p_vg, _planar_axis, _quot, _scale, _sin_guard,
-                       _trig)
+from .geometry import _VG, _ZERO, _j_vg, _lin, _p_vg, _quot, _scale, _trig
 from .kappa_core import DomainSingularity, EPS_DOM, EPS_SING, _finite, sin_cos_k
 
 __all__ = [
@@ -74,10 +73,12 @@ def _as6(s) -> Sequence[float]:
     length or shape raises ValueError.  A float64 array gives its tolist,
     anything else a tuple (indexing beats iterating on a list or tuple)."""
     if type(s) is np.ndarray:
+        if s.dtype is _F64 and s.ndim == 1:
+            y = s.tolist()
+            if len(y) == 6:
+                return y
         if s.shape != (6,):
             raise ValueError(f"a state must be a 6-vector, got shape {s.shape}")
-        if s.dtype is _F64:
-            return s.tolist()
     elif len(s) != 6:
         raise ValueError(f"a state must be a 6-vector, got {len(s)} values")
     return (float(s[0]), float(s[1]), float(s[2]), float(s[3]), float(s[4]), float(s[5]))
@@ -141,7 +142,8 @@ class ComplexObservable:
 def _jsq_vg(t, y, grad: bool = True) -> _VG:
     pth, pph = y[4], y[5]
     sth, cth = t[2], t[3]
-    _sin_guard(sth, "sin(theta)")
+    if abs(sth) < EPS_SING:
+        raise DomainSingularity("sin(theta) vanishes")
     q = pph / sth
     val = pth * pth + q * q
     if not grad:
@@ -151,19 +153,27 @@ def _jsq_vg(t, y, grad: bool = True) -> _VG:
 
 
 def _dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
+    """Direction cosine sin(theta) a, with the planar pair (a, b) of the
+    momenta (geometry._p_vg), for the x and y axes; cos(theta) for z."""
     sth, cth = t[2], t[3]
     if axis == 2:
         return cth, ((0.0, -sth, 0.0, 0.0, 0.0, 0.0) if grad else None)
-    a, b = _planar_axis(axis, t)
+    if axis == 0:
+        a, b = t[5], t[4]
+    else:
+        a, b = t[4], -t[5]
     return sth * a, ((0.0, cth * a, -sth * b, 0.0, 0.0, 0.0) if grad else None)
 
 
 def _coord_vg(axis: int, t, y, grad: bool = True) -> _VG:
-    sk, ck = t[0], t[1]
-    d, gd = _dir_vg(axis, t, y, grad)
+    sk = t[0]
     if not grad:
-        return sk * d, None
-    return sk * d, (ck * d, sk * gd[1], sk * gd[2], sk * gd[3], sk * gd[4], sk * gd[5])
+        # sk times _dir_vg's value, read straight from t.
+        if axis == 2:
+            return sk * t[3], None
+        return sk * (t[2] * (t[5] if axis == 0 else t[4])), None
+    d, gd = _dir_vg(axis, t, y)
+    return sk * d, (t[1] * d, sk * gd[1], sk * gd[2], sk * gd[3], sk * gd[4], sk * gd[5])
 
 
 def _hamilton_flow(sc, terms: Callable | None = None) -> Callable:
@@ -230,7 +240,8 @@ def _az_parts(kap: float, t) -> tuple[float, float, float]:
     tk = sk / ck
     u = tk * t[3]
     den = 1.0 - kap * u * u
-    _sin_guard(den, "axial anisotropy factor denominator")
+    if abs(den) < EPS_SING:
+        raise DomainSingularity("axial anisotropy factor denominator vanishes")
     return tk, u, den
 
 
@@ -248,27 +259,34 @@ def _tan_dir_vg(axis: int, t, y, grad: bool = True) -> _VG:
     if abs(ck) < EPS_DOM:
         raise DomainSingularity("tan_k(r) singular at cos_k(r) = 0")
     tk = sk / ck
-    d, gd = _dir_vg(axis, t, y, grad)
     if not grad:
-        return tk * d, None
+        # tk times _dir_vg's value, read straight from t.
+        if axis == 2:
+            return tk * t[3], None
+        return tk * (t[2] * (t[5] if axis == 0 else t[4])), None
+    d, gd = _dir_vg(axis, t, y)
     return tk * d, (d / (ck * ck), tk * gd[1], tk * gd[2], tk * gd[3], tk * gd[4], tk * gd[5])
 
 
 # ---------------------------------------------------------------------------
-# Observable constructors.
+# Observable constructors.  The pieces read an index as given, so each
+# constructor checks it first.
+
+def _index(i: int, what: str = "index") -> int:
+    """i if it is 1, 2 or 3; anything else raises ValueError."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"{what} must be 1..3, got {i}")
+    return i
+
 
 def noether_P(i: int, kappa) -> Observable:
     """Noether momentum P_i generated by the curvature-dependent isometries."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"P{i}", partial(_p_vg, i), kappa)
+    return Observable(f"P{_index(i)}", partial(_p_vg, i), kappa)
 
 
 def angular_J(i: int) -> Observable:
     """Angular momentum component J_i (curvature independent)."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"index must be 1..3, got {i}")
-    return Observable(f"J{i}", partial(_j_vg, i))
+    return Observable(f"J{_index(i)}", partial(_j_vg, i))
 
 
 def angular_J_squared() -> Observable:
@@ -278,17 +296,13 @@ def angular_J_squared() -> Observable:
 
 def coordinate(axis: int, kappa) -> Observable:
     """Curvature-scaled Cartesian coordinate sin_k(r) times a direction cosine."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1..3, got {axis}")
-    name = ("xk", "yk", "zk")[axis - 1]
+    name = ("xk", "yk", "zk")[_index(axis, "axis") - 1]
     return Observable(name, partial(_coord_vg, axis - 1), kappa)
 
 
 def direction_cosine(axis: int) -> Observable:
     """Unit-vector component of the configuration ray."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1..3, got {axis}")
-    name = ("dx", "dy", "dz")[axis - 1]
+    name = ("dx", "dy", "dz")[_index(axis, "axis") - 1]
     return Observable(name, partial(_dir_vg, axis - 1))
 
 
@@ -311,7 +325,8 @@ def kinetic(kappa) -> Observable:
 
     def vg(t, y, grad=True):
         sk, pr = t[0], y[3]
-        _sin_guard(sk, "sin_k(r)")
+        if abs(sk) < EPS_SING:
+            raise DomainSingularity("sin_k(r) vanishes")
         val = 0.5 * (pr * pr + _jsq_vg(t, y, False)[0] / (sk * sk))
         if not grad:
             return val, None
@@ -334,7 +349,8 @@ def _fradkin_vg(i: int, j: int, al: float, ki: float, t, y, grad: bool = True) -
             raise OverflowError(f"alpha = {al!r} is too large: (alpha w_{i})**2 "
                                 f"overflows in K_{i}{i}") from None
         if ki != 0.0:
-            _sin_guard(wi, "tan_k(r) dir_i")
+            if abs(wi) < EPS_SING:
+                raise DomainSingularity("tan_k(r) dir_i vanishes")
             val += 2.0 * ki / (wi * wi)
         if not grad:
             return val, None
@@ -353,6 +369,7 @@ def _fradkin_vg(i: int, j: int, al: float, ki: float, t, y, grad: bool = True) -
 def fradkin_K(i: int, j: int, kappa, alpha, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Quadratic-tensor entry K_ij of the oscillator family, whose diagonal
     entries carry the couplings; off-diagonal ones need k1 = k2 = k3 = 0."""
+    i, j = _index(i), _index(j)
     al = _finite(alpha, "alpha")
     ks = _couplings(k1, k2, k3)
     if i != j and any(ks):
@@ -400,7 +417,7 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
     """Angular-momentum related integral J_i^2 plus two coupling ratios."""
     kap, ks = _finite(kappa), _couplings(k1, k2, k3)
     ratios = [
-        (ks[kidx - 1], num, den) for kidx, num, den in _KJ_TERMS[i] if ks[kidx - 1] != 0.0
+        (ks[kidx - 1], num, den) for kidx, num, den in _KJ_TERMS[_index(i)] if ks[kidx - 1] != 0.0
     ]
 
     def vg(t, y, grad=True):
@@ -410,7 +427,8 @@ def sw_KJ(i: int, kappa, k1=0.0, k2=0.0, k3=0.0) -> Observable:
         for kc, num_ax, den_ax in ratios:
             a, ga = _coord_vg(num_ax, t, y, grad)
             b, gb = _coord_vg(den_ax, t, y, grad)
-            _sin_guard(b, "coordinate in coupling ratio")
+            if abs(b) < EPS_SING:
+                raise DomainSingularity("coordinate in coupling ratio vanishes")
             q = a / b
             val += 2.0 * kc * q * q
             if grad:
@@ -453,7 +471,8 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
         a, ga = _az_vg(kap, t, y, grad)
         w = x * x + yy * yy
         den = 1.0 - kap * w
-        _sin_guard(den, "planar anisotropy denominator")
+        if abs(den) < EPS_SING:
+            raise DomainSingularity("planar anisotropy denominator vanishes")
         t = w / den
         coef = 1.0 + 4.0 * kap * a * a
         val = (p1 * p1 + kap * j1 * j1) + (p2 * p2 + kap * j2 * j2) + al * al * coef * t
@@ -468,7 +487,8 @@ def _osc112_k12(kappa, alpha, k1, k2) -> Observable:
         for kc, c, gc, o, go, what in ((k2, yy, gy, x, gx, "y_k"), (k1, x, gx, yy, gy, "x_k")):
             if kc == 0.0:
                 continue
-            _sin_guard(c, what)
+            if abs(c) < EPS_SING:
+                raise DomainSingularity(f"{what} vanishes")
             val += 2.0 * kc * (1.0 - kap * o * o) / (c * c)
             if grad:
                 dc = _lin(1.0, _quot(-2.0 * kap * o, go, c * c),
@@ -510,7 +530,8 @@ def _osc112_krl(which: int, kappa, alpha, kc) -> Observable:
         fac = q * sth * trig / den
         val = sign * p * j + al * al * a * fac * c
         if kc != 0.0:
-            _sin_guard(c, "coordinate under coupling")
+            if abs(c) < EPS_SING:
+                raise DomainSingularity("coordinate under coupling vanishes")
             val -= 2.0 * kc * ck * z / (c * c)
         if not grad:
             return val, None
@@ -546,7 +567,7 @@ _CYCLE = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
 def _kepler_rl_piece(i: int, k) -> Callable:
-    (j, l), kc = _CYCLE[i], _finite(k, "k")
+    (j, l), kc = _CYCLE[_index(i)], _finite(k, "k")
 
     def vg(t, y, grad=True):
         pj, gpj = _p_vg(j, t, y, grad)
@@ -637,7 +658,8 @@ def k123_R(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> Observable:
 def _k123_s_vg(i: int, t, y, grad: bool = True) -> _VG:
     pr = y[3]
     d, gd = _dir_vg(i - 1, t, y, grad)
-    _sin_guard(d, "direction cosine")
+    if abs(d) < EPS_SING:
+        raise DomainSingularity("direction cosine vanishes")
     val = pr / d
     if not grad:
         return val, None
@@ -651,7 +673,7 @@ def k123_S(i: int, kappa) -> Observable:
     That is p_r over the i-th direction cosine, so kappa drops out; the
     argument keeps the signature of the other kepler123 constructors.
     """
-    return Observable(f"S{i}", partial(_k123_s_vg, i))
+    return Observable(f"S{_index(i)}", partial(_k123_s_vg, i))
 
 
 def k123_N(i: int, kappa, k, k1=0.0, k2=0.0, k3=0.0) -> ComplexObservable:

@@ -36,7 +36,6 @@ from .observables import (
     _cartesian,
     _coupling_terms,
     _hamilton_flow,
-    _sin_guard,
     _stop_if_non_finite,
     angular_J,
     angular_J_squared,
@@ -627,7 +626,8 @@ def _kepler123_catalog(spec: SystemSpec, h: Observable) -> Catalog:
 
         def lam(at):
             x = _cartesian(at.t)[i - 1]
-            _sin_guard(x, "coordinate in coupling factor")
+            if abs(x) < EPS_SING:
+                raise DomainSingularity("coordinate in coupling factor vanishes")
             return 1.0 / (x * x)
 
         return [

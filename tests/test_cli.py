@@ -387,6 +387,16 @@ def test_parameter_overflow_prints_error_line(capsys):
         dynamics.fradkin_audit(1.0, 1e154, [1.2, 1.5, 0.1, 0.1, 0.2, 0.3])
 
 
+def test_rank_audit_overflow_names_the_observable(capsys):
+    """At alpha = 1e154 the rank audit's K_ii gradients overflow: it used to
+    print "error: SVD did not converge"; the error line names the
+    observable whose gradient is not finite."""
+    code, out, err = run(capsys, "audit", "--system", "oscillator", "--kappa", "1",
+                         "--alpha", "1e154", "--kind", "rank", "--states", "5", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the gradient of K") and err.count("\n") == 1, err
+
+
 def test_infinite_coordinate_truncates_with_warning(capsys):
     """A momentum of 1e200 drives the radius of a stage to infinity, where
     math.sin raises ValueError; every method truncates with the warning

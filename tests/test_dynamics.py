@@ -26,6 +26,7 @@ from curvedyn.dynamics import (
 )
 from curvedyn.kappa_core import DomainSingularity, cos_k, sin_cos_k
 from curvedyn.observables import (
+    Observable,
     angular_J,
     coordinate,
     fradkin_K,
@@ -1213,6 +1214,112 @@ def test_independence_rank_rejects_bad_input():
             independence_rank(five, good, threshold=threshold)
 
 
+# Parameters with every coupling on, as the benchmark audits them.
+RANK_PARAMS = {
+    "free": {},
+    "oscillator": {"alpha": 1.0},
+    "sw": {"alpha": 1.0, "k1": 0.1, "k2": 0.2, "k3": 0.3},
+    "osc112": {"alpha": 1.0, "k1": 0.1, "k2": 0.2},
+    "kepler": {"k": -1.0},
+    "kepler123": {"k": -1.0, "k1": 0.1, "k2": 0.2, "k3": 0.3},
+}
+
+
+def numpy_rank(observables, y, threshold=1e-6):
+    """independence_rank written in numpy: row norms, rows scaled to unit
+    norm (a zero row left alone), SVD, singular values above the cut."""
+    g = np.array([o.gradient(y) for o in observables])
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    g = g / np.where(norms > 0.0, norms, 1.0)
+    sv = np.linalg.svd(g, compute_uv=False)
+    return (0 if sv[0] == 0.0 else int(np.sum(sv > threshold * sv[0]))), sv
+
+
+def test_independence_rank_matches_the_numpy_reference():
+    """On every system and curvature, and every independence set, the rank
+    is numpy_rank's, at the default threshold and at thresholds on the
+    reference's own singular-value ratios, where a singular value that
+    moved in its last bits could change the count."""
+    rng = np.random.default_rng(57)
+    checked = 0
+    for sid in SYSTEM_IDS:
+        for kap in (-1.0, -0.3, 0.0, 0.7, 1.0):
+            spec = make_system(sid, kap, **RANK_PARAMS[sid])
+            cat = catalog(spec)
+            for _ in range(3):
+                y = sample_state(spec, rng, margin=0.12)
+                for names in cat.independence_sets.values():
+                    obs = [cat.get(n) for n in names]
+                    want, sv = numpy_rank(obs, y)
+                    assert independence_rank(obs, y) == want, (sid, kap, names)
+                    for ratio in (sv[1:] / sv[0]).tolist():
+                        if 0.0 < ratio < 1.0:
+                            assert (independence_rank(obs, y, threshold=ratio)
+                                    == numpy_rank(obs, y, threshold=ratio)[0]), (sid, kap, ratio)
+                    checked += 1
+    assert checked >= 90
+
+
+def test_independence_rank_of_a_zero_gradient():
+    """A zero gradient row is left as it is: alone it has rank 0, beside
+    J3 rank 1.  A nonzero gradient whose squares underflow to a zero sum
+    is scaled to unit norm like any other (it was left unscaled, so
+    beside J3 it read rank 1)."""
+    def const_grad(name, g):
+        return Observable(name, lambda t, y, grad=True: (0.0, g if grad else None))
+
+    zero = const_grad("zero", (0.0,) * 6)
+    tiny = const_grad("tiny", (1e-170,) * 6)
+    y = [0.8, 1.2, 0.4, 0.15, 0.3, 0.35]
+    assert independence_rank([zero], y) == 0
+    assert independence_rank([zero, angular_J(3)], y) == 1
+    assert independence_rank([zero, angular_J(3)], y) == numpy_rank([zero, angular_J(3)], y)[0]
+    assert independence_rank([tiny], y) == 1
+    assert independence_rank([tiny, angular_J(3)], y) == 2
+
+
+def test_independence_rank_at_huge_momenta():
+    """Where a gradient's sum of squares overflowed, its row used to be
+    divided by an infinite norm: the free system's rank at momenta 1e155
+    read 0, and the oscillator's (at 1e155) and kepler123's (at 1e100)
+    ended in "SVD did not converge", with numpy warning of overflow.  A
+    row of finite entries is now scaled to unit norm by math.hypot, and
+    one with an entry that overflowed raises OverflowError naming its
+    observable; numpy warns of nothing."""
+    def at(p):
+        return [0.8, 1.2, 0.4, p, p, p]
+
+    def primary(sid):
+        cat = catalog(make_system(sid, 1.0))
+        return [cat.get(n) for n in cat.independence_sets["primary"]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        free = primary("free")
+        assert independence_rank(free, at(1e155)) == independence_rank(free, at(1e100)) == 3
+        for sid, p in (("oscillator", 1e155), ("kepler123", 1e100)):
+            obs = primary(sid)
+            with pytest.raises(OverflowError, match=r"^the gradient of (\w+) is not finite") as exc:
+                independence_rank(obs, at(p))
+            named = re.match(r"the gradient of (\w+)", str(exc.value)).group(1)
+            assert named in [o.name for o in obs], (sid, named)
+
+
+def test_conservation_report_keeps_nan():
+    """A NaN value at any state makes that observable's drift NaN, not the
+    largest finite deviation: here the middle state's p_r is NaN, which H
+    reads and J3 does not."""
+    spec = make_system("oscillator", kappa=1.0, alpha=1.0)
+    states = np.array([[0.8, 1.2, 0.4, 0.15, 0.3, 0.35],
+                       [0.8, 1.2, 0.4, math.nan, 0.3, 0.35],
+                       [0.81, 1.2, 0.4, 0.15, 0.3, 0.35]])
+    rep = conservation_report({"H": hamiltonian(spec), "J3": angular_J(3)},
+                              Trajectory(np.arange(3.0), states))
+    assert math.isnan(rep["H"]["max_drift"]) and math.isnan(rep["H"]["rel_drift"])
+    assert rep["H"]["initial"] == hamiltonian(spec).value(states[0])
+    assert rep["J3"] == {"initial": 0.35, "max_drift": 0.0, "rel_drift": 0.0}
+
+
 def test_fradkin_audit_rejects_bad_input():
     """A NaN state used to give NaN residuals, a 3-vector an IndexError."""
     good = sample_state(make_system("oscillator", kappa=0.7, alpha=1.3),
@@ -1258,6 +1365,35 @@ def test_non_finite_kappa_raises_where_it_is_bound(kap):
 def test_momentum_constructors_reject_a_bad_index():
     for build in (lambda: noether_P(4, 1.0), lambda: noether_P(0, 1.0), lambda: angular_J(4)):
         with pytest.raises(ValueError, match="^index must be 1..3, got"):
+            build()
+
+
+def test_indexed_constructors_reject_a_bad_index():
+    """The pieces read an axis straight from the state's tuple, so every
+    constructor with an index checks it: fradkin_K(0, 1) and k123_S(0) used
+    to build, and then raise only when evaluated ("axis must be 0..2, got
+    -1"); sw_KJ(4) and kepler_RL(4) raised KeyError."""
+    from curvedyn import observables as ob
+
+    builds = {
+        "fradkin_K(0, 1)": lambda: ob.fradkin_K(0, 1, 1.0, 1.0),
+        "fradkin_K(1, 4)": lambda: ob.fradkin_K(1, 4, 1.0, 1.0),
+        "sw_KJ(4)": lambda: ob.sw_KJ(4, 1.0),
+        "kepler_RL(0)": lambda: ob.kepler_RL(0, 1.0, -1.0),
+        "k123_R(4)": lambda: ob.k123_R(4, 1.0, -1.0),
+        "k123_S(0)": lambda: ob.k123_S(0, 1.0),
+        "k123_KR(0)": lambda: ob.k123_KR(0, 1.0, -1.0),
+        "complex_M(4)": lambda: ob.complex_M(4, 1.0, 1.0),
+    }
+    for name, build in builds.items():
+        try:
+            build()
+        except ValueError as exc:
+            assert str(exc).startswith("index must be 1..3, got"), (name, exc)
+        else:
+            pytest.fail(f"{name} built")
+    for build in (lambda: coordinate(0, 1.0), lambda: ob.direction_cosine(4)):
+        with pytest.raises(ValueError, match="^axis must be 1..3, got"):
             build()
 
 
